@@ -8,7 +8,7 @@ expanding working-set driver (`failsafe`). The command-line entry point
 lives in `cli`.
 """
 
-from .adjoint import AdjointState, adjoint_gradient, dg_du, fd_gradient, gradient_check
+from .adjoint import adjoint_gradient, fd_gradient, gradient_check
 from .constraints import (
     ConstraintParams,
     ConstraintValue,
@@ -55,7 +55,6 @@ from .scenarios import FailureScenario, ScenarioSet, enumerate_scenarios, no_fai
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointState",
     "ConstraintParams",
     "ConstraintValue",
     "ConvergenceError",
@@ -78,7 +77,6 @@ __all__ = [
     "assemble_added_damping",
     "build_rayleigh",
     "compute_lowest_modes",
-    "dg_du",
     "enumerate_scenarios",
     "equilibrium_residual",
     "evaluate_all",

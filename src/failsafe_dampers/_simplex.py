@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConvergenceError
 
-class SimplexError(RuntimeError):
+
+class SimplexError(ConvergenceError):
     """Pivot budget exhausted or the LP is unbounded."""
 
 

@@ -2,17 +2,16 @@
 
 The gradient with respect to the damper sizes is computed by the
 discretize-then-differentiate adjoint method: the time-stepping recurrence
-is treated as a set of algebraic residuals, the terms multiplying the
+is treated as a set of algebraic residuals, and the terms multiplying the
 implicit state derivatives are collected into a linear system for the
-adjoint trajectories, and that system is swept backward in time with one
-factorization of its constant 3n x 3n block matrix. The result matches a
+adjoint trajectories. One factorization of its constant 3n x 3n block
+matrix turns each backward step into a fixed linear map, swept backward in
+time with the kernel of the Newmark sweep. The result matches a
 finite-difference derivative of the discrete response to solver precision,
 which is what keeps the optimizer's linearizations consistent.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -25,18 +24,9 @@ from .constraints import (
     smooth_drift_indices,
     time_weights,
 )
-from .dynamics import GroundMotion, ResponseHistory, newmark_solve
+from .dynamics import GroundMotion, ResponseHistory, newmark_solve, transition_sweep
 from .model import DesignVector, StructuralModel, assemble_added_damping
 from .scenarios import FailureScenario
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Adjoint trajectories, one row per time sample (row 0 unused)."""
-
-    lambda_u: np.ndarray
-    lambda_v: np.ndarray
-    lambda_a: np.ndarray
 
 
 def dg_du_trajectory(
@@ -74,59 +64,29 @@ def dg_du_trajectory(
     return out
 
 
-def dg_du(
-    history: ResponseHistory,
-    model: StructuralModel,
-    params: ConstraintParams,
-    step: int,
-) -> np.ndarray:
-    """dg/du at one time sample. Computes the full trajectory internally;
-    prefer `dg_du_trajectory` when several steps are needed."""
-    return dg_du_trajectory(history, model, params)[step]
-
-
-def _adjoint_matrix(model: StructuralModel, C: np.ndarray, dt, beta, gamma):
-    n = model.n_dof
-    eye = np.eye(n)
-    c1 = gamma / (beta * dt)
-    c2 = 1.0 / (beta * dt * dt)
-    A = np.zeros((3 * n, 3 * n))
-    A[:n, :n] = model.mass.T
-    A[:n, 2 * n :] = eye
-    A[n : 2 * n, :n] = C.T
-    A[n : 2 * n, n : 2 * n] = eye
-    A[2 * n :, :n] = model.stiffness.T
-    A[2 * n :, n : 2 * n] = -c1 * eye
-    A[2 * n :, 2 * n :] = -c2 * eye
-    return A
-
-
 def solve_adjoint(
     model: StructuralModel,
     C_d: np.ndarray,
     history: ResponseHistory,
     forcing: np.ndarray,
-) -> AdjointState:
+) -> np.ndarray:
     """Backward sweep of the adjoint system driven by dg/du terms.
 
-    ``forcing`` holds dg/du_i per sample. The block system A xi_i = b_i is
-    factorized once; the terminal step uses b_N = (0, 0, -dg/du_N) and each
-    earlier right-hand side couples to the adjoint state one step later.
-    Zero forcing yields identically zero trajectories.
+    ``forcing`` holds f_i = dg/du_i per sample. Step i solves
+    A xi_i = R xi_{i+1} - e f_i for xi = (lambda_u, lambda_v, lambda_a)
+    with xi_{N+1} = 0: A is a constant 3n x 3n block matrix, R couples to
+    lambda_v and lambda_a one step later, and e places f_i in the last
+    block. One LU factorization of A gives the transition matrices
+    Pa = A^-1 R and Qa = -A^-1 e, and `transition_sweep` runs
+    xi_i = Pa xi_{i+1} + Qa f_i backward, one small matvec per step.
+    Returns lambda_u, shape (N+1, n) with row 0 unused and zero. Zero
+    forcing yields identically zero adjoints.
     """
     n = model.n_dof
     n_samples = history.u.shape[0]
     if forcing.shape != (n_samples, n):
         raise ValueError(f"forcing shape {forcing.shape} does not match history")
     dt, beta, gamma = history.dt, history.beta, history.gamma
-
-    C = model.inherent_damping + C_d
-    A = _adjoint_matrix(model, C, dt, beta, gamma)
-    try:
-        factor = la.lu_factor(A)
-    except la.LinAlgError:
-        raise la.LinAlgError("adjoint system matrix is singular") from None
-
     c1 = gamma / (beta * dt)
     c2 = 1.0 / (beta * dt * dt)
     k_av = dt * (1.0 - gamma / (2.0 * beta))
@@ -134,25 +94,34 @@ def solve_adjoint(
     k_vv = 1.0 - gamma / beta
     k_va = 1.0 / (beta * dt)
 
-    lam_u = np.zeros((n_samples, n))
-    lam_v = np.zeros((n_samples, n))
-    lam_a = np.zeros((n_samples, n))
+    eye, zero = np.eye(n), np.zeros((n, n))
+    C = model.inherent_damping + C_d
+    A = np.block(
+        [
+            [model.mass.T, zero, eye],
+            [C.T, eye, zero],
+            [model.stiffness.T, -c1 * eye, -c2 * eye],
+        ]
+    )
+    try:
+        factor = la.lu_factor(A)
+    except la.LinAlgError:
+        raise la.LinAlgError("adjoint system matrix is singular") from None
 
-    lu_solve = la.lu_solve
-    b = np.zeros(3 * n)
-    b[2 * n :] = -forcing[-1]
-    xi = lu_solve(factor, b, check_finite=False)
-    lam_u[-1], lam_v[-1], lam_a[-1] = xi[:n], xi[n : 2 * n], xi[2 * n :]
+    rhs = np.zeros((3 * n, 4 * n))  # [R | -e]
+    rhs[:, n : 3 * n] = np.kron([[k_av, -k_aa], [k_vv, -k_va], [-c1, -c2]], eye)
+    rhs[2 * n :, 3 * n :] = -eye
+    # A mixes entries of order 1 and 1/(beta dt^2), and the sweep applies Pa
+    # once per step: one step of iterative refinement keeps the rounding
+    # error of Pa from adding up over the record.
+    PQ = la.lu_solve(factor, rhs)
+    PQ += la.lu_solve(factor, rhs - A @ PQ)
+    Pa, Qa = np.split(PQ, [3 * n], axis=1)
 
-    for i in range(n_samples - 2, 0, -1):
-        lv, la_next = lam_v[i + 1], lam_a[i + 1]
-        b[:n] = k_av * lv - k_aa * la_next
-        b[n : 2 * n] = k_vv * lv - k_va * la_next
-        b[2 * n :] = -c1 * lv - c2 * la_next - forcing[i]
-        xi = lu_solve(factor, b, check_finite=False)
-        lam_u[i], lam_v[i], lam_a[i] = xi[:n], xi[n : 2 * n], xi[2 * n :]
-
-    return AdjointState(lambda_u=lam_u, lambda_v=lam_v, lambda_a=lam_a)
+    X = np.zeros((n_samples, 3 * n))
+    X[1:] = forcing[1:] @ Qa.T
+    transition_sweep(Pa, X[:0:-1])
+    return X[:, :n]
 
 
 def accumulate_gradient(
@@ -208,8 +177,8 @@ def adjoint_gradient(
     if np.any(history.u0) or np.any(history.v0):
         raise ValueError("adjoint gradients require zero initial conditions")
     forcing = dg_du_trajectory(history, model, params)
-    state = solve_adjoint(model, C_d, history, forcing)
-    return accumulate_gradient(model, design, scenario, history.v, state.lambda_u)
+    lambda_u = solve_adjoint(model, C_d, history, forcing)
+    return accumulate_gradient(model, design, scenario, history.v, lambda_u)
 
 
 def fd_gradient(

@@ -112,8 +112,8 @@ def _integrate(M, C, K, load, dt, u0, v0, beta, gamma):
 
     One step is linear in s = (u, v, a) and the next load, s_{i+1} =
     P s_i + Q f_{i+1} (Newmark 1959). P and Q come from applying the step,
-    with one factorization of K_eff, to identity columns; the sweep then
-    adds P s_i in place to each row Q f_{i+1}, one small matvec per step.
+    with one factorization of K_eff, to identity columns; `transition_sweep`
+    then adds P s_i in place to each row Q f_{i+1}, one small matvec per step.
     """
     n = M.shape[0]
     c0 = 1.0 / (beta * dt * dt)
@@ -141,10 +141,20 @@ def _integrate(M, C, K, load, dt, u0, v0, beta, gamma):
     S = np.empty((load.shape[0], 3 * n))
     S[0] = np.concatenate([u0, v0, np.linalg.solve(M, load[0] - C @ v0 - K @ u0)])
     S[1:] = load[1:] @ Q.T
+    transition_sweep(P, S)
+    return S[:, :n], S[:, n : 2 * n], S[:, 2 * n :]
+
+
+def transition_sweep(P, S):
+    """Run S[k+1] += P S[k] in place, row after row.
+
+    Rows of ``S`` hold the forcing terms on entry and the states on exit.
+    The Newmark sweep passes its state array; the adjoint passes a
+    reversed view, so the same loop also runs backward in time.
+    """
     dot = np.dot
     for prev, row in zip(S, S[1:]):
         row += dot(P, prev)
-    return S[:, :n], S[:, n : 2 * n], S[:, 2 * n :]
 
 
 def newmark_solve(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import sympy as sp
 
 from failsafe_dampers import (
@@ -15,7 +16,6 @@ from failsafe_dampers import (
 )
 from failsafe_dampers.adjoint import (
     accumulate_gradient,
-    dg_du,
     dg_du_trajectory,
     solve_adjoint,
 )
@@ -34,6 +34,43 @@ def history_from_drifts(values, dt=0.1):
     u = np.asarray(values, dtype=float).reshape(-1, 1)
     z = np.zeros_like(u)
     return ResponseHistory(u=u, v=z, a=z, dt=dt, u0=u[0], v0=z[0])
+
+
+def stepwise_adjoint(model, C_d, history, forcing):
+    """Slow reference: the adjoint block system solved step by step,
+    backward from xi_{N+1} = 0. Returns lambda_u, shape (N+1, n)."""
+    n = model.n_dof
+    dt, beta, gamma = history.dt, history.beta, history.gamma
+    c1 = gamma / (beta * dt)
+    c2 = 1.0 / (beta * dt * dt)
+    k_av = dt * (1.0 - gamma / (2.0 * beta))
+    k_aa = 1.0 / (2.0 * beta) - 1.0
+    k_vv = 1.0 - gamma / beta
+    k_va = 1.0 / (beta * dt)
+    eye = np.eye(n)
+    A = np.zeros((3 * n, 3 * n))
+    A[:n, :n] = model.mass.T
+    A[:n, 2 * n :] = eye
+    A[n : 2 * n, :n] = (model.inherent_damping + C_d).T
+    A[n : 2 * n, n : 2 * n] = eye
+    A[2 * n :, :n] = model.stiffness.T
+    A[2 * n :, n : 2 * n] = -c1 * eye
+    A[2 * n :, 2 * n :] = -c2 * eye
+    factor = la.lu_factor(A)
+
+    lam_u, lam_v, lam_a = (np.zeros_like(forcing) for _ in range(3))
+    b = np.zeros(3 * n)
+    b[2 * n :] = -forcing[-1]
+    xi = la.lu_solve(factor, b)
+    lam_u[-1], lam_v[-1], lam_a[-1] = xi[:n], xi[n : 2 * n], xi[2 * n :]
+    for i in range(forcing.shape[0] - 2, 0, -1):
+        lv, la_next = lam_v[i + 1], lam_a[i + 1]
+        b[:n] = k_av * lv - k_aa * la_next
+        b[n : 2 * n] = k_vv * lv - k_va * la_next
+        b[2 * n :] = -c1 * lv - c2 * la_next - forcing[i]
+        xi = la.lu_solve(factor, b)
+        lam_u[i], lam_v[i], lam_a[i] = xi[:n], xi[n : 2 * n], xi[2 * n :]
+    return lam_u
 
 
 class TestDgDu:
@@ -75,7 +112,10 @@ class TestDgDu:
         hist = history_from_drifts([0.0, 0.3, -0.9, 0.5])
         params = ConstraintParams(p=4, q=3)
         full = dg_du_trajectory(hist, unit_model, params)
-        assert np.array_equal(dg_du(hist, unit_model, params, 2), full[2])
+        # One drift: row i is proportional to w_i sign(u_i) |u_i|^(p-1).
+        u = np.array([0.0, 0.3, -0.9, 0.5])
+        step = np.array([0.5, 1.0, 1.0, 0.5]) * np.sign(u) * np.abs(u) ** 3
+        assert full[:, 0] == pytest.approx(step * full[1, 0] / step[1], rel=1e-12)
 
 
 class TestBackwardSweep:
@@ -83,14 +123,28 @@ class TestBackwardSweep:
         design = DesignVector(x=[0.5, 0.5], c_bar=300.0)
         C_d = assemble_added_damping(frame_2dof, design)
         hist = newmark_solve(frame_2dof, C_d, record_short)
-        state = solve_adjoint(
+        lambda_u = solve_adjoint(
             frame_2dof, C_d, hist, np.zeros((hist.u.shape[0], 2))
         )
-        assert np.all(state.lambda_u == 0.0)
-        assert np.all(state.lambda_v == 0.0)
-        assert np.all(state.lambda_a == 0.0)
-        grad = accumulate_gradient(frame_2dof, design, None, hist.v, state.lambda_u)
+        assert np.all(lambda_u == 0.0)
+        grad = accumulate_gradient(frame_2dof, design, None, hist.v, lambda_u)
         assert np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("pq", [2, 8, 100])
+@pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_transition_sweep_matches_stepwise_reference(n, x, beta, pq):
+    model = shear_frame(n)
+    gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+    C_d = assemble_added_damping(model, DesignVector(x=[x] * n, c_bar=500.0))
+    hist = newmark_solve(model, C_d, gm, beta=beta)
+    forcing = dg_du_trajectory(hist, model, ConstraintParams(p=pq, q=pq))
+    got = solve_adjoint(model, C_d, hist, forcing)
+    want = stepwise_adjoint(model, C_d, hist, forcing)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestAccumulationKernel:

@@ -2,12 +2,14 @@
 
 Solves  minimize c @ x  subject to  A @ x <= b,  x >= 0.
 
-Problem sizes here are tens of variables and at most a few hundred rows,
-so a dense tableau with full reduced-cost refresh each pivot is both fast
-enough and numerically self-correcting. Entering columns follow Dantzig
-pricing until the objective stalls on degenerate pivots, then switch to
-Bland's rule, which guarantees termination. The final vertex is re-solved
-from the original constraint data to strip accumulated elimination error.
+A handful of variables meets up to about a thousand rows, one cutting
+plane per scenario and record per SLP iteration. Basic columns stay
+exact unit vectors, so a pivot updates only the columns where the pivot
+row is nonzero and prices only nonbasic columns: O(m (n + n_art)) work,
+not O(m^2). Entering columns follow Dantzig pricing until the objective
+stalls on degenerate pivots, then switch to Bland's rule, which
+guarantees termination. The final vertex is re-solved from the original
+constraint data to strip accumulated elimination error.
 """
 
 from __future__ import annotations
@@ -18,10 +20,25 @@ from .errors import ConvergenceError
 
 
 class SimplexError(ConvergenceError):
-    """Pivot budget exhausted or the LP is unbounded."""
+    """Pivot budget exhausted, LP unbounded, or no elastic relaxation."""
 
 
 _STALL_LIMIT = 25
+
+
+def _pivot(T, basis, i, j):
+    """Pivot on T[i, j], updating only the columns where row i is nonzero.
+
+    A column with a zero in row i would come out unchanged (up to the sign
+    of zero), and every basic column other than j has one: x / x is exactly
+    1 and t - t * 1 exactly 0, so basic columns stay exact unit vectors.
+    """
+    T[i] /= T[i, j]
+    cols = T[i].nonzero()[0]
+    other = T[:, j].copy()
+    other[i] = 0.0
+    T[:, cols] -= other[:, None] * T[i, cols]
+    basis[i] = j
 
 
 def _pivot_loop(T, basis, costs, allowed, tol, max_pivots):
@@ -31,28 +48,27 @@ def _pivot_loop(T, basis, costs, allowed, tol, max_pivots):
     stall = 0
     prev_obj = np.inf
     for _ in range(max_pivots):
-        r = costs - costs[basis] @ T[:, :-1]
-        candidates = np.where(allowed & (r < -tol))[0]
-        if candidates.size == 0:
+        # A basic column's reduced cost is exactly 0, so it never enters.
+        nonbasic = allowed.copy()
+        nonbasic[basis] = False
+        cols = nonbasic.nonzero()[0]
+        r = costs[cols] - costs[basis] @ T[:, cols]
+        entering = r < -tol
+        if not entering.any():
             return float(costs[basis] @ T[:, -1])
-        j = candidates[0] if bland else candidates[np.argmin(r[candidates])]
+        candidates = cols[entering]
+        j = candidates[0] if bland else candidates[np.argmin(r[entering])]
 
         col = T[:, j]
         positive = col > tol
-        if not np.any(positive):
+        if not positive.any():
             raise SimplexError("LP is unbounded")
         ratios = np.full(m, np.inf)
         ratios[positive] = T[positive, -1] / col[positive]
         best = ratios.min()
         ties = np.where(ratios <= best + tol * (1.0 + abs(best)))[0]
         i = ties[np.argmin(basis[ties])] if ties.size > 1 else int(np.argmin(ratios))
-
-        piv = T[i, j]
-        T[i] /= piv
-        other = T[:, j].copy()
-        other[i] = 0.0
-        T -= np.outer(other, T[i])
-        basis[i] = j
+        _pivot(T, basis, i, j)
 
         obj = float(costs[basis] @ T[:, -1])
         if obj >= prev_obj - tol:
@@ -88,57 +104,36 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
     if max_pivots is None:
         max_pivots = 1000 + 50 * (m + n)
 
-    # Flip rows with negative rhs; flipped slacks get -1, so those rows
-    # start from an artificial basis column instead.
+    # Tableau columns: structurals, one slack per row, one artificial per
+    # row with negative rhs, then the rhs. Those rows are negated, so their
+    # slack gets -1 and they start from their artificial basis column.
     flip = b < 0
-    A_w = np.where(flip[:, None], -A, A)
-    b_w = np.where(flip, -b, b)
-    n_art = int(flip.sum())
+    sign = np.where(flip, -1.0, 1.0)
+    flipped = np.flatnonzero(flip)
+    n_art = flipped.size
+    rows = np.arange(m)
+    T = np.zeros((m, n + m + n_art + 1))
+    T[:, :n] = sign[:, None] * A
+    T[rows, n + rows] = sign
+    T[flipped, n + m + np.arange(n_art)] = 1.0
+    T[:, -1] = sign * b
+    basis = n + rows
+    basis[flipped] = n + m + np.arange(n_art)
 
-    slack = np.zeros((m, m))
-    slack[np.arange(m), np.arange(m)] = np.where(flip, -1.0, 1.0)
-    art = np.zeros((m, n_art))
-    basis = np.empty(m, dtype=int)
-    art_col = n + m
-    for i in range(m):
-        if flip[i]:
-            art[i, art_col - (n + m)] = 1.0
-            basis[i] = art_col
-            art_col += 1
-        else:
-            basis[i] = n + i
-
-    W = np.hstack([A_w, slack, art])
-    ncols = W.shape[1]
-    T = np.hstack([W, b_w[:, None]])
-
+    ncols = T.shape[1] - 1
     allowed = np.ones(ncols, dtype=bool)
     if n_art:
         costs1 = np.zeros(ncols)
         costs1[n + m :] = 1.0
         phase1 = _pivot_loop(T, basis, costs1, allowed, tol, max_pivots)
-        if phase1 > 1e-8 * max(1.0, np.abs(b_w).max()):
+        if phase1 > 1e-8 * max(1.0, np.abs(b).max()):
             return None, "infeasible"
-        # Pivot lingering artificials (basic at zero) out, or drop the row
-        # as redundant if nothing in it can pivot.
-        keep = np.ones(T.shape[0], dtype=bool)
-        for i in range(T.shape[0]):
-            if basis[i] >= n + m:
-                pivot_cols = np.where(np.abs(T[i, : n + m]) > 1e2 * tol)[0]
-                if pivot_cols.size:
-                    j = int(pivot_cols[0])
-                    T[i] /= T[i, j]
-                    other = T[:, j].copy()
-                    other[i] = 0.0
-                    T -= np.outer(other, T[i])
-                    basis[i] = j
-                else:
-                    keep[i] = False
-        if not np.all(keep):
-            T = T[keep]
-            W = W[keep]
-            b_w = b_w[keep]
-            basis = basis[keep]
+        # Pivot lingering artificials (basic at zero) out. Every pivot maps
+        # an artificial column and its row's slack column to exact negatives
+        # of each other, so the row always holds a -1 to pivot on.
+        for i in np.flatnonzero(basis >= n + m):
+            pivot_cols = np.flatnonzero(np.abs(T[i, : n + m]) > 1e2 * tol)
+            _pivot(T, basis, i, int(pivot_cols[0]))
         allowed[n + m :] = False
 
     costs2 = np.zeros(ncols)
@@ -149,7 +144,7 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
     structural = basis < n
     x[basis[structural]] = T[structural, -1]
 
-    x_polished = _polish(W, b_w, basis, n)
+    x_polished = _polish(A, b, basis, n)
     if x_polished is not None:
         feas_tol = 1e-8 * (1.0 + np.abs(b).max())
         if (
@@ -161,17 +156,22 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
     return np.maximum(x, 0.0), "optimal"
 
 
-def _polish(W, b_w, basis, n):
-    """Re-solve the final basis from original data for a clean vertex."""
-    B = W[:, basis]
+def _polish(A, b, basis, n):
+    """Re-solve the final basis from original data for a clean vertex.
+
+    Slack columns are unit columns and no artificial is basic after phase
+    1, so the k basic structurals are fixed by the k rows whose slack is
+    nonbasic: a k-by-k system instead of the m-by-m basic one.
+    """
+    free = np.ones(A.shape[0], dtype=bool)
+    free[basis[basis >= n] - n] = False
+    cols = basis[basis < n]
     try:
-        sol = np.linalg.solve(B, b_w)
+        sol = np.linalg.solve(A[np.ix_(free, cols)], b[free])
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(sol)):
         return None
     x = np.zeros(n)
-    for row, col in enumerate(basis):
-        if col < n:
-            x[col] = sol[row]
+    x[cols] = sol
     return x

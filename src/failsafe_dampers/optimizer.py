@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._simplex import solve_inequality_lp
+from ._simplex import SimplexError, solve_inequality_lp
 from .adjoint import adjoint_gradient
 from .constraints import ConstraintParams, evaluate_drift_constraint
 from .dynamics import GroundMotion, newmark_solve
@@ -200,7 +200,7 @@ def _solve_elastic(objective, A_pl, b_shift, span):
     c1 = np.concatenate([np.zeros(n), np.ones(mp)])
     z, status = solve_inequality_lp(c1, A1, b1)
     if status != "optimal":
-        raise RuntimeError("elastic relaxation is infeasible; this cannot happen")
+        raise SimplexError("elastic relaxation is infeasible")
     v_min = float(c1 @ z)
 
     A2 = np.vstack([A1, c1[None, :]])
@@ -208,7 +208,7 @@ def _solve_elastic(objective, A_pl, b_shift, span):
     c2 = np.concatenate([objective, np.zeros(mp)])
     z, status = solve_inequality_lp(c2, A2, b2)
     if status != "optimal":
-        raise RuntimeError("elastic cost stage is infeasible; this cannot happen")
+        raise SimplexError("elastic cost stage is infeasible")
     return z[:n], v_min
 
 

@@ -303,6 +303,26 @@ class TestMain:
         assert "did not converge: pivot budget exhausted" in err
         assert "Traceback" not in err
 
+    def test_infeasible_elastic_fallback_exits_3(self, tmp_path, capsys, monkeypatch):
+        from failsafe_dampers import optimizer
+
+        monkeypatch.setattr(
+            optimizer, "solve_inequality_lp", lambda *args, **kwargs: (None, "infeasible")
+        )
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        code = main(
+            [
+                "--model", str(model_path),
+                "--records", str(rec_path),
+                "--mode", "basic",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "did not converge: elastic relaxation is infeasible" in err
+        assert "Traceback" not in err
+
     def test_failsafe_run_is_deterministic(self, tmp_path):
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=200)
         outputs = []

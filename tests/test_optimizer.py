@@ -14,7 +14,7 @@ from failsafe_dampers import (
     slp_solve,
     solve_lp,
 )
-from failsafe_dampers._simplex import solve_inequality_lp
+from failsafe_dampers._simplex import SimplexError, solve_inequality_lp
 from failsafe_dampers.constraints import normalized_drifts
 from failsafe_dampers.model import StructuralModel
 
@@ -47,7 +47,145 @@ def enumerate_vertices_objective(c, A, b, n):
     return best
 
 
+def dense_tableau_lp(c, A, b, *, tol=1e-10):
+    """Slow reference: the full-width two-phase tableau simplex.
+
+    Every pivot updates every column with one outer product, reduced costs
+    are priced on every column, and the final basis is re-solved as the
+    whole m-by-m basic system of the slack/artificial-augmented matrix.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = c.size
+    m = A.shape[0]
+    max_pivots = 1000 + 50 * (m + n)
+
+    def pivot_loop(T, basis, costs, allowed):
+        bland, stall, prev_obj = False, 0, np.inf
+        for _ in range(max_pivots):
+            r = costs - costs[basis] @ T[:, :-1]
+            candidates = np.where(allowed & (r < -tol))[0]
+            if candidates.size == 0:
+                return float(costs[basis] @ T[:, -1])
+            j = candidates[0] if bland else candidates[np.argmin(r[candidates])]
+            col = T[:, j]
+            positive = col > tol
+            if not np.any(positive):
+                raise SimplexError("LP is unbounded")
+            ratios = np.full(T.shape[0], np.inf)
+            ratios[positive] = T[positive, -1] / col[positive]
+            best = ratios.min()
+            ties = np.where(ratios <= best + tol * (1.0 + abs(best)))[0]
+            i = ties[np.argmin(basis[ties])] if ties.size > 1 else int(np.argmin(ratios))
+            pivot(T, basis, i, j)
+            obj = float(costs[basis] @ T[:, -1])
+            stall = stall + 1 if obj >= prev_obj - tol else 0
+            bland = bland or stall >= 25
+            prev_obj = obj
+        raise SimplexError("pivot budget exhausted")
+
+    def pivot(T, basis, i, j):
+        T[i] /= T[i, j]
+        other = T[:, j].copy()
+        other[i] = 0.0
+        T -= np.outer(other, T[i])
+        basis[i] = j
+
+    flip = b < 0
+    A_w = np.where(flip[:, None], -A, A)
+    b_w = np.where(flip, -b, b)
+    n_art = int(flip.sum())
+    slack = np.diag(np.where(flip, -1.0, 1.0))
+    art = np.zeros((m, n_art))
+    art[np.flatnonzero(flip), np.arange(n_art)] = 1.0
+    basis = n + np.arange(m)
+    basis[flip] = n + m + np.arange(n_art)
+    W = np.hstack([A_w, slack, art])
+    T = np.hstack([W, b_w[:, None]])
+    allowed = np.ones(W.shape[1], dtype=bool)
+    if n_art:
+        costs1 = np.zeros(W.shape[1])
+        costs1[n + m :] = 1.0
+        if pivot_loop(T, basis, costs1, allowed) > 1e-8 * max(1.0, np.abs(b_w).max()):
+            return None, "infeasible"
+        keep = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] >= n + m:
+                pivot_cols = np.where(np.abs(T[i, : n + m]) > 1e2 * tol)[0]
+                if pivot_cols.size:
+                    pivot(T, basis, i, int(pivot_cols[0]))
+                else:
+                    keep[i] = False
+        T, W, b_w, basis = T[keep], W[keep], b_w[keep], basis[keep]
+        allowed[n + m :] = False
+    costs2 = np.zeros(W.shape[1])
+    costs2[:n] = c
+    pivot_loop(T, basis, costs2, allowed)
+
+    x = np.zeros(n)
+    structural = basis < n
+    x[basis[structural]] = T[structural, -1]
+    try:
+        sol = np.linalg.solve(W[:, basis], b_w)
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is not None and np.all(np.isfinite(sol)):
+        x_polished = np.zeros(n)
+        x_polished[basis[structural]] = sol[structural]
+        feas_tol = 1e-8 * (1.0 + np.abs(b).max())
+        if (
+            np.all(x_polished >= -feas_tol)
+            and np.all(A @ x_polished <= b + feas_tol)
+            and c @ x_polished <= c @ x + feas_tol * (1.0 + np.abs(c).sum())
+        ):
+            x = x_polished
+    return np.maximum(x, 0.0), "optimal"
+
+
+def random_cutting_plane_lp(rng, n, m_planes):
+    """A move-limit-box LP shaped like the SLP sub-problems, with the cases
+    that exercise the simplex: negative right-hand sides (phase 1),
+    duplicated rows, identical columns (redundant damper pairs), many rows
+    tight at one vertex, and sometimes two planes that conflict."""
+    span = rng.uniform(0.05, 0.4, n)
+    y_star = rng.uniform(0.0, 1.0, n) * span
+    A_pl = -rng.uniform(0.0, 1.0, (m_planes, n)) + 0.3 * rng.standard_normal((m_planes, n))
+    pair = rng.choice(n, 2, replace=False)
+    A_pl[:, pair[1]] = A_pl[:, pair[0]]
+    slack = rng.uniform(0.0, 0.3, m_planes)
+    slack[rng.random(m_planes) < 0.3] = 0.0  # tight at y_star: degenerate
+    b_pl = A_pl @ y_star + slack
+    c = rng.uniform(0.5, 1.5, n)
+    if rng.random() < 0.5:
+        # Make y_star optimal, so every tight row meets at the optimum.
+        tight = np.flatnonzero(slack == 0.0)
+        c = -A_pl[tight].T @ rng.uniform(0.1, 1.0, tight.size) + 1e-3
+    c[pair[1]] = c[pair[0]]
+    dup = rng.choice(m_planes, m_planes // 10, replace=False)
+    A_pl = np.vstack([A_pl, A_pl[dup]])
+    b_pl = np.concatenate([b_pl, b_pl[dup]])
+    if rng.random() < 0.2:
+        A_pl = np.vstack([A_pl, A_pl[:1], -A_pl[:1]])
+        b_pl = np.concatenate([b_pl, b_pl[:1] - 0.5, -b_pl[:1] - 0.5])
+    return c, np.vstack([A_pl, np.eye(n)]), np.concatenate([b_pl, span])
+
+
 class TestSimplexCore:
+    def test_matches_dense_tableau_reference(self):
+        rng = np.random.default_rng(2024)
+        statuses = []
+        for m_planes in (3, 10, 30, 60, 120, 200, 300, 380):
+            for _ in range(4):
+                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
+                x, status = solve_inequality_lp(c, A, b)
+                x_ref, status_ref = dense_tableau_lp(c, A, b)
+                assert status == status_ref
+                statuses.append(status)
+                if status == "optimal":
+                    assert np.abs(x - x_ref).max() <= 1e-12
+        assert "infeasible" in statuses and "optimal" in statuses
+
     def test_matches_vertex_enumeration_on_random_lps(self):
         rng = np.random.default_rng(101)
         for _ in range(120):

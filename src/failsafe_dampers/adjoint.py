@@ -6,7 +6,10 @@ is treated as a set of algebraic residuals, and the terms multiplying the
 implicit state derivatives are collected into a linear system for the
 adjoint trajectories. One factorization of its constant 3n x 3n block
 matrix turns each backward step into a fixed linear map, swept backward in
-time with the kernel of the Newmark sweep. The result matches a
+time with the kernel of the Newmark sweep. Every function here also takes
+a batch: a list of B scenarios, a (B, n, n) stack of damping matrices and
+the batched history of one record, so that all scenarios of a record share
+one backward time loop. The result matches a
 finite-difference derivative of the discrete response to solver precision,
 which is what keeps the optimizer's linearizations consistent.
 """
@@ -14,7 +17,6 @@ which is what keeps the optimizer's linearizations consistent.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from .constraints import (
     ConstraintParams,
@@ -25,8 +27,13 @@ from .constraints import (
     time_weights,
 )
 from .dynamics import GroundMotion, ResponseHistory, newmark_solve, transition_sweep
-from .model import DesignVector, StructuralModel, assemble_added_damping
-from .scenarios import FailureScenario
+from .model import (
+    DesignVector,
+    Scenarios,
+    StructuralModel,
+    assemble_added_damping,
+    damper_scales,
+)
 
 
 def dg_du_trajectory(
@@ -34,7 +41,8 @@ def dg_du_trajectory(
     model: StructuralModel,
     params: ConstraintParams,
 ) -> np.ndarray:
-    """dg/du_i for every time sample, shape (N+1, n_dof).
+    """dg/du_i for every time sample, shape (N+1, n_dof), or (N+1, B, n_dof)
+    for a batched history.
 
     Chain rule through the time p-norm and the q-aggregation: with
     rho_ji = (H u_i)_j / d_allow_j,
@@ -44,7 +52,8 @@ def dg_du_trajectory(
 
     where s_j is the aggregation sensitivity. The (|rho|/d_tilde)^(p-1)
     ratios stay bounded by T/w_min regardless of p, so the evaluation is
-    safe at the largest continuation exponents.
+    safe at the largest continuation exponents. A drift that never moves
+    has d_tilde_j = 0 and rho_ji = 0, so it contributes nothing.
     """
     rho = normalized_drifts(history, model)
     d_tilde = smooth_drift_indices(history, model, params)
@@ -52,16 +61,11 @@ def dg_du_trajectory(
     w = time_weights(rho.shape[0], history.dt, params.weights)
     duration = history.n_steps * history.dt
 
-    out = np.zeros((rho.shape[0], model.n_dof))
-    active = d_tilde > 0
-    if not np.any(active):
-        return out
-    ratio = np.abs(rho[:, active]) / d_tilde[active]
-    core = np.sign(rho[:, active]) * ratio ** (params.p - 1)
-    core *= (w / duration)[:, None]
-    core *= sens[active] / model.d_allow[active]
-    out = core @ model.drift_transform[active, :]
-    return out
+    ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)
+    core = np.sign(rho) * ratio ** (params.p - 1)
+    core *= (w / duration).reshape((-1,) + (1,) * (rho.ndim - 1))
+    core *= sens / model.d_allow
+    return core @ model.drift_transform
 
 
 def solve_adjoint(
@@ -80,11 +84,13 @@ def solve_adjoint(
     Pa = A^-1 R and Qa = -A^-1 e, and `transition_sweep` runs
     xi_i = Pa xi_{i+1} + Qa f_i backward, one small matvec per step.
     Returns lambda_u, shape (N+1, n) with row 0 unused and zero. Zero
-    forcing yields identically zero adjoints.
+    forcing yields identically zero adjoints. With a (B, n, n) stack
+    ``C_d``, a batched history and forcing (N+1, B, n), the B systems are
+    factorized in one stacked solve and swept in one loop, and lambda_u
+    is (N+1, B, n).
     """
     n = model.n_dof
-    n_samples = history.u.shape[0]
-    if forcing.shape != (n_samples, n):
+    if forcing.shape != history.u.shape:
         raise ValueError(f"forcing shape {forcing.shape} does not match history")
     dt, beta, gamma = history.dt, history.beta, history.gamma
     c1 = gamma / (beta * dt)
@@ -99,14 +105,12 @@ def solve_adjoint(
     A = np.block(
         [
             [model.mass.T, zero, eye],
-            [C.T, eye, zero],
+            [zero, eye, zero],
             [model.stiffness.T, -c1 * eye, -c2 * eye],
         ]
     )
-    try:
-        factor = la.lu_factor(A)
-    except la.LinAlgError:
-        raise la.LinAlgError("adjoint system matrix is singular") from None
+    A = np.broadcast_to(A, C.shape[:-2] + A.shape).copy()
+    A[..., n : 2 * n, :n] = C.mT
 
     rhs = np.zeros((3 * n, 4 * n))  # [R | -e]
     rhs[:, n : 3 * n] = np.kron([[k_av, -k_aa], [k_vv, -k_va], [-c1, -c2]], eye)
@@ -114,20 +118,24 @@ def solve_adjoint(
     # A mixes entries of order 1 and 1/(beta dt^2), and the sweep applies Pa
     # once per step: one step of iterative refinement keeps the rounding
     # error of Pa from adding up over the record.
-    PQ = la.lu_solve(factor, rhs)
-    PQ += la.lu_solve(factor, rhs - A @ PQ)
-    Pa, Qa = np.split(PQ, [3 * n], axis=1)
+    try:
+        PQ = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("adjoint system matrix is singular") from None
+    PQ += np.linalg.solve(A, rhs - A @ PQ)
+    Pa, Qa = np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
 
-    X = np.zeros((n_samples, 3 * n))
-    X[1:] = forcing[1:] @ Qa.T
+    X = np.zeros(forcing.shape[:-1] + (3 * n,))
+    # X[i] = Qa f_i for each system of the batch, time axis moved aside.
+    X[1:] = np.moveaxis(np.moveaxis(forcing[1:], 0, -2) @ Qa.mT, -2, 0)
     transition_sweep(Pa, X[:0:-1])
-    return X[:, :n]
+    return X[..., :n]
 
 
 def accumulate_gradient(
     model: StructuralModel,
     design: DesignVector,
-    scenario: FailureScenario | None,
+    scenario: Scenarios,
     velocities: np.ndarray,
     lambda_u: np.ndarray,
 ) -> np.ndarray:
@@ -136,27 +144,19 @@ def accumulate_gradient(
     dC_d/dx_k = c_bar * s_k * T_k' T_k with s_k the scenario's capacity
     multiplier, so each component is c_bar * s_k * sum_i (T_k v_i)(T_k l_i).
     Completely failed dampers therefore get an exactly zero component, and
-    a partial factor scales the component linearly.
+    a partial factor scales the component linearly. A list of B scenarios
+    with batched (N+1, B, n) trajectories gives shape (B, n_dampers).
     """
-    scales = (
-        np.ones(model.n_dampers)
-        if scenario is None
-        else scenario.scale_vector(model.n_dampers)
-    )
-    grad = np.zeros(model.n_dampers)
-    for k, T in enumerate(model.damper_transforms):
-        if scales[k] == 0.0:
-            continue
-        ev = velocities[1:] @ T.T
-        el = lambda_u[1:] @ T.T
-        grad[k] = design.c_bar * scales[k] * float(np.sum(ev * el))
-    return grad
+    rows = model.damper_rows
+    per_row = np.sum((velocities[1:] @ rows.T) * (lambda_u[1:] @ rows.T), axis=0)
+    scales = damper_scales(model, scenario)
+    return design.c_bar * scales * (per_row @ model.row_owner)
 
 
 def adjoint_gradient(
     model: StructuralModel,
     design: DesignVector,
-    scenario: FailureScenario | None,
+    scenario: Scenarios,
     gm: GroundMotion,
     params: ConstraintParams,
     *,
@@ -170,6 +170,8 @@ def adjoint_gradient(
     record) is already available; otherwise runs it. Initial conditions
     must be zero: with a nonzero initial velocity the starting acceleration
     would depend on the design, which this formulation does not track.
+    A list of B scenarios (with, if given, their batched history) gives
+    every gradient from one batched sweep, shape (B, n_dampers).
     """
     C_d = assemble_added_damping(model, design, scenario)
     if history is None:
@@ -184,7 +186,7 @@ def adjoint_gradient(
 def fd_gradient(
     model: StructuralModel,
     design: DesignVector,
-    scenario: FailureScenario | None,
+    scenario: Scenarios,
     gm: GroundMotion,
     params: ConstraintParams,
     *,
@@ -192,7 +194,8 @@ def fd_gradient(
     beta: float = 0.25,
     gamma: float = 0.5,
 ) -> np.ndarray:
-    """Central finite differences of g through the full primal pipeline."""
+    """Central finite differences of g through the full primal pipeline;
+    shape (B, n_dampers) for a list of B scenarios."""
 
     def g_of(x):
         d = DesignVector(x=x, c_bar=design.c_bar)
@@ -200,14 +203,14 @@ def fd_gradient(
         hist = newmark_solve(model, C_d, gm, beta=beta, gamma=gamma)
         return evaluate_drift_constraint(hist, model, params).g
 
-    grad = np.zeros(design.n_dampers)
+    columns = []
     for k in range(design.n_dampers):
         xp = design.x.copy()
         xm = design.x.copy()
         xp[k] += h
         xm[k] -= h
-        grad[k] = (g_of(xp) - g_of(xm)) / (2.0 * h)
-    return grad
+        columns.append((g_of(xp) - g_of(xm)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def gradient_check(
@@ -224,10 +227,11 @@ def gradient_check(
     Returns one row per scenario with the adjoint gradient, the
     finite-difference gradient, and the error max|adj - fd| / max(1, |fd|).
     """
+    scenarios = list(scenarios)
+    adjoint = adjoint_gradient(model, design, scenarios, gm, params)
+    finite_diff = fd_gradient(model, design, scenarios, gm, params, h=h)
     rows = []
-    for sc in scenarios:
-        adj = adjoint_gradient(model, design, sc, gm, params)
-        fd = fd_gradient(model, design, sc, gm, params, h=h)
+    for sc, adj, fd in zip(scenarios, adjoint, finite_diff):
         denom = max(1.0, float(np.abs(fd).max()))
         err = float(np.abs(adj - fd).max() / denom)
         rows.append(

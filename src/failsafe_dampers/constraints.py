@@ -42,7 +42,11 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class ConstraintValue:
-    """Aggregated constraint with its smooth and exact ingredients."""
+    """Aggregated constraint with its smooth and exact ingredients.
+
+    For a batched history ``g`` and ``d_max_exact`` are arrays (B,) and
+    ``d_tilde`` is (B, n_drifts), one entry per response of the batch.
+    """
 
     g: float
     d_tilde: np.ndarray
@@ -61,7 +65,8 @@ def time_weights(n_samples: int, dt: float, rule: str = "trapezoid") -> np.ndarr
 
 
 def normalized_drifts(history: ResponseHistory, model: StructuralModel) -> np.ndarray:
-    """Signed drift ratios d_j(t_i) / d_allow_j, shape (N+1, n_drifts)."""
+    """Signed drift ratios d_j(t_i) / d_allow_j, shape (N+1, n_drifts), or
+    (N+1, B, n_drifts) for a batched history."""
     if history.n_dof != model.n_dof:
         raise ValueError(
             f"history has {history.n_dof} DOFs, model has {model.n_dof}"
@@ -80,50 +85,54 @@ def smooth_drift_indices(
     weights summing to the duration T, so a constant ratio r returns r for
     any p and the value climbs toward the true time max as p grows.
 
-    Evaluation factors out the running maximum of each ratio before raising
-    to the p-th power; with exponents up to 1e6 the naive form would
-    overflow immediately, while the factored ratios are at most 1 and can
-    only underflow harmlessly.
+    Evaluation factors out the peak of each ratio before raising to the
+    p-th power; with exponents up to 1e6 the naive form would overflow
+    immediately, while the factored ratios are at most 1 and can only
+    underflow harmlessly. A drift that never moves gets index 0. A batched
+    history gives shape (B, n_drifts).
     """
     rho = np.abs(normalized_drifts(history, model))
     w = time_weights(rho.shape[0], history.dt, params.weights)
     duration = history.n_steps * history.dt
 
     peak = rho.max(axis=0)
-    d = np.zeros(model.n_drifts)
-    active = peak > 0
-    if np.any(active):
-        ratios = rho[:, active] / peak[active]
-        s = (w / duration) @ ratios ** params.p
-        d[active] = peak[active] * s ** (1.0 / params.p)
-    return d
+    scale = np.where(peak > 0, peak, 1.0)
+    s = np.tensordot(w / duration, (rho / scale) ** params.p, axes=1)
+    return scale * s ** (1.0 / params.p)
 
 
-def aggregate(d_tilde: np.ndarray, q: int) -> float:
+def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
     """Collapse per-drift indices into one constraint value.
 
     Returns sum(d^(q+1)) / sum(d^q) - 1, a smooth lower proxy for
     max(d) - 1 that sharpens as q grows. Powers are taken on ratios to the
     largest entry for overflow safety. An all-zero input returns the limit
-    value -1.
+    value -1. A (B, n_drifts) input gives one value per row, shape (B,).
     """
     d = np.atleast_1d(np.asarray(d_tilde, dtype=float))
     if np.any(d < 0):
         raise ValueError("smooth drift indices must be nonnegative")
-    peak = d.max()
-    if peak == 0.0:
+    peak = d.max(axis=-1)
+    moving = peak > 0
+    if not np.all(moving):
         logger.debug("aggregate() over an all-zero history; returning -1")
-        return -1.0
-    tau = d / peak
-    num = np.sum(tau ** (q + 1))
-    den = np.sum(tau ** q)
-    return float(peak * num / den - 1.0)
+    # An all-zero row has tau = 0 and num = 0, so the value comes out -1.
+    scale = np.where(moving, peak, 1.0)
+    tau = d / scale[..., None]
+    num = np.sum(tau ** (q + 1), axis=-1)
+    den = np.where(moving, np.sum(tau ** q, axis=-1), 1.0)
+    g = scale * num / den - 1.0
+    return g.item() if g.ndim == 0 else g
 
 
-def exact_peak(history: ResponseHistory, model: StructuralModel) -> float:
-    """True max over time and drifts of |d| / d_allow (non-smooth)."""
+def exact_peak(
+    history: ResponseHistory, model: StructuralModel
+) -> float | np.ndarray:
+    """True max over time and drifts of |d| / d_allow (non-smooth); one
+    value per response, shape (B,), for a batched history."""
     rho = normalized_drifts(history, model)
-    return float(np.abs(rho).max())
+    peak = np.abs(rho).max(axis=(0, -1))
+    return peak.item() if peak.ndim == 0 else peak
 
 
 def evaluate_drift_constraint(
@@ -147,13 +156,14 @@ def aggregation_sensitivities(d_tilde: np.ndarray, q: int) -> np.ndarray:
     ((q+1) tau^q * sum(tau^q) - q tau^(q-1) * sum(tau^(q+1))) / sum(tau^q)^2,
     which involves only ratios at most 1. Zero indices get a zero
     sensitivity for q >= 2 (and the correct -sum(tau^2) limit for q = 1,
-    where tau^0 = 1).
+    where tau^0 = 1). An all-zero row gets zero sensitivities. Rows of a
+    (B, n_drifts) input are independent.
     """
     d = np.atleast_1d(np.asarray(d_tilde, dtype=float))
-    peak = d.max()
-    if peak == 0.0:
-        return np.zeros_like(d)
-    tau = d / peak
-    num_hat = np.sum(tau ** (q + 1))
-    den_hat = np.sum(tau ** q)
+    peak = d.max(axis=-1, keepdims=True)
+    moving = peak > 0
+    # An all-zero row has tau = 0 and num_hat = 0, so it comes out zero.
+    tau = d / np.where(moving, peak, 1.0)
+    num_hat = np.sum(tau ** (q + 1), axis=-1, keepdims=True)
+    den_hat = np.where(moving, np.sum(tau ** q, axis=-1, keepdims=True), 1.0)
     return ((q + 1) * tau ** q * den_hat - q * tau ** (q - 1) * num_hat) / den_hat ** 2

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as la
 
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .model import StructuralModel
 
 STANDARD_GRAVITY = 9.80665
@@ -66,9 +65,10 @@ class ResponseHistory:
     """Displacement, velocity, and acceleration trajectories.
 
     Rows are time samples (N+1 of them), columns degrees of freedom; all
-    responses are relative to the ground. Row 0 equals the prescribed
-    initial conditions. ``beta``/``gamma`` record the integrator settings
-    the trajectories satisfy.
+    responses are relative to the ground. A batched history, one response
+    per damping matrix of a stack, has arrays of shape (N+1, B, n). Row 0
+    equals the prescribed initial conditions. ``beta``/``gamma`` record the
+    integrator settings the trajectories satisfy.
     """
 
     u: np.ndarray
@@ -89,7 +89,11 @@ class ResponseHistory:
             raise ValueError("u, v, a must share one shape")
         u0 = np.asarray(self.u0, dtype=float)
         v0 = np.asarray(self.v0, dtype=float)
-        if not (np.array_equal(self.u[0], u0) and np.array_equal(self.v[0], v0)):
+        row0 = self.u[0].shape
+        if not (
+            np.array_equal(self.u[0], np.broadcast_to(u0, row0))
+            and np.array_equal(self.v[0], np.broadcast_to(v0, row0))
+        ):
             raise ValueError("row 0 of the history must equal the initial conditions")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "v0", v0)
@@ -100,7 +104,7 @@ class ResponseHistory:
 
     @property
     def n_dof(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
     @property
     def times(self) -> np.ndarray:
@@ -108,12 +112,15 @@ class ResponseHistory:
 
 
 def _integrate(M, C, K, load, dt, u0, v0, beta, gamma):
-    """Newmark recurrence on raw matrices. ``load`` is (N+1, n).
+    """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n).
 
-    One step is linear in s = (u, v, a) and the next load, s_{i+1} =
-    P s_i + Q f_{i+1} (Newmark 1959). P and Q come from applying the step,
-    with one factorization of K_eff, to identity columns; `transition_sweep`
-    then adds P s_i in place to each row Q f_{i+1}, one small matvec per step.
+    ``load`` is (N+1, n). ``C`` is (n, n), or a stack (B, n, n) of systems
+    that share M, K and the load and go through one time loop; the states
+    then have shape (N+1, B, 3n). One step is linear in s = (u, v, a) and
+    the next load, s_{i+1} = P s_i + Q f_{i+1} (Newmark 1959). P and Q come
+    from applying the step to identity columns, with one stacked solve
+    against K_eff; `transition_sweep` then adds P s_i in place to each row
+    Q f_{i+1}, one stacked matvec per step.
     """
     n = M.shape[0]
     c0 = 1.0 / (beta * dt * dt)
@@ -124,37 +131,43 @@ def _integrate(M, C, K, load, dt, u0, v0, beta, gamma):
     c5 = dt * (gamma / (2.0 * beta) - 1.0)
 
     K_eff = K + c0 * M + c1 * C
-    try:
-        factor = la.cho_factor(K_eff, lower=True)
-    except la.LinAlgError:
-        raise la.LinAlgError(
-            "effective stiffness matrix is singular or indefinite"
-        ) from None
-
     u, v, a, f = np.split(np.eye(4 * n), 4)
     rhs = f + M @ (c0 * u + c2 * v + c3 * a) + C @ (c1 * u + c4 * v + c5 * a)
-    u_next = la.cho_solve(factor, rhs)
+    try:
+        np.linalg.cholesky(K_eff)
+        u_next = np.linalg.solve(K_eff, rhs)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            "effective stiffness matrix is singular or indefinite"
+        ) from None
     a_next = c0 * (u_next - u) - c2 * v - c3 * a
     v_next = v + dt * ((1.0 - gamma) * a + gamma * a_next)
-    P, Q = np.split(np.vstack([u_next, v_next, a_next]), [3 * n], axis=1)
+    PQ = np.concatenate([u_next, v_next, a_next], axis=-2)
+    P, Q = np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
 
-    S = np.empty((load.shape[0], 3 * n))
-    S[0] = np.concatenate([u0, v0, np.linalg.solve(M, load[0] - C @ v0 - K @ u0)])
-    S[1:] = load[1:] @ Q.T
+    S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
+    S[0, ..., :n] = u0
+    S[0, ..., n : 2 * n] = v0
+    S[0, ..., 2 * n :] = np.linalg.solve(M, (load[0] - C @ v0 - K @ u0).T).T
+    S[1:] = np.tensordot(load[1:], Q, axes=(1, -1))
     transition_sweep(P, S)
-    return S[:, :n], S[:, n : 2 * n], S[:, 2 * n :]
+    return S
 
 
 def transition_sweep(P, S):
     """Run S[k+1] += P S[k] in place, row after row.
 
     Rows of ``S`` hold the forcing terms on entry and the states on exit.
-    The Newmark sweep passes its state array; the adjoint passes a
-    reversed view, so the same loop also runs backward in time.
+    ``P`` is (m, m) with rows of shape (m,), or a stack (B, m, m) with rows
+    of shape (B, m), each system stepping with its own matrix in one
+    stacked matvec. The Newmark sweep passes its state array; the adjoint
+    passes a reversed view, so the same loop also runs backward in time.
+    Overflow raises no warning here: the caller checks the result.
     """
-    dot = np.dot
-    for prev, row in zip(S, S[1:]):
-        row += dot(P, prev)
+    matvec = np.matvec
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, row in zip(S, S[1:]):
+            row += matvec(P, prev)
 
 
 def newmark_solve(
@@ -173,8 +186,11 @@ def newmark_solve(
     ----------
     model : StructuralModel
         Supplies mass, stiffness, inherent damping, and influence vector.
-    C_d : (n, n) array
-        Added damping matrix, symmetric positive semidefinite.
+    C_d : (n, n) or (B, n, n) array
+        Added damping matrix, symmetric positive semidefinite, or a stack
+        of B of them (one per failure scenario, as `assemble_added_damping`
+        returns for a list of scenarios). A stack goes through one time
+        loop and gives a batched history, arrays of shape (N+1, B, n).
     gm : GroundMotion
         Record integrated at its native time step.
     beta, gamma : float
@@ -182,10 +198,14 @@ def newmark_solve(
         stable, the default) and beta=1/6 (linear acceleration) are
         supported, both with gamma=1/2.
     u0, v0 : arrays, optional
-        Initial displacement and velocity; zero when omitted.
+        Initial displacement and velocity, shared by the whole stack; zero
+        when omitted.
 
-    The effective stiffness is factorized once to build P and Q of the
-    recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to rounding.
+    The effective stiffness is factorized once per matrix to build P and Q
+    of the recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to
+    rounding. A response that overflows (beta=1/6 with dt beyond its
+    stability limit) raises `ConvergenceError` naming the record and the
+    first time step whose state is not finite.
     """
     if not any(abs(beta - b) < 1e-12 for b in _SUPPORTED_BETAS):
         raise ValueError(f"beta must be 1/4 or 1/6, got {beta}")
@@ -193,10 +213,10 @@ def newmark_solve(
         raise ValueError(f"gamma must be 1/2, got {gamma}")
     n = model.n_dof
     C_d = np.asarray(C_d, dtype=float)
-    if C_d.shape != (n, n):
+    if C_d.ndim not in (2, 3) or C_d.shape[-2:] != (n, n):
         raise ValueError(f"C_d shape {C_d.shape} does not match {n} DOFs")
-    scale = np.abs(C_d).max()
-    if scale > 0 and np.abs(C_d - C_d.T).max() > 1e-8 * scale:
+    scale = np.abs(C_d).max(initial=0.0)
+    if scale > 0 and np.abs(C_d - C_d.mT).max() > 1e-8 * scale:
         raise ValueError("C_d must be symmetric")
 
     u0 = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float)
@@ -206,10 +226,16 @@ def newmark_solve(
 
     C = model.inherent_damping + C_d
     load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    U, V, A = _integrate(
-        model.mass, C, model.stiffness, load, gm.dt, u0, v0, beta, gamma
-    )
-    return ResponseHistory(u=U, v=V, a=A, dt=gm.dt, u0=u0, v0=v0, beta=beta, gamma=gamma)
+    S = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0, beta, gamma)
+    finite = np.isfinite(S).reshape(S.shape[0], -1).all(axis=1)
+    if not finite.all():
+        raise ConvergenceError(
+            f"response to record '{gm.name}' diverged: the state is not finite "
+            f"at time step {int(np.argmin(finite))} of {gm.n_steps} "
+            f"(dt = {gm.dt:g}, beta = {beta:.4g})"
+        )
+    u, v, a = np.split(S, 3, axis=-1)
+    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, beta=beta, gamma=gamma)
 
 
 def equilibrium_residual(
@@ -251,8 +277,8 @@ def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float
     C = np.array([[2.0 * zeta * w]])
     K = np.array([[w * w]])
     load = -gm.scaled_accel[:, None]
-    U, _, _ = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1), 0.25, 0.5)
-    return float(np.abs(U).max())
+    S = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1), 0.25, 0.5)
+    return float(np.abs(S[:, 0]).max())
 
 
 def select_dominant_record(

@@ -8,7 +8,8 @@ conversion factors.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -17,6 +18,9 @@ from .errors import ConvergenceError
 from .scenarios import FailureScenario
 
 logger = logging.getLogger(__name__)
+
+# One scenario (None means no failure), or a batch of them.
+Scenarios = FailureScenario | Iterable[FailureScenario] | None
 
 _SYM_TOL = 1e-8
 
@@ -56,6 +60,11 @@ class StructuralModel:
         One elongation map per candidate damper, each reshaped to
         (rows, n). Axial devices use a single row.
 
+    Two derived arrays serve the batched damping assembly and gradient
+    contraction: ``damper_rows`` stacks every damper's rows, shape (R, n),
+    and ``row_owner`` is the (R, n_dampers) 0/1 matrix of which damper
+    each row belongs to.
+
     Instances are immutable (arrays are stored read-only) and safe to share
     across threads.
     """
@@ -67,6 +76,8 @@ class StructuralModel:
     drift_transform: np.ndarray
     d_allow: np.ndarray
     damper_transforms: tuple[np.ndarray, ...]
+    damper_rows: np.ndarray = field(init=False, repr=False)
+    row_owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mass = _readonly(self.mass)
@@ -133,6 +144,11 @@ class StructuralModel:
         object.__setattr__(self, "drift_transform", drift)
         object.__setattr__(self, "d_allow", d_allow)
         object.__setattr__(self, "damper_transforms", tuple(transforms))
+        owner = np.repeat(np.arange(len(transforms)), [t.shape[0] for t in transforms])
+        object.__setattr__(self, "damper_rows", _readonly(np.vstack(transforms)))
+        object.__setattr__(
+            self, "row_owner", _readonly(owner[:, None] == np.arange(len(transforms)))
+        )
 
     @property
     def n_dof(self) -> int:
@@ -298,31 +314,39 @@ def build_rayleigh(
     return a0 * model.mass + a1 * model.stiffness
 
 
+def damper_scales(model: StructuralModel, scenario: Scenarios) -> np.ndarray:
+    """Capacity multiplier of every damper under a scenario.
+
+    ``None`` means no failure. One scenario gives shape (n_dampers,); a
+    sequence of B scenarios gives (B, n_dampers), one row per scenario.
+    """
+    if scenario is None:
+        return np.ones(model.n_dampers)
+    if isinstance(scenario, FailureScenario):
+        return scenario.scale_vector(model.n_dampers)
+    rows = [damper_scales(model, sc) for sc in scenario]
+    return np.array(rows).reshape(len(rows), model.n_dampers)
+
+
 def assemble_added_damping(
     model: StructuralModel,
     design: DesignVector,
-    scenario: FailureScenario | None = None,
+    scenario: Scenarios = None,
 ) -> np.ndarray:
     """Added damping matrix for a design under a failure scenario.
 
     Each intact damper contributes c_bar * x_i * T_i' T_i; dampers listed in
     the scenario have their coefficient multiplied by the damage factor.
     ``scenario=None`` means no failure. The result is symmetric positive
-    semidefinite and linear in ``x``.
+    semidefinite and linear in ``x``. A sequence of B scenarios gives the
+    stack of their B matrices, shape (B, n, n), for the batched sweeps.
     """
     if design.n_dampers != model.n_dampers:
         raise ValueError(
             f"design has {design.n_dampers} variables, model has "
             f"{model.n_dampers} dampers"
         )
-    scales = (
-        np.ones(model.n_dampers)
-        if scenario is None
-        else scenario.scale_vector(model.n_dampers)
-    )
-    coeffs = design.coefficients * scales
-    C = np.zeros((model.n_dof, model.n_dof))
-    for c, T in zip(coeffs, model.damper_transforms):
-        if c != 0.0:
-            C += c * (T.T @ T)
-    return C
+    coeffs = design.coefficients * damper_scales(model, scenario)
+    rows = model.damper_rows
+    # sum_k c_k T_k' T_k = sum_r c_owner(r) t_r' t_r over the stacked rows.
+    return (rows.T * (coeffs @ model.row_owner.T)[..., None, :]) @ rows

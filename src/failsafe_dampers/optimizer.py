@@ -3,12 +3,13 @@
 One relaxed sub-problem (a fixed working set of failure scenarios and a
 fixed list of records) is solved by iterating: evaluate the aggregated
 drift constraint and its adjoint gradient for every (scenario, record)
-pair, append the linearizations to a growing plane collection, disable
-planes that bind the LP while their underlying constraint is comfortably
-satisfied, and move to the cost-minimizing vertex of the accumulated
-planes inside a move-limit box. A continuation schedule ratchets the
-smoothing exponents p and q up every iteration so the smooth constraint
-approaches the true peak-drift constraint as the design settles.
+pair (all scenarios of a record in one batched sweep), append the
+linearizations to a growing plane collection, disable planes that bind
+the LP while their underlying constraint is comfortably satisfied, and
+move to the cost-minimizing vertex of the accumulated planes inside a
+move-limit box. A continuation schedule ratchets the smoothing exponents
+p and q up every iteration so the smooth constraint approaches the true
+peak-drift constraint as the design settles.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ _BIND_TOL = 1e-7
 
 @dataclass
 class EvalCounter:
-    """Tally of time-history and adjoint solves."""
+    """Tally of time-history and adjoint solves, one per (scenario, record)
+    pair, however many pairs share a batched sweep."""
 
     n_primal: int = 0
     n_adjoint: int = 0
@@ -290,30 +292,35 @@ def slp_solve(
         params = ConstraintParams(p=p, q=q, weights=config.weights)
         design = DesignVector(x=x, c_bar=design0.c_bar)
 
+        # One batched primal and adjoint sweep per record covers every
+        # working scenario. The planes keep their scenario-major order:
+        # the simplex's pivot choices depend on the order of its rows.
+        C_d = assemble_added_damping(model, design, working_scenarios)
+        per_record = []
+        for gm in records:
+            hist = newmark_solve(model, C_d, gm, beta=config.beta, gamma=config.gamma)
+            g = evaluate_drift_constraint(hist, model, params).g
+            grads = adjoint_gradient(
+                model, design, working_scenarios, gm, params, history=hist
+            )
+            counter.n_primal += len(working_scenarios)
+            counter.n_adjoint += len(working_scenarios)
+            per_record.append((gm.name, g, grads))
+
         g_true: dict[tuple[int, str], float] = {}
-        for sc in working_scenarios:
-            C_d = assemble_added_damping(model, design, sc)
-            for gm in records:
-                hist = newmark_solve(
-                    model, C_d, gm, beta=config.beta, gamma=config.gamma
-                )
-                counter.n_primal += 1
-                value = evaluate_drift_constraint(hist, model, params)
-                grad = adjoint_gradient(
-                    model, design, sc, gm, params, history=hist
-                )
-                counter.n_adjoint += 1
+        for i, sc in enumerate(working_scenarios):
+            for name, g, grads in per_record:
                 planes.append(
                     CuttingPlane(
                         scenario_id=sc.id,
-                        record=gm.name,
-                        gradient=grad,
-                        intercept=value.g,
+                        record=name,
+                        gradient=grads[i],
+                        intercept=float(g[i]),
                         point=x.copy(),
                         iteration=iteration,
                     )
                 )
-                g_true[(sc.id, gm.name)] = value.g
+                g_true[(sc.id, name)] = float(g[i])
         g_max_true = max(g_true.values())
 
         # A plane that binds the LP while its constraint is satisfied with

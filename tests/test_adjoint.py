@@ -10,6 +10,7 @@ from failsafe_dampers import (
     DesignVector,
     FailureScenario,
     adjoint_gradient,
+    evaluate_drift_constraint,
     fd_gradient,
     newmark_solve,
     no_failure,
@@ -23,6 +24,7 @@ from failsafe_dampers.dynamics import ResponseHistory
 from failsafe_dampers.model import assemble_added_damping
 
 from conftest import shear_frame, synthetic_record
+from test_dynamics import BATCHES, scenario_batch
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,51 @@ def test_transition_sweep_matches_stepwise_reference(n, x, beta, pq):
     want = stepwise_adjoint(model, C_d, hist, forcing)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
+@pytest.mark.parametrize("size", sorted(BATCHES))
+def test_batched_adjoint_matches_stepwise_reference(size, beta):
+    model, _, C_d = scenario_batch(size)
+    gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+    hist = newmark_solve(model, C_d, gm, beta=beta)
+    forcing = dg_du_trajectory(hist, model, ConstraintParams(p=100, q=100))
+    got = solve_adjoint(model, C_d, hist, forcing)
+    assert got.shape == (601, size, 4)
+    for b in range(size):
+        want = stepwise_adjoint(model, C_d[b], hist, forcing[:, b])
+        assert np.abs(got[:, b] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def per_pair_g_and_gradients(model, design, scenarios, gm, params):
+    """Slow reference: one primal and one adjoint analysis per scenario."""
+    g, grads = [], []
+    for sc in scenarios:
+        C_d = assemble_added_damping(model, design, sc)
+        hist = newmark_solve(model, C_d, gm)
+        g.append(evaluate_drift_constraint(hist, model, params).g)
+        grads.append(adjoint_gradient(model, design, sc, gm, params, history=hist))
+    return np.array(g), np.array(grads)
+
+
+@pytest.mark.parametrize("size", sorted(BATCHES))
+def test_batched_g_and_gradients_match_per_pair_loop(size):
+    model, scenarios, C_d = scenario_batch(size)
+    design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
+    gm = synthetic_record(400, dt=0.01, seed=3, peak=2.0)
+    params = ConstraintParams(p=600, q=600)
+    hist = newmark_solve(model, C_d, gm)
+    g = evaluate_drift_constraint(hist, model, params).g
+    grads = adjoint_gradient(model, design, scenarios, gm, params, history=hist)
+    g_ref, grads_ref = per_pair_g_and_gradients(model, design, scenarios, gm, params)
+    assert g.shape == (size,) and grads.shape == (size, 4)
+    assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    for got, want in zip(grads, grads_ref):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # Completely failed dampers get exactly zero in the batch too.
+    for sc, got in zip(scenarios, grads):
+        if sc.factor == 0.0:
+            assert np.all(got[list(sc.damaged)] == 0.0)
 
 
 class TestAccumulationKernel:

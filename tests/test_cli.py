@@ -323,6 +323,35 @@ class TestMain:
         assert "did not converge: elastic relaxation is infeasible" in err
         assert "Traceback" not in err
 
+    def test_diverged_response_exits_3(self, tmp_path, capsys, monkeypatch):
+        # beta = 1/6 with dt = 0.2 s overflows the states; the run must end
+        # in exit 3 naming the record, not in a "verified" design.
+        import functools
+
+        from failsafe_dampers import SlpConfig, cli
+
+        monkeypatch.setattr(cli, "SlpConfig", functools.partial(SlpConfig, beta=1.0 / 6.0))
+        model_path = tmp_path / "frame.yaml"
+        save_model(shear_frame(4), model_path)
+        rec_path = tmp_path / "noise.txt"
+        accel = np.random.default_rng(1).standard_normal(1501)
+        np.savetxt(rec_path, np.column_stack([0.2 * np.arange(1501), accel]), fmt="%.10g")
+        code = main(
+            [
+                "--model", str(model_path),
+                "--records", str(rec_path),
+                "--complete-k", "1",
+                "--cbar", "1000",
+                "--imin", "2",
+                "--imax", "5",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "did not converge: response to record 'noise' diverged" in err
+        assert "Traceback" not in err
+
     def test_failsafe_run_is_deterministic(self, tmp_path):
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=200)
         outputs = []

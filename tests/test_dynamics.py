@@ -5,8 +5,11 @@ import pytest
 import scipy.linalg as la
 
 from failsafe_dampers import (
+    DesignVector,
     GroundMotion,
     InputError,
+    assemble_added_damping,
+    enumerate_scenarios,
     equilibrium_residual,
     load_ground_motion,
     newmark_solve,
@@ -14,6 +17,7 @@ from failsafe_dampers import (
     spectral_displacement,
 )
 from failsafe_dampers.dynamics import STANDARD_GRAVITY
+from failsafe_dampers.errors import ConvergenceError
 
 from conftest import shear_frame, synthetic_record
 
@@ -153,6 +157,45 @@ def test_transition_sweep_matches_stepwise_reference(n, c_d, beta):
     )
     for got, want in zip((hist.u, hist.v, hist.a), ref):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# Batches of the 4-story frame's scenarios: one partial failure; intact,
+# complete and partial; and all 11 (intact, 4 complete, 6 partial).
+BATCHES = {1: [7], 3: [0, 2, 7], 11: list(range(11))}
+
+
+def scenario_batch(size):
+    model = shear_frame(4)
+    scenarios = [enumerate_scenarios(4, 1, 2, nu=0.5)[i] for i in BATCHES[size]]
+    design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
+    return model, scenarios, assemble_added_damping(model, design, scenarios)
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
+@pytest.mark.parametrize("size", sorted(BATCHES))
+def test_batched_sweep_matches_stepwise_reference(size, beta):
+    model, _, C_d = scenario_batch(size)
+    gm = synthetic_record(300, dt=0.01, seed=5, peak=1.5)
+    hist = newmark_solve(model, C_d, gm, beta=beta)
+    assert hist.u.shape == (301, size, 4)
+    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    for b in range(size):
+        ref = stepwise_newmark(
+            model.mass, model.inherent_damping + C_d[b], model.stiffness, load,
+            gm.dt, np.zeros(4), np.zeros(4), beta, 0.5,
+        )
+        for got, want in zip((hist.u[:, b], hist.v[:, b], hist.a[:, b]), ref):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_diverged_response_raises_convergence_error():
+    # Linear acceleration (beta = 1/6) is only conditionally stable: with
+    # dt = 0.2 s the states of this frame overflow long before the end.
+    model = shear_frame(4)
+    rng = np.random.default_rng(1)
+    gm = GroundMotion(name="noise", dt=0.2, accel=rng.standard_normal(1501))
+    with pytest.raises(ConvergenceError, match=r"'noise' diverged.*time step \d+ of 1500"):
+        newmark_solve(model, np.zeros((2, 4, 4)), gm, beta=1.0 / 6.0)
 
 
 class TestSpectralDisplacement:

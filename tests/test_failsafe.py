@@ -10,9 +10,12 @@ from failsafe_dampers import (
     FailSafeConfig,
     GroundMotion,
     SlpConfig,
+    assemble_added_damping,
     compute_lowest_modes,
     enumerate_scenarios,
     evaluate_all,
+    evaluate_drift_constraint,
+    newmark_solve,
     run_failsafe,
     select_critical,
     spectral_displacement,
@@ -94,6 +97,53 @@ class TestEvaluateAll:
         )
         assert g.shape == (137,)
         assert counter.n_primal == 137
+
+    def test_matches_per_pair_loop_over_two_records(self):
+        # The batched sweep against one analysis per (scenario, record)
+        # pair, worst case over records of different dt and length.
+        model = frame_with_redundant_dampers(d_allow=0.012)
+        records = [
+            synthetic_record(200, dt=0.02, seed=31, peak=1.0, name="a"),
+            synthetic_record(150, dt=0.01, seed=5, peak=1.4, name="b"),
+        ]
+        scen = enumerate_scenarios(model.n_dampers, 1, 2, nu=0.5)
+        design = DesignVector(x=[0.8, 0.3, 0.5, 0.1], c_bar=400.0)
+        params = ConstraintParams(p=300, q=300)
+        counter = EvalCounter()
+        g = evaluate_all(design, model, scen, records, params, counter)
+        ref = [
+            max(
+                evaluate_drift_constraint(
+                    newmark_solve(model, assemble_added_damping(model, design, sc), gm),
+                    model,
+                    params,
+                ).g
+                for gm in records
+            )
+            for sc in scen
+        ]
+        assert counter.n_primal == 2 * len(scen)
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_diverged_response_is_not_verified(self):
+        # beta = 1/6 beyond its stability limit overflows the states. The
+        # sweep must fail loudly, not read the NaN peaks as inactive drifts
+        # (g = -1 everywhere, and a "verified" design).
+        model = shear_frame(4)
+        rng = np.random.default_rng(1)
+        gm = GroundMotion(name="noise", dt=0.2, accel=rng.standard_normal(1501))
+        scen = enumerate_scenarios(4, 1, 0)
+        design = DesignVector(x=np.full(4, 0.5), c_bar=1000.0)
+        with pytest.raises(ConvergenceError, match="'noise' diverged.*time step"):
+            evaluate_all(design, model, scen, [gm], ConstraintParams(), beta=1.0 / 6.0)
+        with pytest.raises(ConvergenceError, match="'noise' diverged.*time step"):
+            run_failsafe(
+                model,
+                scen,
+                [gm],
+                c_bar=1000.0,
+                slp_config=SlpConfig(beta=1.0 / 6.0, i_min=2, i_max=5),
+            )
 
 
 @pytest.fixture(scope="module")

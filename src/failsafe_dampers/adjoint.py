@@ -20,10 +20,10 @@ import numpy as np
 
 from .constraints import (
     ConstraintParams,
+    ConstraintValue,
     aggregation_sensitivities,
     evaluate_drift_constraint,
-    normalized_drifts,
-    smooth_drift_indices,
+    pruned_powers,
     time_weights,
 )
 from .dynamics import GroundMotion, ResponseHistory, newmark_solve, transition_sweep
@@ -40,6 +40,8 @@ def dg_du_trajectory(
     history: ResponseHistory,
     model: StructuralModel,
     params: ConstraintParams,
+    *,
+    value: ConstraintValue | None = None,
 ) -> np.ndarray:
     """dg/du_i for every time sample, shape (N+1, n_dof), or (N+1, B, n_dof)
     for a batched history.
@@ -52,20 +54,37 @@ def dg_du_trajectory(
 
     where s_j is the aggregation sensitivity. The (|rho|/d_tilde)^(p-1)
     ratios stay bounded by T/w_min regardless of p, so the evaluation is
-    safe at the largest continuation exponents. A drift that never moves
-    has d_tilde_j = 0 and rho_ji = 0, so it contributes nothing.
+    safe at the largest continuation exponents. Only the ratios above
+    exp(-746/(p-1)) are raised (see `pruned_powers`); every other term is
+    exactly 0. A drift that never moves has d_tilde_j = 0 and rho_ji = 0,
+    so it contributes nothing. ``value`` is this history's
+    `evaluate_drift_constraint` result, which supplies rho and d_tilde;
+    without it the evaluation runs here.
     """
-    rho = normalized_drifts(history, model)
-    d_tilde = smooth_drift_indices(history, model, params)
+    if value is None:
+        value = evaluate_drift_constraint(history, model, params)
+    rho, d_tilde = value.rho, value.d_tilde
     sens = aggregation_sensitivities(d_tilde, params.q)
     w = time_weights(rho.shape[0], history.dt, params.weights)
     duration = history.n_steps * history.dt
 
     ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)
-    core = np.sign(rho) * ratio ** (params.p - 1)
-    core *= (w / duration).reshape((-1,) + (1,) * (rho.ndim - 1))
-    core *= sens / model.d_allow
+    t, col, powers = pruned_powers(ratio, params.p - 1)
+    core = np.zeros(rho.shape)
+    core.reshape(rho.shape[0], -1)[t, col] = (
+        np.sign(rho.reshape(rho.shape[0], -1)[t, col])
+        * powers
+        * (w / duration)[t]
+        * (sens / model.d_allow).ravel()[col]
+    )
     return core @ model.drift_transform
+
+
+def _last_nonzero_row(a: np.ndarray) -> int:
+    """Index of the last row of ``a`` (time first) holding a nonzero; 0 if
+    there is none."""
+    rows = np.flatnonzero(np.any(a, axis=tuple(range(1, a.ndim))))
+    return int(rows[-1]) if rows.size else 0
 
 
 def solve_adjoint(
@@ -83,8 +102,11 @@ def solve_adjoint(
     block. One LU factorization of A gives the transition matrices
     Pa = A^-1 R and Qa = -A^-1 e, and `transition_sweep` runs
     xi_i = Pa xi_{i+1} + Qa f_i backward, one small matvec per step.
-    Returns lambda_u, shape (N+1, n) with row 0 unused and zero. Zero
-    forcing yields identically zero adjoints. With a (B, n, n) stack
+    The sweep starts at the last row k with a nonzero f_k: beyond it
+    xi_{N+1} = 0 and zero forcing keep every xi exactly 0, so rows k+1..N
+    are left zero without being swept. Returns lambda_u, shape (N+1, n)
+    with row 0 unused and zero. Zero forcing sweeps nothing and yields
+    identically zero adjoints. With a (B, n, n) stack
     ``C_d``, a batched history and forcing (N+1, B, n), the B systems are
     factorized in one stacked solve and swept in one loop, and lambda_u
     is (N+1, B, n).
@@ -125,10 +147,11 @@ def solve_adjoint(
     PQ += np.linalg.solve(A, rhs - A @ PQ)
     Pa, Qa = np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
 
+    k = _last_nonzero_row(forcing)
     X = np.zeros(forcing.shape[:-1] + (3 * n,))
     # X[i] = Qa f_i for each system of the batch, time axis moved aside.
-    X[1:] = np.moveaxis(np.moveaxis(forcing[1:], 0, -2) @ Qa.mT, -2, 0)
-    transition_sweep(Pa, X[:0:-1])
+    X[1 : k + 1] = np.moveaxis(np.moveaxis(forcing[1 : k + 1], 0, -2) @ Qa.mT, -2, 0)
+    transition_sweep(Pa, X[k:0:-1])
     return X[..., :n]
 
 
@@ -144,11 +167,17 @@ def accumulate_gradient(
     dC_d/dx_k = c_bar * s_k * T_k' T_k with s_k the scenario's capacity
     multiplier, so each component is c_bar * s_k * sum_i (T_k v_i)(T_k l_i).
     Completely failed dampers therefore get an exactly zero component, and
-    a partial factor scales the component linearly. A list of B scenarios
-    with batched (N+1, B, n) trajectories gives shape (B, n_dampers).
+    a partial factor scales the component linearly. The sum runs over rows
+    1..k only, k being the last row where lambda_u is nonzero (the start of
+    the truncated adjoint sweep); later rows would add exactly 0. A list of
+    B scenarios with batched (N+1, B, n) trajectories gives shape
+    (B, n_dampers).
     """
     rows = model.damper_rows
-    per_row = np.sum((velocities[1:] @ rows.T) * (lambda_u[1:] @ rows.T), axis=0)
+    k = _last_nonzero_row(lambda_u)
+    per_row = np.sum(
+        (velocities[1 : k + 1] @ rows.T) * (lambda_u[1 : k + 1] @ rows.T), axis=0
+    )
     scales = damper_scales(model, scenario)
     return design.c_bar * scales * (per_row @ model.row_owner)
 
@@ -161,24 +190,29 @@ def adjoint_gradient(
     params: ConstraintParams,
     *,
     history: ResponseHistory | None = None,
+    value: ConstraintValue | None = None,
     beta: float = 0.25,
     gamma: float = 0.5,
 ) -> np.ndarray:
     """Gradient of the scenario's aggregated drift constraint.
 
     Reuses ``history`` when the primal solve for this (design, scenario,
-    record) is already available; otherwise runs it. Initial conditions
+    record) is already available; otherwise runs it. Likewise ``value``,
+    the `evaluate_drift_constraint` result of that history, spares the
+    drift pass of `dg_du_trajectory`. Initial conditions
     must be zero: with a nonzero initial velocity the starting acceleration
     would depend on the design, which this formulation does not track.
     A list of B scenarios (with, if given, their batched history) gives
     every gradient from one batched sweep, shape (B, n_dampers).
     """
+    if value is not None and history is None:
+        raise ValueError("a constraint value needs the history it came from")
     C_d = assemble_added_damping(model, design, scenario)
     if history is None:
         history = newmark_solve(model, C_d, gm, beta=beta, gamma=gamma)
     if np.any(history.u0) or np.any(history.v0):
         raise ValueError("adjoint gradients require zero initial conditions")
-    forcing = dg_du_trajectory(history, model, params)
+    forcing = dg_du_trajectory(history, model, params, value=value)
     lambda_u = solve_adjoint(model, C_d, history, forcing)
     return accumulate_gradient(model, design, scenario, history.v, lambda_u)
 

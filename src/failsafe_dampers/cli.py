@@ -381,14 +381,14 @@ def report_constraints(
     ]
     scenarios = list(scenario_set)
     C_d = assemble_added_damping(model, design, scenarios)
-    values = [
-        evaluate_drift_constraint(newmark_solve(model, C_d, gm), model, params)
-        for gm in records
-    ]
+    values = []
+    for gm in records:
+        value = evaluate_drift_constraint(newmark_solve(model, C_d, gm), model, params)
+        values.append((value.g, value.d_max_exact))  # drop the drift histories
     rows: list[list] = []
     for i, sc in enumerate(scenarios):
-        for gm, value in zip(records, values):
-            g = float(value.g[i])
+        for gm, (g_rec, peak) in zip(records, values):
+            g = float(g_rec[i])
             rows.append(
                 [
                     sc.id,
@@ -397,7 +397,7 @@ def report_constraints(
                     gm.name,
                     g,
                     g + 1.0,
-                    float(value.d_max_exact[i]),
+                    float(peak[i]),
                     1.0,
                 ]
             )

@@ -11,7 +11,7 @@ exponents grow, which a continuation scheme exploits.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,13 +44,16 @@ class ConstraintParams:
 class ConstraintValue:
     """Aggregated constraint with its smooth and exact ingredients.
 
-    For a batched history ``g`` and ``d_max_exact`` are arrays (B,) and
-    ``d_tilde`` is (B, n_drifts), one entry per response of the batch.
+    ``rho`` holds the signed normalized drifts the indices were computed
+    from, so that the gradient can reuse this pass instead of repeating
+    it. For a batched history ``g`` and ``d_max_exact`` are arrays (B,),
+    ``d_tilde`` is (B, n_drifts) and ``rho`` is (N+1, B, n_drifts).
     """
 
-    g: float
+    g: float | np.ndarray
     d_tilde: np.ndarray
-    d_max_exact: float
+    d_max_exact: float | np.ndarray
+    rho: np.ndarray = field(repr=False)
 
 
 def time_weights(n_samples: int, dt: float, rule: str = "trapezoid") -> np.ndarray:
@@ -74,6 +77,23 @@ def normalized_drifts(history: ResponseHistory, model: StructuralModel) -> np.nd
     return (history.u @ model.drift_transform.T) / model.d_allow
 
 
+def pruned_powers(
+    ratio: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero p-th powers of a nonnegative (N+1, ...) ratio array.
+
+    Returns time rows ``t``, flattened trailing indices ``col`` and
+    ``ratio[t, col] ** p`` for the ratios above exp(-746/p) only. Any ratio
+    at or below that cutoff has ratio^p <= exp(-746) < 2^-1075, which
+    rounds to exactly 0 in float64, so the skipped powers are the ones a
+    dense evaluation would also give as 0. At the continuation's large
+    exponents nearly every ratio is skipped.
+    """
+    flat = ratio.reshape(ratio.shape[0], -1)
+    t, col = np.nonzero(flat > np.exp(-746.0 / p))
+    return t, col, flat[t, col] ** p
+
+
 def smooth_drift_indices(
     history: ResponseHistory,
     model: StructuralModel,
@@ -88,17 +108,12 @@ def smooth_drift_indices(
     Evaluation factors out the peak of each ratio before raising to the
     p-th power; with exponents up to 1e6 the naive form would overflow
     immediately, while the factored ratios are at most 1 and can only
-    underflow harmlessly. A drift that never moves gets index 0. A batched
-    history gives shape (B, n_drifts).
+    underflow harmlessly. Only the ratios above exp(-746/p) are raised and
+    summed (see `pruned_powers`); the others would add exactly 0. A drift
+    that never moves gets index 0. A batched history gives shape
+    (B, n_drifts).
     """
-    rho = np.abs(normalized_drifts(history, model))
-    w = time_weights(rho.shape[0], history.dt, params.weights)
-    duration = history.n_steps * history.dt
-
-    peak = rho.max(axis=0)
-    scale = np.where(peak > 0, peak, 1.0)
-    s = np.tensordot(w / duration, (rho / scale) ** params.p, axes=1)
-    return scale * s ** (1.0 / params.p)
+    return evaluate_drift_constraint(history, model, params).d_tilde
 
 
 def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
@@ -140,12 +155,24 @@ def evaluate_drift_constraint(
     model: StructuralModel,
     params: ConstraintParams,
 ) -> ConstraintValue:
-    """Aggregated constraint plus its smooth indices and the exact peak."""
-    d_tilde = smooth_drift_indices(history, model, params)
+    """Aggregated constraint plus its smooth indices, the exact peak and
+    the normalized drifts, all from one pass over the history."""
+    rho = normalized_drifts(history, model)
+    magnitude = np.abs(rho)
+    w = time_weights(rho.shape[0], history.dt, params.weights)
+    duration = history.n_steps * history.dt
+
+    peak = magnitude.max(axis=0)
+    scale = np.where(peak > 0, peak, 1.0)
+    t, col, powers = pruned_powers(magnitude / scale, params.p)
+    s = np.bincount(col, weights=(w / duration)[t] * powers, minlength=scale.size)
+    d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
+    d_max = peak.max(axis=-1)
     return ConstraintValue(
         g=aggregate(d_tilde, params.q),
         d_tilde=d_tilde,
-        d_max_exact=exact_peak(history, model),
+        d_max_exact=d_max.item() if d_max.ndim == 0 else d_max,
+        rho=rho,
     )
 
 

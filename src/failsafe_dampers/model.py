@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .errors import ConvergenceError
 from .scenarios import FailureScenario
 
 logger = logging.getLogger(__name__)
@@ -204,92 +203,24 @@ class DesignVector:
 
 
 def compute_lowest_modes(
-    model: StructuralModel,
-    k: int,
-    *,
-    max_iter: int = 300,
-    tol: float = 1e-11,
+    model: StructuralModel, k: int
 ) -> list[tuple[float, np.ndarray]]:
     """Lowest ``k`` natural frequencies and mass-normalized mode shapes.
 
-    Solves the generalized eigenproblem K phi = omega^2 M phi by shifted
-    inverse iteration with deflation against already-converged modes; a
-    Rayleigh-quotient shift refines slow iterations. Suited to the small
-    dense systems this library targets.
+    Solves the generalized eigenproblem K phi = omega^2 M phi with
+    `scipy.linalg.eigh`, which needs M positive definite and accepts a
+    semidefinite K; a rounding-level negative eigenvalue gives omega = 0.
 
     Returns
     -------
     list of (omega, phi)
         Circular frequencies in rad/s, ascending, with phi' M phi = 1.
-
-    Raises
-    ------
-    ConvergenceError
-        If an eigenpair fails to converge within ``max_iter`` iterations.
     """
-    K = model.stiffness
-    M = model.mass
     n = model.n_dof
     if not 1 <= k <= n:
         raise ValueError(f"requested {k} modes from a {n}-DOF model")
-
-    # Deterministic start vectors; the seed only breaks symmetry.
-    rng = np.random.default_rng(20230517)
-    scale = (np.trace(K) / n) / (np.trace(M) / n)
-
-    def factorize(sigma):
-        try:
-            return la.lu_factor(K - sigma * M)
-        except la.LinAlgError:
-            return la.lu_factor(K - (sigma - 1e-10 * scale) * M)
-
-    modes: list[tuple[float, np.ndarray]] = []
-
-    def deflate(z):
-        for _, phi in modes:
-            z = z - (phi @ (M @ z)) * phi
-        return z
-
-    for _ in range(k):
-        # A zero shift fails for semidefinite K; nudge below the spectrum.
-        sigma = 0.0
-        try:
-            factor = la.lu_factor(K)
-        except la.LinAlgError:
-            sigma = -1e-8 * scale
-            factor = factorize(sigma)
-
-        q = deflate(rng.standard_normal(n))
-        q = q / np.sqrt(q @ (M @ q))
-        theta = q @ (K @ q)
-        converged = False
-        for it in range(max_iter):
-            z = la.lu_solve(factor, M @ q)
-            z = deflate(z)
-            norm2 = z @ (M @ z)
-            if not np.isfinite(norm2) or norm2 <= 0:
-                q = deflate(rng.standard_normal(n))
-                q = q / np.sqrt(q @ (M @ q))
-                continue
-            q = z / np.sqrt(norm2)
-            theta = q @ (K @ q)
-            residual = np.linalg.norm(K @ q - theta * (M @ q))
-            ref = max(np.linalg.norm(K @ q), abs(theta), 1e-300)
-            if residual <= tol * ref:
-                converged = True
-                break
-            # Rayleigh-quotient shift once the plain iteration has settled.
-            if it >= 6 and it % 4 == 2:
-                sigma = theta
-                factor = factorize(sigma)
-        if not converged:
-            raise ConvergenceError(
-                f"eigen iteration did not converge within {max_iter} iterations"
-            )
-        modes.append((float(np.sqrt(max(theta, 0.0))), q))
-
-    modes.sort(key=lambda pair: pair[0])
-    return modes
+    lam, phi = la.eigh(model.stiffness, model.mass, subset_by_index=[0, k - 1])
+    return [(float(np.sqrt(max(w2, 0.0))), phi[:, i]) for i, w2 in enumerate(lam)]
 
 
 def build_rayleigh(

@@ -299,13 +299,13 @@ def slp_solve(
         per_record = []
         for gm in records:
             hist = newmark_solve(model, C_d, gm, beta=config.beta, gamma=config.gamma)
-            g = evaluate_drift_constraint(hist, model, params).g
+            value = evaluate_drift_constraint(hist, model, params)
             grads = adjoint_gradient(
-                model, design, working_scenarios, gm, params, history=hist
+                model, design, working_scenarios, gm, params, history=hist, value=value
             )
             counter.n_primal += len(working_scenarios)
             counter.n_adjoint += len(working_scenarios)
-            per_record.append((gm.name, g, grads))
+            per_record.append((gm.name, value.g, grads))
 
         g_true: dict[tuple[int, str], float] = {}
         for i, sc in enumerate(working_scenarios):

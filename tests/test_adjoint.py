@@ -20,10 +20,16 @@ from failsafe_dampers.adjoint import (
     dg_du_trajectory,
     solve_adjoint,
 )
+from failsafe_dampers.constraints import (
+    aggregation_sensitivities,
+    normalized_drifts,
+    time_weights,
+)
 from failsafe_dampers.dynamics import ResponseHistory
-from failsafe_dampers.model import assemble_added_damping
+from failsafe_dampers.model import assemble_added_damping, damper_scales
 
 from conftest import shear_frame, synthetic_record
+from test_constraints import EXPONENTS, dense_smooth_drift_indices
 from test_dynamics import BATCHES, scenario_batch
 
 
@@ -73,6 +79,25 @@ def stepwise_adjoint(model, C_d, history, forcing):
         xi = la.lu_solve(factor, b)
         lam_u[i], lam_v[i], lam_a[i] = xi[:n], xi[n : 2 * n], xi[2 * n :]
     return lam_u
+
+
+def dense_dg_du_trajectory(history, model, params):
+    """Slow reference: dg/du with the drift pass repeated and every ratio
+    raised to p - 1."""
+    rho = normalized_drifts(history, model)
+    d_tilde = dense_smooth_drift_indices(history, model, params)
+    sens = aggregation_sensitivities(d_tilde, params.q)
+    w = time_weights(rho.shape[0], history.dt, params.weights)
+    duration = history.n_steps * history.dt
+    ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)
+    core = np.sign(rho) * ratio ** (params.p - 1)
+    core *= (w / duration).reshape((-1,) + (1,) * (rho.ndim - 1))
+    core *= sens / model.d_allow
+    return core @ model.drift_transform
+
+
+def last_nonzero_row(a):
+    return int(np.flatnonzero(np.any(a, axis=tuple(range(1, a.ndim))))[-1])
 
 
 class TestDgDu:
@@ -163,6 +188,47 @@ def test_batched_adjoint_matches_stepwise_reference(size, beta):
         assert np.abs(got[:, b] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("pq", EXPONENTS)
+def test_pruned_dg_du_matches_dense_reference(pq):
+    model, _, C_d = scenario_batch(11)
+    gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+    hist = newmark_solve(model, C_d, gm)
+    params = ConstraintParams(p=pq, q=pq)
+    value = evaluate_drift_constraint(hist, model, params)
+    got = dg_du_trajectory(hist, model, params, value=value)
+    want = dense_dg_du_trajectory(hist, model, params)
+    assert got.shape == want.shape == (601, 11, 4)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # The skipped powers are the ones that come out 0: the same entries
+    # are zero, down to the subnormal range.
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.array_equal(dg_du_trajectory(hist, model, params), got)
+
+
+@pytest.mark.parametrize("pq", [600, 37100, 1_000_000])
+def test_truncated_adjoint_matches_stepwise_reference(pq):
+    model, scenarios, C_d = scenario_batch(3)
+    design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
+    gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+    hist = newmark_solve(model, C_d, gm)
+    forcing = dg_du_trajectory(hist, model, ConstraintParams(p=pq, q=pq))
+    k = last_nonzero_row(forcing)
+    assert 0 < k < 600  # the forcing ends before the record does
+    got = solve_adjoint(model, C_d, hist, forcing)
+    assert got.shape == (601, 3, 4)
+    assert np.all(got[k + 1 :] == 0.0)
+    for b in range(3):
+        want = stepwise_adjoint(model, C_d[b], hist, forcing[:, b])
+        assert np.abs(got[:, b] - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.any(got[k] != 0.0)
+    # Contracting rows 1..k is contracting every row: the rest add 0.
+    rows = model.damper_rows
+    full = np.sum((hist.v[1:] @ rows.T) * (got[1:] @ rows.T), axis=0)
+    want_grad = design.c_bar * damper_scales(model, scenarios) * (full @ model.row_owner)
+    grad = accumulate_gradient(model, design, scenarios, hist.v, got)
+    assert np.array_equal(grad, want_grad)
+
+
 def per_pair_g_and_gradients(model, design, scenarios, gm, params):
     """Slow reference: one primal and one adjoint analysis per scenario."""
     g, grads = [], []
@@ -241,6 +307,26 @@ class TestGradientConsistency:
         sc = FailureScenario(id=1, damaged=(0,), factor=0.0)
         adj = adjoint_gradient(frame_2dof, design, sc, record_short, params)
         assert adj[0] == 0.0
+
+    def test_all_dampers_failed_is_the_bare_frame(self):
+        # With every device gone the scenario sees the bare frame: its g is
+        # the bare frame's and its gradient row is exactly zero.
+        model = shear_frame(4)
+        gm = synthetic_record(400, dt=0.01, seed=3, peak=2.0)
+        design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
+        params = ConstraintParams(p=600, q=600)
+        scenarios = [no_failure(), FailureScenario(id=1, damaged=(0, 1, 2, 3), factor=0.0)]
+        hist = newmark_solve(model, assemble_added_damping(model, design, scenarios), gm)
+        value = evaluate_drift_constraint(hist, model, params)
+        grads = adjoint_gradient(
+            model, design, scenarios, gm, params, history=hist, value=value
+        )
+        bare = newmark_solve(model, np.zeros((4, 4)), gm)
+        g_bare = evaluate_drift_constraint(bare, model, params).g
+        assert value.g[1] == pytest.approx(g_bare, rel=1e-12)
+        assert value.g[1] > value.g[0]
+        assert np.all(grads[1] == 0.0)
+        assert np.all(grads[0] < 0.0)
 
     def test_monotone_damper_has_nonpositive_gradient(self):
         # More damping reduces the peak on this SDOF, so the constraint

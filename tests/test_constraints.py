@@ -13,9 +13,25 @@ from failsafe_dampers import (
     newmark_solve,
     smooth_drift_indices,
 )
+from failsafe_dampers.constraints import normalized_drifts, pruned_powers, time_weights
 from failsafe_dampers.dynamics import ResponseHistory
 
 from conftest import shear_frame, synthetic_record
+
+# Exponents of the continuation, from the start value to the cap; the
+# gradient raises to p - 1, so its exponents are covered too.
+EXPONENTS = [2, 8, 100, 600, 5100, 37100, 1_000_000]
+
+
+def dense_smooth_drift_indices(history, model, params):
+    """Slow reference: the time p-norms with every ratio raised to p."""
+    rho = np.abs(normalized_drifts(history, model))
+    w = time_weights(rho.shape[0], history.dt, params.weights)
+    duration = history.n_steps * history.dt
+    peak = rho.max(axis=0)
+    scale = np.where(peak > 0, peak, 1.0)
+    s = np.tensordot(w / duration, (rho / scale) ** params.p, axes=1)
+    return scale * s ** (1.0 / params.p)
 
 
 def history_from_drifts(values, dt=0.1):
@@ -148,6 +164,43 @@ class TestExactPeak:
             for j in range(model.n_drifts)
         )
         assert exact_peak(hist, model) == pytest.approx(brute, rel=1e-14)
+
+
+class TestPrunedPowers:
+    @pytest.mark.parametrize("p", sorted({1} | set(EXPONENTS) | {e - 1 for e in EXPONENTS}))
+    def test_keeps_exactly_the_nonzero_powers(self, p):
+        # Ratios a few ulps either side of the cutoff, and powers of order
+        # 2^-1074 (the smallest subnormal) up to 1e-304, all within one
+        # rounding of exp(-746/p).
+        cutoff = np.exp(-746.0 / p)
+        near = cutoff * (1.0 + np.arange(-4, 5) * np.finfo(float).eps)
+        far = np.exp(-np.array([745.5, 745.0, 740.0, 720.0, 700.0]) / p)
+        ratio = np.concatenate([[0.0, 5e-324], near, far, [0.5, 1.0]])
+        ratio = np.stack([ratio, ratio[::-1]], axis=1).reshape(-1, 2, 2)
+        t, col, powers = pruned_powers(ratio, p)
+        dense = ratio.reshape(ratio.shape[0], -1) ** p
+        rebuilt = np.zeros_like(dense)
+        rebuilt[t, col] = powers
+        assert np.array_equal(rebuilt, dense)
+        assert np.all(ratio.reshape(ratio.shape[0], -1)[t, col] > cutoff)
+        assert np.count_nonzero(dense) > 2  # the test reaches the kept side
+
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_batched_indices_match_dense_reference(self, p):
+        model = shear_frame(4)
+        gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+        C_d = np.stack([c * np.eye(4) for c in (0.0, 150.0, 600.0)])
+        hist = newmark_solve(model, C_d, gm)
+        params = ConstraintParams(p=p, q=p)
+        value = evaluate_drift_constraint(hist, model, params)
+        want = dense_smooth_drift_indices(hist, model, params)
+        assert value.d_tilde.shape == (3, 4)
+        assert np.abs(value.d_tilde - want).max() <= 1e-12 * want.max()
+        assert np.array_equal(smooth_drift_indices(hist, model, params), value.d_tilde)
+        g_want = aggregate(want, p)
+        assert np.abs(value.g - g_want).max() <= 1e-12 * np.abs(g_want).max()
+        assert np.array_equal(value.d_max_exact, exact_peak(hist, model))
+        assert np.array_equal(value.rho, normalized_drifts(hist, model))
 
 
 class TestSandwich:

@@ -1,5 +1,7 @@
 """Working-set driver: selection rule, expansion protocol, record loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from failsafe_dampers import (
     select_critical,
     spectral_displacement,
 )
+from failsafe_dampers import adjoint, optimizer
 from failsafe_dampers.optimizer import EvalCounter
 
 from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
@@ -292,3 +295,36 @@ class TestGuards:
             run_failsafe(
                 model, scen, [gm], c_bar=400.0, slp_config=slp, fs_config=fs
             )
+
+
+class TestEdges:
+    def test_all_zero_record(self, monkeypatch):
+        # A record that never moves the frame: every g is the limit value
+        # -1, every gradient is exactly zero, the adjoint sweeps no step,
+        # and the run ends at the zero design, verified.
+        model = frame_with_redundant_dampers(d_allow=0.012)
+        gm = GroundMotion(name="quiet", dt=0.02, accel=np.zeros(201))
+        scen = enumerate_scenarios(model.n_dampers, 1, 1, nu=0.5)
+        grads, swept = [], []
+
+        def spy_gradient(*args, **kwargs):
+            grads.append(real_gradient(*args, **kwargs))
+            return grads[-1]
+
+        def spy_sweep(P, S):
+            swept.append(len(S))
+            real_sweep(P, S)
+
+        real_gradient, real_sweep = optimizer.adjoint_gradient, adjoint.transition_sweep
+        monkeypatch.setattr(optimizer, "adjoint_gradient", spy_gradient)
+        monkeypatch.setattr(adjoint, "transition_sweep", spy_sweep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final = run_failsafe(
+                model, scen, [gm], c_bar=400.0, slp_config=SlpConfig(i_min=5, i_max=30)
+            )
+        assert final.converged and final.verified
+        assert np.all(final.scenario_g == -1.0)
+        assert np.all(final.design.x == 0.0)
+        assert grads and all(np.all(g == 0.0) for g in grads)
+        assert swept and set(swept) == {0}

@@ -179,6 +179,30 @@ class TestComputeLowestModes:
         got = [w for w, _ in compute_lowest_modes(model, 3)]
         assert np.allclose(got, [2.0, np.sqrt(4.0000001), 3.0], rtol=1e-9)
 
+    def test_lowest_two_of_a_four_story_frame(self):
+        # The second mode is the second lowest, not a higher one.
+        model = shear_frame(4, zeta=0.0)
+        expected = np.sqrt(sla.eigvalsh(model.stiffness, model.mass))[:2]
+        got = [w for w, _ in compute_lowest_modes(model, 2)]
+        assert np.allclose(got, expected, rtol=1e-12)
+
+    def test_semidefinite_stiffness(self):
+        # A free-floating two-mass chain has a rigid-body mode at omega = 0.
+        model = StructuralModel(
+            mass=np.diag([1.0, 2.0]),
+            stiffness=np.array([[3.0, -3.0], [-3.0, 3.0]]),
+            inherent_damping=np.zeros((2, 2)),
+            influence=np.ones(2),
+            drift_transform=np.array([[-1.0, 1.0]]),
+            d_allow=np.ones(1),
+            damper_transforms=(np.array([[-1.0, 1.0]]),),
+        )
+        (w0, phi0), (w1, phi1) = compute_lowest_modes(model, 2)
+        assert w0 == pytest.approx(0.0, abs=1e-7)
+        assert w1 == pytest.approx(np.sqrt(4.5), rel=1e-12)
+        assert phi0[0] == pytest.approx(phi0[1], rel=1e-12)
+        assert phi0 @ model.mass @ phi1 == pytest.approx(0.0, abs=1e-12)
+
     def test_mass_normalization(self, frame_2dof):
         for omega, phi in compute_lowest_modes(frame_2dof, 2):
             assert phi @ frame_2dof.mass @ phi == pytest.approx(1.0, abs=1e-10)

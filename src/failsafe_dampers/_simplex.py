@@ -10,6 +10,15 @@ not O(m^2). Entering columns follow Dantzig pricing until the objective
 stalls on degenerate pivots, then switch to Bland's rule, which
 guarantees termination. The final vertex is re-solved from the original
 constraint data to strip accumulated elimination error.
+
+Rows that cannot bind are dropped first. The singleton rows
+a_ij y_j <= b_i with a_ij > 0 <= b_i (the move-limit box) bound y above
+by u. A longer row whose maximum over 0 <= y <= u stays below
+b - 1e-6 (|a| @ u + |b|) is slack at every vertex either phase visits, as
+those lie in the box: its slack would stay basic, and the kept rows, in
+order, give the full LP's pivots. A positive coefficient on a column with
+no upper bound keeps its row. The phase-1 threshold, the pivot budget and
+the polish check use the full (A, b).
 """
 
 from __future__ import annotations
@@ -96,13 +105,16 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
 
+    if max_pivots is None:
+        max_pivots = 1000 + 50 * (m + n)
+    keep = _rows_that_can_bind(A, b)
+    A_full, b_full, A, b = A, b, A[keep], b[keep]
+    m = A.shape[0]
+
     if m == 0:
         if np.any(c < -tol):
             raise SimplexError("LP is unbounded")
         return np.zeros(n), "optimal"
-
-    if max_pivots is None:
-        max_pivots = 1000 + 50 * (m + n)
 
     # Tableau columns: structurals, one slack per row, one artificial per
     # row with negative rhs, then the rhs. Those rows are negated, so their
@@ -126,7 +138,7 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
         costs1 = np.zeros(ncols)
         costs1[n + m :] = 1.0
         phase1 = _pivot_loop(T, basis, costs1, allowed, tol, max_pivots)
-        if phase1 > 1e-8 * max(1.0, np.abs(b).max()):
+        if phase1 > 1e-8 * max(1.0, np.abs(b_full).max()):
             return None, "infeasible"
         # Pivot lingering artificials (basic at zero) out. Every pivot maps
         # an artificial column and its row's slack column to exact negatives
@@ -146,14 +158,27 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
 
     x_polished = _polish(A, b, basis, n)
     if x_polished is not None:
-        feas_tol = 1e-8 * (1.0 + np.abs(b).max())
+        feas_tol = 1e-8 * (1.0 + np.abs(b_full).max())
         if (
             np.all(x_polished >= -feas_tol)
-            and np.all(A @ x_polished <= b + feas_tol)
+            and np.all(A_full @ x_polished <= b_full + feas_tol)
             and c @ x_polished <= c @ x + feas_tol * (1.0 + np.abs(c).sum())
         ):
             x = x_polished
     return np.maximum(x, 0.0), "optimal"
+
+
+def _rows_that_can_bind(A, b):
+    """Mask of the rows the presolve keeps: the singleton rows, and every
+    row that some point of the box they span can make tight."""
+    singleton = np.count_nonzero(A, axis=1) == 1
+    r, j = np.nonzero((A > 0) & (singleton & (b >= 0))[:, None])
+    upper = np.full(A.shape[1], np.inf)
+    np.minimum.at(upper, j, b[r] / A[r, j])
+    u = np.where(np.isfinite(upper), upper, 0.0)
+    unbounded = (A[:, np.isinf(upper)] > 0).any(axis=1)
+    slack = np.maximum(A, 0.0) @ u < b - 1e-6 * (np.abs(A) @ u + np.abs(b))
+    return singleton | unbounded | ~slack
 
 
 def _polish(A, b, basis, n):

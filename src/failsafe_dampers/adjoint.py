@@ -189,6 +189,7 @@ def adjoint_gradient(
     gm: GroundMotion,
     params: ConstraintParams,
     *,
+    C_d: np.ndarray | None = None,
     history: ResponseHistory | None = None,
     value: ConstraintValue | None = None,
     beta: float = 0.25,
@@ -196,18 +197,20 @@ def adjoint_gradient(
 ) -> np.ndarray:
     """Gradient of the scenario's aggregated drift constraint.
 
-    Reuses ``history`` when the primal solve for this (design, scenario,
-    record) is already available; otherwise runs it. Likewise ``value``,
+    Reuses ``C_d``, the added damping of this (design, scenario), and
+    ``history`` when the primal solve for this (design, scenario, record)
+    is already available; otherwise computes them. Likewise ``value``,
     the `evaluate_drift_constraint` result of that history, spares the
-    drift pass of `dg_du_trajectory`. Initial conditions
-    must be zero: with a nonzero initial velocity the starting acceleration
-    would depend on the design, which this formulation does not track.
+    drift pass of `dg_du_trajectory`. Initial conditions must be zero:
+    with a nonzero initial velocity the starting acceleration would
+    depend on the design, which this formulation does not track.
     A list of B scenarios (with, if given, their batched history) gives
     every gradient from one batched sweep, shape (B, n_dampers).
     """
     if value is not None and history is None:
         raise ValueError("a constraint value needs the history it came from")
-    C_d = assemble_added_damping(model, design, scenario)
+    if C_d is None:
+        C_d = assemble_added_damping(model, design, scenario)
     if history is None:
         history = newmark_solve(model, C_d, gm, beta=beta, gamma=gamma)
     if np.any(history.u0) or np.any(history.v0):

@@ -140,7 +140,9 @@ def solve_lp(
     linearizations of the (locally convex) constraint underestimate it, the
     plain half-spaces would let the iterates converge to the boundary from
     the infeasible side, and a margin of half the termination tolerance
-    parks the limit point strictly inside instead.
+    parks the limit point strictly inside instead. The simplex then drops
+    every tightened plane that stays slack by more than 1e-6 relative over
+    the whole box (see `_simplex`).
 
     When the plane set admits no point in the box, the LP is relaxed
     elastically: per-plane violations are minimized first, then the cost
@@ -153,20 +155,16 @@ def solve_lp(
     lo = np.maximum(bounds[0], center - move_limit)
     hi = np.minimum(bounds[1], center + move_limit)
 
-    enabled = [i for i, pl in enumerate(planes) if pl.enabled]
-    A_pl = np.array([planes[i].gradient for i in enabled]).reshape(len(enabled), n)
-    b_pl = np.array(
-        [
-            planes[i].gradient @ planes[i].point - planes[i].intercept - margin
-            for i in enabled
-        ]
-    )
+    enabled = np.flatnonzero([pl.enabled for pl in planes])
+    A_pl = np.array([planes[i].gradient for i in enabled]).reshape(enabled.size, n)
+    points = np.array([planes[i].point for i in enabled]).reshape(enabled.size, n)
+    intercepts = np.array([planes[i].intercept for i in enabled])
+    b_pl = np.vecdot(A_pl, points) - intercepts - margin
 
     # Shift to y = x - lo so the simplex's x >= 0 convention applies.
     span = hi - lo
     b_shift = b_pl - A_pl @ lo
-    A_box = np.eye(n)
-    A_full = np.vstack([A_pl, A_box])
+    A_full = np.vstack([A_pl, np.eye(n)])
     b_full = np.concatenate([b_shift, span])
 
     y, status = solve_inequality_lp(objective, A_full, b_full)
@@ -176,8 +174,8 @@ def solve_lp(
         status = "elastic"
 
     x = np.clip(lo + y, lo, hi)
-    bind_level = -margin - _BIND_TOL
-    binding = tuple(i for i in enabled if planes[i].predict(x) >= bind_level)
+    predicted = intercepts + np.vecdot(A_pl, x - points)
+    binding = tuple(enabled[predicted >= -margin - _BIND_TOL].tolist())
     return LpResult(
         x=x,
         objective=float(objective @ x),
@@ -284,6 +282,7 @@ def slp_solve(
     planes: list[CuttingPlane] = []
     history: list[IterationRecord] = []
     last_binding: tuple[int, ...] = ()
+    n_enabled = 0
     best: tuple[float, float, np.ndarray] | None = None  # (gmax, cost, x)
     converged = False
     iteration = 0
@@ -301,7 +300,8 @@ def slp_solve(
             hist = newmark_solve(model, C_d, gm, beta=config.beta, gamma=config.gamma)
             value = evaluate_drift_constraint(hist, model, params)
             grads = adjoint_gradient(
-                model, design, working_scenarios, gm, params, history=hist, value=value
+                model, design, working_scenarios, gm, params,
+                C_d=C_d, history=hist, value=value,
             )
             counter.n_primal += len(working_scenarios)
             counter.n_adjoint += len(working_scenarios)
@@ -321,6 +321,7 @@ def slp_solve(
                     )
                 )
                 g_true[(sc.id, name)] = float(g[i])
+        n_enabled += len(working_scenarios) * len(records)
         g_max_true = max(g_true.values())
 
         # A plane that binds the LP while its constraint is satisfied with
@@ -332,6 +333,7 @@ def slp_solve(
             current = g_true.get((pl.scenario_id, pl.record))
             if current is not None and current < -config.drop_margin:
                 pl.enabled = False
+                n_enabled -= 1
                 logger.debug(
                     "%sdropped plane (scenario %d, %s, iter %d): g=%.4g",
                     label,
@@ -358,7 +360,7 @@ def slp_solve(
                 cost=float(x.sum()),
                 g_max_true=g_max_true,
                 step_norm=step,
-                n_active_planes=sum(pl.enabled for pl in planes),
+                n_active_planes=n_enabled,
                 p=p,
                 q=q,
                 lp_status=lp.status,

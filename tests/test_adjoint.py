@@ -15,6 +15,7 @@ from failsafe_dampers import (
     newmark_solve,
     no_failure,
 )
+import failsafe_dampers.adjoint as adjoint_module
 from failsafe_dampers.adjoint import (
     accumulate_gradient,
     dg_du_trajectory,
@@ -241,7 +242,7 @@ def per_pair_g_and_gradients(model, design, scenarios, gm, params):
 
 
 @pytest.mark.parametrize("size", sorted(BATCHES))
-def test_batched_g_and_gradients_match_per_pair_loop(size):
+def test_batched_g_and_gradients_match_per_pair_loop(size, monkeypatch):
     model, scenarios, C_d = scenario_batch(size)
     design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
     gm = synthetic_record(400, dt=0.01, seed=3, peak=2.0)
@@ -249,6 +250,11 @@ def test_batched_g_and_gradients_match_per_pair_loop(size):
     hist = newmark_solve(model, C_d, gm)
     g = evaluate_drift_constraint(hist, model, params).g
     grads = adjoint_gradient(model, design, scenarios, gm, params, history=hist)
+    # Given the damping stack, the gradient does not assemble it again.
+    monkeypatch.setattr(adjoint_module, "assemble_added_damping", None)
+    given = adjoint_gradient(model, design, scenarios, gm, params, C_d=C_d, history=hist)
+    assert np.array_equal(given, grads)
+    monkeypatch.undo()
     g_ref, grads_ref = per_pair_g_and_gradients(model, design, scenarios, gm, params)
     assert g.shape == (size,) and grads.shape == (size, 4)
     assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()

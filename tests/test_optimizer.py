@@ -9,16 +9,22 @@ from failsafe_dampers import (
     CuttingPlane,
     DesignVector,
     SlpConfig,
+    enumerate_scenarios,
     newmark_solve,
     no_failure,
     slp_solve,
     solve_lp,
 )
-from failsafe_dampers._simplex import SimplexError, solve_inequality_lp
+from failsafe_dampers import optimizer
+from failsafe_dampers._simplex import (
+    SimplexError,
+    _rows_that_can_bind,
+    solve_inequality_lp,
+)
 from failsafe_dampers.constraints import normalized_drifts
 from failsafe_dampers.model import StructuralModel
 
-from conftest import shear_frame, synthetic_record
+from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
 
 
 def plane(gradient, intercept, point, scenario_id=0, record="r", iteration=1):
@@ -230,6 +236,128 @@ class TestSimplexCore:
         assert x[0] >= 0.5 - 1e-10
 
 
+def with_far_planes(rng, A, b, n_far):
+    """Interleave ``n_far`` random planes among the plane rows of
+    ``A y <= b``, whose last n rows are the box y <= span. Each new plane
+    stays slack by at least 1% of its scale over the whole box. Returns the
+    new LP and the mask of the new rows."""
+    n = A.shape[1]
+    span = b[-n:]
+    A_far = rng.standard_normal((n_far, n))
+    reach = np.maximum(A_far, 0.0) @ span
+    b_far = reach + rng.uniform(0.01, 1.0, n_far) * (1.0 + np.abs(A_far) @ span)
+    m_pl = A.shape[0] - n
+    at = np.sort(rng.integers(0, m_pl + 1, n_far))
+    A_new = np.insert(A[:m_pl], at, A_far, axis=0)
+    b_new = np.insert(b[:m_pl], at, b_far)
+    far = np.insert(np.zeros(m_pl, dtype=bool), at, True)
+    return (
+        np.vstack([A_new, A[m_pl:]]),
+        np.concatenate([b_new, b[m_pl:]]),
+        np.concatenate([far, np.zeros(n, dtype=bool)]),
+    )
+
+
+def elastic_lp(A, b):
+    """First elastic stage of `solve_lp` for the LP ``A y <= b`` whose last
+    n rows are the box: the planes become A y - s <= b with s >= 0 and no
+    upper bound, and the cost is the total violation."""
+    n = A.shape[1]
+    m_pl = A.shape[0] - n
+    A_el = np.vstack(
+        [
+            np.hstack([A[:m_pl], -np.eye(m_pl)]),
+            np.hstack([A[m_pl:], np.zeros((n, m_pl))]),
+        ]
+    )
+    return np.concatenate([np.zeros(n), np.ones(m_pl)]), A_el, b
+
+
+class TestPresolve:
+    def test_far_planes_change_nothing(self):
+        rng = np.random.default_rng(7)
+        statuses = []
+        for m_planes in (3, 10, 30, 60, 120, 200):
+            for _ in range(4):
+                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
+                A_far, b_far, far = with_far_planes(rng, A, b, 2 * m_planes)
+                assert not _rows_that_can_bind(A_far, b_far)[far].any()
+                x, status = solve_inequality_lp(c, A, b)
+                x_far, status_far = solve_inequality_lp(c, A_far, b_far)
+                assert status_far == status
+                statuses.append(status)
+                if status == "optimal":
+                    assert np.array_equal(x_far, x)
+        assert "infeasible" in statuses and "optimal" in statuses
+
+    def test_matches_dense_tableau_reference(self):
+        rng = np.random.default_rng(11)
+        statuses = []
+        for m_planes in (3, 10, 30, 60, 120):
+            for _ in range(4):
+                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
+                A, b, _ = with_far_planes(rng, A, b, m_planes)
+                for c_k, A_k, b_k in ((c, A, b), elastic_lp(A, b)):
+                    x, status = solve_inequality_lp(c_k, A_k, b_k)
+                    x_ref, status_ref = dense_tableau_lp(c_k, A_k, b_k)
+                    assert status == status_ref
+                    statuses.append(status)
+                    if status == "optimal":
+                        assert np.abs(x - x_ref).max() <= 1e-12
+        assert statuses.count("infeasible") >= 2 and "optimal" in statuses
+
+    def test_row_just_inside_the_margin_is_kept(self):
+        # Over the box 0 <= y <= 1, y0 + y1 reaches 2; the row is dropped
+        # only when 2 < b - 1e-6 (2 + |b|), i.e. b > b_edge.
+        b_edge = (2.0 + 2e-6) / (1.0 - 1e-6)
+        A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        for b0, kept in ((b_edge * (1 - 1e-12), True), (b_edge * (1 + 1e-12), False)):
+            b = np.array([b0, 1.0, 1.0])
+            assert np.array_equal(_rows_that_can_bind(A, b), [kept, True, True])
+            x, status = solve_inequality_lp(-np.ones(2), A, b)
+            assert status == "optimal" and np.array_equal(x, np.ones(2))
+
+    def test_positive_coefficient_on_unbounded_column_is_kept(self):
+        # Columns [y0, y1, s]: y is boxed by its singleton rows, s has no
+        # upper bound. Far from the box, -s can only loosen a row, but +s
+        # (the elastic cost-stage row) can make any row tight.
+        A = np.array(
+            [
+                [1.0, 1.0, -1.0],
+                [1.0, 1.0, 1.0],
+                [-1.0, 0.0, 0.5],
+                [1.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0],
+            ]
+        )
+        b = np.array([10.0, 10.0, 10.0, 1.0, 1.0])
+        assert np.array_equal(
+            _rows_that_can_bind(A, b), [False, True, True, True, True]
+        )
+        c = np.array([1.0, 1.0, -1.0])
+        x, status = solve_inequality_lp(c, A, b)
+        x_ref, status_ref = dense_tableau_lp(c, A, b)
+        assert status == status_ref == "optimal"
+        assert np.array_equal(x, x_ref) and x[2] == pytest.approx(10.0)
+
+    def test_phase1_threshold_uses_the_full_rhs(self):
+        # y0 >= 0.5 against y0 + 1e-3 y1 <= 0.5 - 1e-6 misses by 1e-6:
+        # infeasible against a threshold of 1e-8 max(1, max|b|) over the
+        # kept rows, feasible within the full b's 1e-4 that the far row
+        # (dropped by the presolve) sets.
+        A = np.array(
+            [[-1.0, 0.0], [1.0, 1e-3], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        )
+        b = np.array([-0.5, 0.5 - 1e-6, 1e4, 1.0, 1.0])
+        assert np.array_equal(_rows_that_can_bind(A, b), [True, True, False, True, True])
+        x, status = solve_inequality_lp(np.ones(2), A, b)
+        x_ref, status_ref = dense_tableau_lp(np.ones(2), A, b)
+        assert status == status_ref == "optimal"
+        assert np.abs(x - x_ref).max() <= 1e-12
+        keep = _rows_that_can_bind(A, b)
+        assert solve_inequality_lp(np.ones(2), A[keep], b[keep]) == (None, "infeasible")
+
+
 class TestSolveLp:
     def test_no_planes_goes_to_lower_corner(self):
         res = solve_lp(np.ones(3), [], center=np.full(3, 0.5), move_limit=0.2)
@@ -381,6 +509,82 @@ class TestSlpSolve:
         for pl in res.planes:
             if pl.enabled:
                 assert pl.predict(res.x) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "x0,ml,all_infeasible", [(0.5, 0.1, False), (0.1, 0.02, True)]
+    )
+    def test_iteration_cap_returns_best_evaluated_iterate(
+        self, x0, ml, all_infeasible, caplog
+    ):
+        # delta = 1e-9 keeps every step above the tolerance, so the loop
+        # runs into i_max. Plane k holds iterate k, the point whose g_max
+        # history[k] records; the LP's last proposal is never evaluated.
+        model = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.012)
+        gm = synthetic_record(200, dt=0.02, seed=23, peak=1.2)
+        cfg = SlpConfig(i_min=12, i_max=12, ml=ml, delta=1e-9)
+        res = slp_solve(
+            model, [no_failure()], [gm], DesignVector(x=[x0, x0], c_bar=400.0), cfg
+        )
+        assert not res.converged and res.n_iterations == cfg.i_max
+        assert "iteration cap" in caplog.text
+        evaluated = [(r.g_max_true, pl.point) for r, pl in zip(res.history, res.planes)]
+        feasible = [x for g, x in evaluated if g <= 0.0]
+        assert (not feasible) == all_infeasible
+        if feasible:
+            best = min(feasible, key=np.sum)
+            # Later iterates cost less with a small violation.
+            assert any(g > 0.0 and x.sum() < best.sum() for g, x in evaluated)
+        else:
+            best = min(evaluated, key=lambda e: e[0])[1]
+        assert np.array_equal(res.x, best)
+        assert res.x.sum() != pytest.approx(res.history[-1].cost)
+
+    def test_presolved_lp_matches_dense_tableau_in_the_loop(self, monkeypatch):
+        # The 3-story frame with two dampers per story and all 22 scenarios
+        # in the working set, as in the fullset benchmark: the LP grows by
+        # 22 planes per iteration, goes elastic, and retires planes.
+        model = frame_with_redundant_dampers(n_stories=3, per_story=2)
+        gm = synthetic_record(100, seed=9, peak=2.5)
+        bare = newmark_solve(model, np.zeros((3, 3)), gm)
+        gm = gm.rescaled(2.0 / np.abs(normalized_drifts(bare, model)).max())
+        scenarios = enumerate_scenarios(6, 1, 2, 0.5)
+        cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
+
+        def run(solver):
+            lps, dropped = [], []
+
+            def spy_lp(*args, **kwargs):
+                lps.append(real_lp(*args, **kwargs))
+                return lps[-1]
+
+            def spy_simplex(c, A, b):
+                dropped.append(int(np.sum(~_rows_that_can_bind(A, b))))
+                return solver(c, A, b)
+
+            monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
+            monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
+            design0 = DesignVector(x=np.full(6, 0.2), c_bar=2000.0)
+            res = slp_solve(model, scenarios, [gm], design0, cfg)
+            monkeypatch.undo()
+            return res, lps, sum(dropped)
+
+        real_lp = optimizer.solve_lp
+        res, lps, dropped = run(solve_inequality_lp)
+        ref, ref_lps, _ = run(dense_tableau_lp)
+        assert dropped > 0
+        assert "elastic" in [lp.status for lp in lps]
+        assert any(lp.binding for lp in lps)
+        assert res.n_iterations == ref.n_iterations == len(lps) == len(ref_lps)
+        assert [lp.binding for lp in lps] == [lp.binding for lp in ref_lps]
+        assert [lp.status for lp in lps] == [lp.status for lp in ref_lps]
+        for lp, ref_lp in zip(lps, ref_lps):
+            assert np.abs(lp.x - ref_lp.x).max() <= 1e-12
+        enabled = [pl.enabled for pl in res.planes]
+        assert not all(enabled)
+        assert enabled == [pl.enabled for pl in ref.planes]
+        active = [r.n_active_planes for r in res.history]
+        assert active == [r.n_active_planes for r in ref.history]
+        assert active[-1] == sum(enabled) < len(enabled)
 
     def test_cost_within_one_percent_of_dense_grid_search(self):
         # Independent oracle: a vectorized grid sweep at resolution 0.05

@@ -30,7 +30,6 @@ from .errors import ConvergenceError, InputError
 from .failsafe import (
     FailSafeConfig,
     FinalDesign,
-    WorkingSetState,
     evaluate_all,
     run_failsafe,
     select_critical,
@@ -71,7 +70,6 @@ __all__ = [
     "SlpConfig",
     "SlpResult",
     "StructuralModel",
-    "WorkingSetState",
     "adjoint_gradient",
     "aggregate",
     "assemble_added_damping",

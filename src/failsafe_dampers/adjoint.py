@@ -26,7 +26,7 @@ from .constraints import (
     pruned_powers,
     time_weights,
 )
-from .dynamics import GroundMotion, ResponseHistory, newmark_solve, transition_sweep
+from .dynamics import GAMMA, GroundMotion, ResponseHistory, newmark_solve, transition_sweep
 from .model import (
     DesignVector,
     Scenarios,
@@ -65,7 +65,7 @@ def dg_du_trajectory(
         value = evaluate_drift_constraint(history, model, params)
     rho, d_tilde = value.rho, value.d_tilde
     sens = aggregation_sensitivities(d_tilde, params.q)
-    w = time_weights(rho.shape[0], history.dt, params.weights)
+    w = time_weights(rho.shape[0], history.dt)
     duration = history.n_steps * history.dt
 
     ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)
@@ -114,7 +114,7 @@ def solve_adjoint(
     n = model.n_dof
     if forcing.shape != history.u.shape:
         raise ValueError(f"forcing shape {forcing.shape} does not match history")
-    dt, beta, gamma = history.dt, history.beta, history.gamma
+    dt, beta, gamma = history.dt, history.beta, GAMMA
     c1 = gamma / (beta * dt)
     c2 = 1.0 / (beta * dt * dt)
     k_av = dt * (1.0 - gamma / (2.0 * beta))
@@ -193,7 +193,6 @@ def adjoint_gradient(
     history: ResponseHistory | None = None,
     value: ConstraintValue | None = None,
     beta: float = 0.25,
-    gamma: float = 0.5,
 ) -> np.ndarray:
     """Gradient of the scenario's aggregated drift constraint.
 
@@ -212,7 +211,7 @@ def adjoint_gradient(
     if C_d is None:
         C_d = assemble_added_damping(model, design, scenario)
     if history is None:
-        history = newmark_solve(model, C_d, gm, beta=beta, gamma=gamma)
+        history = newmark_solve(model, C_d, gm, beta=beta)
     if np.any(history.u0) or np.any(history.v0):
         raise ValueError("adjoint gradients require zero initial conditions")
     forcing = dg_du_trajectory(history, model, params, value=value)
@@ -229,7 +228,6 @@ def fd_gradient(
     *,
     h: float = 1e-6,
     beta: float = 0.25,
-    gamma: float = 0.5,
 ) -> np.ndarray:
     """Central finite differences of g through the full primal pipeline;
     shape (B, n_dampers) for a list of B scenarios."""
@@ -237,7 +235,7 @@ def fd_gradient(
     def g_of(x):
         d = DesignVector(x=x, c_bar=design.c_bar)
         C_d = assemble_added_damping(model, d, scenario)
-        hist = newmark_solve(model, C_d, gm, beta=beta, gamma=gamma)
+        hist = newmark_solve(model, C_d, gm, beta=beta)
         return evaluate_drift_constraint(hist, model, params).g
 
     columns = []

@@ -14,8 +14,8 @@ import argparse
 import csv
 import json
 import logging
+import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,35 +41,6 @@ logger = logging.getLogger(__name__)
 MODES = ("failsafe", "basic", "fullset", "simulate", "check-gradients")
 
 
-@dataclass
-class RunConfig:
-    """Everything a run needs, as parsed from the command line.
-
-    Runs are seedless: no stochastic element exists anywhere in the
-    pipeline, so identical inputs give byte-identical CSV outputs. The
-    ``deterministic`` field records that contract in the run manifest.
-    """
-
-    model_path: Path
-    record_paths: list[Path]
-    mode: str = "failsafe"
-    complete_k: int = 0
-    partial_k: int = 0
-    nu: float = 0.5
-    c_bar: float = 150_000.0
-    epsilon: float = 0.05
-    accel_units: str = "m/s2"
-    out_dir: Path = Path("failsafe-out")
-    design_path: Path | None = None
-    compare_paths: list[Path] = field(default_factory=list)
-    check_gradients: bool = False
-    fd_step: float = 1e-6
-    export_drifts: bool = False
-    deterministic: bool = True
-    slp: SlpConfig = field(default_factory=SlpConfig)
-    failsafe: FailSafeConfig = field(default_factory=FailSafeConfig)
-
-
 # ---------------------------------------------------------------------------
 # model file handling
 
@@ -88,38 +59,20 @@ def _key_lines(text: str) -> dict[str, int]:
     return out
 
 
-def _matrix(raw, n_rows: int, n_cols: int, key: str, lines: dict[str, int]):
-    where = f" (line {lines[key]})" if key in lines else ""
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"field '{key}'{where}: not numeric: {exc}") from exc
-    if arr.ndim == 1:
-        if arr.size != n_rows * n_cols:
-            raise InputError(
-                f"field '{key}'{where}: flat form needs {n_rows * n_cols} "
-                f"values ({n_rows}x{n_cols} row-major), got {arr.size}"
-            )
-        arr = arr.reshape(n_rows, n_cols)
-    if arr.shape != (n_rows, n_cols):
-        raise InputError(
-            f"field '{key}'{where}: expected shape ({n_rows}, {n_cols}), "
-            f"got {arr.shape}"
-        )
-    return arr
-
-
 def parse_model(path: str | Path) -> StructuralModel:
-    """Read and fully validate a model file.
+    """Read a model file into a `StructuralModel`.
 
-    Dimension mismatches, schema violations, and model invariant failures
-    (such as a non-positive-definite mass matrix) all raise `InputError`
+    The file's own rules apply here: required keys, flat row-major square
+    matrices, a scalar ``d_allow`` that broadcasts to every drift, damper
+    rows of a multiple of ``n_dof`` entries, and the ``rayleigh`` block.
+    `StructuralModel` checks the values themselves (shapes, finiteness,
+    symmetry, a positive definite mass). Every failure raises `InputError`
     naming the offending field and, where available, its line number.
     """
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)
@@ -129,72 +82,50 @@ def parse_model(path: str | Path) -> StructuralModel:
         raise InputError(f"model file {path} must hold a mapping of fields")
     lines = _key_lines(text)
 
-    def where(key):
-        return f" (line {lines[key]})" if key in lines else ""
+    def error(key, message):
+        where = f" (line {lines[key]})" if key in lines else ""
+        return InputError(f"field '{key}'{where}: {message}")
 
     def require(key):
         if key not in doc:
             raise InputError(f"model file {path} is missing the field '{key}'")
         return doc[key]
 
+    def numeric(key, raw):
+        try:
+            return np.asarray(raw, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(key, f"not numeric: {exc}") from exc
+
     try:
         n = int(require("n_dof"))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"field 'n_dof'{where('n_dof')}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error("n_dof", exc) from exc
     if n < 1:
-        raise InputError(f"field 'n_dof'{where('n_dof')}: must be at least 1")
+        raise error("n_dof", "must be at least 1")
 
-    mass = _matrix(require("mass"), n, n, "mass", lines)
-    stiffness = _matrix(require("stiffness"), n, n, "stiffness", lines)
+    def square(key):
+        a = numeric(key, require(key))
+        return a.reshape(n, n) if a.shape == (n * n,) else a
 
-    influence = np.asarray(require("influence"), dtype=float).reshape(-1)
-    if influence.size != n:
-        raise InputError(
-            f"field 'influence'{where('influence')}: expected {n} entries, "
-            f"got {influence.size}"
-        )
-
-    drift_raw = require("drift_transform")
-    drift = np.asarray(drift_raw, dtype=float)
-    if drift.ndim == 1:
-        drift = drift.reshape(1, -1) if drift.size == n else drift
-    drift = np.atleast_2d(drift)
-    if drift.shape[1] != n:
-        raise InputError(
-            f"field 'drift_transform'{where('drift_transform')}: rows must "
-            f"have {n} columns, got {drift.shape[1]}"
-        )
-    n_drifts = drift.shape[0]
-
-    d_allow_raw = require("d_allow")
-    d_allow = np.atleast_1d(np.asarray(d_allow_raw, dtype=float))
+    mass = square("mass")
+    stiffness = square("stiffness")
+    influence = numeric("influence", require("influence")).reshape(-1)
+    drift = numeric("drift_transform", require("drift_transform"))
+    d_allow = numeric("d_allow", require("d_allow"))
     if d_allow.size == 1:
-        d_allow = np.full(n_drifts, float(d_allow[0]))
-    if d_allow.size != n_drifts:
-        raise InputError(
-            f"field 'd_allow'{where('d_allow')}: expected 1 or {n_drifts} "
-            f"entries, got {d_allow.size}"
-        )
+        d_allow = np.full(np.atleast_2d(drift).shape[0], d_allow.item())
 
-    dampers_raw = require("dampers")
-    if not isinstance(dampers_raw, list) or not dampers_raw:
-        raise InputError(
-            f"field 'dampers'{where('dampers')}: expected a non-empty list "
-            "of {{row: [...]}} entries"
-        )
+    entries = require("dampers")
+    if not isinstance(entries, list) or not entries:
+        raise error("dampers", "expected a non-empty list of {row: [...]} entries")
     transforms = []
-    for i, entry in enumerate(dampers_raw):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "row" not in entry:
-            raise InputError(
-                f"field 'dampers'{where('dampers')}: entry {i + 1} must be a "
-                "mapping with a 'row' key"
-            )
-        row = np.asarray(entry["row"], dtype=float)
-        if row.reshape(-1).size % n:
-            raise InputError(
-                f"field 'dampers'{where('dampers')}: entry {i + 1} length "
-                f"is not a multiple of n_dof={n}"
-            )
+            raise error("dampers", f"entry {i + 1} must be a mapping with a 'row' key")
+        row = numeric("dampers", entry["row"])
+        if row.size % n:
+            raise error("dampers", f"entry {i + 1} length is not a multiple of n_dof={n}")
         transforms.append(row.reshape(-1, n))
 
     if "inherent_damping" in doc and "rayleigh" in doc:
@@ -202,42 +133,42 @@ def parse_model(path: str | Path) -> StructuralModel:
             f"model file {path}: give either 'inherent_damping' or "
             "'rayleigh', not both"
         )
+    fields = dict(
+        mass=mass,
+        stiffness=stiffness,
+        influence=influence,
+        drift_transform=drift,
+        d_allow=d_allow,
+        damper_transforms=tuple(transforms),
+    )
 
     def build(inherent):
-        return StructuralModel(
-            mass=mass,
-            stiffness=stiffness,
-            inherent_damping=inherent,
-            influence=influence,
-            drift_transform=drift,
-            d_allow=d_allow,
-            damper_transforms=tuple(transforms),
-        )
+        try:
+            return StructuralModel(inherent_damping=inherent, **fields)
+        except ValueError as exc:
+            # The model's messages start with the name of the failing field.
+            key = re.match(r"\w*", str(exc)).group()
+            raise error({"damper_transforms": "dampers"}.get(key, key), exc) from exc
 
+    if "inherent_damping" in doc:
+        return build(square("inherent_damping"))
+    if "rayleigh" not in doc:
+        return build(np.zeros_like(mass))
+    block = doc["rayleigh"]
+    if not isinstance(block, dict) or "zeta" not in block:
+        raise error("rayleigh", "expected a mapping with a 'zeta' key")
+    if n < 2:
+        raise error(
+            "rayleigh",
+            "fitting two modes needs at least 2 DOFs; give 'inherent_damping' instead",
+        )
+    bare = build(np.zeros_like(mass))
     try:
-        if "inherent_damping" in doc:
-            inherent = _matrix(doc["inherent_damping"], n, n, "inherent_damping", lines)
-            return build(inherent)
-        if "rayleigh" in doc:
-            block = doc["rayleigh"]
-            if not isinstance(block, dict) or "zeta" not in block:
-                raise InputError(
-                    f"field 'rayleigh'{where('rayleigh')}: expected a mapping "
-                    "with a 'zeta' key"
-                )
-            if n < 2:
-                raise InputError(
-                    f"field 'rayleigh'{where('rayleigh')}: fitting two modes "
-                    "needs at least 2 DOFs; give 'inherent_damping' instead"
-                )
-            zeta = float(block["zeta"])
-            bare = build(np.zeros((n, n)))
-            modes = compute_lowest_modes(bare, 2)
-            inherent = build_rayleigh(bare, zeta, (modes[0][0], modes[1][0]))
-            return build(inherent)
-        return build(np.zeros((n, n)))
-    except ValueError as exc:
-        raise InputError(f"model file {path}: {exc}") from exc
+        modes = compute_lowest_modes(bare, 2)
+        inherent = build_rayleigh(bare, float(block["zeta"]), (modes[0][0], modes[1][0]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error("rayleigh", exc) from exc
+    return build(inherent)
 
 
 def save_model(model: StructuralModel, path: str | Path) -> None:
@@ -260,7 +191,7 @@ def load_design(path: str | Path, model: StructuralModel, c_bar: float) -> Desig
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read design file {path}: {exc}") from exc
     values = []
     for ln in text.splitlines():
@@ -286,12 +217,10 @@ def load_design(path: str | Path, model: StructuralModel, c_bar: float) -> Desig
             f"design file {path} holds {len(values)} coefficients, model has "
             f"{model.n_dampers} dampers"
         )
-    coeffs = np.asarray(values, dtype=float)
-    if np.any(coeffs < 0) or np.any(coeffs > c_bar * (1 + 1e-9)):
-        raise InputError(
-            f"design file {path}: coefficients must lie in [0, c_bar={c_bar:g}]"
-        )
-    return DesignVector(x=np.clip(coeffs / c_bar, 0.0, 1.0), c_bar=c_bar)
+    try:
+        return DesignVector(x=np.asarray(values) / c_bar, c_bar=c_bar)
+    except ValueError as exc:
+        raise InputError(f"design file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +253,10 @@ def report_design(
     last two rows carry the cost J, once as the coefficient sum in kNs/m
     and once normalized by c_bar (the sum of the design variables).
     """
-    designs: list[tuple[str, DesignVector]] = []
-
-    def unwrap(d):
-        return d.design if isinstance(d, FinalDesign) else d
-
-    designs.append((label, unwrap(final)))
-    for name, d in (comparison or {}).items():
-        designs.append((name, unwrap(d)))
+    designs = [
+        (name, d.design if isinstance(d, FinalDesign) else d)
+        for name, d in [(label, final), *(comparison or {}).items()]
+    ]
 
     n = designs[0][1].n_dampers
     header = ["Location"] + [f"{name} [kNs/m]" for name, _ in designs]
@@ -423,21 +348,21 @@ def write_iteration_log(path: Path, result) -> None:
     write_csv(path, header, rows)
 
 
-def write_manifest(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _manifest(config: RunConfig, scenario_set: ScenarioSet, final: FinalDesign) -> dict:
+def _manifest(
+    args: argparse.Namespace, slp: SlpConfig, scenario_set: ScenarioSet, final: FinalDesign
+) -> dict:
     return {
         "mode": final.mode,
-        "model": str(config.model_path),
-        "records": [str(p) for p in config.record_paths],
-        "deterministic": config.deterministic,
+        "model": str(Path(args.model)),
+        "records": [str(Path(p)) for p in args.records],
+        # No stochastic element exists anywhere in the pipeline, so runs are
+        # seedless and identical inputs give byte-identical CSV outputs.
+        "deterministic": True,
         "scenarios": {
             "n_dampers": scenario_set.n_dampers,
-            "complete_k": config.complete_k,
-            "partial_k": config.partial_k,
-            "nu": config.nu,
+            "complete_k": args.complete_k,
+            "partial_k": args.partial_k,
+            "nu": args.nu,
             "n_complete": scenario_set.n_complete,
             "n_partial": scenario_set.n_partial,
             "n_total": scenario_set.n_total,
@@ -447,14 +372,14 @@ def _manifest(config: RunConfig, scenario_set: ScenarioSet, final: FinalDesign) 
             ],
         },
         "settings": {
-            "c_bar": config.c_bar,
-            "epsilon": config.epsilon,
-            "ml": config.slp.ml,
-            "delta": config.slp.convergence_tol(scenario_set.n_dampers),
-            "i_min": config.slp.i_min,
-            "i_max": config.slp.i_max,
-            "p_schedule": [config.slp.p_start, config.slp.p_step, config.slp.p_cap],
-            "q_schedule": [config.slp.q_start, config.slp.q_step, config.slp.q_cap],
+            "c_bar": args.cbar,
+            "epsilon": args.epsilon,
+            "ml": slp.ml,
+            "delta": slp.convergence_tol(scenario_set.n_dampers),
+            "i_min": slp.i_min,
+            "i_max": slp.i_max,
+            "p_schedule": [slp.p_start, slp.p_step, slp.p_cap],
+            "q_schedule": [slp.q_start, slp.q_step, slp.q_cap],
         },
         "subproblems": [
             {
@@ -494,42 +419,30 @@ def _manifest(config: RunConfig, scenario_set: ScenarioSet, final: FinalDesign) 
 # run drivers
 
 
-def _load_records(config: RunConfig) -> list[GroundMotion]:
-    if not config.record_paths:
-        raise InputError("at least one ground-motion record is required")
-    records = [
-        load_ground_motion(p, units=config.accel_units) for p in config.record_paths
-    ]
-    names = [gm.name for gm in records]
-    if len(set(names)) != len(names):
-        raise InputError(f"record names must be unique, got {names}")
-    return records
-
-
-def _run_optimization(config: RunConfig) -> int:
-    model = parse_model(config.model_path)
-    records = _load_records(config)
+def _run_optimization(
+    args: argparse.Namespace,
+    model: StructuralModel,
+    records: list[GroundMotion],
+    slp: SlpConfig,
+    fs: FailSafeConfig,
+) -> int:
     scenario_set = enumerate_scenarios(
-        model.n_dampers, config.complete_k, config.partial_k, config.nu
+        model.n_dampers, args.complete_k, args.partial_k, args.nu
     )
     final = run_failsafe(
         model,
         scenario_set,
         records,
-        c_bar=config.c_bar,
-        slp_config=config.slp,
-        fs_config=config.failsafe,
-        mode=config.mode,
+        c_bar=args.cbar,
+        slp_config=slp,
+        fs_config=fs,
+        mode=args.mode,
     )
 
-    out = config.out_dir
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    comparison = {}
-    for path in config.compare_paths:
-        comparison[Path(path).stem] = load_design(path, model, config.c_bar)
-    header, rows = report_design(
-        final, comparison or None, label=f"{config.mode} design"
-    )
+    comparison = {Path(p).stem: load_design(p, model, args.cbar) for p in args.compare}
+    header, rows = report_design(final, comparison or None, label=f"{args.mode} design")
     design_table = render_table(header, rows)
     write_csv(out / "design.csv", header, rows)
     (out / "design.txt").write_text(design_table)
@@ -537,10 +450,11 @@ def _run_optimization(config: RunConfig) -> int:
         final.design, model, scenario_set, records, final.params_final
     )
     write_csv(out / "constraints.csv", header, rows)
-    write_manifest(out / "run_manifest.json", _manifest(config, scenario_set, final))
+    manifest = _manifest(args, slp, scenario_set, final)
+    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for sp in final.subproblems:
         write_iteration_log(out / f"subproblem_{sp.index:02d}.csv", sp.history)
-    if config.export_drifts:
+    if args.export_drifts:
         drift_dir = out / "drifts"
         drift_dir.mkdir(exist_ok=True)
         scenarios = list(scenario_set)
@@ -566,15 +480,20 @@ def _run_optimization(config: RunConfig) -> int:
     return 0
 
 
-def _run_simulate(config: RunConfig) -> int:
-    model = parse_model(config.model_path)
-    records = _load_records(config)
-    design = (
-        load_design(config.design_path, model, config.c_bar)
-        if config.design_path
-        else DesignVector(x=np.zeros(model.n_dampers), c_bar=config.c_bar)
-    )
-    out = config.out_dir
+def _given_design(
+    args: argparse.Namespace, model: StructuralModel, default: float
+) -> DesignVector:
+    """The ``--design`` file's design, or every variable at ``default``."""
+    if args.design:
+        return load_design(args.design, model, args.cbar)
+    return DesignVector(x=np.full(model.n_dampers, default), c_bar=args.cbar)
+
+
+def _run_simulate(
+    args: argparse.Namespace, model: StructuralModel, records: list[GroundMotion]
+) -> int:
+    design = _given_design(args, model, 0.0)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     C_d = assemble_added_damping(model, design)
     peaks = []
@@ -588,22 +507,18 @@ def _run_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _run_check_gradients(config: RunConfig) -> int:
-    model = parse_model(config.model_path)
-    records = _load_records(config)
+def _run_check_gradients(
+    args: argparse.Namespace, model: StructuralModel, records: list[GroundMotion]
+) -> int:
     scenario_set = enumerate_scenarios(
-        model.n_dampers, config.complete_k, config.partial_k, config.nu
+        model.n_dampers, args.complete_k, args.partial_k, args.nu
     )
-    design = (
-        load_design(config.design_path, model, config.c_bar)
-        if config.design_path
-        else DesignVector(x=np.full(model.n_dampers, 0.5), c_bar=config.c_bar)
-    )
-    params = ConstraintParams(p=config.slp.p_start, q=config.slp.q_start)
+    design = _given_design(args, model, 0.5)
+    params = ConstraintParams(p=args.p_start, q=args.q_start)
     rows = gradient_check(
-        model, design, list(scenario_set), records[0], params, h=config.fd_step
+        model, design, list(scenario_set), records[0], params, h=args.fd_step
     )
-    out = config.out_dir
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "gradient_check.csv",
@@ -679,7 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def solver_configs(args: argparse.Namespace) -> tuple[SlpConfig, FailSafeConfig]:
+    """The optimizer and working-set settings given on the command line."""
+    if not 0 < args.cbar < np.inf:
+        raise InputError(f"--cbar must be positive and finite, got {args.cbar:g}")
     try:
         slp = SlpConfig(
             ml=args.ml,
@@ -692,45 +610,32 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             q_step=args.q_step,
             q_cap=args.q_cap,
         )
-        failsafe = FailSafeConfig(epsilon=args.epsilon)
+        return slp, FailSafeConfig(epsilon=args.epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    mode = "check-gradients" if args.check_gradients else args.mode
-    return RunConfig(
-        model_path=Path(args.model),
-        record_paths=[Path(p) for p in args.records],
-        mode=mode,
-        complete_k=args.complete_k,
-        partial_k=args.partial_k,
-        nu=args.nu,
-        c_bar=args.cbar,
-        epsilon=args.epsilon,
-        accel_units=args.accel_units,
-        out_dir=Path(args.out),
-        design_path=Path(args.design) if args.design else None,
-        compare_paths=[Path(p) for p in args.compare],
-        check_gradients=args.check_gradients,
-        fd_step=args.fd_step,
-        export_drifts=args.export_drifts,
-        slp=slp,
-        failsafe=failsafe,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.check_gradients:
+        args.mode = "check-gradients"
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
     try:
-        config = config_from_args(args)
-        if config.mode == "simulate":
-            return _run_simulate(config)
-        if config.mode == "check-gradients":
-            return _run_check_gradients(config)
-        return _run_optimization(config)
+        slp, fs = solver_configs(args)
+        model = parse_model(args.model)
+        records = [load_ground_motion(p, units=args.accel_units) for p in args.records]
+        names = [gm.name for gm in records]
+        if len(set(names)) != len(names):
+            raise InputError(f"record names must be unique, got {names}")
+        if args.mode == "simulate":
+            return _run_simulate(args, model, records)
+        if args.mode == "check-gradients":
+            return _run_check_gradients(args, model, records)
+        return _run_optimization(args, model, records, slp, fs)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

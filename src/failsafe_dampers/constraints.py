@@ -23,11 +23,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ConstraintParams:
-    """Smoothing exponents and the quadrature rule for the time norm."""
+    """Smoothing exponents of the time norm and the aggregation."""
 
     p: int = 100
     q: int = 100
-    weights: str = "trapezoid"
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 2 or self.p % 2:
@@ -36,8 +35,6 @@ class ConstraintParams:
             raise ValueError(f"q must be an integer >= 1, got {self.q}")
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "q", int(self.q))
-        if self.weights != "trapezoid":
-            raise ValueError(f"unknown quadrature rule '{self.weights}'")
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,8 @@ class ConstraintValue:
     rho: np.ndarray = field(repr=False)
 
 
-def time_weights(n_samples: int, dt: float, rule: str = "trapezoid") -> np.ndarray:
-    """Quadrature weights over the sampled time grid (endpoints halved)."""
-    if rule != "trapezoid":
-        raise ValueError(f"unknown quadrature rule '{rule}'")
+def time_weights(n_samples: int, dt: float) -> np.ndarray:
+    """Trapezoid-rule weights over the sampled time grid (endpoints halved)."""
     if n_samples < 2:
         raise ValueError("need at least two time samples")
     w = np.full(n_samples, dt)
@@ -159,7 +154,7 @@ def evaluate_drift_constraint(
     the normalized drifts, all from one pass over the history."""
     rho = normalized_drifts(history, model)
     magnitude = np.abs(rho)
-    w = time_weights(rho.shape[0], history.dt, params.weights)
+    w = time_weights(rho.shape[0], history.dt)
     duration = history.n_steps * history.dt
 
     peak = magnitude.max(axis=0)

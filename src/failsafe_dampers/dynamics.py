@@ -14,6 +14,8 @@ from .model import StructuralModel
 STANDARD_GRAVITY = 9.80665
 
 _SUPPORTED_BETAS = (0.25, 1.0 / 6.0)
+# Newmark's gamma. Only 1/2 is second-order accurate and adds no numerical damping.
+GAMMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,8 @@ class GroundMotion:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.dt}")
         accel = np.atleast_1d(np.asarray(self.accel, dtype=float))
         if accel.ndim != 1 or accel.size < 2:
             raise ValueError("record needs at least two acceleration samples")
@@ -67,8 +69,8 @@ class ResponseHistory:
     Rows are time samples (N+1 of them), columns degrees of freedom; all
     responses are relative to the ground. A batched history, one response
     per damping matrix of a stack, has arrays of shape (N+1, B, n). Row 0
-    equals the prescribed initial conditions. ``beta``/``gamma`` record the
-    integrator settings the trajectories satisfy.
+    equals the prescribed initial conditions. ``beta`` records the
+    integrator setting the trajectories satisfy (gamma is always `GAMMA`).
     """
 
     u: np.ndarray
@@ -78,7 +80,6 @@ class ResponseHistory:
     u0: np.ndarray
     v0: np.ndarray
     beta: float = 0.25
-    gamma: float = 0.5
 
     def __post_init__(self):
         for name in ("u", "v", "a"):
@@ -111,7 +112,7 @@ class ResponseHistory:
         return np.arange(self.u.shape[0]) * self.dt
 
 
-def _integrate(M, C, K, load, dt, u0, v0, beta, gamma):
+def _integrate(M, C, K, load, dt, u0, v0, beta):
     """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n).
 
     ``load`` is (N+1, n). ``C`` is (n, n), or a stack (B, n, n) of systems
@@ -123,6 +124,7 @@ def _integrate(M, C, K, load, dt, u0, v0, beta, gamma):
     Q f_{i+1}, one stacked matvec per step.
     """
     n = M.shape[0]
+    gamma = GAMMA
     c0 = 1.0 / (beta * dt * dt)
     c1 = gamma / (beta * dt)
     c2 = 1.0 / (beta * dt)
@@ -176,7 +178,6 @@ def newmark_solve(
     gm: GroundMotion,
     *,
     beta: float = 0.25,
-    gamma: float = 0.5,
     u0: np.ndarray | None = None,
     v0: np.ndarray | None = None,
 ) -> ResponseHistory:
@@ -193,10 +194,10 @@ def newmark_solve(
         loop and gives a batched history, arrays of shape (N+1, B, n).
     gm : GroundMotion
         Record integrated at its native time step.
-    beta, gamma : float
-        Newmark parameters. beta=1/4 (average acceleration, unconditionally
+    beta : float
+        Newmark parameter. beta=1/4 (average acceleration, unconditionally
         stable, the default) and beta=1/6 (linear acceleration) are
-        supported, both with gamma=1/2.
+        supported, both with gamma = `GAMMA` = 1/2.
     u0, v0 : arrays, optional
         Initial displacement and velocity, shared by the whole stack; zero
         when omitted.
@@ -209,8 +210,6 @@ def newmark_solve(
     """
     if not any(abs(beta - b) < 1e-12 for b in _SUPPORTED_BETAS):
         raise ValueError(f"beta must be 1/4 or 1/6, got {beta}")
-    if abs(gamma - 0.5) > 1e-12:
-        raise ValueError(f"gamma must be 1/2, got {gamma}")
     n = model.n_dof
     C_d = np.asarray(C_d, dtype=float)
     if C_d.ndim not in (2, 3) or C_d.shape[-2:] != (n, n):
@@ -226,7 +225,7 @@ def newmark_solve(
 
     C = model.inherent_damping + C_d
     load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    S = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0, beta, gamma)
+    S = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0, beta)
     finite = np.isfinite(S).reshape(S.shape[0], -1).all(axis=1)
     if not finite.all():
         raise ConvergenceError(
@@ -235,7 +234,7 @@ def newmark_solve(
             f"(dt = {gm.dt:g}, beta = {beta:.4g})"
         )
     u, v, a = np.split(S, 3, axis=-1)
-    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, beta=beta, gamma=gamma)
+    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, beta=beta)
 
 
 def equilibrium_residual(
@@ -277,7 +276,7 @@ def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float
     C = np.array([[2.0 * zeta * w]])
     K = np.array([[w * w]])
     load = -gm.scaled_accel[:, None]
-    S = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1), 0.25, 0.5)
+    S = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1), 0.25)
     return float(np.abs(S[:, 0]).max())
 
 
@@ -313,7 +312,7 @@ def load_ground_motion(
         raise InputError(f"unknown acceleration units '{units}' (use m/s2 or g)")
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read record file {path}: {exc}") from exc
 
     lines = [
@@ -326,7 +325,10 @@ def load_ground_motion(
 
     header = _DT_HEADER.match(lines[0])
     if header:
-        dt = float(header.group(1))
+        try:
+            dt = float(header.group(1))
+        except ValueError as exc:
+            raise InputError(f"bad dt= header in {path}: {exc}") from exc
         try:
             accel = np.array([float(ln.split()[0]) for ln in lines[1:]])
         except ValueError as exc:
@@ -347,9 +349,15 @@ def load_ground_motion(
         accel = np.array([r[1] for r in rows])
         if t.size < 2:
             raise InputError(f"record file {path} needs at least two samples")
-        steps = np.diff(t)
-        dt = float(steps[0])
-        if dt <= 0 or np.any(np.abs(steps - dt) > 1e-6 * max(dt, 1e-12)):
+        # Times that are not finite, or that overflow in the differences,
+        # fail the comparison below instead of warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(t)
+            dt = float(steps[0])
+            uniform = 0 < dt < np.inf and np.all(
+                np.abs(steps - dt) <= 1e-6 * max(dt, 1e-12)
+            )
+        if not uniform:
             raise InputError(f"record file {path} is not uniformly sampled")
 
     if units == "g":

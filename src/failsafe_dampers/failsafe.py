@@ -65,19 +65,6 @@ class FailSafeConfig:
 
 
 @dataclass
-class WorkingSetState:
-    """Mutable bookkeeping of the expanding scenario working set."""
-
-    working_set: list[int]
-    k: int
-    x_current: np.ndarray
-    violated: list[int] = field(default_factory=list)
-    candidates: list[int] = field(default_factory=list)
-    epsilon: float = 0.05
-    eval_counter: EvalCounter = field(default_factory=EvalCounter)
-
-
-@dataclass
 class SubproblemStats:
     index: int
     scenario_ids: tuple[int, ...]
@@ -121,7 +108,6 @@ def evaluate_all(
     counter: EvalCounter | None = None,
     *,
     beta: float = 0.25,
-    gamma: float = 0.5,
 ) -> np.ndarray:
     """Aggregated constraint per scenario, worst case over the records.
 
@@ -136,7 +122,7 @@ def evaluate_all(
     C_d = assemble_added_damping(model, design, scenarios)
     g = np.full(len(scenarios), -np.inf)
     for gm in records:
-        hist = newmark_solve(model, C_d, gm, beta=beta, gamma=gamma)
+        hist = newmark_solve(model, C_d, gm, beta=beta)
         if counter is not None:
             counter.n_primal += len(scenarios)
         g = np.maximum(g, evaluate_drift_constraint(hist, model, params).g)
@@ -229,34 +215,24 @@ def run_failsafe(
 
     counter = EvalCounter()
     x = np.full(model.n_dampers, 0.5) if x0 is None else np.asarray(x0, dtype=float)
-    initial_set = (
-        list(range(len(scenario_set))) if mode == "fullset" else [0]
-    )
-    state = WorkingSetState(
-        working_set=initial_set,
-        k=0,
-        x_current=x,
-        epsilon=fs_config.epsilon,
-        eval_counter=counter,
-    )
+    working_set = list(range(len(scenario_set))) if mode == "fullset" else [0]
 
     subproblems: list[SubproblemStats] = []
-    ws_history: list[tuple[int, ...]] = [tuple(state.working_set)]
+    ws_history: list[tuple[int, ...]] = [tuple(working_set)]
     p_next: int | None = None
     q_next: int | None = None
-    params = ConstraintParams(
-        p=slp_config.p_start, q=slp_config.q_start, weights=slp_config.weights
-    )
+    params = ConstraintParams(p=slp_config.p_start, q=slp_config.q_start)
     g_all = np.full(len(scenario_set), np.nan)
     converged = False
 
     for record_pass in range(1, fs_config.max_record_passes + 1):
         converged = False
         while len(subproblems) < fs_config.max_subproblems:
-            scenarios_ws = [scenario_set[i] for i in state.working_set]
+            k = len(subproblems)
+            scenarios_ws = [scenario_set[i] for i in working_set]
             stats = SubproblemStats(
-                index=state.k,
-                scenario_ids=tuple(state.working_set),
+                index=k,
+                scenario_ids=tuple(working_set),
                 iterations=0,
                 converged=False,
                 cost=float("nan"),
@@ -273,16 +249,16 @@ def run_failsafe(
                     model,
                     scenarios_ws,
                     active,
-                    DesignVector(x=state.x_current, c_bar=c_bar),
+                    DesignVector(x=x, c_bar=c_bar),
                     cfg,
                     p_start=p_next,
                     q_start=q_next,
                     counter=counter,
                     advance_continuation=(resume == 0),
                     feasibility_margin=0.5 * fs_config.violation_tol,
-                    label=f"[sub-problem {state.k}] ",
+                    label=f"[sub-problem {k}] ",
                 )
-                state.x_current = result.x
+                x = result.x
                 p_next, q_next = result.p_final, result.q_final
                 offset = stats.iterations
                 for record in result.history:
@@ -294,59 +270,49 @@ def run_failsafe(
                 stats.p_final, stats.q_final = result.p_final, result.q_final
                 stats.resumes = resume
 
-                params = ConstraintParams(
-                    p=result.p_final, q=result.q_final, weights=slp_config.weights
-                )
-                design = DesignVector(x=state.x_current, c_bar=c_bar)
+                params = ConstraintParams(p=result.p_final, q=result.q_final)
                 g_all = evaluate_all(
-                    design,
+                    DesignVector(x=x, c_bar=c_bar),
                     model,
                     scenario_set,
                     active,
                     params,
                     counter,
                     beta=slp_config.beta,
-                    gamma=slp_config.gamma,
                 )
-                state.violated = [
-                    int(i)
-                    for i in np.flatnonzero(g_all > fs_config.violation_tol)
-                ]
-                if not state.violated:
+                violated = bool(np.any(g_all > fs_config.violation_tol))
+                if not violated:
                     break
-                state.candidates = select_critical(
-                    g_all, state.working_set, state.epsilon
-                )
-                if state.candidates:
+                candidates = select_critical(g_all, working_set, fs_config.epsilon)
+                if candidates:
                     break
                 logger.info(
                     "[sub-problem %d] violations persist with nothing to add "
                     "(max g = %.3g); resuming",
-                    state.k,
+                    k,
                     float(g_all.max()),
                 )
             subproblems.append(stats)
             logger.info(
                 "sub-problem %d: %d scenario(s), %d iterations, cost %.4f, "
                 "max g %.3g",
-                state.k,
-                len(state.working_set),
+                k,
+                len(working_set),
                 stats.iterations,
                 stats.cost,
                 float(g_all.max()),
             )
 
-            if not state.violated:
+            if not violated:
                 converged = True
                 break
-            if not state.candidates:
+            if not candidates:
                 raise ConvergenceError(
                     "resume budget exhausted with persistent violations "
                     f"(max g = {float(g_all.max()):.3g})"
                 )
-            state.working_set = state.working_set + sorted(state.candidates)
-            state.k += 1
-            ws_history.append(tuple(state.working_set))
+            working_set = working_set + sorted(candidates)
+            ws_history.append(tuple(working_set))
         else:
             raise ConvergenceError(
                 f"sub-problem budget ({fs_config.max_subproblems}) exhausted"
@@ -355,7 +321,7 @@ def run_failsafe(
         if mode == "basic":
             break
 
-        design = DesignVector(x=state.x_current, c_bar=c_bar)
+        design = DesignVector(x=x, c_bar=c_bar)
         newly_active = []
         for gm in ensemble:
             if any(gm is a for a in active):
@@ -368,7 +334,6 @@ def run_failsafe(
                 params,
                 counter,
                 beta=slp_config.beta,
-                gamma=slp_config.gamma,
             )
             g_all = np.maximum(g_all, g_rec)
             if np.any(g_rec > fs_config.violation_tol):
@@ -389,7 +354,7 @@ def run_failsafe(
 
     max_g = float(np.nanmax(g_all))
     verified = converged and max_g <= fs_config.violation_tol
-    design = DesignVector(x=state.x_current, c_bar=c_bar)
+    design = DesignVector(x=x, c_bar=c_bar)
     return FinalDesign(
         design=design,
         mode=mode,

@@ -30,6 +30,15 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _finite(a, name: str, ndmin: int = 0) -> np.ndarray:
+    """Read-only float copy of ``a``; every entry must be finite."""
+    out = np.array(a, dtype=float, ndmin=ndmin)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} has entries that are not finite")
+    out.setflags(write=False)
+    return out
+
+
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     scale = np.abs(a).max() or 1.0
     if np.abs(a - a.T).max() > _SYM_TOL * scale:
@@ -64,6 +73,8 @@ class StructuralModel:
     and ``row_owner`` is the (R, n_dampers) 0/1 matrix of which damper
     each row belongs to.
 
+    Every entry must be finite. A field that fails a check raises
+    `ValueError` with a message that starts with the field's name.
     Instances are immutable (arrays are stored read-only) and safe to share
     across threads.
     """
@@ -79,7 +90,7 @@ class StructuralModel:
     row_owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mass = _readonly(self.mass)
+        mass = _finite(self.mass, "mass")
         if mass.ndim != 2 or mass.shape[0] != mass.shape[1]:
             raise ValueError(f"mass must be square, got shape {mass.shape}")
         n = mass.shape[0]
@@ -89,52 +100,50 @@ class StructuralModel:
         except la.LinAlgError:
             raise ValueError("mass matrix must be positive definite") from None
 
-        stiffness = _readonly(self.stiffness)
+        stiffness = _finite(self.stiffness, "stiffness")
         if stiffness.shape != (n, n):
             raise ValueError(
                 f"stiffness shape {stiffness.shape} does not match {n} DOFs"
             )
         _check_symmetric(stiffness, "stiffness")
 
-        damping = _readonly(self.inherent_damping)
+        damping = _finite(self.inherent_damping, "inherent_damping")
         if damping.shape != (n, n):
             raise ValueError(
                 f"inherent_damping shape {damping.shape} does not match {n} DOFs"
             )
 
-        influence = _readonly(self.influence)
+        influence = _finite(self.influence, "influence")
         if influence.shape != (n,):
             raise ValueError(
                 f"influence shape {influence.shape} does not match {n} DOFs"
             )
 
-        drift = np.atleast_2d(np.asarray(self.drift_transform, dtype=float))
-        if drift.shape[1] != n:
+        drift = _finite(self.drift_transform, "drift_transform", ndmin=2)
+        if drift.ndim != 2 or drift.shape[1] != n:
             raise ValueError(
-                f"drift_transform has {drift.shape[1]} columns, expected {n}"
+                f"drift_transform has shape {drift.shape}, expected (n_drifts, {n})"
             )
-        drift = _readonly(drift)
 
-        d_allow = np.atleast_1d(np.asarray(self.d_allow, dtype=float))
+        d_allow = _finite(self.d_allow, "d_allow", ndmin=1)
         if d_allow.shape != (drift.shape[0],):
             raise ValueError(
-                f"d_allow has {d_allow.shape[0]} entries, expected "
-                f"{drift.shape[0]} (one per drift)"
+                f"d_allow has shape {d_allow.shape}, expected "
+                f"({drift.shape[0]},) (one per drift)"
             )
         if np.any(d_allow <= 0):
-            raise ValueError("every d_allow entry must be positive")
-        d_allow = _readonly(d_allow)
+            raise ValueError("d_allow entries must all be positive")
 
         transforms = []
         for i, t in enumerate(self.damper_transforms):
-            t = np.atleast_2d(np.asarray(t, dtype=float))
-            if t.shape[1] != n:
+            t = _finite(t, f"damper_transforms[{i}]", ndmin=2)
+            if t.ndim != 2 or t.shape[1] != n:
                 raise ValueError(
-                    f"damper {i} transform has {t.shape[1]} columns, expected {n}"
+                    f"damper_transforms[{i}] has shape {t.shape}, expected (rows, {n})"
                 )
             if not np.any(t):
-                raise ValueError(f"damper {i} transform is identically zero")
-            transforms.append(_readonly(t))
+                raise ValueError(f"damper_transforms[{i}] is identically zero")
+            transforms.append(t)
 
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "stiffness", stiffness)
@@ -177,15 +186,15 @@ class DesignVector:
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         if x.ndim != 1:
             raise ValueError("design vector must be one-dimensional")
-        if np.any(x < -1e-9) or np.any(x > 1 + 1e-9):
+        if not np.all((x >= -1e-9) & (x <= 1 + 1e-9)):  # NaN fails too
             raise ValueError(
                 f"design variables must lie in [0, 1], got range "
                 f"[{x.min():g}, {x.max():g}]"
             )
         x = _readonly(np.clip(x, 0.0, 1.0))
         object.__setattr__(self, "x", x)
-        if self.c_bar <= 0:
-            raise ValueError(f"c_bar must be positive, got {self.c_bar}")
+        if not 0 < self.c_bar < np.inf:
+            raise ValueError(f"c_bar must be positive and finite, got {self.c_bar}")
 
     @property
     def n_dampers(self) -> int:
@@ -234,8 +243,8 @@ def build_rayleigh(
     damping ratio equals ``zeta`` exactly at both w1 and w2.
     """
     w1, w2 = modes
-    if zeta < 0:
-        raise ValueError(f"damping ratio must be nonnegative, got {zeta}")
+    if not 0 <= zeta < np.inf:
+        raise ValueError(f"damping ratio must be finite and nonnegative, got {zeta}")
     if not 0 < w1 < w2:
         raise ValueError(
             f"need two distinct positive frequencies with w1 < w2, got ({w1}, {w2})"

@@ -86,9 +86,7 @@ class SlpConfig:
     q_cap: int = 1_000_000
     drop_margin: float = 0.02
     delta: float | None = None
-    weights: str = "trapezoid"
     beta: float = 0.25
-    gamma: float = 0.5
 
     def __post_init__(self):
         if self.ml <= 0:
@@ -101,7 +99,7 @@ class SlpConfig:
             cap = getattr(self, f"{name}_cap")
             if step < 0 or not start <= cap:
                 raise ValueError(f"{name} schedule must be nondecreasing up to its cap")
-        ConstraintParams(p=self.p_start, q=self.q_start, weights=self.weights)
+        ConstraintParams(p=self.p_start, q=self.q_start)
         if self.drop_margin < 0:
             raise ValueError("drop margin must be nonnegative")
         if self.delta is not None and self.delta <= 0:
@@ -288,7 +286,7 @@ def slp_solve(
     iteration = 0
 
     for iteration in range(1, config.i_max + 1):
-        params = ConstraintParams(p=p, q=q, weights=config.weights)
+        params = ConstraintParams(p=p, q=q)
         design = DesignVector(x=x, c_bar=design0.c_bar)
 
         # One batched primal and adjoint sweep per record covers every
@@ -297,7 +295,7 @@ def slp_solve(
         C_d = assemble_added_damping(model, design, working_scenarios)
         per_record = []
         for gm in records:
-            hist = newmark_solve(model, C_d, gm, beta=config.beta, gamma=config.gamma)
+            hist = newmark_solve(model, C_d, gm, beta=config.beta)
             value = evaluate_drift_constraint(hist, model, params)
             grads = adjoint_gradient(
                 model, design, working_scenarios, gm, params,

@@ -49,7 +49,7 @@ def stepwise_adjoint(model, C_d, history, forcing):
     """Slow reference: the adjoint block system solved step by step,
     backward from xi_{N+1} = 0. Returns lambda_u, shape (N+1, n)."""
     n = model.n_dof
-    dt, beta, gamma = history.dt, history.beta, history.gamma
+    dt, beta, gamma = history.dt, history.beta, 0.5
     c1 = gamma / (beta * dt)
     c2 = 1.0 / (beta * dt * dt)
     k_av = dt * (1.0 - gamma / (2.0 * beta))
@@ -88,7 +88,7 @@ def dense_dg_du_trajectory(history, model, params):
     rho = normalized_drifts(history, model)
     d_tilde = dense_smooth_drift_indices(history, model, params)
     sens = aggregation_sensitivities(d_tilde, params.q)
-    w = time_weights(rho.shape[0], history.dt, params.weights)
+    w = time_weights(rho.shape[0], history.dt)
     duration = history.n_steps * history.dt
     ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)
     core = np.sign(rho) * ratio ** (params.p - 1)

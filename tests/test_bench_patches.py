@@ -5,13 +5,16 @@ here and not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import failsafe_dampers
 import failsafe_dampers.cli  # the tracer patches it as a package attribute
+import numpy as np
 from failsafe_dampers import FailSafeConfig, SlpConfig, enumerate_scenarios
+from failsafe_dampers.cli import save_model
 
 from conftest import frame_with_redundant_dampers, synthetic_record
 
@@ -66,3 +69,59 @@ def test_traced_run_feeds_every_observer():
         "failsafe.sweep_analyses",
     ):
         assert tracer.counts[count] > 0, count
+
+
+def test_traced_cli_run_calls_every_cli_patch(tmp_path):
+    # A name that cli imports but no longer calls would leave its span, and
+    # the per-layer metric built from it, silently at zero.
+    spans = load_spans()
+    cli = failsafe_dampers.cli
+    model_path = tmp_path / "frame.yaml"
+    save_model(frame_with_redundant_dampers(d_allow=0.012), model_path)
+    gm = synthetic_record(60, dt=0.02, seed=31, peak=1.55, name="recB")
+    record = tmp_path / "recB.txt"
+    np.savetxt(record, np.column_stack([gm.times, gm.accel]), fmt="%.8g")
+    argv = [
+        "--model", str(model_path),
+        "--records", str(record),
+        "--complete-k", "1",
+        "--cbar", "800",
+        "--imin", "3",
+        "--imax", "30",
+        "--out", str(tmp_path / "out"),
+    ]
+    original = cli.main
+    cli_attrs = [attr for _, module, attr in spans.PATCHES if module == "cli"]
+    calls = Counter()
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    tracer = spans.Tracer()
+    tracer.install(failsafe_dampers)
+    try:
+        for attr in cli_attrs:
+            setattr(cli, attr, counted(attr, getattr(cli, attr)))
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()  # restores the originals under the counters too
+
+    assert cli.main is original
+    assert code == 0
+    for attr in cli_attrs:
+        assert calls[attr] > 0, f"cli.{attr} is patched but never called"
+    layers = tracer.layer_times()
+    for name in (
+        "cli.parse_model",
+        "dynamics.load_ground_motion",
+        "scenarios.enumerate_scenarios",
+        "cli.report_constraints",
+        "failsafe.run_failsafe",
+        "dynamics.newmark_solve",
+        "model.assemble_added_damping",
+    ):
+        assert layers.get(name, {}).get("calls", 0) > 0, f"{name} never ran"

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from failsafe_dampers import DesignVector, InputError
+from failsafe_dampers import DesignVector, InputError, load_ground_motion
 from failsafe_dampers.cli import (
     load_design,
     main,
@@ -30,6 +32,40 @@ d_allow: 0.5
 dampers:
   - row: [1.0]
 """
+
+# Values a mutated model field may take: YAML scalars of every kind,
+# non-finite and out-of-range floats included, and ragged nestings of them.
+YAML_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["row", "zeta", "x"]), inner, max_size=2),
+    max_leaves=8,
+)
+
+# One case per field, and a design file: each must exit 2 naming the field.
+MALFORMED = [
+    ("influence", "abc"),
+    ("influence", None),
+    ("drift_transform", [[1.0], [1.0, 2.0]]),
+    ("drift_transform", [[float("nan")]]),
+    ("drift_transform", [[[1.0]]]),
+    ("d_allow", "x"),
+    ("d_allow", float("nan")),
+    ("stiffness", [[float("nan")]]),
+    ("stiffness", [[float("inf")]]),
+    ("inherent_damping", [[float("nan")]]),
+    ("inherent_damping", [[float("-inf")]]),
+    ("dampers", [{"row": "x"}]),
+    ("dampers", [{"row": [float("nan")]}]),
+    ("dampers", [{"row": [float("inf")]}]),
+    ("design", "nan\n"),
+    ("--cbar", "nan"),
+    ("--cbar", "0"),
+]
 
 
 def write_inputs(tmp_path, n_steps=250, peak=1.55):
@@ -139,11 +175,64 @@ class TestParseModel:
         with pytest.raises(InputError, match="not both"):
             parse_model(path)
 
+    @pytest.mark.parametrize("zeta", [float("nan"), float("inf"), -0.1, "abc", [0.05]])
+    def test_bad_rayleigh_ratio_reported(self, tmp_path, zeta):
+        base = shear_frame(2, mass=1.0, story_k=100.0, zeta=0.0)
+        doc = {
+            "n_dof": 2,
+            "mass": base.mass.tolist(),
+            "stiffness": base.stiffness.tolist(),
+            "rayleigh": {"zeta": zeta},
+            "influence": [1.0, 1.0],
+            "drift_transform": base.drift_transform.tolist(),
+            "d_allow": 0.01,
+            "dampers": [{"row": [1.0, 0.0]}],
+        }
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(InputError, match=r"field 'rayleigh' \(line"):
+            parse_model(path)
+
+    def test_undecodable_files_reported(self, tmp_path):
+        model, _, _ = write_inputs(tmp_path)
+        path = tmp_path / "binary.dat"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(InputError, match="cannot read model file"):
+            parse_model(path)
+        with pytest.raises(InputError, match="cannot read design file"):
+            load_design(path, model, c_bar=1000.0)
+        with pytest.raises(InputError, match="cannot read record file"):
+            load_ground_motion(path)
+
     def test_broken_yaml_reported(self, tmp_path):
         path = tmp_path / "m.yaml"
         path.write_text("n_dof: [unclosed\nmass: 3")
         with pytest.raises(InputError, match="YAML"):
             parse_model(path)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_mutated_fields_give_a_model_or_input_error(self, tmp_path, data):
+        doc = yaml.safe_load(SDOF_YAML)
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(sorted(doc) + ["rayleigh", "row"]))
+            if data.draw(st.booleans()) and key in doc:
+                del doc[key]
+            elif key == "row":
+                doc["dampers"] = [{"row": data.draw(YAML_VALUES)}]
+            else:
+                doc[key] = data.draw(YAML_VALUES)
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        try:
+            model = parse_model(path)
+        except InputError:
+            return
+        assert isinstance(model, StructuralModel)
 
 
 class TestReports:
@@ -198,21 +287,16 @@ class TestReports:
 
 class TestDefaults:
     def test_cli_defaults_reproduce_reference_settings(self):
-        from failsafe_dampers.cli import build_parser, config_from_args
+        from failsafe_dampers.cli import build_parser, solver_configs
 
         args = build_parser().parse_args(["--model", "m.yaml", "--records", "r.txt"])
-        config = config_from_args(args)
-        assert config.c_bar == 150_000.0
-        assert config.epsilon == 0.05
-        assert config.slp.ml == 0.02
-        assert config.slp.i_min == 50
-        assert (config.slp.p_start, config.slp.p_step, config.slp.p_cap) == (
-            100, 500, 1_000_000,
-        )
-        assert (config.slp.q_start, config.slp.q_step, config.slp.q_cap) == (
-            100, 500, 1_000_000,
-        )
-        assert config.deterministic is True
+        slp, fs = solver_configs(args)
+        assert args.cbar == 150_000.0
+        assert fs.epsilon == 0.05
+        assert slp.ml == 0.02
+        assert slp.i_min == 50
+        assert (slp.p_start, slp.p_step, slp.p_cap) == (100, 500, 1_000_000)
+        assert (slp.q_start, slp.q_step, slp.q_cap) == (100, 500, 1_000_000)
 
 
 class TestMain:
@@ -232,6 +316,32 @@ class TestMain:
         assert code == 0
         drift = np.genfromtxt(out / "drifts_zero.csv", delimiter=",", skip_header=1)
         assert np.all(drift[:, 1:] == 0.0)
+
+    @pytest.mark.parametrize(
+        "key,value", MALFORMED, ids=[f"{k}={v!r}" for k, v in MALFORMED]
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, key, value):
+        doc = yaml.safe_load(SDOF_YAML)
+        model_path = tmp_path / "m.yaml"
+        record = tmp_path / "quake.txt"
+        record.write_text("dt=0.02\n" + "0.1\n-0.2\n" * 20)
+        argv = ["--model", str(model_path), "--records", str(record)]
+        argv += ["--mode", "simulate", "--cbar", "10", "--out", str(tmp_path / "out")]
+        if key == "design":
+            design = tmp_path / "design.txt"
+            design.write_text(value)
+            argv += ["--design", str(design)]
+        elif key.startswith("--"):
+            argv += [key, value]
+        else:
+            doc[key] = value
+        model_path.write_text(yaml.safe_dump(doc))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out
 
     def test_missing_model_is_input_error(self, tmp_path):
         code = main(
@@ -402,6 +512,35 @@ class TestMain:
         assert manifest["active_records"] == ["quake"]
         assert manifest["verified"] is True
 
+    def test_record_pass_subproblems_get_their_own_index(self, tmp_path):
+        # Record b violates at the design found for record a, so a record
+        # pass re-solves the last working set as one more sub-problem.
+        _, model_path, _ = write_inputs(tmp_path)
+        records = []
+        for seed, peak, name in ((31, 1.55, "a"), (3, 1.7, "b")):
+            gm = synthetic_record(200, dt=0.02, seed=seed, peak=peak, name=name)
+            records.append(tmp_path / f"{name}.txt")
+            np.savetxt(records[-1], np.column_stack([gm.times, gm.accel]), fmt="%.8g")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "--model", str(model_path),
+                "--records", *map(str, records),
+                "--complete-k", "1",
+                "--cbar", "800",
+                "--imin", "5",
+                "--imax", "80",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert len(manifest["active_records"]) == 2
+        indices = [sp["index"] for sp in manifest["subproblems"]]
+        assert indices == list(range(len(indices)))
+        logs = sorted(p.name for p in out.glob("subproblem_*.csv"))
+        assert logs == [f"subproblem_{i:02d}.csv" for i in indices]
+
     def test_failsafe_run_artifacts(self, tmp_path):
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=200)
         out = tmp_path / "out"
@@ -422,6 +561,7 @@ class TestMain:
         assert code == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["verified"] is True
+        assert manifest["deterministic"] is True
         assert manifest["scenarios"]["n_total"] == 11
         assert manifest["working_set_history"][0] == [0]
         assert (out / "design.txt").exists()

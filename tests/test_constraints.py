@@ -26,7 +26,7 @@ EXPONENTS = [2, 8, 100, 600, 5100, 37100, 1_000_000]
 def dense_smooth_drift_indices(history, model, params):
     """Slow reference: the time p-norms with every ratio raised to p."""
     rho = np.abs(normalized_drifts(history, model))
-    w = time_weights(rho.shape[0], history.dt, params.weights)
+    w = time_weights(rho.shape[0], history.dt)
     duration = history.n_steps * history.dt
     peak = rho.max(axis=0)
     scale = np.where(peak > 0, peak, 1.0)
@@ -54,10 +54,6 @@ class TestConstraintParams:
     def test_small_q_rejected(self):
         with pytest.raises(ValueError):
             ConstraintParams(p=2, q=0)
-
-    def test_unknown_quadrature_rejected(self):
-        with pytest.raises(ValueError, match="quadrature"):
-            ConstraintParams(p=2, q=1, weights="simpson")
 
 
 class TestSmoothDriftIndices:

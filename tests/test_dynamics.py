@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from failsafe_dampers import (
     DesignVector,
@@ -131,8 +133,6 @@ class TestNewmarkSolve:
     def test_unsupported_parameters_rejected(self, frame_2dof, record_short):
         with pytest.raises(ValueError, match="beta"):
             newmark_solve(frame_2dof, np.zeros((2, 2)), record_short, beta=0.3)
-        with pytest.raises(ValueError, match="gamma"):
-            newmark_solve(frame_2dof, np.zeros((2, 2)), record_short, gamma=0.6)
 
     def test_asymmetric_cd_rejected(self, frame_2dof, record_short):
         C_d = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -264,3 +264,45 @@ class TestRecordParsing:
         path.write_text("dt=0.01\n0.5\n")
         with pytest.raises(InputError):
             load_ground_motion(path)
+
+    def test_unreadable_dt_header_rejected(self, tmp_path):
+        path = tmp_path / "rec.txt"
+        path.write_text("dt=--\n0.5\n0.1\n")
+        with pytest.raises(InputError, match="dt="):
+            load_ground_motion(path)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_mutated_lines_give_a_record_or_input_error(self, tmp_path, data):
+        lines = data.draw(
+            st.sampled_from(
+                [
+                    ["dt=0.01", "0.1", "-0.2", "0.3"],
+                    ["# t a", "0.0 0.1", "0.02 0.2", "0.04 -0.3"],
+                ]
+            )
+        )
+        line = st.text(alphabet="0123456789.-+eE dt=#%naif\t", max_size=12) | st.text(
+            max_size=8
+        )
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(lines)))
+            op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            if op == "insert" or not lines:
+                lines.insert(i, data.draw(line))
+            elif op == "replace":
+                lines[min(i, len(lines) - 1)] = data.draw(line)
+            else:
+                del lines[min(i, len(lines) - 1)]
+        path = tmp_path / "rec.txt"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            gm = load_ground_motion(path)
+        except InputError:
+            return
+        assert isinstance(gm, GroundMotion)
+        assert np.isfinite(gm.dt) and gm.dt > 0

@@ -82,6 +82,13 @@ class TestDesignVector:
             DesignVector(x=[1.2], c_bar=10.0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             DesignVector(x=[-0.1], c_bar=10.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            DesignVector(x=[0.5, float("nan")], c_bar=10.0)
+
+    @pytest.mark.parametrize("c_bar", [0.0, -1.0, float("nan"), float("inf")])
+    def test_c_bar_must_be_positive_and_finite(self, c_bar):
+        with pytest.raises(ValueError, match="c_bar"):
+            DesignVector(x=[0.5], c_bar=c_bar)
 
     def test_coefficients_scale(self):
         d = DesignVector(x=[0.5, 1.0], c_bar=150_000.0)

@@ -3,10 +3,13 @@
 Solves  minimize c @ x  subject to  A @ x <= b,  x >= 0.
 
 A handful of variables meets up to about a thousand rows, one cutting
-plane per scenario and record per SLP iteration. Basic columns stay
-exact unit vectors, so a pivot updates only the columns where the pivot
-row is nonzero and prices only nonbasic columns: O(m (n + n_art)) work,
-not O(m^2). Entering columns follow Dantzig pricing until the objective
+plane per scenario and record per SLP iteration. Phase 1 adds a single
+artificial column for all rows with negative rhs, so it takes about as
+many pivots as there are structural columns, not one per violated row.
+Basic columns stay exact unit vectors, so a pivot updates only the
+columns where the pivot row is nonzero and prices only the n + 1
+nonbasic columns: O(m n) work, not O(m^2). Entering columns follow
+Dantzig pricing, lowest index first among near-ties, until the objective
 stalls on degenerate pivots, then switch to Bland's rule, which
 guarantees termination. The final vertex is re-solved from the original
 constraint data to strip accumulated elimination error.
@@ -66,7 +69,9 @@ def _pivot_loop(T, basis, costs, allowed, tol, max_pivots):
         if not entering.any():
             return float(costs[basis] @ T[:, -1])
         candidates = cols[entering]
-        j = candidates[0] if bland else candidates[np.argmin(r[entering])]
+        # Dantzig's near-ties go to the lowest index, as row ties do below.
+        near_min = r[entering] <= r[entering].min() + tol
+        j = candidates[0] if bland else candidates[np.argmax(near_min)]
 
         col = T[:, j]
         positive = col > tol
@@ -116,37 +121,34 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
             raise SimplexError("LP is unbounded")
         return np.zeros(n), "optimal"
 
-    # Tableau columns: structurals, one slack per row, one artificial per
-    # row with negative rhs, then the rhs. Those rows are negated, so their
-    # slack gets -1 and they start from their artificial basis column.
-    flip = b < 0
-    sign = np.where(flip, -1.0, 1.0)
-    flipped = np.flatnonzero(flip)
-    n_art = flipped.size
+    # Tableau columns: structurals, one slack per row, one artificial x0,
+    # then the rhs. x0 holds -1 in every row with b < 0; pivoting it in on
+    # the most negative row makes every row feasible at once, and phase 1
+    # minimizes x0 from there (Chvatal's auxiliary problem).
     rows = np.arange(m)
-    T = np.zeros((m, n + m + n_art + 1))
-    T[:, :n] = sign[:, None] * A
-    T[rows, n + rows] = sign
-    T[flipped, n + m + np.arange(n_art)] = 1.0
-    T[:, -1] = sign * b
+    art = n + m
+    T = np.zeros((m, art + 2))
+    T[:, :n] = A
+    T[rows, n + rows] = 1.0
+    T[:, -1] = b
     basis = n + rows
-    basis[flipped] = n + m + np.arange(n_art)
 
-    ncols = T.shape[1] - 1
+    ncols = art + 1
     allowed = np.ones(ncols, dtype=bool)
-    if n_art:
+    if np.any(b < 0):
+        T[b < 0, art] = -1.0
+        _pivot(T, basis, int(np.argmin(b)), art)
         costs1 = np.zeros(ncols)
-        costs1[n + m :] = 1.0
+        costs1[art] = 1.0
         phase1 = _pivot_loop(T, basis, costs1, allowed, tol, max_pivots)
         if phase1 > 1e-8 * max(1.0, np.abs(b_full).max()):
             return None, "infeasible"
-        # Pivot lingering artificials (basic at zero) out. Every pivot maps
-        # an artificial column and its row's slack column to exact negatives
-        # of each other, so the row always holds a -1 to pivot on.
-        for i in np.flatnonzero(basis >= n + m):
-            pivot_cols = np.flatnonzero(np.abs(T[i, : n + m]) > 1e2 * tol)
+        # Pivot x0 out if it stays basic at zero. [A I] has full row rank,
+        # so its row holds a nonzero outside the x0 column.
+        for i in np.flatnonzero(basis == art):
+            pivot_cols = np.flatnonzero(np.abs(T[i, :art]) > 1e2 * tol)
             _pivot(T, basis, i, int(pivot_cols[0]))
-        allowed[n + m :] = False
+        allowed[art] = False
 
     costs2 = np.zeros(ncols)
     costs2[:n] = c

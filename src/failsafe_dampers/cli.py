@@ -419,6 +419,25 @@ def _manifest(
 # run drivers
 
 
+_SCENARIO_FLAGS = {
+    "complete group": "--complete-k",
+    "partial group": "--partial-k",
+    "partial damage": "--nu",
+}
+
+
+def _scenario_set(args: argparse.Namespace, model: StructuralModel) -> ScenarioSet:
+    """The damage scenarios of ``--complete-k``, ``--partial-k`` and ``--nu``."""
+    try:
+        return enumerate_scenarios(
+            model.n_dampers, args.complete_k, args.partial_k, args.nu
+        )
+    except ValueError as exc:
+        # Its messages start with the group size or the factor at fault.
+        flag = next(f for key, f in _SCENARIO_FLAGS.items() if str(exc).startswith(key))
+        raise InputError(f"{flag}: {exc}") from exc
+
+
 def _run_optimization(
     args: argparse.Namespace,
     model: StructuralModel,
@@ -426,9 +445,7 @@ def _run_optimization(
     slp: SlpConfig,
     fs: FailSafeConfig,
 ) -> int:
-    scenario_set = enumerate_scenarios(
-        model.n_dampers, args.complete_k, args.partial_k, args.nu
-    )
+    scenario_set = _scenario_set(args, model)
     final = run_failsafe(
         model,
         scenario_set,
@@ -510,9 +527,9 @@ def _run_simulate(
 def _run_check_gradients(
     args: argparse.Namespace, model: StructuralModel, records: list[GroundMotion]
 ) -> int:
-    scenario_set = enumerate_scenarios(
-        model.n_dampers, args.complete_k, args.partial_k, args.nu
-    )
+    if not 0 < args.fd_step < np.inf:
+        raise InputError(f"--fd-step must be positive and finite, got {args.fd_step:g}")
+    scenario_set = _scenario_set(args, model)
     design = _given_design(args, model, 0.5)
     params = ConstraintParams(p=args.p_start, q=args.q_start)
     rows = gradient_check(

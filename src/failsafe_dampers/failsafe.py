@@ -44,7 +44,9 @@ class FailSafeConfig:
     but no scenario is left to add; it runs with the continuation frozen
     at the sub-problem's final exponents and a short minimum-iteration
     budget (``resume_i_min``), since it only needs to clear residual
-    violations around an already-converged design.
+    violations around an already-converged design. Each sub-problem's
+    planes are tightened by half of ``violation_tol``, and each resume
+    adds the max g that forced it.
     """
 
     epsilon: float = 0.05
@@ -239,6 +241,9 @@ def run_failsafe(
                 p_final=0,
                 q_final=0,
             )
+            # Linearizations underestimate the constraint, so a resume
+            # tightens its planes by the violation it has to clear.
+            margin = 0.5 * fs_config.violation_tol
             for resume in range(fs_config.max_resumes + 1):
                 cfg = (
                     slp_config
@@ -255,7 +260,7 @@ def run_failsafe(
                     q_start=q_next,
                     counter=counter,
                     advance_continuation=(resume == 0),
-                    feasibility_margin=0.5 * fs_config.violation_tol,
+                    feasibility_margin=margin,
                     label=f"[sub-problem {k}] ",
                 )
                 x = result.x
@@ -286,6 +291,7 @@ def run_failsafe(
                 candidates = select_critical(g_all, working_set, fs_config.epsilon)
                 if candidates:
                     break
+                margin += float(g_all.max())
                 logger.info(
                     "[sub-problem %d] violations persist with nothing to add "
                     "(max g = %.3g); resuming",

@@ -10,6 +10,9 @@ from failsafe_dampers import (
     StructuralModel,
     build_rayleigh,
     compute_lowest_modes,
+    enumerate_scenarios,
+    exact_peak,
+    newmark_solve,
 )
 
 
@@ -118,6 +121,34 @@ def frame_with_redundant_dampers(
         d_allow=base.d_allow,
         damper_transforms=dampers,
     )
+
+
+def paper_scale_problem(n_steps: int):
+    """The paper's scale (recipe W2): 16 dampers, 137 scenarios, 2 records.
+
+    An 8-story frame (m = 10, k = 13000, d_allow = 0.01, 5% Rayleigh
+    damping) with two dampers of efficiency 1.0 and 0.8 on every story;
+    every single damper failed completely and every pair at nu = 0.5; two
+    records from noise streams 11 and 1011, each rescaled to a bare-frame
+    peak drift ratio of 1.5. Solved with c_bar = 2000 and
+    SlpConfig(i_min=50, i_max=400).
+    """
+    model = frame_with_redundant_dampers(
+        n_stories=8, per_story=2, mass=10.0, story_k=13000.0, d_allow=0.01
+    )
+    bare = np.zeros((model.n_dof, model.n_dof))
+    records = []
+    for k, seed in enumerate((11, 1011)):
+        gm = synthetic_record(n_steps, dt=0.02, seed=seed, peak=2.5, name=f"rec{k + 1}")
+        peak = exact_peak(newmark_solve(model, bare, gm), model)
+        records.append(gm.rescaled(1.5 / peak))
+    return model, records, enumerate_scenarios(16, 1, 2, 0.5)
+
+
+@pytest.fixture(scope="session")
+def w2_400():
+    """Recipe W2 with 400-step records."""
+    return paper_scale_problem(400)
 
 
 @pytest.fixture(scope="session")

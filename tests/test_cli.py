@@ -343,6 +343,39 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out
 
+    @pytest.mark.parametrize("mode", ["failsafe", "check-gradients"])
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--partial-k", "1", "--nu", "2"], "--nu"),
+            (["--partial-k", "1", "--nu", "0"], "--nu"),
+            (["--partial-k", "1", "--nu", "nan"], "--nu"),
+            (["--complete-k", "9"], "--complete-k"),
+            (["--complete-k", "-1"], "--complete-k"),
+            (["--partial-k", "5"], "--partial-k"),
+        ],
+    )
+    def test_scenario_flag_out_of_range_exits_2(
+        self, tmp_path, capsys, mode, flags, named
+    ):
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        argv = ["--model", str(model_path), "--records", str(rec_path)]
+        argv += ["--mode", mode, "--out", str(tmp_path / "out"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("step", ["0", "-1e-6", "nan", "inf"])
+    def test_bad_fd_step_exits_2(self, tmp_path, capsys, step):
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        argv = ["--model", str(model_path), "--records", str(rec_path)]
+        argv += ["--check-gradients", f"--fd-step={step}", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--fd-step" in captured.err and "Traceback" not in captured.err
+        assert "nan" not in captured.out
+
     def test_missing_model_is_input_error(self, tmp_path):
         code = main(
             [

@@ -22,7 +22,7 @@ from failsafe_dampers import (
     select_critical,
     spectral_displacement,
 )
-from failsafe_dampers import adjoint, optimizer
+from failsafe_dampers import adjoint, failsafe, optimizer
 from failsafe_dampers.optimizer import EvalCounter
 
 from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
@@ -226,6 +226,51 @@ class TestRunFailsafe:
         )
         assert full.eval_counter.n_adjoint == pairs
         assert full.eval_counter.n_primal > pairs  # sweeps included
+
+
+class TestResumes:
+    def test_resume_tightens_planes_by_the_violation(self, light_problem, monkeypatch):
+        # At c_bar = 400 the basic design converges just outside the
+        # constraint and needs one resume. Each sub-problem starts with
+        # the planes tightened by half the tolerance; a resume adds the max
+        # g of the sweep that forced it.
+        model, gm, scen, slp, fs = light_problem
+        margins, g_max = [], []
+
+        def spy_slp(*args, **kwargs):
+            margins.append(kwargs["feasibility_margin"])
+            return real_slp(*args, **kwargs)
+
+        def spy_sweep(*args, **kwargs):
+            g = real_sweep(*args, **kwargs)
+            g_max.append(float(g.max()))
+            return g
+
+        real_slp, real_sweep = failsafe.slp_solve, failsafe.evaluate_all
+        monkeypatch.setattr(failsafe, "slp_solve", spy_slp)
+        monkeypatch.setattr(failsafe, "evaluate_all", spy_sweep)
+        final = run_failsafe(
+            model, scen, [gm], c_bar=400.0, slp_config=slp, fs_config=fs, mode="basic"
+        )
+        assert final.verified and final.subproblems[0].resumes == 1
+        assert len(margins) == len(g_max) == 2
+        assert g_max[0] > fs.violation_tol >= g_max[1]
+        assert margins == [0.5 * fs.violation_tol, 0.5 * fs.violation_tol + g_max[0]]
+
+
+def test_paper_scale_recipe_verifies(w2_400):
+    # Recipe W2 at 400 steps: 16 dampers, 137 scenarios, 2 records.
+    model, records, scenarios = w2_400
+    final = run_failsafe(
+        model,
+        scenarios,
+        records,
+        c_bar=2000.0,
+        slp_config=SlpConfig(i_min=50, i_max=400),
+        mode="failsafe",
+    )
+    assert final.converged and final.verified
+    assert final.cost == pytest.approx(1.7560, rel=0.01)
 
 
 class TestRecordLoop:

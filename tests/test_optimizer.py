@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from failsafe_dampers import (
     CuttingPlane,
@@ -15,7 +16,7 @@ from failsafe_dampers import (
     slp_solve,
     solve_lp,
 )
-from failsafe_dampers import optimizer
+from failsafe_dampers import _simplex, optimizer, run_failsafe
 from failsafe_dampers._simplex import (
     SimplexError,
     _rows_that_can_bind,
@@ -56,9 +57,12 @@ def enumerate_vertices_objective(c, A, b, n):
 def dense_tableau_lp(c, A, b, *, tol=1e-10):
     """Slow reference: the full-width two-phase tableau simplex.
 
-    Every pivot updates every column with one outer product, reduced costs
-    are priced on every column, and the final basis is re-solved as the
-    whole m-by-m basic system of the slack/artificial-augmented matrix.
+    Phase 1 starts from one artificial column x0 with -1 on every row of
+    negative rhs, pivoted in on the most negative row. Every pivot updates
+    every column with one outer product, reduced costs are priced on every
+    column (lowest index among near-ties), no row is presolved away, and
+    the final basis is re-solved as the whole m-by-m basic system of the
+    slack-augmented matrix.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -74,7 +78,11 @@ def dense_tableau_lp(c, A, b, *, tol=1e-10):
             candidates = np.where(allowed & (r < -tol))[0]
             if candidates.size == 0:
                 return float(costs[basis] @ T[:, -1])
-            j = candidates[0] if bland else candidates[np.argmin(r[candidates])]
+            if bland:
+                j = candidates[0]
+            else:
+                r_in = r[candidates]
+                j = candidates[np.argmax(r_in <= r_in.min() + tol)]
             col = T[:, j]
             positive = col > tol
             if not np.any(positive):
@@ -98,33 +106,21 @@ def dense_tableau_lp(c, A, b, *, tol=1e-10):
         T -= np.outer(other, T[i])
         basis[i] = j
 
-    flip = b < 0
-    A_w = np.where(flip[:, None], -A, A)
-    b_w = np.where(flip, -b, b)
-    n_art = int(flip.sum())
-    slack = np.diag(np.where(flip, -1.0, 1.0))
-    art = np.zeros((m, n_art))
-    art[np.flatnonzero(flip), np.arange(n_art)] = 1.0
+    art = np.where(b < 0, -1.0, 0.0)
+    W = np.hstack([A, np.eye(m), art[:, None]])
+    T = np.hstack([W, b[:, None]])
     basis = n + np.arange(m)
-    basis[flip] = n + m + np.arange(n_art)
-    W = np.hstack([A_w, slack, art])
-    T = np.hstack([W, b_w[:, None]])
     allowed = np.ones(W.shape[1], dtype=bool)
-    if n_art:
+    if np.any(b < 0):
+        pivot(T, basis, int(np.argmin(b)), n + m)
         costs1 = np.zeros(W.shape[1])
-        costs1[n + m :] = 1.0
-        if pivot_loop(T, basis, costs1, allowed) > 1e-8 * max(1.0, np.abs(b_w).max()):
+        costs1[n + m] = 1.0
+        if pivot_loop(T, basis, costs1, allowed) > 1e-8 * max(1.0, np.abs(b).max()):
             return None, "infeasible"
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n + m:
-                pivot_cols = np.where(np.abs(T[i, : n + m]) > 1e2 * tol)[0]
-                if pivot_cols.size:
-                    pivot(T, basis, i, int(pivot_cols[0]))
-                else:
-                    keep[i] = False
-        T, W, b_w, basis = T[keep], W[keep], b_w[keep], basis[keep]
-        allowed[n + m :] = False
+        for i in np.flatnonzero(basis == n + m):
+            pivot_cols = np.where(np.abs(T[i, : n + m]) > 1e2 * tol)[0]
+            pivot(T, basis, i, int(pivot_cols[0]))
+        allowed[n + m] = False
     costs2 = np.zeros(W.shape[1])
     costs2[:n] = c
     pivot_loop(T, basis, costs2, allowed)
@@ -133,7 +129,7 @@ def dense_tableau_lp(c, A, b, *, tol=1e-10):
     structural = basis < n
     x[basis[structural]] = T[structural, -1]
     try:
-        sol = np.linalg.solve(W[:, basis], b_w)
+        sol = np.linalg.solve(W[:, basis], b)
     except np.linalg.LinAlgError:
         sol = None
     if sol is not None and np.all(np.isfinite(sol)):
@@ -234,6 +230,89 @@ class TestSimplexCore:
         assert status == "optimal"
         assert c @ x == pytest.approx(0.7, abs=1e-10)
         assert x[0] >= 0.5 - 1e-10
+
+
+class TestPhaseOne:
+    def test_one_artificial_needs_few_pivots(self, monkeypatch):
+        # 300 planes over 6 columns, every one violated at the origin: one
+        # artificial per plane would pivot about 300 times, the shared one
+        # about once per structural column.
+        rng = np.random.default_rng(5)
+        n, m = 6, 300
+        y_star = rng.uniform(0.3, 0.8, n)
+        A_pl = -rng.uniform(0.1, 1.0, (m, n))
+        b_pl = A_pl @ y_star + rng.uniform(0.0, 0.2, m)
+        assert np.all(b_pl < 0)
+        A = np.vstack([A_pl, np.eye(n)])
+        b = np.concatenate([b_pl, np.ones(n)])
+        c = rng.uniform(0.5, 1.5, n)
+        events = []
+
+        def spy_pivot(*args):
+            events.append("pivot")
+            real_pivot(*args)
+
+        def spy_loop(*args):
+            events.append("loop")
+            return real_loop(*args)
+
+        real_pivot, real_loop = _simplex._pivot, _simplex._pivot_loop
+        monkeypatch.setattr(_simplex, "_pivot", spy_pivot)
+        monkeypatch.setattr(_simplex, "_pivot_loop", spy_loop)
+        x, status = solve_inequality_lp(c, A, b)
+        assert status == "optimal"
+        assert events.count("loop") == 2
+        phase2_start = len(events) - events[::-1].index("loop") - 1
+        assert 1 <= events[:phase2_start].count("pivot") <= 4 * n
+        x_ref, _ = dense_tableau_lp(c, A, b)
+        assert np.abs(x - x_ref).max() <= 1e-12
+
+    def test_dantzig_near_tie_takes_the_lower_index(self):
+        # Both columns enter with reduced costs 1e-12 apart, well inside
+        # tol = 1e-10: column 0 enters, and the LP stops on its vertex of
+        # the optimal edge y0 + y1 = 1. Strict Dantzig would take column 1.
+        c = np.array([-1.0, -1.0 - 1e-12])
+        A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        b = np.array([1.0, 1.0, 1.0])
+        x, status = solve_inequality_lp(c, A, b)
+        assert status == "optimal"
+        assert np.array_equal(x, [1.0, 0.0])
+        assert dense_tableau_lp(c, A, b) == (pytest.approx([1.0, 0.0]), "optimal")
+
+    def test_lps_of_a_fullset_run_match_highs(self, monkeypatch):
+        # Every LP of a short fullset run, the elastic stages included,
+        # against HiGHS. Degenerate faces let x differ; the status and the
+        # optimal objective may not.
+        lps = []
+
+        def spy(c, A, b):
+            lps.append((c, A, b, real(c, A, b)))
+            return lps[-1][-1]
+
+        real = optimizer.solve_inequality_lp
+        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy)
+        model = frame_with_redundant_dampers(n_stories=3, per_story=2)
+        gm = synthetic_record(100, seed=9, peak=2.5)
+        bare = newmark_solve(model, np.zeros((3, 3)), gm)
+        gm = gm.rescaled(2.0 / np.abs(normalized_drifts(bare, model)).max())
+        final = run_failsafe(
+            model,
+            enumerate_scenarios(6, 1, 2, 0.5),
+            [gm],
+            c_bar=2000.0,
+            slp_config=SlpConfig(i_min=10, i_max=40, ml=0.05),
+            mode="fullset",
+            x0=np.full(6, 0.2),
+        )
+        assert final.verified
+        statuses = [status for *_, (_, status) in lps]
+        assert len(lps) >= 20 and "infeasible" in statuses
+        for c, A, b, (x, status) in lps:
+            ref = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+            assert ref.status in (0, 2)
+            assert status == ("optimal" if ref.status == 0 else "infeasible")
+            if status == "optimal":
+                assert c @ x == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
 
 
 def with_far_planes(rng, A, b, n_far):

@@ -101,7 +101,7 @@ def solve_adjoint(
     lambda_v and lambda_a one step later, and e places f_i in the last
     block. One LU factorization of A gives the transition matrices
     Pa = A^-1 R and Qa = -A^-1 e, and `transition_sweep` runs
-    xi_i = Pa xi_{i+1} + Qa f_i backward, one small matvec per step.
+    xi_i = Pa xi_{i+1} + Qa f_i backward, row by row, one matvec per step.
     The sweep starts at the last row k with a nonzero f_k: beyond it
     xi_{N+1} = 0 and zero forcing keep every xi exactly 0, so rows k+1..N
     are left zero without being swept. Returns lambda_u, shape (N+1, n)
@@ -151,6 +151,8 @@ def solve_adjoint(
     X = np.zeros(forcing.shape[:-1] + (3 * n,))
     # X[i] = Qa f_i for each system of the batch, time axis moved aside.
     X[1 : k + 1] = np.moveaxis(np.moveaxis(forcing[1 : k + 1], 0, -2) @ Qa.mT, -2, 0)
+    # Never in blocks: Pa is strongly non-normal (|Pa|_2 up to some hundreds,
+    # spectral radius below 1), and its explicit powers would miss 1e-12.
     transition_sweep(Pa, X[k:0:-1])
     return X[..., :n]
 

@@ -492,9 +492,7 @@ def _run_optimization(
         f"max_g={final.max_g:.3g} evaluations={final.eval_counter.total} "
         f"wall_time={final.wall_time:.1f}s"
     )
-    if not final.converged:
-        return 3
-    return 0
+    return 0 if final.converged else 3
 
 
 def _given_design(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +17,10 @@ STANDARD_GRAVITY = 9.80665
 _SUPPORTED_BETAS = (0.25, 1.0 / 6.0)
 # Newmark's gamma. Only 1/2 is second-order accurate and adds no numerical damping.
 GAMMA = 0.5
+# Largest stacked P (B * 9n^2 entries) that `_integrate` sweeps in blocks: below
+# it a step costs the call overhead of one matvec, which blocks save; above it
+# the block products' extra N B (3n)^2 flops cost more than the saved calls.
+_BLOCK_MAX_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,9 @@ def _integrate(M, C, K, load, dt, u0, v0, beta):
     the next load, s_{i+1} = P s_i + Q f_{i+1} (Newmark 1959). P and Q come
     from applying the step to identity columns, with one stacked solve
     against K_eff; `transition_sweep` then adds P s_i in place to each row
-    Q f_{i+1}, one stacked matvec per step.
+    Q f_{i+1}: in blocks of floor(sqrt(N)) rows if P has at most
+    `_BLOCK_MAX_ENTRIES` entries (a stable step keeps P's powers bounded,
+    damped or not), else row by row.
     """
     n = M.shape[0]
     gamma = GAMMA
@@ -152,24 +159,42 @@ def _integrate(M, C, K, load, dt, u0, v0, beta):
     S[0, ..., n : 2 * n] = v0
     S[0, ..., 2 * n :] = np.linalg.solve(M, (load[0] - C @ v0 - K @ u0).T).T
     S[1:] = np.tensordot(load[1:], Q, axes=(1, -1))
-    transition_sweep(P, S)
+    block = math.isqrt(len(S) - 1) if P.size <= _BLOCK_MAX_ENTRIES else 1
+    transition_sweep(P, S, block)
     return S
 
 
-def transition_sweep(P, S):
-    """Run S[k+1] += P S[k] in place, row after row.
+def transition_sweep(P, S, block=1):
+    """Run S[k+1] += P S[k] in place, in blocks of ``block`` rows.
 
     Rows of ``S`` hold the forcing terms on entry and the states on exit.
     ``P`` is (m, m) with rows of shape (m,), or a stack (B, m, m) with rows
     of shape (B, m), each system stepping with its own matrix in one
     stacked matvec. The Newmark sweep passes its state array; the adjoint
     passes a reversed view, so the same loop also runs backward in time.
-    Overflow raises no warning here: the caller checks the result.
+    With L = ``block`` > 1 (Blelloch 1990), P^2..P^L come from about log2(L)
+    stacked matmuls, one product gives each full block's last row from rest,
+    and N/L carry steps plus L-1 fill steps replace the N row steps; L = 1
+    is the row loop. Overflow raises no warning here: the caller checks it.
     """
     matvec = np.matvec
+    L = block
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, row in zip(S, S[1:]):
-            row += matvec(P, prev)
+        powers = [P]  # P^1 .. P^L
+        while len(powers) < L:  # P^(k+1..2k) = P^(1..k) P^k
+            k = len(powers)
+            powers += list(np.stack(powers[: min(k, L - k)]) @ powers[-1])
+        nb = (len(S) - 1) // L
+        if L > 1 and nb:
+            # Block k's last row gets sum_{j<L} P^(L-j) r_(kL+j) in one product.
+            r = S[1 : nb * L + 1].reshape((nb, L) + S.shape[1:])[:, :-1]
+            r = np.moveaxis(r, (0, 1), (-3, -2)).reshape(S.shape[1:-1] + (nb, -1))
+            W = np.concatenate(powers[L - 2 :: -1], axis=-1)
+            S[L : nb * L + 1 : L] += np.moveaxis(r @ W.mT, -2, 0)
+        for prev, row in zip(S[::L], S[L::L]):
+            row += matvec(powers[-1], prev)
+        for j in range(1, L):
+            S[j::L] += matvec(P, S[j - 1 : -1 : L])
 
 
 def newmark_solve(

@@ -181,6 +181,7 @@ def run_failsafe(
     Returns the final design together with per-sub-problem statistics,
     the expansion history of the working set, the records that ended up
     active, and the running count of time-history and adjoint solves.
+    The run counts as converged only if its last sub-problem's SLP did.
     """
     if mode not in ("failsafe", "fullset", "basic"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -225,10 +226,8 @@ def run_failsafe(
     q_next: int | None = None
     params = ConstraintParams(p=slp_config.p_start, q=slp_config.q_start)
     g_all = np.full(len(scenario_set), np.nan)
-    converged = False
 
     for record_pass in range(1, fs_config.max_record_passes + 1):
-        converged = False
         while len(subproblems) < fs_config.max_subproblems:
             k = len(subproblems)
             scenarios_ws = [scenario_set[i] for i in working_set]
@@ -310,7 +309,7 @@ def run_failsafe(
             )
 
             if not violated:
-                converged = True
+                converged = stats.converged
                 break
             if not candidates:
                 raise ConvergenceError(
@@ -352,7 +351,6 @@ def run_failsafe(
             [gm.name for gm in newly_active],
         )
         active = active + newly_active
-        converged = False
     else:
         raise ConvergenceError(
             f"record-loop budget ({fs_config.max_record_passes}) exhausted"

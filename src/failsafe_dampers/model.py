@@ -12,7 +12,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .scenarios import FailureScenario
 
@@ -96,8 +95,8 @@ class StructuralModel:
         n = mass.shape[0]
         _check_symmetric(mass, "mass")
         try:
-            la.cholesky(mass, lower=True)
-        except la.LinAlgError:
+            np.linalg.cholesky(mass)
+        except np.linalg.LinAlgError:
             raise ValueError("mass matrix must be positive definite") from None
 
         stiffness = _finite(self.stiffness, "stiffness")
@@ -216,9 +215,10 @@ def compute_lowest_modes(
 ) -> list[tuple[float, np.ndarray]]:
     """Lowest ``k`` natural frequencies and mass-normalized mode shapes.
 
-    Solves the generalized eigenproblem K phi = omega^2 M phi with
-    `scipy.linalg.eigh`, which needs M positive definite and accepts a
-    semidefinite K; a rounding-level negative eigenvalue gives omega = 0.
+    Solves K phi = omega^2 M phi by Cholesky reduction, M = L L': the
+    eigenvectors y of L^-1 K L^-T give phi = L^-T y. M must be positive
+    definite; for a semidefinite K a rounding-level negative eigenvalue
+    gives omega = 0.
 
     Returns
     -------
@@ -228,8 +228,10 @@ def compute_lowest_modes(
     n = model.n_dof
     if not 1 <= k <= n:
         raise ValueError(f"requested {k} modes from a {n}-DOF model")
-    lam, phi = la.eigh(model.stiffness, model.mass, subset_by_index=[0, k - 1])
-    return [(float(np.sqrt(max(w2, 0.0))), phi[:, i]) for i, w2 in enumerate(lam)]
+    L = np.linalg.cholesky(model.mass)
+    lam, y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, model.stiffness).T))
+    phi = np.linalg.solve(L.T, y[:, :k])
+    return [(float(np.sqrt(max(w2, 0.0))), phi[:, i]) for i, w2 in enumerate(lam[:k])]
 
 
 def build_rayleigh(

@@ -1,6 +1,10 @@
 """Model-file parsing, report rendering, and the command-line flow."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +428,28 @@ class TestMain:
         )
         assert code == 3
 
+    def test_exhausted_iteration_budget_exits_3(self, tmp_path, capsys):
+        # A feasible problem whose SLP hits --imax before its step settles:
+        # the design is feasible and written, but the run has not converged.
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=100)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "--model", str(model_path),
+                "--records", str(rec_path),
+                "--mode", "basic",
+                "--cbar", "400",
+                "--imin", "1",
+                "--imax", "2",
+                "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "converged=False" in captured.out
+        assert "Traceback" not in captured.err
+        assert json.loads((out / "run_manifest.json").read_text())["converged"] is False
+
     def test_exhausted_pivot_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         from failsafe_dampers import optimizer
         from failsafe_dampers._simplex import SimplexError
@@ -603,3 +629,16 @@ class TestMain:
         assert constraints[0].endswith("threshold")
         drifts = list((out / "drifts").glob("drifts_s*_quake.csv"))
         assert len(drifts) == 11
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, failsafe_dampers.cli; print('scipy' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert run.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Newmark integration, response spectra, record parsing."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -18,7 +20,8 @@ from failsafe_dampers import (
     select_dominant_record,
     spectral_displacement,
 )
-from failsafe_dampers.dynamics import STANDARD_GRAVITY
+from failsafe_dampers import ConstraintParams, adjoint, adjoint_gradient, dynamics
+from failsafe_dampers.dynamics import STANDARD_GRAVITY, transition_sweep
 from failsafe_dampers.errors import ConvergenceError
 
 from conftest import shear_frame, synthetic_record
@@ -186,6 +189,105 @@ def test_batched_sweep_matches_stepwise_reference(size, beta):
         )
         for got, want in zip((hist.u[:, b], hist.v[:, b], hist.a[:, b]), ref):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def sweep_operands(monkeypatch, model, C_d, gm, u0=None, v0=None):
+    """The transition matrix and the unswept rows (initial state, then the
+    forcing terms) that `newmark_solve` hands to `transition_sweep`."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "transition_sweep", lambda P, S, block=1: seen.append((P, S.copy())))
+        newmark_solve(model, C_d, gm, u0=u0, v0=v0)
+    return seen[0]
+
+
+def row_loop(P, S):
+    """The row-by-row sweep, one stacked matvec per row."""
+    for prev, row in zip(S, S[1:]):
+        row += np.matvec(P, prev)
+
+
+def assert_states_close(got, want, n, rtol):
+    for part in range(3):  # u, v and a
+        g, w = got[..., part * n : (part + 1) * n], want[..., part * n : (part + 1) * n]
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+
+BLOCK = 5
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, BLOCK**2 - 1, BLOCK**2, BLOCK**2 + 1, 600])
+def test_blocked_sweep_matches_row_sweep(n_steps, stacked, reverse, monkeypatch):
+    model, _, C_d = scenario_batch(3)
+    gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
+    u0, v0 = 1e-3 * np.arange(1.0, 5.0), 1e-2 * np.ones(4)
+    P, S = sweep_operands(monkeypatch, model, C_d if stacked else C_d[0], gm, u0, v0)
+    S = S[: n_steps + 1]
+    want, got = S.copy(), S.copy()
+    transition_sweep(P, want[::-1] if reverse else want, block=1)
+    transition_sweep(P, got[::-1] if reverse else got, block=BLOCK)
+    assert_states_close(got, want, 4, 1e-13)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_single_block_is_the_row_sweep(stacked, reverse, monkeypatch):
+    model, _, C_d = scenario_batch(3)
+    gm = synthetic_record(300, dt=0.01, seed=5, peak=1.5)
+    P, S = sweep_operands(monkeypatch, model, C_d if stacked else C_d[0], gm)
+    want, got = S.copy(), S.copy()
+    row_loop(P, want[::-1] if reverse else want)
+    transition_sweep(P, got[::-1] if reverse else got, block=1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size, block", [(7, math.isqrt(600)), (8, 1)])
+def test_stacks_above_the_size_rule_sweep_row_by_row(size, block, monkeypatch):
+    # The 4-story frame's P holds 9 * 4^2 = 144 entries per system: a stack
+    # of 7 (1,008 entries) is swept in blocks, one of 8 (1,152) row by row.
+    model = shear_frame(4)
+    gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
+    blocks = []
+
+    def spy(P, S, block=1):
+        blocks.append(block)
+        real(P, S, block)
+
+    real = dynamics.transition_sweep
+    monkeypatch.setattr(dynamics, "transition_sweep", spy)
+    newmark_solve(model, np.full((size, 4, 4), 0.0), gm)
+    assert blocks == [block]
+
+
+def test_adjoint_sweeps_row_by_row(monkeypatch):
+    model, scenarios, _ = scenario_batch(1)
+    design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
+    gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
+    blocks = []
+
+    def spy(P, S, block=1):
+        blocks.append(block)
+        real(P, S, block)
+
+    real = adjoint.transition_sweep
+    monkeypatch.setattr(adjoint, "transition_sweep", spy)
+    adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8, q=8))
+    assert blocks == [1]
+
+
+def test_undamped_frame_blocks_match_rows(monkeypatch):
+    # No inherent and no added damping: average acceleration keeps every
+    # eigenvalue of P on the unit circle, so its powers never decay.
+    model = shear_frame(4, zeta=0.0)
+    gm = synthetic_record(2000, dt=0.01, seed=5, peak=1.5)
+    P, S = sweep_operands(monkeypatch, model, np.zeros((4, 4)), gm)
+    assert np.abs(np.linalg.eigvals(P)).max() == pytest.approx(1.0, abs=1e-12)
+    want, got = S.copy(), S.copy()
+    transition_sweep(P, want, block=1)
+    transition_sweep(P, got, block=math.isqrt(2000))
+    assert_states_close(got, want, 4, 1e-12)
 
 
 def test_diverged_response_raises_convergence_error():

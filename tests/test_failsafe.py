@@ -343,6 +343,23 @@ class TestGuards:
 
 
 class TestEdges:
+    def test_undamped_frame_verifies(self):
+        # No inherent damping: the bare frame's P has its eigenvalues on
+        # the unit circle, and the blocked primal sweeps must stay finite
+        # and warning-free.
+        model = frame_with_redundant_dampers(
+            mass=10.0, story_k=2000.0, d_allow=0.012, zeta=0.0
+        )
+        assert not np.any(model.inherent_damping)
+        gm = synthetic_record(300, dt=0.02, seed=31, peak=1.55)
+        scen = enumerate_scenarios(model.n_dampers, 1, 1, nu=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final = run_failsafe(
+                model, scen, [gm], c_bar=800.0, slp_config=SlpConfig(i_min=10, i_max=150)
+            )
+        assert final.converged and final.verified
+
     def test_all_zero_record(self, monkeypatch):
         # A record that never moves the frame: every g is the limit value
         # -1, every gradient is exactly zero, the adjoint sweeps no step,

@@ -1,15 +1,14 @@
 """Exact gradients of the aggregated drift constraint.
 
 The gradient with respect to the damper sizes is computed by the
-discretize-then-differentiate adjoint method: the time-stepping recurrence
-is treated as a set of algebraic residuals, and the terms multiplying the
-implicit state derivatives are collected into a linear system for the
-adjoint trajectories. One factorization of its constant 3n x 3n block
-matrix turns each backward step into a fixed linear map, swept backward in
-time with the kernel of the Newmark sweep. Every function here also takes
-a batch: a list of B scenarios, a (B, n, n) stack of damping matrices and
-the batched history of one record, so that all scenarios of a record share
-one backward time loop. The result matches a
+discretize-then-differentiate adjoint method. One Newmark step is the
+linear map s_i = P s_{i-1} + Q load_i of the state s = (u, v, a), so the
+costate of the discrete response steps backward with P', swept by the
+primal's own kernel from the primal's own transition matrices, and one
+contraction with dC_d/dx then gives every gradient. Every function here
+also takes a batch: a list of B scenarios, a (B, n, n) stack of damping
+matrices and the batched history of one record, so that all scenarios of
+a record share one backward time loop. The result matches a
 finite-difference derivative of the discrete response to solver precision,
 which is what keeps the optimizer's linearizations consistent.
 """
@@ -26,7 +25,14 @@ from .constraints import (
     pruned_powers,
     time_weights,
 )
-from .dynamics import GAMMA, GroundMotion, ResponseHistory, newmark_solve, transition_sweep
+from .dynamics import (
+    GroundMotion,
+    ResponseHistory,
+    block_length,
+    newmark_solve,
+    transition_matrices,
+    transition_sweep,
+)
 from .model import (
     DesignVector,
     Scenarios,
@@ -93,68 +99,33 @@ def solve_adjoint(
     history: ResponseHistory,
     forcing: np.ndarray,
 ) -> np.ndarray:
-    """Backward sweep of the adjoint system driven by dg/du terms.
+    """Backward sweep of the costate of the Newmark recurrence.
 
-    ``forcing`` holds f_i = dg/du_i per sample. Step i solves
-    A xi_i = R xi_{i+1} - e f_i for xi = (lambda_u, lambda_v, lambda_a)
-    with xi_{N+1} = 0: A is a constant 3n x 3n block matrix, R couples to
-    lambda_v and lambda_a one step later, and e places f_i in the last
-    block. One LU factorization of A gives the transition matrices
-    Pa = A^-1 R and Qa = -A^-1 e, and `transition_sweep` runs
-    xi_i = Pa xi_{i+1} + Qa f_i backward, row by row, one matvec per step.
-    The sweep starts at the last row k with a nonzero f_k: beyond it
-    xi_{N+1} = 0 and zero forcing keep every xi exactly 0, so rows k+1..N
-    are left zero without being swept. Returns lambda_u, shape (N+1, n)
-    with row 0 unused and zero. Zero forcing sweeps nothing and yields
-    identically zero adjoints. With a (B, n, n) stack
-    ``C_d``, a batched history and forcing (N+1, B, n), the B systems are
-    factorized in one stacked solve and swept in one loop, and lambda_u
-    is (N+1, B, n).
+    ``forcing`` holds f_i = dg/du_i per sample. The primal steps
+    s_i = P s_{i-1} + Q load_i in s = (u, v, a), so the costate
+    mu_i = dg/ds_i obeys mu_i = P' mu_{i+1} + E f_i, with E = [I 0 0]' and
+    mu = 0 after the last row k with a nonzero f_k. x_j enters a step
+    through the equilibrium row only, ds_i/dx_j = -Q C_j' v_i at a fixed
+    s_{i-1}, so dg/dx_j = sum_i lambda_i' C_j' v_i with lambda_i = -Q' mu_i.
+    `transition_sweep` runs P' backward over rows k..1 in the primal's
+    blocks, under its size rule: ||(P')^j|| = ||P^j||. Returns lambda,
+    shape (N+1, n), zero outside rows 1..k; zero forcing sweeps nothing.
+    A (B, n, n) stack ``C_d`` with a batched history and forcing
+    (N+1, B, n) sweeps the B systems in one loop; lambda is (N+1, B, n).
     """
     n = model.n_dof
     if forcing.shape != history.u.shape:
         raise ValueError(f"forcing shape {forcing.shape} does not match history")
-    dt, beta, gamma = history.dt, history.beta, GAMMA
-    c1 = gamma / (beta * dt)
-    c2 = 1.0 / (beta * dt * dt)
-    k_av = dt * (1.0 - gamma / (2.0 * beta))
-    k_aa = 1.0 / (2.0 * beta) - 1.0
-    k_vv = 1.0 - gamma / beta
-    k_va = 1.0 / (beta * dt)
-
-    eye, zero = np.eye(n), np.zeros((n, n))
     C = model.inherent_damping + C_d
-    A = np.block(
-        [
-            [model.mass.T, zero, eye],
-            [zero, eye, zero],
-            [model.stiffness.T, -c1 * eye, -c2 * eye],
-        ]
-    )
-    A = np.broadcast_to(A, C.shape[:-2] + A.shape).copy()
-    A[..., n : 2 * n, :n] = C.mT
-
-    rhs = np.zeros((3 * n, 4 * n))  # [R | -e]
-    rhs[:, n : 3 * n] = np.kron([[k_av, -k_aa], [k_vv, -k_va], [-c1, -c2]], eye)
-    rhs[2 * n :, 3 * n :] = -eye
-    # A mixes entries of order 1 and 1/(beta dt^2), and the sweep applies Pa
-    # once per step: one step of iterative refinement keeps the rounding
-    # error of Pa from adding up over the record.
-    try:
-        PQ = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("adjoint system matrix is singular") from None
-    PQ += np.linalg.solve(A, rhs - A @ PQ)
-    Pa, Qa = np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
-
+    P, Q = transition_matrices(model.mass, C, model.stiffness, history.dt, history.beta)
     k = _last_nonzero_row(forcing)
-    X = np.zeros(forcing.shape[:-1] + (3 * n,))
-    # X[i] = Qa f_i for each system of the batch, time axis moved aside.
-    X[1 : k + 1] = np.moveaxis(np.moveaxis(forcing[1 : k + 1], 0, -2) @ Qa.mT, -2, 0)
-    # Never in blocks: Pa is strongly non-normal (|Pa|_2 up to some hundreds,
-    # spectral radius below 1), and its explicit powers would miss 1e-12.
-    transition_sweep(Pa, X[k:0:-1])
-    return X[..., :n]
+    mu = np.zeros((k + 1,) + forcing.shape[1:-1] + (3 * n,))
+    mu[..., :n] = forcing[: k + 1]
+    transition_sweep(np.ascontiguousarray(P.mT), mu[:0:-1], block_length(P, k))
+    lam = np.zeros(forcing.shape)
+    # lambda_i = -Q' mu_i for each system of the batch, time axis moved aside.
+    lam[1 : k + 1] = -np.moveaxis(np.moveaxis(mu[1:], 0, -2) @ Q, -2, 0)
+    return lam
 
 
 def accumulate_gradient(
@@ -231,8 +202,10 @@ def fd_gradient(
     h: float = 1e-6,
     beta: float = 0.25,
 ) -> np.ndarray:
-    """Central finite differences of g through the full primal pipeline;
-    shape (B, n_dampers) for a list of B scenarios."""
+    """Finite differences of g through the full primal pipeline; shape
+    (B, n_dampers) for a list of B scenarios. The points x_j +- h are clipped
+    to [0, 1], and the difference is divided by their actual distance:
+    central inside the box, one-sided at a bound."""
 
     def g_of(x):
         d = DesignVector(x=x, c_bar=design.c_bar)
@@ -244,9 +217,9 @@ def fd_gradient(
     for k in range(design.n_dampers):
         xp = design.x.copy()
         xm = design.x.copy()
-        xp[k] += h
-        xm[k] -= h
-        columns.append((g_of(xp) - g_of(xm)) / (2.0 * h))
+        xp[k] = min(xp[k] + h, 1.0)
+        xm[k] = max(xm[k] - h, 0.0)
+        columns.append((g_of(xp) - g_of(xm)) / (xp[k] - xm[k]))
     return np.stack(columns, axis=-1)
 
 

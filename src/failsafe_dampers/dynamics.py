@@ -17,9 +17,10 @@ STANDARD_GRAVITY = 9.80665
 _SUPPORTED_BETAS = (0.25, 1.0 / 6.0)
 # Newmark's gamma. Only 1/2 is second-order accurate and adds no numerical damping.
 GAMMA = 0.5
-# Largest stacked P (B * 9n^2 entries) that `_integrate` sweeps in blocks: below
-# it a step costs the call overhead of one matvec, which blocks save; above it
-# the block products' extra N B (3n)^2 flops cost more than the saved calls.
+# Largest stacked P (B * 9n^2 entries) that `block_length` lets run in blocks:
+# below it a step costs the call overhead of one matvec, which blocks save;
+# above it the block products' extra N B (3n)^2 flops cost more than the saved
+# calls.
 _BLOCK_MAX_ENTRIES = 1024
 
 
@@ -117,18 +118,13 @@ class ResponseHistory:
         return np.arange(self.u.shape[0]) * self.dt
 
 
-def _integrate(M, C, K, load, dt, u0, v0, beta):
-    """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n).
+def transition_matrices(M, C, K, dt, beta):
+    """P (..., 3n, 3n) and Q (..., 3n, n) of one Newmark step in s = (u, v, a).
 
-    ``load`` is (N+1, n). ``C`` is (n, n), or a stack (B, n, n) of systems
-    that share M, K and the load and go through one time loop; the states
-    then have shape (N+1, B, 3n). One step is linear in s = (u, v, a) and
-    the next load, s_{i+1} = P s_i + Q f_{i+1} (Newmark 1959). P and Q come
-    from applying the step to identity columns, with one stacked solve
-    against K_eff; `transition_sweep` then adds P s_i in place to each row
-    Q f_{i+1}: in blocks of floor(sqrt(N)) rows if P has at most
-    `_BLOCK_MAX_ENTRIES` entries (a stable step keeps P's powers bounded,
-    damped or not), else row by row.
+    One step is linear in the state and the next load, s_{i+1} = P s_i +
+    Q f_{i+1} (Newmark 1959). P and Q come from applying the step to
+    identity columns, with one stacked solve against K_eff; a stack ``C``
+    (B, n, n) gives one pair per system.
     """
     n = M.shape[0]
     gamma = GAMMA
@@ -152,16 +148,35 @@ def _integrate(M, C, K, load, dt, u0, v0, beta):
     a_next = c0 * (u_next - u) - c2 * v - c3 * a
     v_next = v + dt * ((1.0 - gamma) * a + gamma * a_next)
     PQ = np.concatenate([u_next, v_next, a_next], axis=-2)
-    P, Q = np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
+    return np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
+
+
+def _integrate(M, C, K, load, dt, u0, v0, beta):
+    """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n).
+
+    ``load`` is (N+1, n). ``C`` is (n, n), or a stack (B, n, n) of systems
+    that share M, K and the load and go through one time loop; the states
+    then have shape (N+1, B, 3n). With P and Q from `transition_matrices`,
+    `transition_sweep` adds P s_i in place to each row Q f_{i+1}, in the
+    blocks `block_length` picks.
+    """
+    n = M.shape[0]
+    P, Q = transition_matrices(M, C, K, dt, beta)
 
     S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
     S[0, ..., :n] = u0
     S[0, ..., n : 2 * n] = v0
     S[0, ..., 2 * n :] = np.linalg.solve(M, (load[0] - C @ v0 - K @ u0).T).T
     S[1:] = np.tensordot(load[1:], Q, axes=(1, -1))
-    block = math.isqrt(len(S) - 1) if P.size <= _BLOCK_MAX_ENTRIES else 1
-    transition_sweep(P, S, block)
+    transition_sweep(P, S, block_length(P, len(S) - 1))
     return S
+
+
+def block_length(P, n_rows):
+    """`transition_sweep`'s block for ``n_rows`` rows of ``P``: floor(sqrt)
+    of them if P has at most `_BLOCK_MAX_ENTRIES` entries (a stable step
+    keeps P's powers bounded, damped or not), else 1, row by row."""
+    return max(1, math.isqrt(n_rows)) if P.size <= _BLOCK_MAX_ENTRIES else 1
 
 
 def transition_sweep(P, S, block=1):
@@ -177,6 +192,8 @@ def transition_sweep(P, S, block=1):
     and N/L carry steps plus L-1 fill steps replace the N row steps; L = 1
     is the row loop. Overflow raises no warning here: the caller checks it.
     """
+    if block < 1:
+        raise ValueError(f"block length must be at least 1, got {block}")
     matvec = np.matvec
     L = block
     with np.errstate(over="ignore", invalid="ignore"):

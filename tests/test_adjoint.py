@@ -19,6 +19,7 @@ import failsafe_dampers.adjoint as adjoint_module
 from failsafe_dampers.adjoint import (
     accumulate_gradient,
     dg_du_trajectory,
+    gradient_check,
     solve_adjoint,
 )
 from failsafe_dampers.constraints import (
@@ -26,7 +27,7 @@ from failsafe_dampers.constraints import (
     normalized_drifts,
     time_weights,
 )
-from failsafe_dampers.dynamics import ResponseHistory
+from failsafe_dampers.dynamics import ResponseHistory, transition_matrices
 from failsafe_dampers.model import assemble_added_damping, damper_scales
 
 from conftest import shear_frame, synthetic_record
@@ -189,6 +190,34 @@ def test_batched_adjoint_matches_stepwise_reference(size, beta):
         assert np.abs(got[:, b] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("pq", [8, 100])
+@pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
+def test_undamped_frame_adjoint_blocks_match_rows(beta, pq, monkeypatch):
+    # No damping at all: every eigenvalue of P, and of the P' the adjoint
+    # sweeps, lies on the unit circle, so the block powers never decay.
+    # The reference is the same sweep row by row: over 2,000 undamped steps
+    # the stepwise block system itself drifts by about 1e-12.
+    model = shear_frame(4, zeta=0.0)
+    C_d = np.zeros((4, 4))
+    gm = synthetic_record(2000, dt=0.01, seed=5, peak=1.5)
+    P, _ = transition_matrices(model.mass, C_d, model.stiffness, gm.dt, beta)
+    assert np.abs(np.linalg.eigvals(P)).max() == pytest.approx(1.0, abs=1e-12)
+    hist = newmark_solve(model, C_d, gm, beta=beta)
+    forcing = dg_du_trajectory(hist, model, ConstraintParams(p=pq, q=pq))
+    blocks = []
+    real = adjoint_module.transition_sweep
+
+    def sweep(P, S, block):
+        blocks.append(block)
+        real(P, S, block if len(blocks) == 1 else 1)
+
+    monkeypatch.setattr(adjoint_module, "transition_sweep", sweep)
+    got = solve_adjoint(model, C_d, hist, forcing)
+    want = solve_adjoint(model, C_d, hist, forcing)
+    assert blocks[0] > 40
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("pq", EXPONENTS)
 def test_pruned_dg_du_matches_dense_reference(pq):
     model, _, C_d = scenario_batch(11)
@@ -306,6 +335,15 @@ class TestGradientConsistency:
             )
             err = np.abs(adj - fd).max() / max(1.0, np.abs(fd).max())
             assert err <= tol, f"{sc.label()}: {err:.2e} > {tol}"
+
+    @pytest.mark.parametrize("x", [[0.0, 0.5], [1.0, 0.5], [0.0, 1.0]])
+    def test_finite_differences_at_the_box_bounds(self, frame_2dof, record_short, x):
+        # A damper at 0 or at c_bar: the difference turns one-sided instead
+        # of leaving [0, 1], and is first-order accurate there.
+        design = DesignVector(x=x, c_bar=300.0)
+        params = ConstraintParams(p=8, q=8)
+        rows = gradient_check(frame_2dof, design, self.scenarios, record_short, params)
+        assert max(r["max_rel_error"] for r in rows) <= 1e-5
 
     def test_failed_damper_gradient_is_zero(self, frame_2dof, record_short):
         design = DesignVector(x=[0.5, 0.4], c_bar=300.0)

@@ -407,6 +407,20 @@ class TestMain:
         assert (out / "gradient_check.csv").exists()
         assert "worst adjoint-vs-FD relative error" in capsys.readouterr().out
 
+    def test_check_gradients_with_a_zero_coefficient(self, tmp_path, capsys):
+        # A damper at 0 (or at c_bar) gets a one-sided difference instead of
+        # a design outside [0, 1].
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        design = tmp_path / "design.txt"
+        design.write_text("0\n200\n400\n100\n")
+        argv = ["--model", str(model_path), "--records", str(rec_path)]
+        argv += ["--check-gradients", "--design", str(design), "--cbar", "400"]
+        code = main(argv + ["--complete-k", "1", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert (tmp_path / "out" / "gradient_check.csv").exists()
+        assert "worst adjoint-vs-FD relative error" in captured.out
+
     def test_nonconvergence_exits_3(self, tmp_path):
         # Drift limit no damping level can meet.
         base = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.0005)

@@ -261,20 +261,38 @@ def test_stacks_above_the_size_rule_sweep_row_by_row(size, block, monkeypatch):
     assert blocks == [block]
 
 
-def test_adjoint_sweeps_row_by_row(monkeypatch):
-    model, scenarios, _ = scenario_batch(1)
+def test_adjoint_follows_the_size_rule(monkeypatch):
+    # The adjoint sweeps the transpose of the primal's own P over the k rows
+    # up to the last nonzero forcing: in blocks of floor(sqrt(k)) rows for
+    # one 4-story system (144 entries), row by row for a stack of 11 (1,584).
     design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
-    blocks = []
+    seen = []
 
     def spy(P, S, block=1):
-        blocks.append(block)
+        seen.append((P, len(S), block))
         real(P, S, block)
 
     real = adjoint.transition_sweep
     monkeypatch.setattr(adjoint, "transition_sweep", spy)
-    adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8, q=8))
-    assert blocks == [1]
+    for size in (1, 11):
+        model, scenarios, C_d = scenario_batch(size)
+        adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8, q=8))
+        P, _ = dynamics.transition_matrices(
+            model.mass, model.inherent_damping + C_d, model.stiffness, gm.dt, 0.25
+        )
+        assert np.array_equal(seen[-1][0], P.mT)
+    (_, k, block), (_, _, stacked) = seen
+    assert k > 100 and block == math.isqrt(k)
+    assert stacked == 1
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_sweep_rejects_blocks_below_one(block):
+    S = np.ones((5, 2))
+    with pytest.raises(ValueError, match="block length"):
+        transition_sweep(np.eye(2), S, block=block)
+    assert np.all(S == 1.0)
 
 
 def test_undamped_frame_blocks_match_rows(monkeypatch):

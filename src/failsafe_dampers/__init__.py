@@ -43,6 +43,7 @@ from .model import (
 )
 from .optimizer import (
     CuttingPlane,
+    CuttingPlanes,
     EvalCounter,
     SlpConfig,
     SlpResult,
@@ -58,6 +59,7 @@ __all__ = [
     "ConstraintValue",
     "ConvergenceError",
     "CuttingPlane",
+    "CuttingPlanes",
     "DesignVector",
     "EvalCounter",
     "FailSafeConfig",

@@ -30,7 +30,6 @@ from .dynamics import (
     ResponseHistory,
     block_length,
     newmark_solve,
-    transition_matrices,
     transition_sweep,
 )
 from .model import (
@@ -86,13 +85,6 @@ def dg_du_trajectory(
     return core @ model.drift_transform
 
 
-def _last_nonzero_row(a: np.ndarray) -> int:
-    """Index of the last row of ``a`` (time first) holding a nonzero; 0 if
-    there is none."""
-    rows = np.flatnonzero(np.any(a, axis=tuple(range(1, a.ndim))))
-    return int(rows[-1]) if rows.size else 0
-
-
 def solve_adjoint(
     model: StructuralModel,
     C_d: np.ndarray,
@@ -107,24 +99,31 @@ def solve_adjoint(
     mu = 0 after the last row k with a nonzero f_k. x_j enters a step
     through the equilibrium row only, ds_i/dx_j = -Q C_j' v_i at a fixed
     s_{i-1}, so dg/dx_j = sum_i lambda_i' C_j' v_i with lambda_i = -Q' mu_i.
-    `transition_sweep` runs P' backward over rows k..1 in the primal's
-    blocks, under its size rule: ||(P')^j|| = ||P^j||. Returns lambda,
-    shape (N+1, n), zero outside rows 1..k; zero forcing sweeps nothing.
+    P and Q are the pair the history was integrated with (see
+    `newmark_solve`), and ``C_d``, the damping it was integrated under,
+    must match its batch. `transition_sweep` runs P' backward over rows
+    k..1 in the primal's blocks, under its size rule: ||(P')^j|| = ||P^j||.
+    Returns lambda over rows 0..k, shape (k+1, n), row 0 zero; every later
+    row would be zero. Zero forcing sweeps nothing and gives one row.
     A (B, n, n) stack ``C_d`` with a batched history and forcing
-    (N+1, B, n) sweeps the B systems in one loop; lambda is (N+1, B, n).
+    (N+1, B, n) sweeps the B systems in one loop; lambda is (k+1, B, n).
     """
     n = model.n_dof
     if forcing.shape != history.u.shape:
         raise ValueError(f"forcing shape {forcing.shape} does not match history")
-    C = model.inherent_damping + C_d
-    P, Q = transition_matrices(model.mass, C, model.stiffness, history.dt, history.beta)
-    k = _last_nonzero_row(forcing)
+    if np.shape(C_d)[:-2] != forcing.shape[1:-1]:
+        raise ValueError(f"damping shape {np.shape(C_d)} does not match the history")
+    if history.P is None:
+        raise ValueError("the history carries no transition matrices to sweep")
+    P, Q = history.P, history.Q
+    nonzero = np.flatnonzero(np.any(forcing, axis=tuple(range(1, forcing.ndim))))
+    k = int(nonzero[-1]) if nonzero.size else 0
     mu = np.zeros((k + 1,) + forcing.shape[1:-1] + (3 * n,))
     mu[..., :n] = forcing[: k + 1]
     transition_sweep(np.ascontiguousarray(P.mT), mu[:0:-1], block_length(P, k))
-    lam = np.zeros(forcing.shape)
+    lam = np.zeros(mu.shape[:-1] + (n,))
     # lambda_i = -Q' mu_i for each system of the batch, time axis moved aside.
-    lam[1 : k + 1] = -np.moveaxis(np.moveaxis(mu[1:], 0, -2) @ Q, -2, 0)
+    lam[1:] = -np.moveaxis(np.moveaxis(mu[1:], 0, -2) @ Q, -2, 0)
     return lam
 
 
@@ -141,15 +140,14 @@ def accumulate_gradient(
     multiplier, so each component is c_bar * s_k * sum_i (T_k v_i)(T_k l_i).
     Completely failed dampers therefore get an exactly zero component, and
     a partial factor scales the component linearly. The sum runs over rows
-    1..k only, k being the last row where lambda_u is nonzero (the start of
-    the truncated adjoint sweep); later rows would add exactly 0. A list of
-    B scenarios with batched (N+1, B, n) trajectories gives shape
-    (B, n_dampers).
+    1..k of ``lambda_u``, which may stop at the last row k that
+    `solve_adjoint` returns: the velocities' later rows would meet zeros.
+    A list of B scenarios with batched (N+1, B, n) velocities and (k+1, B, n)
+    adjoint displacements gives shape (B, n_dampers).
     """
     rows = model.damper_rows
-    k = _last_nonzero_row(lambda_u)
     per_row = np.sum(
-        (velocities[1 : k + 1] @ rows.T) * (lambda_u[1 : k + 1] @ rows.T), axis=0
+        (velocities[1 : len(lambda_u)] @ rows.T) * (lambda_u[1:] @ rows.T), axis=0
     )
     scales = damper_scales(model, scenario)
     return design.c_bar * scales * (per_row @ model.row_owner)

@@ -611,8 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def solver_configs(args: argparse.Namespace) -> tuple[SlpConfig, FailSafeConfig]:
     """The optimizer and working-set settings given on the command line."""
-    if not 0 < args.cbar < np.inf:
-        raise InputError(f"--cbar must be positive and finite, got {args.cbar:g}")
+    for flag, value in (("--cbar", args.cbar), ("--ml", args.ml)):
+        if not 0 < value < np.inf:
+            raise InputError(f"{flag} must be positive and finite, got {value:g}")
     try:
         slp = SlpConfig(
             ml=args.ml,

@@ -76,7 +76,11 @@ class ResponseHistory:
     responses are relative to the ground. A batched history, one response
     per damping matrix of a stack, has arrays of shape (N+1, B, n). Row 0
     equals the prescribed initial conditions. ``beta`` records the
-    integrator setting the trajectories satisfy (gamma is always `GAMMA`).
+    integrator setting the trajectories satisfy (gamma is always `GAMMA`),
+    and ``P`` and ``Q`` the transition matrices of `transition_matrices`
+    they were integrated with, one pair per system of a stack, so that the
+    adjoint sweeps with the primal's own pair. A history built by hand
+    carries none.
     """
 
     u: np.ndarray
@@ -86,9 +90,13 @@ class ResponseHistory:
     u0: np.ndarray
     v0: np.ndarray
     beta: float = 0.25
+    P: np.ndarray | None = None
+    Q: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("u", "v", "a"):
+        for name in ("u", "v", "a", "P", "Q"):
+            if getattr(self, name) is None:
+                continue
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -152,7 +160,8 @@ def transition_matrices(M, C, K, dt, beta):
 
 
 def _integrate(M, C, K, load, dt, u0, v0, beta):
-    """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n).
+    """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n)
+    and the P and Q they were swept with.
 
     ``load`` is (N+1, n). ``C`` is (n, n), or a stack (B, n, n) of systems
     that share M, K and the load and go through one time loop; the states
@@ -169,7 +178,7 @@ def _integrate(M, C, K, load, dt, u0, v0, beta):
     S[0, ..., 2 * n :] = np.linalg.solve(M, (load[0] - C @ v0 - K @ u0).T).T
     S[1:] = np.tensordot(load[1:], Q, axes=(1, -1))
     transition_sweep(P, S, block_length(P, len(S) - 1))
-    return S
+    return S, P, Q
 
 
 def block_length(P, n_rows):
@@ -190,7 +199,10 @@ def transition_sweep(P, S, block=1):
     With L = ``block`` > 1 (Blelloch 1990), P^2..P^L come from about log2(L)
     stacked matmuls, one product gives each full block's last row from rest,
     and N/L carry steps plus L-1 fill steps replace the N row steps; L = 1
-    is the row loop. Overflow raises no warning here: the caller checks it.
+    is the row loop. The fill steps of a single system multiply their rows
+    by P' in one matmul, which is cheaper than a matvec with a 2-D P; the
+    carry steps stay matvecs, so that L = 1 is the row loop bit for bit.
+    Overflow raises no warning here: the caller checks it.
     """
     if block < 1:
         raise ValueError(f"block length must be at least 1, got {block}")
@@ -211,7 +223,8 @@ def transition_sweep(P, S, block=1):
         for prev, row in zip(S[::L], S[L::L]):
             row += matvec(powers[-1], prev)
         for j in range(1, L):
-            S[j::L] += matvec(P, S[j - 1 : -1 : L])
+            rows = S[j - 1 : -1 : L]
+            S[j::L] += rows @ P.T if P.ndim == 2 else matvec(P, rows)
 
 
 def newmark_solve(
@@ -246,9 +259,10 @@ def newmark_solve(
 
     The effective stiffness is factorized once per matrix to build P and Q
     of the recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to
-    rounding. A response that overflows (beta=1/6 with dt beyond its
-    stability limit) raises `ConvergenceError` naming the record and the
-    first time step whose state is not finite.
+    rounding, and the history keeps P and Q for the adjoint. A response
+    that overflows (beta=1/6 with dt beyond its stability limit) raises
+    `ConvergenceError` naming the record and the first time step whose
+    state is not finite.
     """
     if not any(abs(beta - b) < 1e-12 for b in _SUPPORTED_BETAS):
         raise ValueError(f"beta must be 1/4 or 1/6, got {beta}")
@@ -267,7 +281,7 @@ def newmark_solve(
 
     C = model.inherent_damping + C_d
     load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    S = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0, beta)
+    S, P, Q = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0, beta)
     finite = np.isfinite(S).reshape(S.shape[0], -1).all(axis=1)
     if not finite.all():
         raise ConvergenceError(
@@ -276,7 +290,7 @@ def newmark_solve(
             f"(dt = {gm.dt:g}, beta = {beta:.4g})"
         )
     u, v, a = np.split(S, 3, axis=-1)
-    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, beta=beta)
+    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, beta=beta, P=P, Q=Q)
 
 
 def equilibrium_residual(
@@ -318,7 +332,7 @@ def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float
     C = np.array([[2.0 * zeta * w]])
     K = np.array([[w * w]])
     load = -gm.scaled_accel[:, None]
-    S = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1), 0.25)
+    S, _, _ = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1), 0.25)
     return float(np.abs(S[:, 0]).max())
 
 

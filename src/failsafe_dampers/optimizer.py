@@ -4,19 +4,23 @@ One relaxed sub-problem (a fixed working set of failure scenarios and a
 fixed list of records) is solved by iterating: evaluate the aggregated
 drift constraint and its adjoint gradient for every (scenario, record)
 pair (all scenarios of a record in one batched sweep), append the
-linearizations to a growing plane collection, disable planes that bind
-the LP while their underlying constraint is comfortably satisfied, and
-move to the cost-minimizing vertex of the accumulated planes inside a
-move-limit box. A continuation schedule ratchets the smoothing exponents
-p and q up every iteration so the smooth constraint approaches the true
-peak-drift constraint as the design settles.
+linearizations as rows of the growing arrays of `CuttingPlanes`, disable
+planes that bind the LP while their underlying constraint is comfortably
+satisfied, and move to the cost-minimizing vertex of the accumulated
+planes inside a move-limit box. The LP takes the enabled rows of those
+arrays as they stand, so no plane is read back one by one. A
+continuation schedule ratchets the smoothing exponents p and q up every
+iteration so the smooth constraint approaches the true peak-drift
+constraint as the design settles.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +49,9 @@ class EvalCounter:
         return self.n_primal + self.n_adjoint
 
 
-@dataclass
-class CuttingPlane:
-    """One linearization of a scenario's aggregated constraint.
+class CuttingPlane(NamedTuple):
+    """One linearization of a scenario's aggregated constraint, as read
+    from `CuttingPlanes`.
 
     Predicts ghat(x) = intercept + gradient @ (x - point); the half-space
     kept in the LP is ghat(x) <= 0. Disabled planes stay in the log but are
@@ -60,10 +64,100 @@ class CuttingPlane:
     intercept: float
     point: np.ndarray
     iteration: int
-    enabled: bool = True
+    enabled: bool
 
     def predict(self, x: np.ndarray) -> float:
         return float(self.intercept + self.gradient @ (x - self.point))
+
+
+class CuttingPlanes:
+    """The cutting planes of one sub-problem, in arrays of one row per plane.
+
+    Each row holds a plane's gradient and linearization point (n columns
+    each), its intercept, the right-hand side gradient @ point - intercept
+    of its half-space gradient @ x <= rhs, whether it is enabled, and the
+    scenario id, record name and SLP iteration it came from. The arrays
+    double their capacity when full. Planes are never removed: `disable`
+    clears a plane's flag. Indexing and iteration give `CuttingPlane`
+    records, read-only snapshots of the rows.
+    """
+
+    _ARRAYS = ("_gradients", "_points", "_intercepts", "_rhs", "_enabled",
+               "_scenario_ids", "_iterations")
+
+    def __init__(self, n: int):
+        self._m = 0
+        self._gradients = np.empty((0, n))
+        self._points = np.empty((0, n))
+        self._intercepts = np.empty(0)
+        self._rhs = np.empty(0)
+        self._enabled = np.empty(0, dtype=bool)
+        self._scenario_ids = np.empty(0, dtype=int)
+        self._iterations = np.empty(0, dtype=int)
+        self._records: list[str] = []
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __getitem__(self, i: int) -> CuttingPlane:
+        i = range(self._m)[i]
+        return next(self._snapshots(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[CuttingPlane]:
+        return self._snapshots(slice(0, self._m))
+
+    @property
+    def enabled(self) -> np.ndarray:
+        """Read-only flags of the planes, True where a plane is in the LP."""
+        mask = self._enabled[: self._m]
+        mask.flags.writeable = False
+        return mask
+
+    def append(self, gradients, intercepts, point, scenario_ids, records, iteration):
+        """Add one enabled plane per row of ``gradients``, all linearized at
+        ``point`` in SLP iteration ``iteration``."""
+        k = len(intercepts)
+        if self._m + k > len(self._rhs):
+            capacity = max(self._m + k, 2 * len(self._rhs))
+            for name in self._ARRAYS:
+                old = getattr(self, name)
+                new = np.empty((capacity,) + old.shape[1:], old.dtype)
+                new[: self._m] = old[: self._m]
+                setattr(self, name, new)
+        rows = slice(self._m, self._m + k)
+        self._gradients[rows] = gradients
+        self._points[rows] = point
+        self._intercepts[rows] = intercepts
+        self._rhs[rows] = np.vecdot(self._gradients[rows], point) - intercepts
+        self._enabled[rows] = True
+        self._scenario_ids[rows] = scenario_ids
+        self._iterations[rows] = iteration
+        self._records += records
+        self._m += k
+
+    def disable(self, i: int) -> None:
+        self._enabled[i] = False
+
+    def enabled_rows(self):
+        """Indices, gradients, points, intercepts and right-hand sides of the
+        enabled planes, in plane order."""
+        idx = np.flatnonzero(self._enabled[: self._m])
+        return (idx, self._gradients[idx], self._points[idx], self._intercepts[idx],
+                self._rhs[idx])
+
+    def _snapshots(self, rows: slice) -> Iterator[CuttingPlane]:
+        gradients, points = self._gradients[rows], self._points[rows]
+        gradients.flags.writeable = points.flags.writeable = False
+        return map(
+            CuttingPlane,
+            self._scenario_ids[rows].tolist(),
+            self._records[rows],
+            gradients,
+            self._intercepts[rows].tolist(),
+            points,
+            self._iterations[rows].tolist(),
+            self._enabled[rows].tolist(),
+        )
 
 
 @dataclass(frozen=True)
@@ -89,8 +183,8 @@ class SlpConfig:
     beta: float = 0.25
 
     def __post_init__(self):
-        if self.ml <= 0:
-            raise ValueError(f"move limit must be positive, got {self.ml}")
+        if not 0 < self.ml < math.inf:
+            raise ValueError(f"move limit must be positive and finite, got {self.ml}")
         if self.i_min < 1 or self.i_max < self.i_min:
             raise ValueError("need 1 <= i_min <= i_max")
         for name in ("p", "q"):
@@ -100,10 +194,14 @@ class SlpConfig:
             if step < 0 or not start <= cap:
                 raise ValueError(f"{name} schedule must be nondecreasing up to its cap")
         ConstraintParams(p=self.p_start, q=self.q_start)
-        if self.drop_margin < 0:
-            raise ValueError("drop margin must be nonnegative")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive when given")
+        if not 0 <= self.drop_margin < math.inf:
+            raise ValueError(
+                f"drop margin must be nonnegative and finite, got {self.drop_margin}"
+            )
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ValueError(
+                f"delta must be positive and finite when given, got {self.delta}"
+            )
 
     def convergence_tol(self, n_dampers: int) -> float:
         if self.delta is not None:
@@ -125,7 +223,7 @@ class LpResult:
 
 def solve_lp(
     objective: np.ndarray,
-    planes: list[CuttingPlane],
+    planes: CuttingPlanes,
     center: np.ndarray,
     move_limit: float,
     bounds: tuple[float, float] = (0.0, 1.0),
@@ -153,11 +251,8 @@ def solve_lp(
     lo = np.maximum(bounds[0], center - move_limit)
     hi = np.minimum(bounds[1], center + move_limit)
 
-    enabled = np.flatnonzero([pl.enabled for pl in planes])
-    A_pl = np.array([planes[i].gradient for i in enabled]).reshape(enabled.size, n)
-    points = np.array([planes[i].point for i in enabled]).reshape(enabled.size, n)
-    intercepts = np.array([planes[i].intercept for i in enabled])
-    b_pl = np.vecdot(A_pl, points) - intercepts - margin
+    enabled, A_pl, points, intercepts, rhs = planes.enabled_rows()
+    b_pl = rhs - margin
 
     # Shift to y = x - lo so the simplex's x >= 0 convention applies.
     span = hi - lo
@@ -229,7 +324,7 @@ class SlpResult:
     converged: bool
     n_iterations: int
     history: list[IterationRecord]
-    planes: list[CuttingPlane]
+    planes: CuttingPlanes
     p_final: int
     q_final: int
 
@@ -276,11 +371,13 @@ def slp_solve(
     p = config.p_start if p_start is None else p_start
     q = config.q_start if q_start is None else q_start
     cost_gradient = np.ones(n_d)
+    # Labels of the planes one iteration adds, one per (scenario, record).
+    plane_ids = np.repeat([sc.id for sc in working_scenarios], len(records))
+    plane_records = names * len(working_scenarios)
 
-    planes: list[CuttingPlane] = []
+    planes = CuttingPlanes(n_d)
     history: list[IterationRecord] = []
     last_binding: tuple[int, ...] = ()
-    n_enabled = 0
     best: tuple[float, float, np.ndarray] | None = None  # (gmax, cost, x)
     converged = False
     iteration = 0
@@ -293,33 +390,27 @@ def slp_solve(
         # working scenario. The planes keep their scenario-major order:
         # the simplex's pivot choices depend on the order of its rows.
         C_d = assemble_added_damping(model, design, working_scenarios)
-        per_record = []
-        for gm in records:
+        g = np.empty((len(working_scenarios), len(records)))
+        grads = np.empty(g.shape + (n_d,))
+        for r, gm in enumerate(records):
             hist = newmark_solve(model, C_d, gm, beta=config.beta)
             value = evaluate_drift_constraint(hist, model, params)
-            grads = adjoint_gradient(
+            g[:, r] = value.g
+            grads[:, r] = adjoint_gradient(
                 model, design, working_scenarios, gm, params,
                 C_d=C_d, history=hist, value=value,
             )
             counter.n_primal += len(working_scenarios)
             counter.n_adjoint += len(working_scenarios)
-            per_record.append((gm.name, value.g, grads))
 
-        g_true: dict[tuple[int, str], float] = {}
-        for i, sc in enumerate(working_scenarios):
-            for name, g, grads in per_record:
-                planes.append(
-                    CuttingPlane(
-                        scenario_id=sc.id,
-                        record=name,
-                        gradient=grads[i],
-                        intercept=float(g[i]),
-                        point=x.copy(),
-                        iteration=iteration,
-                    )
-                )
-                g_true[(sc.id, name)] = float(g[i])
-        n_enabled += len(working_scenarios) * len(records)
+        planes.append(
+            grads.reshape(-1, n_d), g.ravel(), x, plane_ids, plane_records, iteration
+        )
+        g_true = {
+            (sc.id, name): float(g[i, r])
+            for i, sc in enumerate(working_scenarios)
+            for r, name in enumerate(names)
+        }
         g_max_true = max(g_true.values())
 
         # A plane that binds the LP while its constraint is satisfied with
@@ -330,8 +421,7 @@ def slp_solve(
                 continue
             current = g_true.get((pl.scenario_id, pl.record))
             if current is not None and current < -config.drop_margin:
-                pl.enabled = False
-                n_enabled -= 1
+                planes.disable(idx)
                 logger.debug(
                     "%sdropped plane (scenario %d, %s, iter %d): g=%.4g",
                     label,
@@ -358,7 +448,7 @@ def slp_solve(
                 cost=float(x.sum()),
                 g_max_true=g_max_true,
                 step_norm=step,
-                n_active_planes=n_enabled,
+                n_active_planes=int(np.count_nonzero(planes.enabled)),
                 p=p,
                 q=q,
                 lp_status=lp.status,

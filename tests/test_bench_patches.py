@@ -34,22 +34,37 @@ def test_patch_target_resolves(name, module, attr):
     assert callable(getattr(target, attr, None)), f"{name}: {module}.{attr} is missing"
 
 
-def test_traced_run_feeds_every_observer():
+def test_traced_run_feeds_every_observer(monkeypatch):
+    # A drift limit tight enough that the SLP retires planes, so that the
+    # disabled-plane count is checked against a nonzero value.
     spans = load_spans()
-    model = frame_with_redundant_dampers(d_allow=0.012)
-    gm = synthetic_record(60, dt=0.02, seed=31, peak=1.55, name="recB")
+    model = frame_with_redundant_dampers(d_allow=0.0055)
+    gm = synthetic_record(100, dt=0.02, seed=31, peak=2.5, name="recB")
     scenarios = enumerate_scenarios(model.n_dampers, 1, 1, nu=0.5)
     original = failsafe_dampers.cli.run_failsafe
+    optimizer = failsafe_dampers.optimizer
+    lp_rows, results = [], []  # read from the plane container itself
+    real_lp, real_slp = optimizer.solve_lp, failsafe_dampers.failsafe.slp_solve
 
+    def spy_lp(objective, planes, center, *args, **kwargs):
+        lp_rows.append(int(planes.enabled.sum()) + len(center))
+        return real_lp(objective, planes, center, *args, **kwargs)
+
+    def spy_slp(*args, **kwargs):
+        results.append(real_slp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
+    monkeypatch.setattr(failsafe_dampers.failsafe, "slp_solve", spy_slp)
     tracer = spans.Tracer()
-    tracer.install(failsafe_dampers)
+    tracer.install(failsafe_dampers)  # wraps the spies
     try:
         final = failsafe_dampers.cli.run_failsafe(
             model,
             scenarios,
             [gm],
             c_bar=800.0,
-            slp_config=SlpConfig(i_min=3, i_max=30),
+            slp_config=SlpConfig(i_min=3, i_max=60),
             fs_config=FailSafeConfig(),
         )
     finally:
@@ -61,6 +76,11 @@ def test_traced_run_feeds_every_observer():
     for name in spans._OBSERVERS:
         assert layers.get(name, {}).get("calls", 0) > 0, f"{name} never ran"
     assert tracer.lp_rows and min(tracer.lp_rows) > 0
+    assert tracer.lp_rows == lp_rows
+    disabled = sum(len(r.planes) - int(r.planes.enabled.sum()) for r in results)
+    assert disabled > 0
+    assert tracer.counts["optimizer.planes_disabled"] == disabled
+    assert tracer.counts["optimizer.planes_total"] == sum(len(r.planes) for r in results)
     for count in (
         "dynamics.steps",
         "adjoint.steps",

@@ -69,6 +69,8 @@ MALFORMED = [
     ("design", "nan\n"),
     ("--cbar", "nan"),
     ("--cbar", "0"),
+    ("--ml", "nan"),
+    ("--ml", "inf"),
 ]
 
 

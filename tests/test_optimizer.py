@@ -1,5 +1,6 @@
 """LP sub-problem solver and the SLP loop."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from scipy.optimize import linprog
 
 from failsafe_dampers import (
-    CuttingPlane,
+    CuttingPlanes,
     DesignVector,
+    GroundMotion,
     SlpConfig,
     enumerate_scenarios,
     newmark_solve,
@@ -16,7 +18,7 @@ from failsafe_dampers import (
     slp_solve,
     solve_lp,
 )
-from failsafe_dampers import _simplex, optimizer, run_failsafe
+from failsafe_dampers import _simplex, adjoint, dynamics, optimizer, run_failsafe
 from failsafe_dampers._simplex import (
     SimplexError,
     _rows_that_can_bind,
@@ -28,15 +30,13 @@ from failsafe_dampers.model import StructuralModel
 from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
 
 
-def plane(gradient, intercept, point, scenario_id=0, record="r", iteration=1):
-    return CuttingPlane(
-        scenario_id=scenario_id,
-        record=record,
-        gradient=np.asarray(gradient, dtype=float),
-        intercept=intercept,
-        point=np.asarray(point, dtype=float),
-        iteration=iteration,
-    )
+def plane_set(n, *planes):
+    """`CuttingPlanes` of n variables holding (gradient, intercept, point)
+    triples in order."""
+    out = CuttingPlanes(n)
+    for gradient, intercept, point in planes:
+        out.append([gradient], [intercept], point, [0], ["r"], 1)
+    return out
 
 
 def enumerate_vertices_objective(c, A, b, n):
@@ -437,37 +437,68 @@ class TestPresolve:
         assert solve_inequality_lp(np.ones(2), A[keep], b[keep]) == (None, "infeasible")
 
 
+def fullset_problem():
+    """The 3-story frame with two dampers per story and all 22 scenarios in
+    the working set, as in the fullset benchmark, with a starting design."""
+    model = frame_with_redundant_dampers(n_stories=3, per_story=2)
+    gm = synthetic_record(100, seed=9, peak=2.5)
+    bare = newmark_solve(model, np.zeros((3, 3)), gm)
+    gm = gm.rescaled(2.0 / np.abs(normalized_drifts(bare, model)).max())
+    scenarios = enumerate_scenarios(6, 1, 2, 0.5)
+    return model, scenarios, gm, DesignVector(x=np.full(6, 0.2), c_bar=2000.0)
+
+
+def lp_rows_from_records(planes, center, move_limit, margin):
+    """Slow reference: the (A, b) `solve_lp` hands the simplex, assembled
+    plane by plane from the records of the enabled planes."""
+    n = center.size
+    lo = np.maximum(0.0, center - move_limit)
+    hi = np.minimum(1.0, center + move_limit)
+    on = [pl for pl in planes if pl.enabled]
+    A_pl = np.array([pl.gradient for pl in on]).reshape(len(on), n)
+    points = np.array([pl.point for pl in on]).reshape(len(on), n)
+    intercepts = np.array([pl.intercept for pl in on])
+    b_pl = np.vecdot(A_pl, points) - intercepts - margin
+    return np.vstack([A_pl, np.eye(n)]), np.concatenate([b_pl - A_pl @ lo, hi - lo])
+
+
 class TestSolveLp:
     def test_no_planes_goes_to_lower_corner(self):
-        res = solve_lp(np.ones(3), [], center=np.full(3, 0.5), move_limit=0.2)
+        res = solve_lp(
+            np.ones(3), CuttingPlanes(3), center=np.full(3, 0.5), move_limit=0.2
+        )
         assert np.allclose(res.x, 0.3)
         assert res.status == "optimal"
 
     def test_single_plane_binds(self):
         # ghat(x) = 0.5 - x0 <= 0 forces x0 >= 0.5 inside the box [0, 1].
-        pl = plane(gradient=[-1.0, 0.0], intercept=0.5, point=[0.0, 0.0])
-        res = solve_lp(np.ones(2), [pl], center=np.full(2, 0.5), move_limit=0.5)
+        planes = plane_set(2, ([-1.0, 0.0], 0.5, [0.0, 0.0]))
+        res = solve_lp(np.ones(2), planes, center=np.full(2, 0.5), move_limit=0.5)
         assert res.x[0] == pytest.approx(0.5, abs=1e-9)
         assert res.x[1] == pytest.approx(0.0, abs=1e-9)
         assert 0 in res.binding
 
     def test_disabled_planes_ignored(self):
-        pl = plane(gradient=[-1.0, 0.0], intercept=0.5, point=[0.0, 0.0])
-        pl.enabled = False
-        res = solve_lp(np.ones(2), [pl], center=np.full(2, 0.5), move_limit=0.5)
+        planes = plane_set(2, ([-1.0, 0.0], 0.5, [0.0, 0.0]))
+        planes.disable(0)
+        assert not planes[0].enabled
+        res = solve_lp(np.ones(2), planes, center=np.full(2, 0.5), move_limit=0.5)
         assert np.allclose(res.x, 0.0, atol=1e-12)
 
     def test_elastic_fallback_on_conflicting_planes(self):
         # x0 >= 0.8 and x0 <= 0.2 cannot both hold: least total violation
         # is 0.6, reached anywhere in between; cost then pulls x0 down.
-        p1 = plane(gradient=[-1.0, 0.0], intercept=0.8, point=[0.0, 0.0])
-        p2 = plane(gradient=[1.0, 0.0], intercept=-0.2, point=[0.0, 0.0])
-        res = solve_lp(np.ones(2), [p1, p2], center=np.full(2, 0.5), move_limit=0.5)
+        planes = plane_set(
+            2, ([-1.0, 0.0], 0.8, [0.0, 0.0]), ([1.0, 0.0], -0.2, [0.0, 0.0])
+        )
+        res = solve_lp(np.ones(2), planes, center=np.full(2, 0.5), move_limit=0.5)
         assert res.status == "elastic"
         assert res.violation == pytest.approx(0.6, abs=1e-8)
 
     def test_respects_move_limits(self):
-        res = solve_lp(np.ones(2), [], center=np.array([0.5, 0.05]), move_limit=0.02)
+        res = solve_lp(
+            np.ones(2), CuttingPlanes(2), center=np.array([0.5, 0.05]), move_limit=0.02
+        )
         assert np.allclose(res.x, [0.48, 0.03])
 
     def test_random_lps_against_vertex_oracle(self):
@@ -477,11 +508,12 @@ class TestSolveLp:
             center = rng.uniform(0.2, 0.8, n)
             ml = float(rng.uniform(0.05, 0.3))
             x_star = np.clip(center + rng.uniform(-ml, ml, n), 0, 1)
-            planes = []
+            triples = []
             for _ in range(int(rng.integers(1, 5))):
                 grad = rng.standard_normal(n)
                 g_val = float(-rng.uniform(0.0, 0.5))  # feasible at x_star
-                planes.append(plane(grad, g_val, x_star))
+                triples.append((grad, g_val, x_star))
+            planes = plane_set(n, *triples)
             res = solve_lp(np.ones(n), planes, center, ml)
             assert res.status == "optimal"
             lo = np.maximum(0.0, center - ml)
@@ -511,6 +543,12 @@ class TestSlpConfig:
             SlpConfig(p_start=200, p_cap=100)
         with pytest.raises(ValueError, match="even"):
             SlpConfig(p_start=99)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["ml", "drop_margin", "delta"])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            SlpConfig(**{name: value})
 
     def test_advance_caps(self):
         cfg = SlpConfig(p_start=100, p_step=500, p_cap=800, q_start=100, q_step=500, q_cap=800)
@@ -619,14 +657,9 @@ class TestSlpSolve:
         assert res.x.sum() != pytest.approx(res.history[-1].cost)
 
     def test_presolved_lp_matches_dense_tableau_in_the_loop(self, monkeypatch):
-        # The 3-story frame with two dampers per story and all 22 scenarios
-        # in the working set, as in the fullset benchmark: the LP grows by
-        # 22 planes per iteration, goes elastic, and retires planes.
-        model = frame_with_redundant_dampers(n_stories=3, per_story=2)
-        gm = synthetic_record(100, seed=9, peak=2.5)
-        bare = newmark_solve(model, np.zeros((3, 3)), gm)
-        gm = gm.rescaled(2.0 / np.abs(normalized_drifts(bare, model)).max())
-        scenarios = enumerate_scenarios(6, 1, 2, 0.5)
+        # The LP grows by 22 planes per iteration, goes elastic, and retires
+        # planes.
+        model, scenarios, gm, design0 = fullset_problem()
         cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
 
         def run(solver):
@@ -642,7 +675,6 @@ class TestSlpSolve:
 
             monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
             monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
-            design0 = DesignVector(x=np.full(6, 0.2), c_bar=2000.0)
             res = slp_solve(model, scenarios, [gm], design0, cfg)
             monkeypatch.undo()
             return res, lps, sum(dropped)
@@ -658,12 +690,66 @@ class TestSlpSolve:
         assert [lp.status for lp in lps] == [lp.status for lp in ref_lps]
         for lp, ref_lp in zip(lps, ref_lps):
             assert np.abs(lp.x - ref_lp.x).max() <= 1e-12
-        enabled = [pl.enabled for pl in res.planes]
-        assert not all(enabled)
-        assert enabled == [pl.enabled for pl in ref.planes]
+        enabled = res.planes.enabled
+        assert not enabled.all()
+        assert np.array_equal(enabled, ref.planes.enabled)
+        assert enabled.tolist() == [pl.enabled for pl in res.planes]
         active = [r.n_active_planes for r in res.history]
         assert active == [r.n_active_planes for r in ref.history]
-        assert active[-1] == sum(enabled) < len(enabled)
+        assert active[-1] == enabled.sum() < len(res.planes)
+
+    def test_lp_rows_from_the_plane_arrays_match_the_plane_records(self, monkeypatch):
+        # Every LP's (A, b) as the simplex receives it, bit for bit the one
+        # assembled plane by plane from the records of the enabled planes,
+        # also once planes have been retired.
+        model, scenarios, gm, design0 = fullset_problem()
+        cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
+        want, got, disabled = [], [], []
+        real_lp, real_simplex = optimizer.solve_lp, optimizer.solve_inequality_lp
+
+        def spy_lp(objective, planes, center, move_limit, margin=0.0):
+            want.append(lp_rows_from_records(planes, center, move_limit, margin))
+            disabled.append(len(planes) - int(planes.enabled.sum()))
+            return real_lp(objective, planes, center, move_limit, margin=margin)
+
+        def spy_simplex(c, A, b):
+            if len(got) < len(want):  # the first call of each LP
+                got.append((A, b))
+            return real_simplex(c, A, b)
+
+        monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
+        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
+        res = slp_solve(model, scenarios, [gm], design0, cfg, feasibility_margin=1e-3)
+        assert len(got) == len(want) == res.n_iterations
+        assert max(disabled) > 0
+        for (A, b), (A_ref, b_ref) in zip(got, want):
+            assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+    def test_adjoint_sweeps_with_the_primal_transition_matrices(self, monkeypatch):
+        # One P and Q per (iteration, record), built by the primal solve;
+        # the adjoint sweeps with the transpose of that same P.
+        model, scenarios, gm, design0 = fullset_problem()
+        reversed_gm = GroundMotion("reversed", gm.dt, gm.accel[::-1], gm.scale)
+        built, swept = [], []
+        real_matrices, real_sweep = dynamics.transition_matrices, adjoint.transition_sweep
+
+        def spy_matrices(*args):
+            built.append(real_matrices(*args))
+            return built[-1]
+
+        def spy_sweep(P, S, block=1):
+            swept.append(P)
+            real_sweep(P, S, block)
+
+        monkeypatch.setattr(dynamics, "transition_matrices", spy_matrices)
+        monkeypatch.setattr(adjoint, "transition_sweep", spy_sweep)
+        cfg = SlpConfig(i_min=4, i_max=4)
+        res = slp_solve(model, scenarios, [gm, reversed_gm], design0, cfg)
+        assert res.n_iterations == 4
+        assert len(built) == len(swept) == 4 * 2
+        for (P, _), P_adjoint in zip(built, swept):
+            assert P.shape == (len(scenarios), 9, 9)
+            assert np.array_equal(P_adjoint, P.mT)
 
     def test_cost_within_one_percent_of_dense_grid_search(self):
         # Independent oracle: a vectorized grid sweep at resolution 0.05

@@ -36,6 +36,8 @@ class SimplexError(ConvergenceError):
 
 
 _STALL_LIMIT = 25
+# Reduced-cost, ratio-test and tie tolerance of the pivots.
+_TOL = 1e-10
 
 
 def _pivot(T, basis, i, j):
@@ -53,7 +55,7 @@ def _pivot(T, basis, i, j):
     basis[i] = j
 
 
-def _pivot_loop(T, basis, costs, allowed, tol, max_pivots):
+def _pivot_loop(T, basis, costs, allowed, max_pivots):
     """Run pivots until optimal. Returns the objective value."""
     m = T.shape[0]
     bland = False
@@ -65,27 +67,27 @@ def _pivot_loop(T, basis, costs, allowed, tol, max_pivots):
         nonbasic[basis] = False
         cols = nonbasic.nonzero()[0]
         r = costs[cols] - costs[basis] @ T[:, cols]
-        entering = r < -tol
+        entering = r < -_TOL
         if not entering.any():
             return float(costs[basis] @ T[:, -1])
         candidates = cols[entering]
         # Dantzig's near-ties go to the lowest index, as row ties do below.
-        near_min = r[entering] <= r[entering].min() + tol
+        near_min = r[entering] <= r[entering].min() + _TOL
         j = candidates[0] if bland else candidates[np.argmax(near_min)]
 
         col = T[:, j]
-        positive = col > tol
+        positive = col > _TOL
         if not positive.any():
             raise SimplexError("LP is unbounded")
         ratios = np.full(m, np.inf)
         ratios[positive] = T[positive, -1] / col[positive]
         best = ratios.min()
-        ties = np.where(ratios <= best + tol * (1.0 + abs(best)))[0]
+        ties = np.where(ratios <= best + _TOL * (1.0 + abs(best)))[0]
         i = ties[np.argmin(basis[ties])] if ties.size > 1 else int(np.argmin(ratios))
         _pivot(T, basis, i, j)
 
         obj = float(costs[basis] @ T[:, -1])
-        if obj >= prev_obj - tol:
+        if obj >= prev_obj - _TOL:
             stall += 1
             if stall >= _STALL_LIMIT:
                 bland = True
@@ -95,12 +97,13 @@ def _pivot_loop(T, basis, costs, allowed, tol, max_pivots):
     raise SimplexError("pivot budget exhausted")
 
 
-def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
+def solve_inequality_lp(c, A, b):
     """Minimize c @ x with A @ x <= b and x >= 0.
 
     Returns ``(x, "optimal")`` or ``(None, "infeasible")``. Raises
     SimplexError for unbounded problems (callers here always bound the
-    variables with explicit rows) or an exhausted pivot budget.
+    variables with explicit rows) or an exhausted budget of
+    1000 + 50 (m + n) pivots per phase.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -110,14 +113,13 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
 
-    if max_pivots is None:
-        max_pivots = 1000 + 50 * (m + n)
+    max_pivots = 1000 + 50 * (m + n)
     keep = _rows_that_can_bind(A, b)
     A_full, b_full, A, b = A, b, A[keep], b[keep]
     m = A.shape[0]
 
     if m == 0:
-        if np.any(c < -tol):
+        if np.any(c < -_TOL):
             raise SimplexError("LP is unbounded")
         return np.zeros(n), "optimal"
 
@@ -140,19 +142,19 @@ def solve_inequality_lp(c, A, b, *, tol=1e-10, max_pivots=None):
         _pivot(T, basis, int(np.argmin(b)), art)
         costs1 = np.zeros(ncols)
         costs1[art] = 1.0
-        phase1 = _pivot_loop(T, basis, costs1, allowed, tol, max_pivots)
+        phase1 = _pivot_loop(T, basis, costs1, allowed, max_pivots)
         if phase1 > 1e-8 * max(1.0, np.abs(b_full).max()):
             return None, "infeasible"
         # Pivot x0 out if it stays basic at zero. [A I] has full row rank,
         # so its row holds a nonzero outside the x0 column.
         for i in np.flatnonzero(basis == art):
-            pivot_cols = np.flatnonzero(np.abs(T[i, :art]) > 1e2 * tol)
+            pivot_cols = np.flatnonzero(np.abs(T[i, :art]) > 1e2 * _TOL)
             _pivot(T, basis, i, int(pivot_cols[0]))
         allowed[art] = False
 
     costs2 = np.zeros(ncols)
     costs2[:n] = c
-    _pivot_loop(T, basis, costs2, allowed, tol, max_pivots)
+    _pivot_loop(T, basis, costs2, allowed, max_pivots)
 
     x = np.zeros(n)
     structural = basis < n

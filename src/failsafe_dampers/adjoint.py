@@ -163,7 +163,6 @@ def adjoint_gradient(
     C_d: np.ndarray | None = None,
     history: ResponseHistory | None = None,
     value: ConstraintValue | None = None,
-    beta: float = 0.25,
 ) -> np.ndarray:
     """Gradient of the scenario's aggregated drift constraint.
 
@@ -182,7 +181,7 @@ def adjoint_gradient(
     if C_d is None:
         C_d = assemble_added_damping(model, design, scenario)
     if history is None:
-        history = newmark_solve(model, C_d, gm, beta=beta)
+        history = newmark_solve(model, C_d, gm)
     if np.any(history.u0) or np.any(history.v0):
         raise ValueError("adjoint gradients require zero initial conditions")
     forcing = dg_du_trajectory(history, model, params, value=value)
@@ -198,7 +197,6 @@ def fd_gradient(
     params: ConstraintParams,
     *,
     h: float = 1e-6,
-    beta: float = 0.25,
 ) -> np.ndarray:
     """Finite differences of g through the full primal pipeline; shape
     (B, n_dampers) for a list of B scenarios. The points x_j +- h are clipped
@@ -208,7 +206,7 @@ def fd_gradient(
     def g_of(x):
         d = DesignVector(x=x, c_bar=design.c_bar)
         C_d = assemble_added_damping(model, d, scenario)
-        hist = newmark_solve(model, C_d, gm, beta=beta)
+        hist = newmark_solve(model, C_d, gm)
         return evaluate_drift_constraint(hist, model, params).g
 
     columns = []

@@ -628,7 +628,8 @@ def solver_configs(args: argparse.Namespace) -> tuple[SlpConfig, FailSafeConfig]
         )
         return slp, FailSafeConfig(epsilon=args.epsilon)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        # A message that starts with a schedule field, p_step, names --p-step.
+        raise InputError(re.sub(r"^([pq])_(\w+)", r"--\1-\2", str(exc))) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,8 +14,9 @@ from .model import StructuralModel
 
 STANDARD_GRAVITY = 9.80665
 
-_SUPPORTED_BETAS = (0.25, 1.0 / 6.0)
-# Newmark's gamma. Only 1/2 is second-order accurate and adds no numerical damping.
+# Newmark's beta and gamma: average acceleration, unconditionally stable; only
+# gamma = 1/2 is second-order accurate and adds no numerical damping.
+BETA = 0.25
 GAMMA = 0.5
 # Largest stacked P (B * 9n^2 entries) that `block_length` lets run in blocks:
 # below it a step costs the call overhead of one matvec, which blocks save;
@@ -75,12 +76,10 @@ class ResponseHistory:
     Rows are time samples (N+1 of them), columns degrees of freedom; all
     responses are relative to the ground. A batched history, one response
     per damping matrix of a stack, has arrays of shape (N+1, B, n). Row 0
-    equals the prescribed initial conditions. ``beta`` records the
-    integrator setting the trajectories satisfy (gamma is always `GAMMA`),
-    and ``P`` and ``Q`` the transition matrices of `transition_matrices`
-    they were integrated with, one pair per system of a stack, so that the
-    adjoint sweeps with the primal's own pair. A history built by hand
-    carries none.
+    equals the prescribed initial conditions. ``P`` and ``Q`` are the
+    transition matrices of `transition_matrices` the trajectories were
+    integrated with, one pair per system of a stack, so that the adjoint
+    sweeps with the primal's own pair. A history built by hand carries none.
     """
 
     u: np.ndarray
@@ -89,7 +88,6 @@ class ResponseHistory:
     dt: float
     u0: np.ndarray
     v0: np.ndarray
-    beta: float = 0.25
     P: np.ndarray | None = None
     Q: np.ndarray | None = None
 
@@ -126,7 +124,7 @@ class ResponseHistory:
         return np.arange(self.u.shape[0]) * self.dt
 
 
-def transition_matrices(M, C, K, dt, beta):
+def transition_matrices(M, C, K, dt):
     """P (..., 3n, 3n) and Q (..., 3n, n) of one Newmark step in s = (u, v, a).
 
     One step is linear in the state and the next load, s_{i+1} = P s_i +
@@ -135,7 +133,7 @@ def transition_matrices(M, C, K, dt, beta):
     (B, n, n) gives one pair per system.
     """
     n = M.shape[0]
-    gamma = GAMMA
+    beta, gamma = BETA, GAMMA
     c0 = 1.0 / (beta * dt * dt)
     c1 = gamma / (beta * dt)
     c2 = 1.0 / (beta * dt)
@@ -159,7 +157,7 @@ def transition_matrices(M, C, K, dt, beta):
     return np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
 
 
-def _integrate(M, C, K, load, dt, u0, v0, beta):
+def _integrate(M, C, K, load, dt, u0, v0):
     """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n)
     and the P and Q they were swept with.
 
@@ -170,7 +168,7 @@ def _integrate(M, C, K, load, dt, u0, v0, beta):
     blocks `block_length` picks.
     """
     n = M.shape[0]
-    P, Q = transition_matrices(M, C, K, dt, beta)
+    P, Q = transition_matrices(M, C, K, dt)
 
     S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
     S[0, ..., :n] = u0
@@ -232,7 +230,6 @@ def newmark_solve(
     C_d: np.ndarray,
     gm: GroundMotion,
     *,
-    beta: float = 0.25,
     u0: np.ndarray | None = None,
     v0: np.ndarray | None = None,
 ) -> ResponseHistory:
@@ -248,11 +245,8 @@ def newmark_solve(
         returns for a list of scenarios). A stack goes through one time
         loop and gives a batched history, arrays of shape (N+1, B, n).
     gm : GroundMotion
-        Record integrated at its native time step.
-    beta : float
-        Newmark parameter. beta=1/4 (average acceleration, unconditionally
-        stable, the default) and beta=1/6 (linear acceleration) are
-        supported, both with gamma = `GAMMA` = 1/2.
+        Record integrated at its native time step, with the average
+        acceleration scheme (`BETA` = 1/4, `GAMMA` = 1/2).
     u0, v0 : arrays, optional
         Initial displacement and velocity, shared by the whole stack; zero
         when omitted.
@@ -260,12 +254,10 @@ def newmark_solve(
     The effective stiffness is factorized once per matrix to build P and Q
     of the recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to
     rounding, and the history keeps P and Q for the adjoint. A response
-    that overflows (beta=1/6 with dt beyond its stability limit) raises
-    `ConvergenceError` naming the record and the first time step whose
-    state is not finite.
+    that overflows (an indefinite stiffness, whose unstable mode grows
+    exponentially) raises `ConvergenceError` naming the record and the
+    first time step whose state is not finite.
     """
-    if not any(abs(beta - b) < 1e-12 for b in _SUPPORTED_BETAS):
-        raise ValueError(f"beta must be 1/4 or 1/6, got {beta}")
     n = model.n_dof
     C_d = np.asarray(C_d, dtype=float)
     if C_d.ndim not in (2, 3) or C_d.shape[-2:] != (n, n):
@@ -281,16 +273,16 @@ def newmark_solve(
 
     C = model.inherent_damping + C_d
     load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    S, P, Q = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0, beta)
+    S, P, Q = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0)
     finite = np.isfinite(S).reshape(S.shape[0], -1).all(axis=1)
     if not finite.all():
         raise ConvergenceError(
             f"response to record '{gm.name}' diverged: the state is not finite "
             f"at time step {int(np.argmin(finite))} of {gm.n_steps} "
-            f"(dt = {gm.dt:g}, beta = {beta:.4g})"
+            f"(dt = {gm.dt:g})"
         )
     u, v, a = np.split(S, 3, axis=-1)
-    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, beta=beta, P=P, Q=Q)
+    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, P=P, Q=Q)
 
 
 def equilibrium_residual(
@@ -332,7 +324,7 @@ def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float
     C = np.array([[2.0 * zeta * w]])
     K = np.array([[w * w]])
     load = -gm.scaled_accel[:, None]
-    S, _, _ = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1), 0.25)
+    S, _, _ = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1))
     return float(np.abs(S[:, 0]).max())
 
 
@@ -353,15 +345,14 @@ def load_ground_motion(
     path: str | Path,
     *,
     units: str = "m/s2",
-    scale: float = 1.0,
-    name: str | None = None,
 ) -> GroundMotion:
     """Parse a ground-motion file.
 
     Two layouts are accepted: two whitespace-separated columns of time and
     acceleration with uniform spacing, or a ``dt=<seconds>`` header line
     followed by one acceleration per line. Lines starting with ``#`` or
-    ``%`` are comments. ``units="g"`` converts samples to m/s^2.
+    ``%`` are comments. ``units="g"`` converts samples to m/s^2. The
+    record is named after the file's stem.
     """
     path = Path(path)
     if units not in ("m/s2", "g"):
@@ -419,8 +410,6 @@ def load_ground_motion(
     if units == "g":
         accel = accel * STANDARD_GRAVITY
     try:
-        return GroundMotion(
-            name=name or path.stem, dt=dt, accel=accel, scale=scale
-        )
+        return GroundMotion(name=path.stem, dt=dt, accel=accel)
     except ValueError as exc:
         raise InputError(f"record file {path}: {exc}") from exc

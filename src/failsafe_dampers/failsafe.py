@@ -23,7 +23,7 @@ import numpy as np
 
 from .constraints import ConstraintParams, evaluate_drift_constraint
 from .dynamics import GroundMotion, newmark_solve, select_dominant_record
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InputError
 from .model import (
     DesignVector,
     StructuralModel,
@@ -35,6 +35,13 @@ from .scenarios import ScenarioSet
 
 logger = logging.getLogger(__name__)
 
+# Loop budgets: sub-problems per run, resumes per sub-problem, passes of the
+# record loop, and the minimum SLP iterations of a resume.
+MAX_SUBPROBLEMS = 25
+MAX_RESUMES = 8
+MAX_RECORD_PASSES = 10
+RESUME_I_MIN = 5
+
 
 @dataclass(frozen=True)
 class FailSafeConfig:
@@ -43,27 +50,20 @@ class FailSafeConfig:
     A "resume" re-solves the current sub-problem when violations persist
     but no scenario is left to add; it runs with the continuation frozen
     at the sub-problem's final exponents and a short minimum-iteration
-    budget (``resume_i_min``), since it only needs to clear residual
-    violations around an already-converged design. Each sub-problem's
-    planes are tightened by half of ``violation_tol``, and each resume
-    adds the max g that forced it.
+    budget (`RESUME_I_MIN`, at most the SLP's ``i_max``), since it only
+    needs to clear residual violations around an already-converged design.
+    Each sub-problem's planes are tightened by half of ``violation_tol``,
+    and each resume adds the max g that forced it.
     """
 
     epsilon: float = 0.05
     violation_tol: float = 1e-6
-    max_subproblems: int = 25
-    max_resumes: int = 8
-    resume_i_min: int = 5
-    max_record_passes: int = 10
-    spectrum_zeta: float = 0.05
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.violation_tol < 0:
             raise ValueError("violation tolerance must be nonnegative")
-        if self.resume_i_min < 1:
-            raise ValueError("resume_i_min must be at least 1")
 
 
 @dataclass
@@ -108,8 +108,6 @@ def evaluate_all(
     records: list[GroundMotion],
     params: ConstraintParams,
     counter: EvalCounter | None = None,
-    *,
-    beta: float = 0.25,
 ) -> np.ndarray:
     """Aggregated constraint per scenario, worst case over the records.
 
@@ -124,7 +122,7 @@ def evaluate_all(
     C_d = assemble_added_damping(model, design, scenarios)
     g = np.full(len(scenarios), -np.inf)
     for gm in records:
-        hist = newmark_solve(model, C_d, gm, beta=beta)
+        hist = newmark_solve(model, C_d, gm)
         if counter is not None:
             counter.n_primal += len(scenarios)
         g = np.maximum(g, evaluate_drift_constraint(hist, model, params).g)
@@ -182,6 +180,8 @@ def run_failsafe(
     the expansion history of the working set, the records that ended up
     active, and the running count of time-history and adjoint solves.
     The run counts as converged only if its last sub-problem's SLP did.
+    Ranking two or more records needs a positive fundamental frequency: a
+    stiffness with a rigid-body or unstable mode raises `InputError`.
     """
     if mode not in ("failsafe", "fullset", "basic"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -210,9 +210,12 @@ def run_failsafe(
         dominant = ensemble[0]
     else:
         omega_1 = compute_lowest_modes(model, 1)[0][0]
-        dominant = select_dominant_record(
-            ensemble, 2.0 * np.pi / omega_1, fs_config.spectrum_zeta
-        )
+        if omega_1 == 0.0:
+            raise InputError(
+                "stiffness has a rigid-body or unstable mode (lowest frequency 0): "
+                "no fundamental period ranks the records"
+            )
+        dominant = select_dominant_record(ensemble, 2.0 * np.pi / omega_1)
         logger.info("dominant record by spectral displacement: %s", dominant.name)
     active = [dominant]
 
@@ -222,13 +225,11 @@ def run_failsafe(
 
     subproblems: list[SubproblemStats] = []
     ws_history: list[tuple[int, ...]] = [tuple(working_set)]
-    p_next: int | None = None
-    q_next: int | None = None
     params = ConstraintParams(p=slp_config.p_start, q=slp_config.q_start)
     g_all = np.full(len(scenario_set), np.nan)
 
-    for record_pass in range(1, fs_config.max_record_passes + 1):
-        while len(subproblems) < fs_config.max_subproblems:
+    for record_pass in range(1, MAX_RECORD_PASSES + 1):
+        while len(subproblems) < MAX_SUBPROBLEMS:
             k = len(subproblems)
             scenarios_ws = [scenario_set[i] for i in working_set]
             stats = SubproblemStats(
@@ -243,27 +244,20 @@ def run_failsafe(
             # Linearizations underestimate the constraint, so a resume
             # tightens its planes by the violation it has to clear.
             margin = 0.5 * fs_config.violation_tol
-            for resume in range(fs_config.max_resumes + 1):
-                cfg = (
-                    slp_config
-                    if resume == 0
-                    else replace(slp_config, i_min=fs_config.resume_i_min)
+            for resume in range(MAX_RESUMES + 1):
+                # Each solve continues p and q from where the last one ended;
+                # a resume holds them there.
+                i_min = min(RESUME_I_MIN, slp_config.i_max)
+                cfg = slp_config if resume == 0 else replace(
+                    slp_config, i_min=i_min, p_step=0, q_step=0
                 )
                 result = slp_solve(
-                    model,
-                    scenarios_ws,
-                    active,
-                    DesignVector(x=x, c_bar=c_bar),
-                    cfg,
-                    p_start=p_next,
-                    q_start=q_next,
-                    counter=counter,
-                    advance_continuation=(resume == 0),
-                    feasibility_margin=margin,
-                    label=f"[sub-problem {k}] ",
+                    model, scenarios_ws, active, DesignVector(x=x, c_bar=c_bar), cfg,
+                    counter=counter, feasibility_margin=margin, label=f"[sub-problem {k}] ",
                 )
                 x = result.x
-                p_next, q_next = result.p_final, result.q_final
+                p, q = result.p_final, result.q_final
+                slp_config = replace(slp_config, p_start=p, q_start=q)
                 offset = stats.iterations
                 for record in result.history:
                     record.iteration += offset
@@ -271,19 +265,12 @@ def run_failsafe(
                 stats.iterations += result.n_iterations
                 stats.converged = result.converged
                 stats.cost = float(result.x.sum())
-                stats.p_final, stats.q_final = result.p_final, result.q_final
+                stats.p_final, stats.q_final = p, q
                 stats.resumes = resume
 
-                params = ConstraintParams(p=result.p_final, q=result.q_final)
-                g_all = evaluate_all(
-                    DesignVector(x=x, c_bar=c_bar),
-                    model,
-                    scenario_set,
-                    active,
-                    params,
-                    counter,
-                    beta=slp_config.beta,
-                )
+                params = ConstraintParams(p=p, q=q)
+                design = DesignVector(x=x, c_bar=c_bar)
+                g_all = evaluate_all(design, model, scenario_set, active, params, counter)
                 violated = bool(np.any(g_all > fs_config.violation_tol))
                 if not violated:
                     break
@@ -319,27 +306,16 @@ def run_failsafe(
             working_set = working_set + sorted(candidates)
             ws_history.append(tuple(working_set))
         else:
-            raise ConvergenceError(
-                f"sub-problem budget ({fs_config.max_subproblems}) exhausted"
-            )
+            raise ConvergenceError(f"sub-problem budget ({MAX_SUBPROBLEMS}) exhausted")
 
         if mode == "basic":
             break
 
-        design = DesignVector(x=x, c_bar=c_bar)
         newly_active = []
         for gm in ensemble:
             if any(gm is a for a in active):
                 continue
-            g_rec = evaluate_all(
-                design,
-                model,
-                scenario_set,
-                [gm],
-                params,
-                counter,
-                beta=slp_config.beta,
-            )
+            g_rec = evaluate_all(design, model, scenario_set, [gm], params, counter)
             g_all = np.maximum(g_all, g_rec)
             if np.any(g_rec > fs_config.violation_tol):
                 newly_active.append(gm)
@@ -352,13 +328,10 @@ def run_failsafe(
         )
         active = active + newly_active
     else:
-        raise ConvergenceError(
-            f"record-loop budget ({fs_config.max_record_passes}) exhausted"
-        )
+        raise ConvergenceError(f"record-loop budget ({MAX_RECORD_PASSES}) exhausted")
 
     max_g = float(np.nanmax(g_all))
     verified = converged and max_g <= fs_config.violation_tol
-    design = DesignVector(x=x, c_bar=c_bar)
     return FinalDesign(
         design=design,
         mode=mode,

@@ -53,7 +53,9 @@ class StructuralModel:
     mass : (n, n) array
         Mass matrix, ton. Symmetric positive definite.
     stiffness : (n, n) array
-        Stiffness matrix, kN/m. Symmetric positive semidefinite.
+        Stiffness matrix, kN/m. Symmetric; only symmetry is checked, so
+        an indefinite K is accepted, and its diverging response raises
+        `ConvergenceError` (exit 3 from the command line).
     inherent_damping : (n, n) array
         Inherent damping matrix, kNs/m, typically from `build_rayleigh`.
     influence : (n,) array

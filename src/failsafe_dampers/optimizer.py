@@ -34,6 +34,8 @@ from .scenarios import FailureScenario
 logger = logging.getLogger(__name__)
 
 _BIND_TOL = 1e-7
+# A binding plane is retired once its constraint is satisfied by this much.
+_DROP_MARGIN = 0.02
 
 
 @dataclass
@@ -164,8 +166,11 @@ class CuttingPlanes:
 class SlpConfig:
     """Tuning for the SLP loop and the p/q continuation.
 
-    The convergence tolerance defaults to 0.10 * ml * sqrt(N_d), i.e. 10%
-    of the largest possible move, and is evaluated per problem size through
+    p and q start at ``p_start`` and ``q_start`` and grow by their steps
+    after every iteration up to their caps; steps of 0 hold them fixed.
+    The p schedule stays even (see `ConstraintParams`). The convergence
+    tolerance defaults to 0.10 * ml * sqrt(N_d), i.e. 10% of the largest
+    possible move, and is evaluated per problem size through
     `convergence_tol`; pass ``delta`` to override it.
     """
 
@@ -178,9 +183,7 @@ class SlpConfig:
     q_start: int = 100
     q_step: int = 500
     q_cap: int = 1_000_000
-    drop_margin: float = 0.02
     delta: float | None = None
-    beta: float = 0.25
 
     def __post_init__(self):
         if not 0 < self.ml < math.inf:
@@ -193,11 +196,10 @@ class SlpConfig:
             cap = getattr(self, f"{name}_cap")
             if step < 0 or not start <= cap:
                 raise ValueError(f"{name} schedule must be nondecreasing up to its cap")
+        for name in ("p_step", "p_cap"):
+            if getattr(self, name) % 2:
+                raise ValueError(f"{name} must be even, got {getattr(self, name)}")
         ConstraintParams(p=self.p_start, q=self.q_start)
-        if not 0 <= self.drop_margin < math.inf:
-            raise ValueError(
-                f"drop margin must be nonnegative and finite, got {self.drop_margin}"
-            )
         if self.delta is not None and not 0 < self.delta < math.inf:
             raise ValueError(
                 f"delta must be positive and finite when given, got {self.delta}"
@@ -226,12 +228,11 @@ def solve_lp(
     planes: CuttingPlanes,
     center: np.ndarray,
     move_limit: float,
-    bounds: tuple[float, float] = (0.0, 1.0),
     margin: float = 0.0,
 ) -> LpResult:
     """Minimize a linear cost over the enabled planes within move limits.
 
-    The feasible box is [max(lo, center - ml), min(hi, center + ml)] per
+    The feasible box is [max(0, center - ml), min(1, center + ml)] per
     variable. ``margin`` tightens every plane to ghat <= -margin: because
     linearizations of the (locally convex) constraint underestimate it, the
     plain half-spaces would let the iterates converge to the boundary from
@@ -248,8 +249,8 @@ def solve_lp(
     center = np.asarray(center, dtype=float)
     objective = np.asarray(objective, dtype=float)
     n = center.size
-    lo = np.maximum(bounds[0], center - move_limit)
-    hi = np.minimum(bounds[1], center + move_limit)
+    lo = np.maximum(0.0, center - move_limit)
+    hi = np.minimum(1.0, center + move_limit)
 
     enabled, A_pl, points, intercepts, rhs = planes.enabled_rows()
     b_pl = rhs - margin
@@ -336,10 +337,7 @@ def slp_solve(
     design0: DesignVector,
     config: SlpConfig,
     *,
-    p_start: int | None = None,
-    q_start: int | None = None,
     counter: EvalCounter | None = None,
-    advance_continuation: bool = True,
     feasibility_margin: float = 0.0,
     label: str = "",
 ) -> SlpResult:
@@ -349,12 +347,7 @@ def slp_solve(
     than the convergence tolerance after at least ``i_min`` iterations.
     When the iteration cap is reached instead, the best iterate seen so far
     is returned (preferring evaluated-feasible designs of least cost) with
-    ``converged=False``.
-
-    ``advance_continuation=False`` pins p and q at their starting values;
-    the working-set driver uses this when re-solving a sub-problem purely
-    to clear residual constraint violations, where a moving target would
-    keep regenerating them.
+    ``converged=False``. p and q follow ``config``'s continuation schedule.
     """
     if not working_scenarios:
         raise ValueError("the working set must hold at least one scenario")
@@ -368,8 +361,7 @@ def slp_solve(
     n_d = model.n_dampers
     x = design0.x.copy()
     delta = config.convergence_tol(n_d)
-    p = config.p_start if p_start is None else p_start
-    q = config.q_start if q_start is None else q_start
+    p, q = config.p_start, config.q_start
     cost_gradient = np.ones(n_d)
     # Labels of the planes one iteration adds, one per (scenario, record).
     plane_ids = np.repeat([sc.id for sc in working_scenarios], len(records))
@@ -393,7 +385,7 @@ def slp_solve(
         g = np.empty((len(working_scenarios), len(records)))
         grads = np.empty(g.shape + (n_d,))
         for r, gm in enumerate(records):
-            hist = newmark_solve(model, C_d, gm, beta=config.beta)
+            hist = newmark_solve(model, C_d, gm)
             value = evaluate_drift_constraint(hist, model, params)
             g[:, r] = value.g
             grads[:, r] = adjoint_gradient(
@@ -420,7 +412,7 @@ def slp_solve(
             if not pl.enabled:
                 continue
             current = g_true.get((pl.scenario_id, pl.record))
-            if current is not None and current < -config.drop_margin:
+            if current is not None and current < -_DROP_MARGIN:
                 planes.disable(idx)
                 logger.debug(
                     "%sdropped plane (scenario %d, %s, iter %d): g=%.4g",
@@ -458,8 +450,7 @@ def slp_solve(
         if iteration >= config.i_min and step < delta:
             converged = True
             break
-        if advance_continuation:
-            p, q = config.advance(p, q)
+        p, q = config.advance(p, q)
 
     if not converged:
         logger.warning(

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputError
 
-DEFAULT_SCENARIO_CAP = 100_000
+# Largest scenario set `enumerate_scenarios` builds.
+MAX_SCENARIOS = 100_000
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,14 @@ def enumerate_scenarios(
     complete_group_size: int = 0,
     partial_group_size: int = 0,
     nu: float = 0.5,
-    max_scenarios: int = DEFAULT_SCENARIO_CAP,
 ) -> ScenarioSet:
     """Build the scenario set for all damage subsets of the given sizes.
 
     Produces the no-failure scenario, every subset of ``complete_group_size``
     dampers fully failed, and every subset of ``partial_group_size`` dampers
     degraded by ``nu``. Subsets are in lexicographic order so scenario ids
-    are stable across runs. A group size of 0 disables that group.
+    are stable across runs. A group size of 0 disables that group. A set
+    above `MAX_SCENARIOS` raises `InputError`.
     """
     if n_dampers < 1:
         raise ValueError(f"need at least one damper, got {n_dampers}")
@@ -138,10 +139,10 @@ def enumerate_scenarios(
     n_c = comb(n_dampers, complete_group_size) if complete_group_size else 0
     n_p = comb(n_dampers, partial_group_size) if partial_group_size else 0
     total = 1 + n_c + n_p
-    if total > max_scenarios:
+    if total > MAX_SCENARIOS:
         raise InputError(
             f"scenario set would hold {total} scenarios, above the cap of "
-            f"{max_scenarios}; reduce the group sizes or raise the cap"
+            f"{MAX_SCENARIOS}; reduce the group sizes"
         )
 
     scenarios = [no_failure()]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ def shear_frame(
         d_allow=np.full(n, d_allow),
         damper_transforms=dampers,
     )
+
+
+def buckled_frame() -> StructuralModel:
+    """`shear_frame(4)` with K[0, 0] lowered by 3.2 story stiffnesses: K is
+    indefinite (lowest eigenvalue about -19,672), so the response has a mode
+    that grows exponentially, whatever the damping. Under 1,500 steps of
+    noise at dt = 0.02 s the bare frame's states overflow at step 791."""
+    base = shear_frame(4)
+    K = base.stiffness.copy()
+    K[0, 0] -= 3.2 * 13000.0
+    return replace(base, stiffness=K)
 
 
 def synthetic_record(

@@ -27,6 +27,7 @@ from failsafe_dampers.constraints import (
     normalized_drifts,
     time_weights,
 )
+from failsafe_dampers import dynamics
 from failsafe_dampers.dynamics import ResponseHistory, transition_matrices
 from failsafe_dampers.model import assemble_added_damping, damper_scales
 
@@ -50,7 +51,7 @@ def stepwise_adjoint(model, C_d, history, forcing):
     """Slow reference: the adjoint block system solved step by step,
     backward from xi_{N+1} = 0. Returns lambda_u, shape (N+1, n)."""
     n = model.n_dof
-    dt, beta, gamma = history.dt, history.beta, 0.5
+    dt, beta, gamma = history.dt, dynamics.BETA, dynamics.GAMMA
     c1 = gamma / (beta * dt)
     c2 = 1.0 / (beta * dt * dt)
     k_av = dt * (1.0 - gamma / (2.0 * beta))
@@ -164,11 +165,13 @@ class TestBackwardSweep:
 @pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("n", [1, 3, 4, 8])
-def test_transition_sweep_matches_stepwise_reference(n, x, beta, pq):
+def test_transition_sweep_matches_stepwise_reference(n, x, beta, pq, monkeypatch):
+    # The costate sweep is exact for any Newmark beta, as the primal's is.
+    monkeypatch.setattr(dynamics, "BETA", beta)
     model = shear_frame(n)
     gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
     C_d = assemble_added_damping(model, DesignVector(x=[x] * n, c_bar=500.0))
-    hist = newmark_solve(model, C_d, gm, beta=beta)
+    hist = newmark_solve(model, C_d, gm)
     forcing = dg_du_trajectory(hist, model, ConstraintParams(p=pq, q=pq))
     got = solve_adjoint(model, C_d, hist, forcing)
     want = stepwise_adjoint(model, C_d, hist, forcing)
@@ -178,10 +181,11 @@ def test_transition_sweep_matches_stepwise_reference(n, x, beta, pq):
 
 @pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
 @pytest.mark.parametrize("size", sorted(BATCHES))
-def test_batched_adjoint_matches_stepwise_reference(size, beta):
+def test_batched_adjoint_matches_stepwise_reference(size, beta, monkeypatch):
+    monkeypatch.setattr(dynamics, "BETA", beta)
     model, _, C_d = scenario_batch(size)
     gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
-    hist = newmark_solve(model, C_d, gm, beta=beta)
+    hist = newmark_solve(model, C_d, gm)
     forcing = dg_du_trajectory(hist, model, ConstraintParams(p=100, q=100))
     got = solve_adjoint(model, C_d, hist, forcing)
     assert got.shape == (601, size, 4)
@@ -197,12 +201,13 @@ def test_undamped_frame_adjoint_blocks_match_rows(beta, pq, monkeypatch):
     # sweeps, lies on the unit circle, so the block powers never decay.
     # The reference is the same sweep row by row: over 2,000 undamped steps
     # the stepwise block system itself drifts by about 1e-12.
+    monkeypatch.setattr(dynamics, "BETA", beta)
     model = shear_frame(4, zeta=0.0)
     C_d = np.zeros((4, 4))
     gm = synthetic_record(2000, dt=0.01, seed=5, peak=1.5)
-    P, _ = transition_matrices(model.mass, C_d, model.stiffness, gm.dt, beta)
+    P, _ = transition_matrices(model.mass, C_d, model.stiffness, gm.dt)
     assert np.abs(np.linalg.eigvals(P)).max() == pytest.approx(1.0, abs=1e-12)
-    hist = newmark_solve(model, C_d, gm, beta=beta)
+    hist = newmark_solve(model, C_d, gm)
     forcing = dg_du_trajectory(hist, model, ConstraintParams(p=pq, q=pq))
     blocks = []
     real = adjoint_module.transition_sweep

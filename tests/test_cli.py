@@ -23,7 +23,7 @@ from failsafe_dampers.cli import (
 )
 from failsafe_dampers.model import StructuralModel
 
-from conftest import shear_frame, synthetic_record
+from conftest import buckled_frame, shear_frame, synthetic_record
 
 SDOF_YAML = """\
 n_dof: 1
@@ -71,6 +71,8 @@ MALFORMED = [
     ("--cbar", "0"),
     ("--ml", "nan"),
     ("--ml", "inf"),
+    ("--p-step", "3"),
+    ("--p-cap", "101"),
 ]
 
 
@@ -508,19 +510,14 @@ class TestMain:
         assert "did not converge: elastic relaxation is infeasible" in err
         assert "Traceback" not in err
 
-    def test_diverged_response_exits_3(self, tmp_path, capsys, monkeypatch):
-        # beta = 1/6 with dt = 0.2 s overflows the states; the run must end
-        # in exit 3 naming the record, not in a "verified" design.
-        import functools
-
-        from failsafe_dampers import SlpConfig, cli
-
-        monkeypatch.setattr(cli, "SlpConfig", functools.partial(SlpConfig, beta=1.0 / 6.0))
+    def test_diverged_response_exits_3(self, tmp_path, capsys):
+        # An indefinite stiffness overflows the states; the run must end in
+        # exit 3 naming the record, not in a "verified" design.
         model_path = tmp_path / "frame.yaml"
-        save_model(shear_frame(4), model_path)
+        save_model(buckled_frame(), model_path)
         rec_path = tmp_path / "noise.txt"
         accel = np.random.default_rng(1).standard_normal(1501)
-        np.savetxt(rec_path, np.column_stack([0.2 * np.arange(1501), accel]), fmt="%.10g")
+        np.savetxt(rec_path, np.column_stack([0.02 * np.arange(1501), accel]), fmt="%.10g")
         code = main(
             [
                 "--model", str(model_path),
@@ -535,6 +532,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 3
         assert "did not converge: response to record 'noise' diverged" in err
+        assert "Traceback" not in err
+
+    def test_rigid_body_mode_with_two_records_exits_2(self, tmp_path, capsys):
+        # A free-floating frame has a zero lowest frequency, so no
+        # fundamental period exists to rank the records at.
+        H = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        model = StructuralModel(
+            mass=10.0 * np.eye(2),
+            stiffness=[[2000.0, -2000.0], [-2000.0, 2000.0]],
+            inherent_damping=[[20.0, -10.0], [-10.0, 20.0]],
+            influence=np.ones(2),
+            drift_transform=H,
+            d_allow=np.full(2, 0.012),
+            damper_transforms=(H[0:1].copy(), H[1:2].copy()),
+        )
+        model_path = tmp_path / "rigid.yaml"
+        save_model(model, model_path)
+        records = []
+        for seed in (31, 32):
+            gm = synthetic_record(60, dt=0.02, seed=seed, peak=1.0)
+            records.append(str(tmp_path / f"rec{seed}.txt"))
+            np.savetxt(records[-1], np.column_stack([gm.times, gm.accel]), fmt="%.8g")
+        argv = ["--model", str(model_path), "--records", *records]
+        code = main(argv + ["--imin", "2", "--imax", "5", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: stiffness has a rigid-body or unstable mode" in err
         assert "Traceback" not in err
 
     def test_failsafe_run_is_deterministic(self, tmp_path):

@@ -25,7 +25,12 @@ from failsafe_dampers import (
 from failsafe_dampers import adjoint, failsafe, optimizer
 from failsafe_dampers.optimizer import EvalCounter
 
-from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
+from conftest import (
+    buckled_frame,
+    frame_with_redundant_dampers,
+    shear_frame,
+    synthetic_record,
+)
 
 
 class TestSelectCritical:
@@ -129,23 +134,23 @@ class TestEvaluateAll:
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_diverged_response_is_not_verified(self):
-        # beta = 1/6 beyond its stability limit overflows the states. The
-        # sweep must fail loudly, not read the NaN peaks as inactive drifts
-        # (g = -1 everywhere, and a "verified" design).
-        model = shear_frame(4)
+        # An indefinite stiffness overflows the states. The sweep must fail
+        # loudly, not read the NaN peaks as inactive drifts (g = -1
+        # everywhere, and a "verified" design).
+        model = buckled_frame()
         rng = np.random.default_rng(1)
-        gm = GroundMotion(name="noise", dt=0.2, accel=rng.standard_normal(1501))
+        gm = GroundMotion(name="noise", dt=0.02, accel=rng.standard_normal(1501))
         scen = enumerate_scenarios(4, 1, 0)
         design = DesignVector(x=np.full(4, 0.5), c_bar=1000.0)
         with pytest.raises(ConvergenceError, match="'noise' diverged.*time step"):
-            evaluate_all(design, model, scen, [gm], ConstraintParams(), beta=1.0 / 6.0)
+            evaluate_all(design, model, scen, [gm], ConstraintParams())
         with pytest.raises(ConvergenceError, match="'noise' diverged.*time step"):
             run_failsafe(
                 model,
                 scen,
                 [gm],
                 c_bar=1000.0,
-                slp_config=SlpConfig(beta=1.0 / 6.0, i_min=2, i_max=5),
+                slp_config=SlpConfig(i_min=2, i_max=5),
             )
 
 
@@ -257,6 +262,41 @@ class TestResumes:
         assert g_max[0] > fs.violation_tol >= g_max[1]
         assert margins == [0.5 * fs.violation_tol, 0.5 * fs.violation_tol + g_max[0]]
 
+    def test_resume_holds_p_and_q_at_the_final_exponents(self, light_problem, monkeypatch):
+        # The first solve ratchets p and q up every iteration; the resume
+        # runs every iteration at the exponents the first solve ended with.
+        model, gm, scen, slp, fs = light_problem
+        results = []
+
+        def spy_slp(*args, **kwargs):
+            results.append(real_slp(*args, **kwargs))
+            return results[-1]
+
+        real_slp = failsafe.slp_solve
+        monkeypatch.setattr(failsafe, "slp_solve", spy_slp)
+        final = run_failsafe(
+            model, scen, [gm], c_bar=400.0, slp_config=slp, fs_config=fs, mode="basic"
+        )
+        first, resume = results
+        assert first.history[1].p == first.history[0].p + slp.p_step
+        end = (first.p_final, first.q_final)
+        assert end > (slp.p_start, slp.q_start)
+        assert [(r.p, r.q) for r in resume.history] == [end] * resume.n_iterations
+        assert (resume.p_final, resume.q_final) == end
+        assert (final.params_final.p, final.params_final.q) == end
+        assert resume.n_iterations >= failsafe.RESUME_I_MIN
+
+    def test_resume_with_a_short_iteration_cap_returns(self, light_problem):
+        # i_max = 4 is below the resume's minimum of 5 iterations: the
+        # resume runs at most i_max iterations instead of failing to start.
+        model, gm, scen, _, fs = light_problem
+        slp = SlpConfig(i_min=3, i_max=4)
+        final = run_failsafe(
+            model, scen, [gm], c_bar=400.0, slp_config=slp, fs_config=fs, mode="basic"
+        )
+        assert final.subproblems[0].resumes >= 1
+        assert not final.converged
+
 
 def test_paper_scale_recipe_verifies(w2_400):
     # Recipe W2 at 400 steps: 16 dampers, 137 scenarios, 2 records.
@@ -335,11 +375,8 @@ class TestGuards:
         gm = synthetic_record(200, dt=0.02, seed=31, peak=1.55)
         scen = enumerate_scenarios(2, 0, 0)
         slp = SlpConfig(i_min=5, i_max=30)
-        fs = FailSafeConfig(max_resumes=2)
-        with pytest.raises(ConvergenceError):
-            run_failsafe(
-                model, scen, [gm], c_bar=400.0, slp_config=slp, fs_config=fs
-            )
+        with pytest.raises(ConvergenceError, match="resume budget"):
+            run_failsafe(model, scen, [gm], c_bar=400.0, slp_config=slp)
 
 
 class TestEdges:

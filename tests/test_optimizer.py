@@ -543,9 +543,16 @@ class TestSlpConfig:
             SlpConfig(p_start=200, p_cap=100)
         with pytest.raises(ValueError, match="even"):
             SlpConfig(p_start=99)
+        # An odd step or cap would lead p to an odd exponent mid-run.
+        with pytest.raises(ValueError, match="p_step must be even, got 3"):
+            SlpConfig(p_step=3)
+        with pytest.raises(ValueError, match="p_cap must be even, got 101"):
+            SlpConfig(p_cap=101)
+        assert SlpConfig(p_step=0, q_step=0).advance(100, 100) == (100, 100)
+        assert SlpConfig(q_step=3, q_cap=101).advance(100, 100) == (600, 101)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["ml", "drop_margin", "delta"])
+    @pytest.mark.parametrize("name", ["ml", "delta"])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             SlpConfig(**{name: value})
@@ -589,7 +596,7 @@ class TestSlpSolve:
 
     def test_dropped_planes_were_binding_while_satisfied(self):
         # Drop-rule safety: a plane may be disabled only after its true
-        # constraint sat below -drop_margin at some iterate.
+        # constraint sat below -_DROP_MARGIN at some iterate.
         model = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.004)
         gm = synthetic_record(200, dt=0.02, seed=19, peak=1.5)
         cfg = SlpConfig(i_min=25, i_max=80, ml=0.05)
@@ -604,7 +611,7 @@ class TestSlpSolve:
             if not pl.enabled:
                 key = (pl.scenario_id, pl.record)
                 assert any(
-                    r.g_true.get(key, np.inf) < -cfg.drop_margin
+                    r.g_true.get(key, np.inf) < -optimizer._DROP_MARGIN
                     for r in res.history
                 )
 

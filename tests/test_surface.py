@@ -1,0 +1,40 @@
+"""The settings surface: values that only one setting reaches are constants.
+
+A parameter or field that comes back here has to be a deliberate edit.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from failsafe_dampers import (
+    FailSafeConfig,
+    adjoint_gradient,
+    evaluate_all,
+    fd_gradient,
+    newmark_solve,
+    slp_solve,
+)
+from failsafe_dampers.dynamics import transition_matrices
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [newmark_solve, transition_matrices, evaluate_all, adjoint_gradient, fd_gradient],
+    ids=lambda fn: fn.__name__,
+)
+def test_newmark_beta_is_no_parameter(fn):
+    assert "beta" not in inspect.signature(fn).parameters
+
+
+def test_slp_solve_takes_its_continuation_from_the_config():
+    params = inspect.signature(slp_solve).parameters
+    assert not {"p_start", "q_start", "advance_continuation"} & set(params)
+
+
+def test_failsafe_config_holds_only_the_tolerances():
+    assert {f.name for f in dataclasses.fields(FailSafeConfig)} == {
+        "epsilon",
+        "violation_tol",
+    }

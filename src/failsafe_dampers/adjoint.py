@@ -15,6 +15,8 @@ which is what keeps the optimizer's linearizations consistent.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constraints import (
@@ -28,7 +30,6 @@ from .constraints import (
 from .dynamics import (
     GroundMotion,
     ResponseHistory,
-    block_length,
     newmark_solve,
     transition_sweep,
 )
@@ -99,10 +100,13 @@ def solve_adjoint(
     mu = 0 after the last row k with a nonzero f_k. x_j enters a step
     through the equilibrium row only, ds_i/dx_j = -Q C_j' v_i at a fixed
     s_{i-1}, so dg/dx_j = sum_i lambda_i' C_j' v_i with lambda_i = -Q' mu_i.
-    P and Q are the pair the history was integrated with (see
+    Q and the powers of P are those the history was integrated with (see
     `newmark_solve`), and ``C_d``, the damping it was integrated under,
     must match its batch. `transition_sweep` runs P' backward over rows
-    k..1 in the primal's blocks, under its size rule: ||(P')^j|| = ||P^j||.
+    k..1 with the transposes (P^j)' = (P')^j of the first floor(sqrt(k))
+    entries of the primal's table: in blocks of that many rows where the
+    primal ran in blocks (k <= N), row by row where its size rule kept it
+    so. ||(P')^j|| = ||P^j||, so the blocks are as safe as the primal's.
     Returns lambda over rows 0..k, shape (k+1, n), row 0 zero; every later
     row would be zero. Zero forcing sweeps nothing and gives one row.
     A (B, n, n) stack ``C_d`` with a batched history and forcing
@@ -113,17 +117,17 @@ def solve_adjoint(
         raise ValueError(f"forcing shape {forcing.shape} does not match history")
     if np.shape(C_d)[:-2] != forcing.shape[1:-1]:
         raise ValueError(f"damping shape {np.shape(C_d)} does not match the history")
-    if history.P is None:
+    if history.powers is None:
         raise ValueError("the history carries no transition matrices to sweep")
-    P, Q = history.P, history.Q
     nonzero = np.flatnonzero(np.any(forcing, axis=tuple(range(1, forcing.ndim))))
     k = int(nonzero[-1]) if nonzero.size else 0
     mu = np.zeros((k + 1,) + forcing.shape[1:-1] + (3 * n,))
     mu[..., :n] = forcing[: k + 1]
-    transition_sweep(np.ascontiguousarray(P.mT), mu[:0:-1], block_length(P, k))
+    powers = history.powers[: max(1, math.isqrt(k))]
+    transition_sweep(np.ascontiguousarray(powers.mT), mu[:0:-1])
     lam = np.zeros(mu.shape[:-1] + (n,))
     # lambda_i = -Q' mu_i for each system of the batch, time axis moved aside.
-    lam[1:] = -np.moveaxis(np.moveaxis(mu[1:], 0, -2) @ Q, -2, 0)
+    lam[1:] = -np.moveaxis(np.moveaxis(mu[1:], 0, -2) @ history.Q, -2, 0)
     return lam
 
 
@@ -170,11 +174,11 @@ def adjoint_gradient(
     ``history`` when the primal solve for this (design, scenario, record)
     is already available; otherwise computes them. Likewise ``value``,
     the `evaluate_drift_constraint` result of that history, spares the
-    drift pass of `dg_du_trajectory`. Initial conditions must be zero:
-    with a nonzero initial velocity the starting acceleration would
-    depend on the design, which this formulation does not track.
-    A list of B scenarios (with, if given, their batched history) gives
-    every gradient from one batched sweep, shape (B, n_dampers).
+    drift pass of `dg_du_trajectory`. The history starts at rest, as
+    `newmark_solve` integrates it, so the starting state does not depend
+    on the design. A list of B scenarios (with, if given, their batched
+    history) gives every gradient from one batched sweep, shape
+    (B, n_dampers).
     """
     if value is not None and history is None:
         raise ValueError("a constraint value needs the history it came from")
@@ -182,8 +186,6 @@ def adjoint_gradient(
         C_d = assemble_added_damping(model, design, scenario)
     if history is None:
         history = newmark_solve(model, C_d, gm)
-    if np.any(history.u0) or np.any(history.v0):
-        raise ValueError("adjoint gradients require zero initial conditions")
     forcing = dg_du_trajectory(history, model, params, value=value)
     lambda_u = solve_adjoint(model, C_d, history, forcing)
     return accumulate_gradient(model, design, scenario, history.v, lambda_u)

@@ -39,6 +39,8 @@ from .scenarios import ScenarioSet, enumerate_scenarios
 logger = logging.getLogger(__name__)
 
 MODES = ("failsafe", "basic", "fullset", "simulate", "check-gradients")
+# libyaml's loader where it is installed: the same documents, ten times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +50,7 @@ MODES = ("failsafe", "basic", "fullset", "simulate", "check-gradients")
 def _key_lines(text: str) -> dict[str, int]:
     """Map top-level YAML keys to 1-based line numbers for error messages."""
     try:
-        node = yaml.compose(text)
+        node = yaml.compose(text, Loader=_YAML_LOADER)
     except yaml.YAMLError:
         return {}
     if node is None or not hasattr(node, "value"):
@@ -75,7 +77,7 @@ def parse_model(path: str | Path) -> StructuralModel:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise InputError(f"model file {path} is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):

@@ -74,25 +74,24 @@ class ResponseHistory:
     """Displacement, velocity, and acceleration trajectories.
 
     Rows are time samples (N+1 of them), columns degrees of freedom; all
-    responses are relative to the ground. A batched history, one response
-    per damping matrix of a stack, has arrays of shape (N+1, B, n). Row 0
-    equals the prescribed initial conditions. ``P`` and ``Q`` are the
-    transition matrices of `transition_matrices` the trajectories were
-    integrated with, one pair per system of a stack, so that the adjoint
-    sweeps with the primal's own pair. A history built by hand carries none.
+    responses are relative to the ground, which starts at rest. A batched
+    history, one response per damping matrix of a stack, has arrays of
+    shape (N+1, B, n). ``powers`` is the `transition_powers` table the
+    trajectories were swept with (``powers[0]`` is P) and ``Q`` the load
+    map of `transition_matrices`, one per system of a stack, so that the
+    adjoint sweeps with the primal's own powers. A history built by hand
+    carries neither.
     """
 
     u: np.ndarray
     v: np.ndarray
     a: np.ndarray
     dt: float
-    u0: np.ndarray
-    v0: np.ndarray
-    P: np.ndarray | None = None
+    powers: np.ndarray | None = None
     Q: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("u", "v", "a", "P", "Q"):
+        for name in ("u", "v", "a", "powers", "Q"):
             if getattr(self, name) is None:
                 continue
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -100,16 +99,6 @@ class ResponseHistory:
             object.__setattr__(self, name, arr)
         if not (self.u.shape == self.v.shape == self.a.shape):
             raise ValueError("u, v, a must share one shape")
-        u0 = np.asarray(self.u0, dtype=float)
-        v0 = np.asarray(self.v0, dtype=float)
-        row0 = self.u[0].shape
-        if not (
-            np.array_equal(self.u[0], np.broadcast_to(u0, row0))
-            and np.array_equal(self.v[0], np.broadcast_to(v0, row0))
-        ):
-            raise ValueError("row 0 of the history must equal the initial conditions")
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "v0", v0)
 
     @property
     def n_steps(self) -> int:
@@ -157,26 +146,26 @@ def transition_matrices(M, C, K, dt):
     return np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
 
 
-def _integrate(M, C, K, load, dt, u0, v0):
-    """Newmark recurrence on raw matrices; returns the states (N+1, ..., 3n)
-    and the P and Q they were swept with.
+def _integrate(M, C, K, load, dt):
+    """Newmark recurrence from rest on raw matrices; returns the states
+    (N+1, ..., 3n), the powers of P they were swept with and Q.
 
     ``load`` is (N+1, n). ``C`` is (n, n), or a stack (B, n, n) of systems
     that share M, K and the load and go through one time loop; the states
     then have shape (N+1, B, 3n). With P and Q from `transition_matrices`,
-    `transition_sweep` adds P s_i in place to each row Q f_{i+1}, in the
-    blocks `block_length` picks.
+    each row Q f_{i+1} is written in place, and `transition_sweep` adds
+    P s_i to it with the powers of the block `block_length` picks.
     """
     n = M.shape[0]
     P, Q = transition_matrices(M, C, K, dt)
 
     S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
-    S[0, ..., :n] = u0
-    S[0, ..., n : 2 * n] = v0
-    S[0, ..., 2 * n :] = np.linalg.solve(M, (load[0] - C @ v0 - K @ u0).T).T
-    S[1:] = np.tensordot(load[1:], Q, axes=(1, -1))
-    transition_sweep(P, S, block_length(P, len(S) - 1))
-    return S, P, Q
+    S[0, ..., : 2 * n] = 0.0
+    S[0, ..., 2 * n :] = np.linalg.solve(M, load[0])
+    np.matmul(load[1:], Q.mT, out=np.moveaxis(S[1:], 0, -2))
+    powers = transition_powers(P, block_length(P, len(S) - 1))
+    transition_sweep(powers, S)
+    return S, powers, Q
 
 
 def block_length(P, n_rows):
@@ -186,31 +175,48 @@ def block_length(P, n_rows):
     return max(1, math.isqrt(n_rows)) if P.size <= _BLOCK_MAX_ENTRIES else 1
 
 
-def transition_sweep(P, S, block=1):
-    """Run S[k+1] += P S[k] in place, in blocks of ``block`` rows.
+def transition_powers(P, L):
+    """The table P^1..P^L of ``P`` (..., m, m), shape (L, ..., m, m).
 
-    Rows of ``S`` hold the forcing terms on entry and the states on exit.
-    ``P`` is (m, m) with rows of shape (m,), or a stack (B, m, m) with rows
-    of shape (B, m), each system stepping with its own matrix in one
-    stacked matvec. The Newmark sweep passes its state array; the adjoint
-    passes a reversed view, so the same loop also runs backward in time.
-    With L = ``block`` > 1 (Blelloch 1990), P^2..P^L come from about log2(L)
-    stacked matmuls, one product gives each full block's last row from rest,
-    and N/L carry steps plus L-1 fill steps replace the N row steps; L = 1
-    is the row loop. The fill steps of a single system multiply their rows
-    by P' in one matmul, which is cheaper than a matvec with a 2-D P; the
-    carry steps stay matvecs, so that L = 1 is the row loop bit for bit.
-    Overflow raises no warning here: the caller checks it.
+    About log2(L) doubling steps fill it in place: P^m = P^(m-k) P^k with
+    k the largest power of two below m, whatever L is, so the first K
+    entries of a table are bitwise the table of length K. Overflow raises
+    no warning here: the caller checks the states.
     """
-    if block < 1:
-        raise ValueError(f"block length must be at least 1, got {block}")
-    matvec = np.matvec
-    L = block
+    if L < 1:
+        raise ValueError(f"block length must be at least 1, got {L}")
+    powers = np.empty((L,) + P.shape)
+    powers[0] = P
+    k = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [P]  # P^1 .. P^L
-        while len(powers) < L:  # P^(k+1..2k) = P^(1..k) P^k
-            k = len(powers)
-            powers += list(np.stack(powers[: min(k, L - k)]) @ powers[-1])
+        while k < L:  # P^(k+1..k+j) = P^(1..j) P^k
+            j = min(k, L - k)
+            np.matmul(powers[:j], powers[k - 1], out=powers[k : k + j])
+            k += j
+    return powers
+
+
+def transition_sweep(powers, S):
+    """Run S[k+1] += P S[k] in place, in blocks of L = len(``powers``) rows.
+
+    ``powers`` is the `transition_powers` table P^1..P^L of P (m, m), with
+    rows of S of shape (m,), or of a stack P (B, m, m), with rows of shape
+    (B, m), each system stepping with its own matrix. Rows of ``S`` hold
+    the forcing terms on entry and the states on exit. The Newmark sweep
+    passes its state array; the adjoint passes a reversed view and the
+    transposed powers, so the same loop also runs backward in time. With
+    L > 1 (Blelloch 1990), one product gives each full block's last row
+    from rest, and N/L carry steps plus L-1 fill steps replace the N row
+    steps; L = 1 is the row loop. Each fill step multiplies its rows by P'
+    in one (batched) matmul; the carry steps stay matvecs, so that L = 1
+    is the row loop bit for bit. Overflow raises no warning here: the
+    caller checks it.
+    """
+    L = len(powers)
+    if L < 1:
+        raise ValueError("the table of transition powers is empty")
+    P = powers[0]
+    with np.errstate(over="ignore", invalid="ignore"):
         nb = (len(S) - 1) // L
         if L > 1 and nb:
             # Block k's last row gets sum_{j<L} P^(L-j) r_(kL+j) in one product.
@@ -218,20 +224,21 @@ def transition_sweep(P, S, block=1):
             r = np.moveaxis(r, (0, 1), (-3, -2)).reshape(S.shape[1:-1] + (nb, -1))
             W = np.concatenate(powers[L - 2 :: -1], axis=-1)
             S[L : nb * L + 1 : L] += np.moveaxis(r @ W.mT, -2, 0)
+        matvec, PL = np.matvec, powers[-1]
         for prev, row in zip(S[::L], S[L::L]):
-            row += matvec(powers[-1], prev)
+            row += matvec(PL, prev)
         for j in range(1, L):
             rows = S[j - 1 : -1 : L]
-            S[j::L] += rows @ P.T if P.ndim == 2 else matvec(P, rows)
+            if P.ndim == 2:
+                S[j::L] += rows @ P.T
+            else:  # one matmul per system over its (rows, m) view
+                S[j::L] += (rows.swapaxes(0, 1) @ P.mT).swapaxes(0, 1)
 
 
 def newmark_solve(
     model: StructuralModel,
     C_d: np.ndarray,
     gm: GroundMotion,
-    *,
-    u0: np.ndarray | None = None,
-    v0: np.ndarray | None = None,
 ) -> ResponseHistory:
     """Integrate the damped equations of motion under a ground motion.
 
@@ -245,15 +252,12 @@ def newmark_solve(
         returns for a list of scenarios). A stack goes through one time
         loop and gives a batched history, arrays of shape (N+1, B, n).
     gm : GroundMotion
-        Record integrated at its native time step, with the average
-        acceleration scheme (`BETA` = 1/4, `GAMMA` = 1/2).
-    u0, v0 : arrays, optional
-        Initial displacement and velocity, shared by the whole stack; zero
-        when omitted.
+        Record integrated from rest at its native time step, with the
+        average acceleration scheme (`BETA` = 1/4, `GAMMA` = 1/2).
 
     The effective stiffness is factorized once per matrix to build P and Q
     of the recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to
-    rounding, and the history keeps P and Q for the adjoint. A response
+    rounding, and the history keeps Q and the powers of P for the adjoint. A response
     that overflows (an indefinite stiffness, whose unstable mode grows
     exponentially) raises `ConvergenceError` naming the record and the
     first time step whose state is not finite.
@@ -266,14 +270,9 @@ def newmark_solve(
     if scale > 0 and np.abs(C_d - C_d.mT).max() > 1e-8 * scale:
         raise ValueError("C_d must be symmetric")
 
-    u0 = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float)
-    v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
-    if u0.shape != (n,) or v0.shape != (n,):
-        raise ValueError("initial conditions must match the DOF count")
-
     C = model.inherent_damping + C_d
     load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    S, P, Q = _integrate(model.mass, C, model.stiffness, load, gm.dt, u0, v0)
+    S, powers, Q = _integrate(model.mass, C, model.stiffness, load, gm.dt)
     finite = np.isfinite(S).reshape(S.shape[0], -1).all(axis=1)
     if not finite.all():
         raise ConvergenceError(
@@ -282,7 +281,7 @@ def newmark_solve(
             f"(dt = {gm.dt:g})"
         )
     u, v, a = np.split(S, 3, axis=-1)
-    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, u0=u0, v0=v0, P=P, Q=Q)
+    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, powers=powers, Q=Q)
 
 
 def equilibrium_residual(
@@ -324,7 +323,7 @@ def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float
     C = np.array([[2.0 * zeta * w]])
     K = np.array([[w * w]])
     load = -gm.scaled_accel[:, None]
-    S, _, _ = _integrate(M, C, K, load, gm.dt, np.zeros(1), np.zeros(1))
+    S, _, _ = _integrate(M, C, K, load, gm.dt)
     return float(np.abs(S[:, 0]).max())
 
 

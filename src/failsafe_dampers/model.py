@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterable
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ Scenarios = FailureScenario | Iterable[FailureScenario] | None
 _SYM_TOL = 1e-8
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -268,8 +269,15 @@ def damper_scales(model: StructuralModel, scenario: Scenarios) -> np.ndarray:
         return np.ones(model.n_dampers)
     if isinstance(scenario, FailureScenario):
         return scenario.scale_vector(model.n_dampers)
-    rows = [damper_scales(model, sc) for sc in scenario]
-    return np.array(rows).reshape(len(rows), model.n_dampers)
+    scenarios = list(scenario)
+    counts = [len(sc.damaged) for sc in scenarios]
+    rows = np.repeat(np.arange(len(scenarios)), counts)
+    cols = np.fromiter(chain.from_iterable(sc.damaged for sc in scenarios), int)
+    if cols.size and cols.max() >= model.n_dampers:
+        scenarios[rows[cols.argmax()]].scale_vector(model.n_dampers)  # raises
+    scales = np.ones((len(scenarios), model.n_dampers))
+    scales[rows, cols] = np.repeat([sc.factor for sc in scenarios], counts)
+    return scales
 
 
 def assemble_added_damping(

@@ -44,7 +44,7 @@ def unit_model():
 def history_from_drifts(values, dt=0.1):
     u = np.asarray(values, dtype=float).reshape(-1, 1)
     z = np.zeros_like(u)
-    return ResponseHistory(u=u, v=z, a=z, dt=dt, u0=u[0], v0=z[0])
+    return ResponseHistory(u=u, v=z, a=z, dt=dt)
 
 
 def stepwise_adjoint(model, C_d, history, forcing):
@@ -212,9 +212,9 @@ def test_undamped_frame_adjoint_blocks_match_rows(beta, pq, monkeypatch):
     blocks = []
     real = adjoint_module.transition_sweep
 
-    def sweep(P, S, block):
-        blocks.append(block)
-        real(P, S, block if len(blocks) == 1 else 1)
+    def sweep(powers, S):
+        blocks.append(len(powers))
+        real(powers if len(blocks) == 1 else powers[:1], S)
 
     monkeypatch.setattr(adjoint_module, "transition_sweep", sweep)
     got = solve_adjoint(model, C_d, hist, forcing)
@@ -413,19 +413,3 @@ class TestGradientConsistency:
         fd = fd_gradient(model, design, no_failure(), record_short, params, h=1e-6)
         err = np.abs(adj - fd).max() / max(1.0, np.abs(fd).max())
         assert err <= 1e-6
-
-    def test_nonzero_initial_conditions_rejected(self, frame_2dof, record_short):
-        design = DesignVector(x=[0.5, 0.4], c_bar=300.0)
-        C_d = assemble_added_damping(frame_2dof, design)
-        hist = newmark_solve(
-            frame_2dof, C_d, record_short, u0=np.array([0.01, 0.0])
-        )
-        with pytest.raises(ValueError, match="initial conditions"):
-            adjoint_gradient(
-                frame_2dof,
-                design,
-                no_failure(),
-                record_short,
-                ConstraintParams(p=8, q=8),
-                history=hist,
-            )

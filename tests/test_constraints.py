@@ -38,7 +38,7 @@ def history_from_drifts(values, dt=0.1):
     """1-DOF history whose displacement IS the drift (H = [[1]], d_allow=1)."""
     u = np.asarray(values, dtype=float).reshape(-1, 1)
     z = np.zeros_like(u)
-    return ResponseHistory(u=u, v=z, a=z, dt=dt, u0=u[0], v0=z[0])
+    return ResponseHistory(u=u, v=z, a=z, dt=dt)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,7 @@ class TestExactPeak:
         rng = np.random.default_rng(17)
         u = rng.standard_normal((50, 3)) * 0.01
         z = np.zeros_like(u)
-        hist = ResponseHistory(u=u, v=z, a=z, dt=0.02, u0=u[0], v0=z[0])
+        hist = ResponseHistory(u=u, v=z, a=z, dt=0.02)
         brute = max(
             abs(float(model.drift_transform[j] @ u[i])) / model.d_allow[j]
             for i in range(u.shape[0])

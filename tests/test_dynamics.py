@@ -21,7 +21,12 @@ from failsafe_dampers import (
     spectral_displacement,
 )
 from failsafe_dampers import ConstraintParams, adjoint, adjoint_gradient, dynamics
-from failsafe_dampers.dynamics import STANDARD_GRAVITY, transition_sweep
+from failsafe_dampers.dynamics import (
+    STANDARD_GRAVITY,
+    transition_matrices,
+    transition_powers,
+    transition_sweep,
+)
 from failsafe_dampers.errors import ConvergenceError
 
 from conftest import buckled_frame, shear_frame, synthetic_record
@@ -101,17 +106,20 @@ class TestNewmarkSolve:
             assert equilibrium_residual(model, C_d, gm, hist) <= 1e-9
 
     def test_energy_conserved_in_undamped_free_vibration(self):
-        # Average acceleration preserves the quadratic energy invariant.
+        # Average acceleration preserves the quadratic energy invariant. The
+        # response starts at rest: a short ground pulse sets the frame
+        # moving, and from the first unloaded sample on it vibrates freely.
         model = sdof(period=1.0, zeta=0.0)
         dt = 1.0 / 50.0
-        gm = GroundMotion(name="free", dt=dt, accel=np.zeros(2001))
-        hist = newmark_solve(
-            model, np.zeros((1, 1)), gm, u0=np.array([0.01]), v0=np.zeros(1)
-        )
+        accel = np.zeros(2011)
+        accel[:10] = -1.0
+        gm = GroundMotion(name="free", dt=dt, accel=accel)
+        hist = newmark_solve(model, np.zeros((1, 1)), gm)
         K = model.stiffness
         M = model.mass
-        energy = 0.5 * np.einsum("ij,jk,ik->i", hist.v, M, hist.v) + 0.5 * np.einsum(
-            "ij,jk,ik->i", hist.u, K, hist.u
+        u, v = hist.u[10:], hist.v[10:]
+        energy = 0.5 * np.einsum("ij,jk,ik->i", v, M, v) + 0.5 * np.einsum(
+            "ij,jk,ik->i", u, K, u
         )
         drift = np.abs(energy - energy[0]).max() / energy[0]
         assert drift <= 1e-3
@@ -126,12 +134,13 @@ class TestNewmarkSolve:
         assert all(a >= b - 1e-12 for a, b in zip(peaks, peaks[1:]))
 
     def test_initial_conditions_respected(self, frame_2dof):
-        gm = GroundMotion(name="zero", dt=0.01, accel=np.zeros(11))
-        u0 = np.array([0.01, -0.02])
-        v0 = np.array([0.1, 0.0])
-        hist = newmark_solve(frame_2dof, np.zeros((2, 2)), gm, u0=u0, v0=v0)
-        assert np.array_equal(hist.u[0], u0)
-        assert np.array_equal(hist.v[0], v0)
+        # Every response starts at rest, in equilibrium with the first load.
+        gm = GroundMotion(name="step", dt=0.01, accel=np.full(11, 2.0))
+        hist = newmark_solve(frame_2dof, np.zeros((3, 2, 2)), gm)
+        M = frame_2dof.mass
+        a0 = np.linalg.solve(M, -2.0 * M @ frame_2dof.influence)
+        assert np.all(hist.u[0] == 0.0) and np.all(hist.v[0] == 0.0)
+        assert np.allclose(hist.a[0], a0, rtol=1e-14, atol=0.0)
 
     def test_asymmetric_cd_rejected(self, frame_2dof, record_short):
         C_d = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -145,19 +154,21 @@ class TestNewmarkSolve:
 def test_transition_sweep_matches_stepwise_reference(n, c_d, beta, monkeypatch):
     # The sweep is exact for any Newmark beta: linear acceleration (1/6)
     # gives P a different spectrum than the average acceleration in use.
+    # `newmark_solve` starts from rest; the kernel it sweeps with starts
+    # here from a nonzero state written into row 0.
     monkeypatch.setattr(dynamics, "BETA", beta)
     model = shear_frame(n)
     gm = synthetic_record(300, dt=0.01, seed=5, peak=1.5)
     rng = np.random.default_rng(n)
     u0, v0 = 1e-3 * rng.standard_normal(n), 1e-2 * rng.standard_normal(n)
-    C_d = c_d * np.eye(n)
-    hist = newmark_solve(model, C_d, gm, u0=u0, v0=v0)
-    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    ref = stepwise_newmark(
-        model.mass, model.inherent_damping + C_d, model.stiffness, load,
-        gm.dt, u0, v0, beta, 0.5,
-    )
-    for got, want in zip((hist.u, hist.v, hist.a), ref):
+    M, C, K = model.mass, model.inherent_damping + c_d * np.eye(n), model.stiffness
+    load = -np.outer(gm.scaled_accel, M @ model.influence)
+    P, Q = transition_matrices(M, C, K, gm.dt)
+    a0 = np.linalg.solve(M, load[0] - C @ v0 - K @ u0)
+    S = np.vstack([np.concatenate([u0, v0, a0]), load[1:] @ Q.T])
+    transition_sweep(transition_powers(P, dynamics.block_length(P, 300)), S)
+    ref = stepwise_newmark(M, C, K, load, gm.dt, u0, v0, beta, 0.5)
+    for got, want in zip(np.split(S, 3, axis=1), ref):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -191,14 +202,19 @@ def test_batched_sweep_matches_stepwise_reference(size, beta, monkeypatch):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def sweep_operands(monkeypatch, model, C_d, gm, u0=None, v0=None):
+def sweep_operands(monkeypatch, model, C_d, gm, start=False):
     """The transition matrix and the unswept rows (initial state, then the
-    forcing terms) that `newmark_solve` hands to `transition_sweep`."""
+    forcing terms) that `newmark_solve` hands to `transition_sweep`. With
+    ``start`` the response begins from a nonzero state instead of rest,
+    written into row 0."""
     seen = []
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "transition_sweep", lambda P, S, block=1: seen.append((P, S.copy())))
-        newmark_solve(model, C_d, gm, u0=u0, v0=v0)
-    return seen[0]
+        m.setattr(dynamics, "transition_sweep", lambda powers, S: seen.append((powers[0], S.copy())))
+        newmark_solve(model, C_d, gm)
+    P, S = seen[0]
+    if start:
+        S[0] += np.concatenate([1e-3 * np.arange(1.0, 5.0), 1e-2 * np.ones(4), np.zeros(4)])
+    return P, S
 
 
 def row_loop(P, S):
@@ -222,12 +238,11 @@ BLOCK = 5
 def test_blocked_sweep_matches_row_sweep(n_steps, stacked, reverse, monkeypatch):
     model, _, C_d = scenario_batch(3)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
-    u0, v0 = 1e-3 * np.arange(1.0, 5.0), 1e-2 * np.ones(4)
-    P, S = sweep_operands(monkeypatch, model, C_d if stacked else C_d[0], gm, u0, v0)
+    P, S = sweep_operands(monkeypatch, model, C_d if stacked else C_d[0], gm, start=True)
     S = S[: n_steps + 1]
     want, got = S.copy(), S.copy()
-    transition_sweep(P, want[::-1] if reverse else want, block=1)
-    transition_sweep(P, got[::-1] if reverse else got, block=BLOCK)
+    transition_sweep(transition_powers(P, 1), want[::-1] if reverse else want)
+    transition_sweep(transition_powers(P, BLOCK), got[::-1] if reverse else got)
     assert_states_close(got, want, 4, 1e-13)
 
 
@@ -239,7 +254,7 @@ def test_single_block_is_the_row_sweep(stacked, reverse, monkeypatch):
     P, S = sweep_operands(monkeypatch, model, C_d if stacked else C_d[0], gm)
     want, got = S.copy(), S.copy()
     row_loop(P, want[::-1] if reverse else want)
-    transition_sweep(P, got[::-1] if reverse else got, block=1)
+    transition_sweep(transition_powers(P, 1), got[::-1] if reverse else got)
     assert np.array_equal(got, want)
 
 
@@ -251,9 +266,9 @@ def test_stacks_above_the_size_rule_sweep_row_by_row(size, block, monkeypatch):
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
     blocks = []
 
-    def spy(P, S, block=1):
-        blocks.append(block)
-        real(P, S, block)
+    def spy(powers, S):
+        blocks.append(len(powers))
+        real(powers, S)
 
     real = dynamics.transition_sweep
     monkeypatch.setattr(dynamics, "transition_sweep", spy)
@@ -262,36 +277,71 @@ def test_stacks_above_the_size_rule_sweep_row_by_row(size, block, monkeypatch):
 
 
 def test_adjoint_follows_the_size_rule(monkeypatch):
-    # The adjoint sweeps the transpose of the primal's own P over the k rows
-    # up to the last nonzero forcing: in blocks of floor(sqrt(k)) rows for
-    # one 4-story system (144 entries), row by row for a stack of 11 (1,584).
+    # The adjoint sweeps the transposes of the primal's own powers over the
+    # k rows up to the last nonzero forcing: in blocks of floor(sqrt(k))
+    # rows for one 4-story system (144 entries), row by row for a stack of
+    # 11 (1,584), whose primal built P alone.
     design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
-    seen = []
+    seen, histories = [], []
 
-    def spy(P, S, block=1):
-        seen.append((P, len(S), block))
-        real(P, S, block)
+    def spy(powers, S):
+        seen.append((powers, len(S)))
+        real(powers, S)
 
-    real = adjoint.transition_sweep
+    def solve(*args):
+        histories.append(real_solve(*args))
+        return histories[-1]
+
+    real, real_solve = adjoint.transition_sweep, adjoint.newmark_solve
     monkeypatch.setattr(adjoint, "transition_sweep", spy)
+    monkeypatch.setattr(adjoint, "newmark_solve", solve)
     for size in (1, 11):
         model, scenarios, C_d = scenario_batch(size)
         adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8, q=8))
+        powers, k = seen[-1]
+        want = histories[-1].powers[: math.isqrt(k)].mT
+        assert powers.flags.c_contiguous and np.array_equal(powers, want)
         P, _ = dynamics.transition_matrices(
             model.mass, model.inherent_damping + C_d, model.stiffness, gm.dt
         )
-        assert np.array_equal(seen[-1][0], P.mT)
-    (_, k, block), (_, _, stacked) = seen
-    assert k > 100 and block == math.isqrt(k)
-    assert stacked == 1
+        assert np.array_equal(histories[-1].powers[0], P)
+    (single, k), (stacked, _) = seen
+    assert k > 100 and len(single) == math.isqrt(k)
+    assert len(stacked) == 1
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_power_tables_are_prefixes_of_longer_ones(stacked):
+    # Each P^j comes from the same two factors whatever the table's length,
+    # so the adjoint can take the first entries of the primal's table.
+    model, _, C_d = scenario_batch(3)
+    P, _ = transition_matrices(
+        model.mass, model.inherent_damping + (C_d if stacked else C_d[0]),
+        model.stiffness, 0.01,
+    )
+    table = transition_powers(P, 24)
+    assert table.shape == (24,) + P.shape
+    assert np.array_equal(table[0], P)
+    want = np.linalg.matrix_power(P, 6)
+    assert np.abs(table[5] - want).max() <= 1e-12 * np.abs(want).max()
+    for K in range(1, 25):
+        assert np.array_equal(table[:K], transition_powers(P, K))
 
 
 @pytest.mark.parametrize("block", [0, -1])
 def test_sweep_rejects_blocks_below_one(block):
+    # The block is the power table's length, so a table below length 1 is refused.
     S = np.ones((5, 2))
     with pytest.raises(ValueError, match="block length"):
-        transition_sweep(np.eye(2), S, block=block)
+        transition_sweep(transition_powers(np.eye(2), block), S)
+    assert np.all(S == 1.0)
+
+
+def test_sweep_rejects_an_empty_power_table():
+    S = np.ones((5, 2))
+    with pytest.raises(ValueError, match="empty"):
+        transition_sweep(np.empty((0, 2, 2)), S)
     assert np.all(S == 1.0)
 
 
@@ -303,8 +353,8 @@ def test_undamped_frame_blocks_match_rows(monkeypatch):
     P, S = sweep_operands(monkeypatch, model, np.zeros((4, 4)), gm)
     assert np.abs(np.linalg.eigvals(P)).max() == pytest.approx(1.0, abs=1e-12)
     want, got = S.copy(), S.copy()
-    transition_sweep(P, want, block=1)
-    transition_sweep(P, got, block=math.isqrt(2000))
+    transition_sweep(transition_powers(P, 1), want)
+    transition_sweep(transition_powers(P, math.isqrt(2000)), got)
     assert_states_close(got, want, 4, 1e-12)
 
 

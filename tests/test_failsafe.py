@@ -410,9 +410,9 @@ class TestEdges:
             grads.append(real_gradient(*args, **kwargs))
             return grads[-1]
 
-        def spy_sweep(P, S, block=1):
+        def spy_sweep(powers, S):
             swept.append(len(S))
-            real_sweep(P, S, block)
+            real_sweep(powers, S)
 
         real_gradient, real_sweep = optimizer.adjoint_gradient, adjoint.transition_sweep
         monkeypatch.setattr(optimizer, "adjoint_gradient", spy_gradient)

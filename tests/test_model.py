@@ -11,8 +11,10 @@ from failsafe_dampers import (
     assemble_added_damping,
     build_rayleigh,
     compute_lowest_modes,
+    enumerate_scenarios,
     no_failure,
 )
+from failsafe_dampers.model import damper_scales
 
 from conftest import shear_frame
 
@@ -294,3 +296,19 @@ class TestAssembleAddedDamping:
         sc = FailureScenario(id=1, damaged=(5,), factor=0.0)
         with pytest.raises(ValueError, match="damages damper"):
             assemble_added_damping(frame_2dof, design, sc)
+
+    def test_scenario_list_index_out_of_range(self, frame_2dof):
+        design = DesignVector(x=[0.5, 0.5], c_bar=10.0)
+        scenarios = [no_failure(), FailureScenario(id=3, damaged=(1, 5), factor=0.5)]
+        with pytest.raises(ValueError, match="scenario 3 damages damper 5"):
+            assemble_added_damping(frame_2dof, design, scenarios)
+
+
+@pytest.mark.parametrize("n_dampers", [1, 4, 6])
+def test_damper_scales_stack_the_scenarios_scale_vectors(n_dampers):
+    model = shear_frame(n_dampers)
+    scenarios = list(enumerate_scenarios(n_dampers, 1, min(2, n_dampers), nu=0.3))
+    scenarios.append(FailureScenario(id=len(scenarios), damaged=(0,), factor=0.0))
+    want = np.array([sc.scale_vector(n_dampers) for sc in scenarios])
+    assert np.array_equal(damper_scales(model, scenarios), want)
+    assert damper_scales(model, []).shape == (0, n_dampers)

@@ -733,30 +733,38 @@ class TestSlpSolve:
             assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
 
     def test_adjoint_sweeps_with_the_primal_transition_matrices(self, monkeypatch):
-        # One P and Q per (iteration, record), built by the primal solve;
-        # the adjoint sweeps with the transpose of that same P.
+        # One P and Q and one table of P's powers per (iteration, record),
+        # built by the primal solve; the adjoint sweeps with the transposes
+        # of that table's first floor(sqrt(k)) entries.
         model, scenarios, gm, design0 = fullset_problem()
         reversed_gm = GroundMotion("reversed", gm.dt, gm.accel[::-1], gm.scale)
-        built, swept = [], []
-        real_matrices, real_sweep = dynamics.transition_matrices, adjoint.transition_sweep
+        built, tables, swept = [], [], []
+        real_matrices, real_powers = dynamics.transition_matrices, dynamics.transition_powers
+        real_sweep = adjoint.transition_sweep
 
         def spy_matrices(*args):
             built.append(real_matrices(*args))
             return built[-1]
 
-        def spy_sweep(P, S, block=1):
-            swept.append(P)
-            real_sweep(P, S, block)
+        def spy_powers(*args):
+            tables.append(real_powers(*args))
+            return tables[-1]
+
+        def spy_sweep(powers, S):
+            swept.append((powers, len(S)))
+            real_sweep(powers, S)
 
         monkeypatch.setattr(dynamics, "transition_matrices", spy_matrices)
+        monkeypatch.setattr(dynamics, "transition_powers", spy_powers)
         monkeypatch.setattr(adjoint, "transition_sweep", spy_sweep)
         cfg = SlpConfig(i_min=4, i_max=4)
         res = slp_solve(model, scenarios, [gm, reversed_gm], design0, cfg)
         assert res.n_iterations == 4
-        assert len(built) == len(swept) == 4 * 2
-        for (P, _), P_adjoint in zip(built, swept):
+        assert len(built) == len(tables) == len(swept) == 4 * 2
+        for (P, _), table, (powers, k) in zip(built, tables, swept):
             assert P.shape == (len(scenarios), 9, 9)
-            assert np.array_equal(P_adjoint, P.mT)
+            assert np.array_equal(table[0], P)
+            assert np.array_equal(powers, table[: max(1, math.isqrt(k))].mT)
 
     def test_cost_within_one_percent_of_dense_grid_search(self):
         # Independent oracle: a vectorized grid sweep at resolution 0.05

@@ -16,7 +16,11 @@ from failsafe_dampers import (
     newmark_solve,
     slp_solve,
 )
-from failsafe_dampers.dynamics import transition_matrices
+from failsafe_dampers.dynamics import (
+    ResponseHistory,
+    transition_matrices,
+    transition_sweep,
+)
 
 
 @pytest.mark.parametrize(
@@ -37,4 +41,23 @@ def test_failsafe_config_holds_only_the_tolerances():
     assert {f.name for f in dataclasses.fields(FailSafeConfig)} == {
         "epsilon",
         "violation_tol",
+    }
+
+
+def test_newmark_solve_starts_from_rest():
+    assert not {"u0", "v0"} & set(inspect.signature(newmark_solve).parameters)
+
+
+def test_transition_sweep_takes_its_block_from_the_power_table():
+    assert list(inspect.signature(transition_sweep).parameters) == ["powers", "S"]
+
+
+def test_response_history_holds_the_trajectories_and_the_sweep_operands():
+    assert {f.name for f in dataclasses.fields(ResponseHistory)} == {
+        "u",
+        "v",
+        "a",
+        "dt",
+        "powers",
+        "Q",
     }

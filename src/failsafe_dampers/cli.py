@@ -341,11 +341,11 @@ def write_drift_history(
     write_csv(path, header, rows)
 
 
-def write_iteration_log(path: Path, result) -> None:
+def write_iteration_log(path: Path, history) -> None:
     header = ["iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "q", "lp_status"]
     rows = [
-        [r.iteration, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.q, r.lp_status]
-        for r in result
+        [i, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.q, r.lp_status]
+        for i, r in enumerate(history, 1)
     ]
     write_csv(path, header, rows)
 
@@ -440,6 +440,16 @@ def _scenario_set(args: argparse.Namespace, model: StructuralModel) -> ScenarioS
         raise InputError(f"{flag}: {exc}") from exc
 
 
+def _output_dir(out: Path) -> Path:
+    """Create ``--out`` or a directory in it: after the inputs are validated,
+    before any solve."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out: cannot create directory {out}: {exc}") from exc
+    return out
+
+
 def _run_optimization(
     args: argparse.Namespace,
     model: StructuralModel,
@@ -448,6 +458,9 @@ def _run_optimization(
     fs: FailSafeConfig,
 ) -> int:
     scenario_set = _scenario_set(args, model)
+    comparison = {Path(p).stem: load_design(p, model, args.cbar) for p in args.compare}
+    out = _output_dir(Path(args.out))
+    drift_dir = _output_dir(out / "drifts") if args.export_drifts else None
     final = run_failsafe(
         model,
         scenario_set,
@@ -458,9 +471,6 @@ def _run_optimization(
         mode=args.mode,
     )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    comparison = {Path(p).stem: load_design(p, model, args.cbar) for p in args.compare}
     header, rows = report_design(final, comparison or None, label=f"{args.mode} design")
     design_table = render_table(header, rows)
     write_csv(out / "design.csv", header, rows)
@@ -473,9 +483,7 @@ def _run_optimization(
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for sp in final.subproblems:
         write_iteration_log(out / f"subproblem_{sp.index:02d}.csv", sp.history)
-    if args.export_drifts:
-        drift_dir = out / "drifts"
-        drift_dir.mkdir(exist_ok=True)
+    if drift_dir is not None:
         scenarios = list(scenario_set)
         C_d = assemble_added_damping(model, final.design, scenarios)
         for gm in records:
@@ -510,8 +518,7 @@ def _run_simulate(
     args: argparse.Namespace, model: StructuralModel, records: list[GroundMotion]
 ) -> int:
     design = _given_design(args, model, 0.0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(Path(args.out))
     C_d = assemble_added_damping(model, design)
     peaks = []
     for gm in records:
@@ -532,11 +539,10 @@ def _run_check_gradients(
     scenario_set = _scenario_set(args, model)
     design = _given_design(args, model, 0.5)
     params = ConstraintParams(p=args.p_start, q=args.q_start)
+    out = _output_dir(Path(args.out))
     rows = gradient_check(
         model, design, list(scenario_set), records[0], params, h=args.fd_step
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "gradient_check.csv",
         ["scenario_id", "scenario", "max_rel_error"],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,8 +75,8 @@ class SubproblemStats:
     cost: float
     p_final: int
     q_final: int
-    resumes: int = 0
-    history: list = field(default_factory=list)
+    resumes: int
+    history: list
 
 
 @dataclass
@@ -232,15 +232,7 @@ def run_failsafe(
         while len(subproblems) < MAX_SUBPROBLEMS:
             k = len(subproblems)
             scenarios_ws = [scenario_set[i] for i in working_set]
-            stats = SubproblemStats(
-                index=k,
-                scenario_ids=tuple(working_set),
-                iterations=0,
-                converged=False,
-                cost=float("nan"),
-                p_final=0,
-                q_final=0,
-            )
+            history = []
             # Linearizations underestimate the constraint, so a resume
             # tightens its planes by the violation it has to clear.
             margin = 0.5 * fs_config.violation_tol
@@ -258,15 +250,7 @@ def run_failsafe(
                 x = result.x
                 p, q = result.p_final, result.q_final
                 slp_config = replace(slp_config, p_start=p, q_start=q)
-                offset = stats.iterations
-                for record in result.history:
-                    record.iteration += offset
-                stats.history.extend(result.history)
-                stats.iterations += result.n_iterations
-                stats.converged = result.converged
-                stats.cost = float(result.x.sum())
-                stats.p_final, stats.q_final = p, q
-                stats.resumes = resume
+                history += result.history
 
                 params = ConstraintParams(p=p, q=q)
                 design = DesignVector(x=x, c_bar=c_bar)
@@ -284,6 +268,11 @@ def run_failsafe(
                     k,
                     float(g_all.max()),
                 )
+            stats = SubproblemStats(
+                index=k, scenario_ids=tuple(working_set), iterations=len(history),
+                converged=result.converged, cost=float(x.sum()), p_final=p, q_final=q,
+                resumes=resume, history=history,
+            )
             subproblems.append(stats)
             logger.info(
                 "sub-problem %d: %d scenario(s), %d iterations, cost %.4f, "

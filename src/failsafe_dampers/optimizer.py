@@ -3,9 +3,9 @@
 One relaxed sub-problem (a fixed working set of failure scenarios and a
 fixed list of records) is solved by iterating: evaluate the aggregated
 drift constraint and its adjoint gradient for every (scenario, record)
-pair (all scenarios of a record in one batched sweep), append the
-linearizations as rows of the growing arrays of `CuttingPlanes`, disable
-planes that bind the LP while their underlying constraint is comfortably
+pair (all scenarios of a record in one batched sweep), append their
+linearizations to `CuttingPlanes` as one block of rows, disable planes
+that bind the LP while their underlying constraint is comfortably
 satisfied, and move to the cost-minimizing vertex of the accumulated
 planes inside a move-limit box. The LP takes the enabled rows of those
 arrays as they stand, so no plane is read back one by one. A
@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,93 +73,70 @@ class CuttingPlane(NamedTuple):
 
 
 class CuttingPlanes:
-    """The cutting planes of one sub-problem, in arrays of one row per plane.
+    """The cutting planes of one sub-problem, addressed by their position.
 
-    Each row holds a plane's gradient and linearization point (n columns
-    each), its intercept, the right-hand side gradient @ point - intercept
-    of its half-space gradient @ x <= rhs, whether it is enabled, and the
-    scenario id, record name and SLP iteration it came from. The arrays
-    double their capacity when full. Planes are never removed: `disable`
-    clears a plane's flag. Indexing and iteration give `CuttingPlane`
-    records, read-only snapshots of the rows.
+    Every SLP iteration linearizes the same K (scenario id, record) pairs,
+    ``labels``, at one design and appends their K planes as one block, so
+    row r is pair ``r % K`` of iteration ``r // K + 1``, linearized at that
+    iteration's point, which is stored once. Each row holds a plane's
+    gradient, its intercept, the right-hand side gradient @ point -
+    intercept of its half-space gradient @ x <= rhs, and whether it is
+    enabled. Planes are never removed: `disable` clears their flags.
+    Iteration gives `CuttingPlane` records over read-only views of the
+    rows.
     """
 
-    _ARRAYS = ("_gradients", "_points", "_intercepts", "_rhs", "_enabled",
-               "_scenario_ids", "_iterations")
-
-    def __init__(self, n: int):
-        self._m = 0
-        self._gradients = np.empty((0, n))
+    def __init__(self, n: int, labels):
+        self._labels = list(labels)
         self._points = np.empty((0, n))
+        self._gradients = np.empty((0, n))
         self._intercepts = np.empty(0)
         self._rhs = np.empty(0)
         self._enabled = np.empty(0, dtype=bool)
-        self._scenario_ids = np.empty(0, dtype=int)
-        self._iterations = np.empty(0, dtype=int)
-        self._records: list[str] = []
 
     def __len__(self) -> int:
-        return self._m
-
-    def __getitem__(self, i: int) -> CuttingPlane:
-        i = range(self._m)[i]
-        return next(self._snapshots(slice(i, i + 1)))
+        return len(self._rhs)
 
     def __iter__(self) -> Iterator[CuttingPlane]:
-        return self._snapshots(slice(0, self._m))
+        k = len(self._labels)
+        gradients, points = self._gradients.view(), self._points.view()
+        gradients.flags.writeable = points.flags.writeable = False
+        rows = zip(gradients, self._intercepts.tolist(), self._enabled.tolist())
+        for r, (gradient, intercept, enabled) in enumerate(rows):
+            i, j = divmod(r, k)
+            yield CuttingPlane(*self._labels[j], gradient, intercept, points[i], i + 1, enabled)
 
     @property
     def enabled(self) -> np.ndarray:
         """Read-only flags of the planes, True where a plane is in the LP."""
-        mask = self._enabled[: self._m]
+        mask = self._enabled.view()
         mask.flags.writeable = False
         return mask
 
-    def append(self, gradients, intercepts, point, scenario_ids, records, iteration):
-        """Add one enabled plane per row of ``gradients``, all linearized at
-        ``point`` in SLP iteration ``iteration``."""
-        k = len(intercepts)
-        if self._m + k > len(self._rhs):
-            capacity = max(self._m + k, 2 * len(self._rhs))
-            for name in self._ARRAYS:
-                old = getattr(self, name)
-                new = np.empty((capacity,) + old.shape[1:], old.dtype)
-                new[: self._m] = old[: self._m]
-                setattr(self, name, new)
-        rows = slice(self._m, self._m + k)
-        self._gradients[rows] = gradients
-        self._points[rows] = point
-        self._intercepts[rows] = intercepts
-        self._rhs[rows] = np.vecdot(self._gradients[rows], point) - intercepts
-        self._enabled[rows] = True
-        self._scenario_ids[rows] = scenario_ids
-        self._iterations[rows] = iteration
-        self._records += records
-        self._m += k
+    def append(self, gradients, intercepts, point) -> None:
+        """Add one enabled plane per label, all linearized at ``point``; row
+        j of ``gradients`` and ``intercepts`` belongs to ``labels[j]``."""
+        gradients = np.asarray(gradients, dtype=float)
+        intercepts = np.asarray(intercepts, dtype=float)
+        if not len(gradients) == len(intercepts) == len(self._labels):
+            raise ValueError(f"need one plane per label ({len(self._labels)}), got "
+                             f"{len(gradients)} gradients, {len(intercepts)} intercepts")
+        rhs = np.vecdot(gradients, point) - intercepts
+        self._points = np.concatenate([self._points, [point]])
+        self._gradients = np.concatenate([self._gradients, gradients])
+        self._intercepts = np.concatenate([self._intercepts, intercepts])
+        self._rhs = np.concatenate([self._rhs, rhs])
+        self._enabled = np.concatenate([self._enabled, np.ones(len(rhs), dtype=bool)])
 
-    def disable(self, i: int) -> None:
-        self._enabled[i] = False
+    def disable(self, rows) -> None:
+        self._enabled[rows] = False
 
     def enabled_rows(self):
         """Indices, gradients, points, intercepts and right-hand sides of the
         enabled planes, in plane order."""
-        idx = np.flatnonzero(self._enabled[: self._m])
-        return (idx, self._gradients[idx], self._points[idx], self._intercepts[idx],
-                self._rhs[idx])
-
-    def _snapshots(self, rows: slice) -> Iterator[CuttingPlane]:
-        gradients, points = self._gradients[rows], self._points[rows]
-        gradients.flags.writeable = points.flags.writeable = False
-        return map(
-            CuttingPlane,
-            self._scenario_ids[rows].tolist(),
-            self._records[rows],
-            gradients,
-            self._intercepts[rows].tolist(),
-            points,
-            self._iterations[rows].tolist(),
-            self._enabled[rows].tolist(),
-        )
+        idx = np.flatnonzero(self._enabled)
+        return (idx, self._gradients[idx], self._points[idx // len(self._labels)],
+                self._intercepts[idx], self._rhs[idx])
 
 
 @dataclass(frozen=True)
@@ -308,7 +285,6 @@ def _solve_elastic(objective, A_pl, b_shift, span):
 
 @dataclass
 class IterationRecord:
-    iteration: int
     cost: float
     g_max_true: float
     step_norm: float
@@ -316,7 +292,6 @@ class IterationRecord:
     p: int
     q: int
     lp_status: str
-    g_true: dict[tuple[int, str], float] = field(default_factory=dict)
 
 
 @dataclass
@@ -363,24 +338,21 @@ def slp_solve(
     delta = config.convergence_tol(n_d)
     p, q = config.p_start, config.q_start
     cost_gradient = np.ones(n_d)
-    # Labels of the planes one iteration adds, one per (scenario, record).
-    plane_ids = np.repeat([sc.id for sc in working_scenarios], len(records))
-    plane_records = names * len(working_scenarios)
-
-    planes = CuttingPlanes(n_d)
+    # One plane per (scenario, record) pair each iteration, scenario-major:
+    # the simplex's pivot choices depend on the order of its rows.
+    labels = [(sc.id, name) for sc in working_scenarios for name in names]
+    planes = CuttingPlanes(n_d, labels)
     history: list[IterationRecord] = []
-    last_binding: tuple[int, ...] = ()
-    best: tuple[float, float, np.ndarray] | None = None  # (gmax, cost, x)
+    binding = np.empty(0, dtype=int)
+    best_rank, best_x = None, x
     converged = False
-    iteration = 0
 
     for iteration in range(1, config.i_max + 1):
         params = ConstraintParams(p=p, q=q)
         design = DesignVector(x=x, c_bar=design0.c_bar)
 
         # One batched primal and adjoint sweep per record covers every
-        # working scenario. The planes keep their scenario-major order:
-        # the simplex's pivot choices depend on the order of its rows.
+        # working scenario.
         C_d = assemble_added_damping(model, design, working_scenarios)
         g = np.empty((len(working_scenarios), len(records)))
         grads = np.empty(g.shape + (n_d,))
@@ -395,48 +367,32 @@ def slp_solve(
             counter.n_primal += len(working_scenarios)
             counter.n_adjoint += len(working_scenarios)
 
-        planes.append(
-            grads.reshape(-1, n_d), g.ravel(), x, plane_ids, plane_records, iteration
-        )
-        g_true = {
-            (sc.id, name): float(g[i, r])
-            for i, sc in enumerate(working_scenarios)
-            for r, name in enumerate(names)
-        }
-        g_max_true = max(g_true.values())
+        planes.append(grads.reshape(-1, n_d), g.ravel(), x)
+        g_max_true = float(g.max())
 
         # A plane that binds the LP while its constraint is satisfied with
-        # margin is cutting into the feasible region; retire it.
-        for idx in last_binding:
-            pl = planes[idx]
-            if not pl.enabled:
-                continue
-            current = g_true.get((pl.scenario_id, pl.record))
-            if current is not None and current < -_DROP_MARGIN:
-                planes.disable(idx)
-                logger.debug(
-                    "%sdropped plane (scenario %d, %s, iter %d): g=%.4g",
-                    label,
-                    pl.scenario_id,
-                    pl.record,
-                    pl.iteration,
-                    current,
-                )
+        # margin is cutting into the feasible region; retire it. Row r
+        # belongs to pair r % K, whose g was just evaluated.
+        dropped = binding[g.ravel()[binding % len(labels)] < -_DROP_MARGIN]
+        planes.disable(dropped)
+        logger.debug("%sdropped planes %s", label, dropped)
 
-        key = (g_max_true, float(x.sum()))
-        if best is None or _better(key, best[:2]):
-            best = (key[0], key[1], x.copy())
+        # Feasible iterates first, then the least cost, then the least
+        # violation; the first iterate wins a tie.
+        infeasible = g_max_true > 0.0
+        rank = (infeasible, g_max_true if infeasible else float(x.sum()))
+        if best_rank is None or rank < best_rank:
+            best_rank, best_x = rank, x
 
         lp = solve_lp(
             cost_gradient, planes, x, config.ml, margin=feasibility_margin
         )
-        last_binding = lp.binding
+        binding = np.array(lp.binding, dtype=int)
         step = float(np.linalg.norm(lp.x - x))
         x = lp.x
 
         history.append(
             IterationRecord(
-                iteration=iteration,
                 cost=float(x.sum()),
                 g_max_true=g_max_true,
                 step_norm=step,
@@ -444,7 +400,6 @@ def slp_solve(
                 p=p,
                 q=q,
                 lp_status=lp.status,
-                g_true=dict(g_true),
             )
         )
         if iteration >= config.i_min and step < delta:
@@ -458,11 +413,10 @@ def slp_solve(
             "returning the best iterate seen",
             label,
             config.i_max,
-            history[-1].step_norm if history else float("nan"),
+            history[-1].step_norm,
             delta,
         )
-        if best is not None:
-            x = best[2]
+        x = best_x
 
     return SlpResult(
         x=x,
@@ -473,14 +427,3 @@ def slp_solve(
         p_final=p,
         q_final=q,
     )
-
-
-def _better(candidate: tuple[float, float], incumbent: tuple[float, float]) -> bool:
-    """Prefer feasible iterates of smaller cost, then smaller violation."""
-    cand_feas = candidate[0] <= 0.0
-    inc_feas = incumbent[0] <= 0.0
-    if cand_feas != inc_feas:
-        return cand_feas
-    if cand_feas:
-        return candidate[1] < incumbent[1]
-    return candidate[0] < incumbent[0]

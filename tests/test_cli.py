@@ -12,7 +12,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from failsafe_dampers import DesignVector, InputError, load_ground_motion
+from failsafe_dampers import DesignVector, InputError, cli, load_ground_motion
 from failsafe_dampers.cli import (
     load_design,
     main,
@@ -372,6 +372,63 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["failsafe", "simulate", "check-gradients"])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_naming_a_file_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, mode, under
+    ):
+        # --out names an existing file, or a path under one.
+        self.assert_bad_out_exits_2(
+            tmp_path, capsys, monkeypatch, tmp_path / "afile", tmp_path / "afile" / under,
+            ["--mode", mode],
+        )
+
+    def test_file_in_place_of_the_drift_directory_exits_2_before_the_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self.assert_bad_out_exits_2(
+            tmp_path, capsys, monkeypatch, tmp_path / "out" / "drifts", tmp_path / "out",
+            ["--export-drifts"],
+        )
+
+    @staticmethod
+    def assert_bad_out_exits_2(tmp_path, capsys, monkeypatch, blocker, out, flags):
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        blocker.parent.mkdir(exist_ok=True)
+        blocker.write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "run_failsafe", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "gradient_check", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "newmark_solve", lambda *a, **k: calls.append(a))
+        argv = ["--model", str(model_path), "--records", str(rec_path)]
+        argv += ["--out", str(out), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--out" in err
+        assert "Traceback" not in err
+        assert not calls
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("content", [None, "100\n200\n"])
+    def test_bad_compare_file_exits_2_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, content
+    ):
+        # A missing design file, and one with 2 of the 4 coefficients.
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        design = tmp_path / "bad_design.txt"
+        if content is not None:
+            design.write_text(content)
+        calls = []
+        monkeypatch.setattr(cli, "run_failsafe", lambda *a, **k: calls.append(a))
+        argv = ["--model", str(model_path), "--records", str(rec_path)]
+        argv += ["--out", str(tmp_path / "out"), "--compare", str(design)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "bad_design.txt" in err
+        assert "Traceback" not in err
+        assert not calls
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("step", ["0", "-1e-6", "nan", "inf"])

@@ -31,11 +31,11 @@ from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
 
 
 def plane_set(n, *planes):
-    """`CuttingPlanes` of n variables holding (gradient, intercept, point)
-    triples in order."""
-    out = CuttingPlanes(n)
+    """`CuttingPlanes` of n variables and one label, holding (gradient,
+    intercept, point) triples in order, one iteration each."""
+    out = CuttingPlanes(n, [(0, "r")])
     for gradient, intercept, point in planes:
-        out.append([gradient], [intercept], point, [0], ["r"], 1)
+        out.append([gradient], [intercept], point)
     return out
 
 
@@ -448,6 +448,16 @@ def fullset_problem():
     return model, scenarios, gm, DesignVector(x=np.full(6, 0.2), c_bar=2000.0)
 
 
+def two_record_problem():
+    """The first 4 scenarios of `fullset_problem` under its record and a
+    second one, rescaled the same way."""
+    model, scenarios, gm, design0 = fullset_problem()
+    second = synthetic_record(100, seed=4, peak=2.5, name="second")
+    bare = newmark_solve(model, np.zeros((3, 3)), second)
+    second = second.rescaled(2.0 / np.abs(normalized_drifts(bare, model)).max())
+    return model, list(scenarios)[:4], [gm, second], design0
+
+
 def lp_rows_from_records(planes, center, move_limit, margin):
     """Slow reference: the (A, b) `solve_lp` hands the simplex, assembled
     plane by plane from the records of the enabled planes."""
@@ -465,7 +475,7 @@ def lp_rows_from_records(planes, center, move_limit, margin):
 class TestSolveLp:
     def test_no_planes_goes_to_lower_corner(self):
         res = solve_lp(
-            np.ones(3), CuttingPlanes(3), center=np.full(3, 0.5), move_limit=0.2
+            np.ones(3), plane_set(3), center=np.full(3, 0.5), move_limit=0.2
         )
         assert np.allclose(res.x, 0.3)
         assert res.status == "optimal"
@@ -481,7 +491,7 @@ class TestSolveLp:
     def test_disabled_planes_ignored(self):
         planes = plane_set(2, ([-1.0, 0.0], 0.5, [0.0, 0.0]))
         planes.disable(0)
-        assert not planes[0].enabled
+        assert not planes.enabled[0]
         res = solve_lp(np.ones(2), planes, center=np.full(2, 0.5), move_limit=0.5)
         assert np.allclose(res.x, 0.0, atol=1e-12)
 
@@ -497,7 +507,7 @@ class TestSolveLp:
 
     def test_respects_move_limits(self):
         res = solve_lp(
-            np.ones(2), CuttingPlanes(2), center=np.array([0.5, 0.05]), move_limit=0.02
+            np.ones(2), plane_set(2), center=np.array([0.5, 0.05]), move_limit=0.02
         )
         assert np.allclose(res.x, [0.48, 0.03])
 
@@ -594,26 +604,77 @@ class TestSlpSolve:
         for a, b in zip(points, points[1:]):
             assert np.all(np.abs(b - a) <= cfg.ml + 1e-9)
 
-    def test_dropped_planes_were_binding_while_satisfied(self):
+    def test_dropped_planes_were_binding_while_satisfied(self, monkeypatch):
         # Drop-rule safety: a plane may be disabled only after its true
-        # constraint sat below -_DROP_MARGIN at some iterate.
-        model = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.004)
-        gm = synthetic_record(200, dt=0.02, seed=19, peak=1.5)
-        cfg = SlpConfig(i_min=25, i_max=80, ml=0.05)
-        res = slp_solve(
-            model,
-            [no_failure()],
-            [gm],
-            DesignVector(x=[0.6, 0.6], c_bar=500.0),
-            cfg,
-        )
+        # constraint sat below -_DROP_MARGIN at a later iterate. That g is
+        # the intercept of the later plane of the same scenario and record.
+        model, scenarios, records, design0 = two_record_problem()
+        bindings = []
+        real_lp = optimizer.solve_lp
+
+        def spy_lp(*args, **kwargs):
+            lp = real_lp(*args, **kwargs)
+            bindings.append(lp.binding)
+            return lp
+
+        monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
+        cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
+        res = slp_solve(model, scenarios, records, design0, cfg)
+        planes = list(res.planes)
+        disabled = [pl for pl in planes if not pl.enabled]
+        assert disabled
+        for pl in disabled:
+            assert any(
+                later.intercept < -optimizer._DROP_MARGIN
+                for later in planes
+                if (later.scenario_id, later.record) == (pl.scenario_id, pl.record)
+                and later.iteration > pl.iteration
+            )
+        # Exactly the planes that bound the LP of iteration i while their
+        # pair's plane of iteration i + 1 reads g < -_DROP_MARGIN are gone.
+        plane_of = {(pl.scenario_id, pl.record, pl.iteration): pl for pl in planes}
+        retired = {
+            row
+            for i, binding in enumerate(bindings[:-1], 1)
+            for row in binding
+            if plane_of[(planes[row].scenario_id, planes[row].record, i + 1)].intercept
+            < -optimizer._DROP_MARGIN
+        }
+        assert retired == {row for row, pl in enumerate(planes) if not pl.enabled}
+
+    def test_plane_labels_follow_the_row(self, monkeypatch):
+        # Each plane carries the scenario, record and iteration of the
+        # evaluation it came from, that evaluation's g as its intercept and
+        # the design it ran at as its point, all read from its row number.
+        model, scenarios, records, design0 = two_record_problem()
+        evaluations, designs, solved = {}, [], []
+        real_solve, real_eval = optimizer.newmark_solve, optimizer.evaluate_drift_constraint
+        real_damping = optimizer.assemble_added_damping
+
+        def spy_damping(model, design, *args):
+            designs.append(design.x)
+            return real_damping(model, design, *args)
+
+        def spy_solve(model, C_d, gm):
+            solved.append((real_solve(model, C_d, gm), gm.name))
+            return solved[-1][0]
+
+        def spy_eval(hist, *args):
+            value = real_eval(hist, *args)
+            record = next(name for h, name in solved if h is hist)
+            for sc, g in zip(scenarios, value.g):
+                evaluations[(sc.id, record, len(designs))] = (g, designs[-1])
+            return value
+
+        monkeypatch.setattr(optimizer, "assemble_added_damping", spy_damping)
+        monkeypatch.setattr(optimizer, "newmark_solve", spy_solve)
+        monkeypatch.setattr(optimizer, "evaluate_drift_constraint", spy_eval)
+        res = slp_solve(model, scenarios, records, design0, SlpConfig(i_min=3, i_max=3))
+        assert len(res.planes) == len(evaluations) == 3 * len(scenarios) * len(records)
         for pl in res.planes:
-            if not pl.enabled:
-                key = (pl.scenario_id, pl.record)
-                assert any(
-                    r.g_true.get(key, np.inf) < -optimizer._DROP_MARGIN
-                    for r in res.history
-                )
+            g, point = evaluations[(pl.scenario_id, pl.record, pl.iteration)]
+            assert pl.intercept == g
+            assert np.array_equal(pl.point, point)
 
     def test_final_point_satisfies_enabled_planes(self):
         # Feasible problem (ample damping authority): the converged design
@@ -708,16 +769,22 @@ class TestSlpSolve:
     def test_lp_rows_from_the_plane_arrays_match_the_plane_records(self, monkeypatch):
         # Every LP's (A, b) as the simplex receives it, bit for bit the one
         # assembled plane by plane from the records of the enabled planes,
-        # also once planes have been retired.
+        # also once planes have been retired; and its binding set, the
+        # enabled planes whose records predict ghat >= -margin at its x.
         model, scenarios, gm, design0 = fullset_problem()
         cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
-        want, got, disabled = [], [], []
+        want, got, disabled, binding = [], [], [], []
         real_lp, real_simplex = optimizer.solve_lp, optimizer.solve_inequality_lp
 
         def spy_lp(objective, planes, center, move_limit, margin=0.0):
             want.append(lp_rows_from_records(planes, center, move_limit, margin))
             disabled.append(len(planes) - int(planes.enabled.sum()))
-            return real_lp(objective, planes, center, move_limit, margin=margin)
+            lp = real_lp(objective, planes, center, move_limit, margin=margin)
+            binding.append((lp.binding, tuple(
+                i for i, pl in enumerate(planes)
+                if pl.enabled and pl.predict(lp.x) >= -margin - optimizer._BIND_TOL
+            )))
+            return lp
 
         def spy_simplex(c, A, b):
             if len(got) < len(want):  # the first call of each LP
@@ -731,6 +798,8 @@ class TestSlpSolve:
         assert max(disabled) > 0
         for (A, b), (A_ref, b_ref) in zip(got, want):
             assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+        assert any(rows for rows, _ in binding)
+        assert all(rows == ref for rows, ref in binding)
 
     def test_adjoint_sweeps_with_the_primal_transition_matrices(self, monkeypatch):
         # One P and Q and one table of P's powers per (iteration, record),

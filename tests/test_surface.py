@@ -9,6 +9,7 @@ import inspect
 import pytest
 
 from failsafe_dampers import (
+    CuttingPlanes,
     FailSafeConfig,
     adjoint_gradient,
     evaluate_all,
@@ -21,6 +22,7 @@ from failsafe_dampers.dynamics import (
     transition_matrices,
     transition_sweep,
 )
+from failsafe_dampers.optimizer import IterationRecord
 
 
 @pytest.mark.parametrize(
@@ -60,4 +62,32 @@ def test_response_history_holds_the_trajectories_and_the_sweep_operands():
         "dt",
         "powers",
         "Q",
+    }
+
+
+def test_cutting_planes_take_their_labels_once_per_sub_problem():
+    # Row r is label r % K of iteration r // K + 1: no row stores its own.
+    assert list(inspect.signature(CuttingPlanes.__init__).parameters) == [
+        "self",
+        "n",
+        "labels",
+    ]
+    assert list(inspect.signature(CuttingPlanes.append).parameters) == [
+        "self",
+        "gradients",
+        "intercepts",
+        "point",
+    ]
+    assert not hasattr(CuttingPlanes, "__getitem__")
+
+
+def test_iteration_record_holds_no_label_or_per_pair_values():
+    assert {f.name for f in dataclasses.fields(IterationRecord)} == {
+        "cost",
+        "g_max_true",
+        "step_norm",
+        "n_active_planes",
+        "p",
+        "q",
+        "lp_status",
     }

@@ -15,7 +15,6 @@ from .constraints import (
     aggregate,
     evaluate_drift_constraint,
     exact_peak,
-    smooth_drift_indices,
 )
 from .dynamics import (
     GroundMotion,
@@ -91,7 +90,6 @@ __all__ = [
     "select_critical",
     "select_dominant_record",
     "slp_solve",
-    "smooth_drift_indices",
     "solve_lp",
     "spectral_displacement",
 ]

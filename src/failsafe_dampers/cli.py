@@ -393,6 +393,7 @@ def _manifest(
                 "cost": sp.cost,
                 "p_final": sp.p_final,
                 "q_final": sp.q_final,
+                "resumes": sp.resumes,
             }
             for sp in final.subproblems
         ],

@@ -89,28 +89,6 @@ def pruned_powers(
     return t, col, flat[t, col] ** p
 
 
-def smooth_drift_indices(
-    history: ResponseHistory,
-    model: StructuralModel,
-    params: ConstraintParams,
-) -> np.ndarray:
-    """Time p-norm of each normalized drift ratio.
-
-    For drift j this is ( (1/T) sum_i w_i |rho_ji|^p )^(1/p) with trapezoid
-    weights summing to the duration T, so a constant ratio r returns r for
-    any p and the value climbs toward the true time max as p grows.
-
-    Evaluation factors out the peak of each ratio before raising to the
-    p-th power; with exponents up to 1e6 the naive form would overflow
-    immediately, while the factored ratios are at most 1 and can only
-    underflow harmlessly. Only the ratios above exp(-746/p) are raised and
-    summed (see `pruned_powers`); the others would add exactly 0. A drift
-    that never moves gets index 0. A batched history gives shape
-    (B, n_drifts).
-    """
-    return evaluate_drift_constraint(history, model, params).d_tilde
-
-
 def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
     """Collapse per-drift indices into one constraint value.
 
@@ -151,7 +129,20 @@ def evaluate_drift_constraint(
     params: ConstraintParams,
 ) -> ConstraintValue:
     """Aggregated constraint plus its smooth indices, the exact peak and
-    the normalized drifts, all from one pass over the history."""
+    the normalized drifts, all from one pass over the history.
+
+    The smooth index ``d_tilde`` of drift j is the time p-norm
+    ( (1/T) sum_i w_i |rho_ji|^p )^(1/p) with trapezoid weights summing to
+    the duration T, so a constant ratio r returns r for any p and the
+    value climbs toward the true time max as p grows.
+
+    Evaluation factors out the peak of each ratio before raising to the
+    p-th power; with exponents up to 1e6 the naive form would overflow
+    immediately, while the factored ratios are at most 1 and can only
+    underflow harmlessly. Only the ratios above exp(-746/p) are raised and
+    summed (see `pruned_powers`); the others would add exactly 0. A drift
+    that never moves gets index 0.
+    """
     rho = normalized_drifts(history, model)
     magnitude = np.abs(rho)
     w = time_weights(rho.shape[0], history.dt)

@@ -1,16 +1,17 @@
-"""Expanding working-set loop over failure scenarios.
+"""Expanding working-set loop over failure scenarios and records.
 
 Solving the full problem means one response analysis and one adjoint solve
 per failure scenario per optimization iteration, which is wasteful when
-only a handful of scenarios ever govern the design. The driver here starts
-from the no-failure scenario alone, solves that relaxed sub-problem, then
-checks every scenario at the solution: if violations remain, the
-scenarios closest to the worst violation join the working set and the next
-sub-problem starts from the current design. Scenarios are only ever added.
-An outer loop applies the same idea to the ground-motion ensemble: the
-record with the largest spectral displacement at the structure's
-fundamental period is optimized for first, and records that still violate
-the constraints at the converged design are added and the loop rerun.
+only a handful of scenarios ever govern the design. The driver here solves
+a sequence of relaxed sub-problems, each over a working set of scenarios
+under the active records, and checks every scenario at each solution. The
+working set starts from the no-failure scenario and the active records
+from the one with the largest spectral displacement at the structure's
+fundamental period. A check with violations adds the scenarios closest to
+the worst one; a clean check sweeps the inactive records and adds those
+that violate. Either way the next sub-problem starts from the current
+design, and nothing is ever removed. The run ends at the first design that
+satisfies every scenario under every record.
 """
 
 from __future__ import annotations
@@ -35,25 +36,24 @@ from .scenarios import ScenarioSet
 
 logger = logging.getLogger(__name__)
 
-# Loop budgets: sub-problems per run, resumes per sub-problem, passes of the
-# record loop, and the minimum SLP iterations of a resume.
+# Loop budgets: sub-problems per run and resumes per sub-problem, and the
+# minimum SLP iterations of a resume.
 MAX_SUBPROBLEMS = 25
 MAX_RESUMES = 8
-MAX_RECORD_PASSES = 10
 RESUME_I_MIN = 5
 
 
 @dataclass(frozen=True)
 class FailSafeConfig:
-    """Knobs of the working-set loop itself.
+    """Tolerances of the working-set loop: ``epsilon`` for joining the
+    working set, ``violation_tol`` for the largest g that counts as met.
 
     A "resume" re-solves the current sub-problem when violations persist
     but no scenario is left to add; it runs with the continuation frozen
     at the sub-problem's final exponents and a short minimum-iteration
-    budget (`RESUME_I_MIN`, at most the SLP's ``i_max``), since it only
-    needs to clear residual violations around an already-converged design.
-    Each sub-problem's planes are tightened by half of ``violation_tol``,
-    and each resume adds the max g that forced it.
+    budget (`RESUME_I_MIN`, at most the SLP's ``i_max``). Each
+    sub-problem's planes are tightened by half of ``violation_tol``, and
+    each resume adds the max g that forced it.
     """
 
     epsilon: float = 0.05
@@ -173,13 +173,15 @@ def run_failsafe(
     mode : str
         ``"failsafe"`` grows the working set from the no-failure scenario;
         ``"fullset"`` keeps every scenario in the working set from the
-        start (for comparison runs); ``"basic"`` optimizes the no-failure
-        scenario only, skipping scenario expansion and the record loop.
+        start (for comparison runs); ``"basic"`` optimizes and checks the
+        no-failure scenario only, under every record.
 
     Returns the final design together with per-sub-problem statistics,
     the expansion history of the working set, the records that ended up
     active, and the running count of time-history and adjoint solves.
     The run counts as converged only if its last sub-problem's SLP did.
+    Raises `ConvergenceError` once `MAX_RESUMES` resumes of one
+    sub-problem or `MAX_SUBPROBLEMS` sub-problems are spent.
     Ranking two or more records needs a positive fundamental frequency: a
     stiffness with a rigid-body or unstable mode raises `InputError`.
     """
@@ -220,111 +222,100 @@ def run_failsafe(
     active = [dominant]
 
     counter = EvalCounter()
-    x = np.full(model.n_dampers, 0.5) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.full(model.n_dampers, 0.5) if x0 is None else x0
+    design = DesignVector(x=x0, c_bar=c_bar)
     working_set = list(range(len(scenario_set))) if mode == "fullset" else [0]
+    tol = fs_config.violation_tol
 
     subproblems: list[SubproblemStats] = []
     ws_history: list[tuple[int, ...]] = [tuple(working_set)]
-    params = ConstraintParams(p=slp_config.p_start, q=slp_config.q_start)
-    g_all = np.full(len(scenario_set), np.nan)
+    resume = 0
+    while True:
+        k = len(subproblems)
+        if resume == 0:
+            # Linearizations underestimate the constraint, so each
+            # sub-problem tightens its planes by half the tolerance and each
+            # resume by the violation it has to clear.
+            history, margin, cfg = [], 0.5 * tol, slp_config
+        else:
+            # Each solve continues p and q from where the last one ended; a
+            # resume holds them there.
+            i_min = min(RESUME_I_MIN, slp_config.i_max)
+            cfg = replace(slp_config, i_min=i_min, p_step=0, q_step=0)
+        result = slp_solve(
+            model, [scenario_set[i] for i in working_set], active, design, cfg,
+            counter=counter, feasibility_margin=margin, label=f"[sub-problem {k}] ",
+        )
+        slp_config = replace(slp_config, p_start=result.p_final, q_start=result.q_final)
+        history += result.history
+        params = ConstraintParams(p=result.p_final, q=result.q_final)
+        design = DesignVector(x=result.x, c_bar=c_bar)
+        g_all = evaluate_all(design, model, scenario_set, active, params, counter)
+        violated = bool(np.any(g_all > tol))
+        candidates = select_critical(g_all, working_set, fs_config.epsilon) if violated else []
 
-    for record_pass in range(1, MAX_RECORD_PASSES + 1):
-        while len(subproblems) < MAX_SUBPROBLEMS:
-            k = len(subproblems)
-            scenarios_ws = [scenario_set[i] for i in working_set]
-            history = []
-            # Linearizations underestimate the constraint, so a resume
-            # tightens its planes by the violation it has to clear.
-            margin = 0.5 * fs_config.violation_tol
-            for resume in range(MAX_RESUMES + 1):
-                # Each solve continues p and q from where the last one ended;
-                # a resume holds them there.
-                i_min = min(RESUME_I_MIN, slp_config.i_max)
-                cfg = slp_config if resume == 0 else replace(
-                    slp_config, i_min=i_min, p_step=0, q_step=0
-                )
-                result = slp_solve(
-                    model, scenarios_ws, active, DesignVector(x=x, c_bar=c_bar), cfg,
-                    counter=counter, feasibility_margin=margin, label=f"[sub-problem {k}] ",
-                )
-                x = result.x
-                p, q = result.p_final, result.q_final
-                slp_config = replace(slp_config, p_start=p, q_start=q)
-                history += result.history
-
-                params = ConstraintParams(p=p, q=q)
-                design = DesignVector(x=x, c_bar=c_bar)
-                g_all = evaluate_all(design, model, scenario_set, active, params, counter)
-                violated = bool(np.any(g_all > fs_config.violation_tol))
-                if not violated:
-                    break
-                candidates = select_critical(g_all, working_set, fs_config.epsilon)
-                if candidates:
-                    break
-                margin += float(g_all.max())
-                logger.info(
-                    "[sub-problem %d] violations persist with nothing to add "
-                    "(max g = %.3g); resuming",
-                    k,
-                    float(g_all.max()),
-                )
-            stats = SubproblemStats(
-                index=k, scenario_ids=tuple(working_set), iterations=len(history),
-                converged=result.converged, cost=float(x.sum()), p_final=p, q_final=q,
-                resumes=resume, history=history,
-            )
-            subproblems.append(stats)
-            logger.info(
-                "sub-problem %d: %d scenario(s), %d iterations, cost %.4f, "
-                "max g %.3g",
-                k,
-                len(working_set),
-                stats.iterations,
-                stats.cost,
-                float(g_all.max()),
-            )
-
-            if not violated:
-                converged = stats.converged
-                break
-            if not candidates:
+        if violated and not candidates:
+            if resume == MAX_RESUMES:
                 raise ConvergenceError(
                     "resume budget exhausted with persistent violations "
                     f"(max g = {float(g_all.max()):.3g})"
                 )
+            margin += float(g_all.max())
+            resume += 1
+            logger.info(
+                "[sub-problem %d] violations persist with nothing to add "
+                "(max g = %.3g); resuming",
+                k,
+                float(g_all.max()),
+            )
+            continue
+
+        subproblems.append(SubproblemStats(
+            index=k, scenario_ids=tuple(working_set), iterations=len(history),
+            converged=result.converged, cost=float(result.x.sum()), p_final=params.p,
+            q_final=params.q, resumes=resume, history=history,
+        ))
+        logger.info(
+            "sub-problem %d: %d scenario(s), %d iterations, cost %.4f, "
+            "max g %.3g",
+            k,
+            len(working_set),
+            len(history),
+            float(result.x.sum()),
+            float(g_all.max()),
+        )
+        if violated:
             working_set = working_set + sorted(candidates)
             ws_history.append(tuple(working_set))
         else:
+            # The design satisfies every scenario under the active records:
+            # it is the answer unless an inactive record still violates it.
+            newly_active = []
+            for gm in ensemble:
+                if any(gm is a for a in active):
+                    continue
+                g_rec = evaluate_all(design, model, scenario_set, [gm], params, counter)
+                g_all = np.maximum(g_all, g_rec)
+                if np.any(g_rec > tol):
+                    newly_active.append(gm)
+            if not newly_active:
+                break
+            logger.info(
+                "sub-problem %d: adding violated record(s) %s",
+                k,
+                [gm.name for gm in newly_active],
+            )
+            active = active + newly_active
+        if len(subproblems) == MAX_SUBPROBLEMS:
             raise ConvergenceError(f"sub-problem budget ({MAX_SUBPROBLEMS}) exhausted")
+        resume = 0
 
-        if mode == "basic":
-            break
-
-        newly_active = []
-        for gm in ensemble:
-            if any(gm is a for a in active):
-                continue
-            g_rec = evaluate_all(design, model, scenario_set, [gm], params, counter)
-            g_all = np.maximum(g_all, g_rec)
-            if np.any(g_rec > fs_config.violation_tol):
-                newly_active.append(gm)
-        if not newly_active:
-            break
-        logger.info(
-            "record pass %d: adding violated record(s) %s",
-            record_pass,
-            [gm.name for gm in newly_active],
-        )
-        active = active + newly_active
-    else:
-        raise ConvergenceError(f"record-loop budget ({MAX_RECORD_PASSES}) exhausted")
-
-    max_g = float(np.nanmax(g_all))
-    verified = converged and max_g <= fs_config.violation_tol
+    max_g = float(g_all.max())
+    verified = result.converged and max_g <= tol
     return FinalDesign(
         design=design,
         mode=mode,
-        converged=converged,
+        converged=result.converged,
         verified=verified,
         max_g=max_g,
         scenario_g=g_all,

@@ -12,7 +12,15 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from failsafe_dampers import DesignVector, InputError, cli, load_ground_motion
+from failsafe_dampers import (
+    DesignVector,
+    FailSafeConfig,
+    InputError,
+    cli,
+    exact_peak,
+    load_ground_motion,
+    newmark_solve,
+)
 from failsafe_dampers.cli import (
     load_design,
     main,
@@ -23,7 +31,12 @@ from failsafe_dampers.cli import (
 )
 from failsafe_dampers.model import StructuralModel
 
-from conftest import buckled_frame, shear_frame, synthetic_record
+from conftest import (
+    buckled_frame,
+    frame_with_redundant_dampers,
+    shear_frame,
+    synthetic_record,
+)
 
 SDOF_YAML = """\
 n_dof: 1
@@ -696,6 +709,68 @@ class TestMain:
         assert indices == list(range(len(indices)))
         logs = sorted(p.name for p in out.glob("subproblem_*.csv"))
         assert logs == [f"subproblem_{i:02d}.csv" for i in indices]
+
+    def test_basic_run_verifies_under_every_record(self, tmp_path):
+        # Record r1 violates the intact frame at the design tuned to r0:
+        # the basic run must add it, and its verdict must agree with the
+        # intact scenario's rows of the independent re-sweep.
+        model = frame_with_redundant_dampers()
+        model_path = tmp_path / "frame.yaml"
+        save_model(model, model_path)
+        bare = np.zeros((model.n_dof, model.n_dof))
+        records = []
+        for seed, name in ((57, "r0"), (1011, "r1")):
+            gm = synthetic_record(150, dt=0.02, seed=seed, peak=2.5, name=name)
+            gm = gm.rescaled(1.5 / exact_peak(newmark_solve(model, bare, gm), model))
+            records.append(tmp_path / f"{name}.txt")
+            np.savetxt(
+                records[-1], np.column_stack([gm.times, gm.scaled_accel]), fmt="%.17g"
+            )
+        out = tmp_path / "out"
+        code = main(
+            [
+                "--model", str(model_path),
+                "--records", *map(str, records),
+                "--mode", "basic",
+                "--complete-k", "1",
+                "--partial-k", "1",
+                "--nu", "0.5",
+                "--cbar", "2000",
+                "--imin", "10",
+                "--imax", "100",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        lines = (out / "constraints.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        intact = [float(r["g"]) for r in rows if r["scenario_id"] == "0"]
+        assert len(intact) == 2
+        tol = FailSafeConfig().violation_tol
+        assert manifest["verified"] is (max(intact) <= tol)
+        assert manifest["verified"] is True
+        assert sorted(manifest["active_records"]) == ["r0", "r1"]
+
+    def test_manifest_reports_resumes_per_subproblem(self, tmp_path):
+        # At c_bar = 400 the intact design converges just outside the
+        # constraint and its sub-problem needs one resume.
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=400)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "--model", str(model_path),
+                "--records", str(rec_path),
+                "--mode", "basic",
+                "--cbar", "400",
+                "--imin", "10",
+                "--imax", "150",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert [sp["resumes"] for sp in manifest["subproblems"]] == [1]
 
     def test_failsafe_run_artifacts(self, tmp_path):
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=200)

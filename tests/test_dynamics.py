@@ -53,6 +53,48 @@ def stepwise_newmark(M, C, K, load, dt, u0, v0, beta, gamma):
     return U, V, A
 
 
+def gauss_solve(A, b):
+    """Solve A x = b by Gaussian elimination with partial pivoting, in the
+    operands' own precision."""
+    A, x = A.copy(), b.copy()
+    n = x.size
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(A[j:, j])))
+        A[[j, p]], x[[j, p]] = A[[p, j]], x[[p, j]]
+        for i in range(j + 1, n):
+            f = A[i, j] / A[j, j]
+            A[i, j:] -= f * A[j, j:]
+            x[i] -= f * x[j]
+    for j in range(n - 1, -1, -1):
+        x[j] = (x[j] - A[j, j + 1 :] @ x[j + 1 :]) / A[j, j]
+    return x
+
+
+def extended_newmark(M, C, K, load, dt, beta, gamma=0.5):
+    """Exact-arithmetic stand-in: `stepwise_newmark` from rest, carried out
+    in np.longdouble (64-bit mantissa on x86-64, eps 1.1e-19) on the same
+    float64 inputs."""
+    ld = np.longdouble
+    M, C, K, load = (np.asarray(m, dtype=ld) for m in (M, C, K, load))
+    dt, beta, gamma = ld(dt), ld(beta), ld(gamma)
+    c0 = 1 / (beta * dt * dt)
+    c1 = gamma / (beta * dt)
+    c2 = 1 / (beta * dt)
+    c3 = 1 / (2 * beta) - 1
+    c4 = gamma / beta - 1
+    c5 = dt * (gamma / (2 * beta) - 1)
+    K_eff = K + c0 * M + c1 * C
+    U, V, A = (np.zeros_like(load) for _ in range(3))
+    A[0] = gauss_solve(M, load[0])
+    for i in range(load.shape[0] - 1):
+        u, v, a = U[i], V[i], A[i]
+        rhs = load[i + 1] + M @ (c0 * u + c2 * v + c3 * a) + C @ (c1 * u + c4 * v + c5 * a)
+        U[i + 1] = gauss_solve(K_eff, rhs)
+        A[i + 1] = c0 * (U[i + 1] - u) - c2 * v - c3 * a
+        V[i + 1] = v + dt * ((1 - gamma) * a + gamma * A[i + 1])
+    return U, V, A
+
+
 def sdof(period=1.0, zeta=0.0, mass=1.0, d_allow=1.0):
     w = 2.0 * np.pi / period
     k = mass * w * w
@@ -169,6 +211,31 @@ def test_transition_sweep_matches_stepwise_reference(n, c_d, beta, monkeypatch):
     transition_sweep(transition_powers(P, dynamics.block_length(P, 300)), S)
     ref = stepwise_newmark(M, C, K, load, gm.dt, u0, v0, beta, 0.5)
     for got, want in zip(np.split(S, 3, axis=1), ref):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_damped_sweep_from_rest_matches_extended_reference(n, beta, monkeypatch):
+    # With c_d = 1e5 the damper pins the relative motion, so a is small next
+    # to the load. The sweep stays within 6e-14 of the extended-precision
+    # reference. The float64 stepwise reference does not: forming
+    # a_{i+1} = c0 (u_{i+1} - u_i) - c2 v_i - c3 a_i cancels, and its a is
+    # off by up to 2.1e-12, so only its u and v are held to the bound.
+    assert np.finfo(np.longdouble).eps < 1e-18
+    monkeypatch.setattr(dynamics, "BETA", beta)
+    model = shear_frame(n)
+    gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
+    C_d = 1e5 * np.eye(n)
+    M, C, K = model.mass, model.inherent_damping + C_d, model.stiffness
+    load = -np.outer(gm.scaled_accel, M @ model.influence)
+    ref = extended_newmark(M, C, K, load, gm.dt, beta)
+    hist = newmark_solve(model, C_d, gm)
+    for got, want in zip((hist.u, hist.v, hist.a), ref):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    zero = np.zeros(n)
+    stepwise = stepwise_newmark(M, C, K, load, gm.dt, zero, zero, beta, 0.5)
+    for got, want in zip(stepwise[:2], ref):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -11,12 +11,14 @@ from failsafe_dampers import (
     DesignVector,
     FailSafeConfig,
     GroundMotion,
+    ScenarioSet,
     SlpConfig,
     assemble_added_damping,
     compute_lowest_modes,
     enumerate_scenarios,
     evaluate_all,
     evaluate_drift_constraint,
+    exact_peak,
     newmark_solve,
     run_failsafe,
     select_critical,
@@ -286,6 +288,30 @@ class TestResumes:
         assert (final.params_final.p, final.params_final.q) == end
         assert resume.n_iterations >= failsafe.RESUME_I_MIN
 
+    def test_resume_budget_raises_after_the_last_resume(self, monkeypatch, caplog):
+        # A drift limit that full damping cannot meet: the sub-problem is
+        # solved once and resumed MAX_RESUMES times, then the run raises
+        # without announcing a resume it never runs.
+        model = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.0005)
+        gm = synthetic_record(200, dt=0.02, seed=31, peak=1.55)
+        scen = enumerate_scenarios(2, 0, 0)
+        solves = []
+
+        def spy_slp(*args, **kwargs):
+            solves.append(kwargs["feasibility_margin"])
+            return real_slp(*args, **kwargs)
+
+        real_slp = failsafe.slp_solve
+        monkeypatch.setattr(failsafe, "slp_solve", spy_slp)
+        with caplog.at_level("INFO", logger="failsafe_dampers.failsafe"):
+            with pytest.raises(ConvergenceError, match="resume budget"):
+                run_failsafe(
+                    model, scen, [gm], c_bar=400.0, slp_config=SlpConfig(i_min=5, i_max=30)
+                )
+        assert len(solves) == failsafe.MAX_RESUMES + 1
+        resumes = [r for r in caplog.records if "resuming" in r.getMessage()]
+        assert len(resumes) == failsafe.MAX_RESUMES
+
     def test_resume_with_a_short_iteration_cap_returns(self, light_problem):
         # i_max = 4 is below the resume's minimum of 5 iterations: the
         # resume runs at most i_max iterations instead of failing to start.
@@ -352,6 +378,57 @@ class TestRecordLoop:
             assert np.all(g <= fs.violation_tol)
 
 
+    def test_scenario_g_is_the_worst_over_every_record(self):
+        # Record B never violates the design tuned to the dominant record A,
+        # so it stays inactive; it still reads the larger g at three of the
+        # five scenarios, and the reported values must include it.
+        model = frame_with_redundant_dampers(
+            n_stories=2, per_story=2, mass=10.0, story_k=2000.0, d_allow=0.012
+        )
+        w1 = compute_lowest_modes(model, 1)[0][0]
+        t = np.arange(0.0, 12.0 + 1e-9, 0.02)
+        env = np.minimum(1.0, t / 2.0) * np.minimum(1.0, (t[-1] - t) / 1.0)
+        gm_a = GroundMotion(name="recA", dt=0.02, accel=0.55 * np.sin(w1 * t) * env)
+        gm_b = synthetic_record(600, dt=0.02, seed=31, peak=0.9, name="recB")
+        scen = enumerate_scenarios(model.n_dampers, 1, 0)
+        final = run_failsafe(
+            model, scen, [gm_a, gm_b], c_bar=800.0, slp_config=SlpConfig(i_min=10, i_max=150)
+        )
+        g_a, g_b = (
+            evaluate_all(final.design, model, scen, [gm], final.params_final)
+            for gm in (gm_a, gm_b)
+        )
+        assert final.active_records == ["recA"] and final.verified
+        assert np.any(g_b > g_a)
+        assert np.array_equal(final.scenario_g, np.maximum(g_a, g_b))
+        assert final.max_g == final.scenario_g.max()
+
+    def test_basic_mode_checks_every_record(self):
+        # Basic mode optimizes the intact frame only, but under every
+        # record: record r1 drives the r0-tuned design past the limit
+        # (g = +0.366), so it joins and the intact scenario is re-solved.
+        model = frame_with_redundant_dampers()
+        bare = np.zeros((model.n_dof, model.n_dof))
+        records = []
+        for seed, name in ((57, "r0"), (1011, "r1")):
+            gm = synthetic_record(150, dt=0.02, seed=seed, peak=2.5, name=name)
+            peak = exact_peak(newmark_solve(model, bare, gm), model)
+            records.append(gm.rescaled(1.5 / peak))
+        scen = enumerate_scenarios(model.n_dampers, 1, 1, 0.5)
+        fs = FailSafeConfig()
+        final = run_failsafe(
+            model, scen, records, c_bar=2000.0,
+            slp_config=SlpConfig(i_min=10, i_max=100), fs_config=fs, mode="basic",
+        )
+        assert sorted(final.active_records) == ["r0", "r1"]
+        assert final.working_set_history == [(0,)]
+        assert final.verified
+        intact = ScenarioSet(scenarios=(scen[0],), n_dampers=scen.n_dampers)
+        for gm in records:
+            g = evaluate_all(final.design, model, intact, [gm], final.params_final)
+            assert np.all(g <= fs.violation_tol)
+
+
 class TestGuards:
     def test_empty_ensemble_rejected(self, light_problem):
         model, gm, scen, slp, fs = light_problem
@@ -368,6 +445,19 @@ class TestGuards:
         wrong = enumerate_scenarios(3, 1, 0)
         with pytest.raises(ValueError, match="dampers"):
             run_failsafe(model, wrong, [gm])
+
+    def test_sub_problem_budget_bounds_the_run(self, light_runs, monkeypatch):
+        # A budget of exactly the sub-problems a run needs lets it finish;
+        # one fewer ends in ConvergenceError instead of a further solve.
+        model, gm, scen, slp, fs, runs = light_runs
+        needed = len(runs["failsafe"].subproblems)
+        assert needed > 1
+        monkeypatch.setattr(failsafe, "MAX_SUBPROBLEMS", needed)
+        final = run_failsafe(model, scen, [gm], c_bar=800.0, slp_config=slp, fs_config=fs)
+        assert final.cost == runs["failsafe"].cost
+        monkeypatch.setattr(failsafe, "MAX_SUBPROBLEMS", needed - 1)
+        with pytest.raises(ConvergenceError, match=f"sub-problem budget \\({needed - 1}\\)"):
+            run_failsafe(model, scen, [gm], c_bar=800.0, slp_config=slp, fs_config=fs)
 
     def test_infeasible_problem_raises_convergence_error(self):
         # Drift limit far below what full damping can deliver.

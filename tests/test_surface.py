@@ -3,8 +3,10 @@
 A parameter or field that comes back here has to be a deliberate edit.
 """
 
+import ast
 import dataclasses
 import inspect
+import textwrap
 
 import pytest
 
@@ -15,8 +17,10 @@ from failsafe_dampers import (
     evaluate_all,
     fd_gradient,
     newmark_solve,
+    run_failsafe,
     slp_solve,
 )
+from failsafe_dampers import failsafe
 from failsafe_dampers.dynamics import (
     ResponseHistory,
     transition_matrices,
@@ -91,3 +95,26 @@ def test_iteration_record_holds_no_label_or_per_pair_values():
         "q",
         "lp_status",
     }
+
+
+def test_run_failsafe_drives_one_loop():
+    # Sub-problems, resumes and record additions are the outcomes of one
+    # verification step; the ensemble size bounds the record additions.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(run_failsafe)))
+    loops = [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While))]
+    (driver,) = [n for n in loops if isinstance(n, ast.While)]
+    inside = set(map(id, ast.walk(driver)))
+    assert all(id(n) in inside for n in loops)
+    assert not any(n.orelse for n in loops)
+    assert not hasattr(failsafe, "MAX_RECORD_PASSES")
+
+
+def test_basic_mode_only_narrows_the_scenario_set():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(run_failsafe)))
+    basic = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value == "basic" for c in n.comparators)
+    ]
+    assert len(basic) == 1

@@ -19,7 +19,6 @@ from .constraints import (
 from .dynamics import (
     GroundMotion,
     ResponseHistory,
-    equilibrium_residual,
     load_ground_motion,
     newmark_solve,
     select_dominant_record,
@@ -77,7 +76,6 @@ __all__ = [
     "build_rayleigh",
     "compute_lowest_modes",
     "enumerate_scenarios",
-    "equilibrium_residual",
     "evaluate_all",
     "evaluate_drift_constraint",
     "exact_peak",

@@ -6,13 +6,17 @@ A handful of variables meets up to about a thousand rows, one cutting
 plane per scenario and record per SLP iteration. Phase 1 adds a single
 artificial column for all rows with negative rhs, so it takes about as
 many pivots as there are structural columns, not one per violated row.
-Basic columns stay exact unit vectors, so a pivot updates only the
-columns where the pivot row is nonzero and prices only the n + 1
-nonbasic columns: O(m n) work, not O(m^2). Entering columns follow
-Dantzig pricing, lowest index first among near-ties, until the objective
-stalls on degenerate pivots, then switch to Bland's rule, which
-guarantees termination. The final vertex is re-solved from the original
-constraint data to strip accumulated elimination error.
+The tableau is condensed (Chvatal 1983): the basic columns are unit
+vectors, so only the n + 1 nonbasic ones are stored, m x (n + 2) with the
+rhs, each labelled with its variable, and a pivot puts the leaving
+variable's column where the entering one was. The labels make every
+choice the full m x (n + m + 2) tableau would make: reduced costs are
+priced afresh each pivot from the basic and nonbasic costs, Dantzig's
+entering columns take the lowest label among near-ties until the
+objective stalls on degenerate pivots, then Bland's rule (lowest label)
+takes over, and the ratio test breaks ties on the lowest basic label. The
+final vertex is re-solved from the original constraint data to strip
+accumulated elimination error.
 
 Rows that cannot bind are dropped first. The singleton rows
 a_ij y_j <= b_i with a_ij > 0 <= b_i (the move-limit box) bound y above
@@ -40,53 +44,61 @@ _STALL_LIMIT = 25
 _TOL = 1e-10
 
 
-def _pivot(T, basis, i, j):
-    """Pivot on T[i, j], updating only the columns where row i is nonzero.
+def _pivot(D, basis, nonbasic, i, q):
+    """Pivot the condensed tableau ``D`` on D[i, q]: the variable of column q
+    enters the basis at row i, and column q then holds the leaving one.
 
-    A column with a zero in row i would come out unchanged (up to the sign
-    of zero), and every basic column other than j has one: x / x is exactly
-    1 and t - t * 1 exactly 0, so basic columns stay exact unit vectors.
+    These are the full tableau's values: its leaving column was the unit
+    vector e_i, so it becomes 1/piv on row i and 0 - other * (1/piv)
+    elsewhere, and a column with a zero in row i comes out unchanged (up
+    to the sign of zero).
     """
-    T[i] /= T[i, j]
-    cols = T[i].nonzero()[0]
-    other = T[:, j].copy()
+    piv = D[i, q]
+    other = D[:, q].copy()
     other[i] = 0.0
-    T[:, cols] -= other[:, None] * T[i, cols]
-    basis[i] = j
+    D[i] /= piv
+    D[:, q] = 0.0
+    D[i, q] = 1.0 / piv
+    D -= other[:, None] * D[i]
+    basis[i], nonbasic[q] = nonbasic[q], basis[i]
 
 
-def _pivot_loop(T, basis, costs, allowed, max_pivots):
-    """Run pivots until optimal. Returns the objective value."""
-    m = T.shape[0]
+def _pivot_loop(D, basis, nonbasic, costs, max_pivots):
+    """Run pivots until optimal. Returns the objective value.
+
+    ``basis`` labels the rows of ``D`` and ``nonbasic`` its columns but the
+    last; the basic and nonbasic cost vectors swap a pair with each pivot,
+    as the labels do.
+    """
+    m = D.shape[0]
+    c_B, c_N = costs[basis], costs[nonbasic]
+    above_all = costs.size  # a label above every variable's
     bland = False
     stall = 0
     prev_obj = np.inf
     for _ in range(max_pivots):
-        # A basic column's reduced cost is exactly 0, so it never enters.
-        nonbasic = allowed.copy()
-        nonbasic[basis] = False
-        cols = nonbasic.nonzero()[0]
-        r = costs[cols] - costs[basis] @ T[:, cols]
+        r = c_N - c_B @ D[:, :-1]
+        r_min = r.min()
+        if r_min >= -_TOL:
+            return float(c_B @ D[:, -1])
         entering = r < -_TOL
-        if not entering.any():
-            return float(costs[basis] @ T[:, -1])
-        candidates = cols[entering]
-        # Dantzig's near-ties go to the lowest index, as row ties do below.
-        near_min = r[entering] <= r[entering].min() + _TOL
-        j = candidates[0] if bland else candidates[np.argmax(near_min)]
+        # Dantzig's near-ties go to the lowest label, as row ties do below.
+        if not bland:
+            entering &= r <= r_min + _TOL
+        q = int(np.argmin(np.where(entering, nonbasic, above_all)))
 
-        col = T[:, j]
+        col = D[:, q]
         positive = col > _TOL
         if not positive.any():
             raise SimplexError("LP is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = T[positive, -1] / col[positive]
+        ratios = np.divide(D[:, -1], col, out=np.full(m, np.inf), where=positive)
         best = ratios.min()
-        ties = np.where(ratios <= best + _TOL * (1.0 + abs(best)))[0]
-        i = ties[np.argmin(basis[ties])] if ties.size > 1 else int(np.argmin(ratios))
-        _pivot(T, basis, i, j)
+        ties = np.flatnonzero(ratios <= best + _TOL * (1.0 + abs(best)))
+        i = int(ties[np.argmin(basis[ties])])
+        _pivot(D, basis, nonbasic, i, q)
+        c_B[i], c_N[q] = c_N[q], c_B[i]
 
-        obj = float(costs[basis] @ T[:, -1])
+        obj = float(c_B @ D[:, -1])
         if obj >= prev_obj - _TOL:
             stall += 1
             if stall >= _STALL_LIMIT:
@@ -123,42 +135,44 @@ def solve_inequality_lp(c, A, b):
             raise SimplexError("LP is unbounded")
         return np.zeros(n), "optimal"
 
-    # Tableau columns: structurals, one slack per row, one artificial x0,
-    # then the rhs. x0 holds -1 in every row with b < 0; pivoting it in on
+    # Labels: structurals 0..n-1, the slack of row i n+i, one artificial x0
+    # n+m. The slacks start basic; the columns of D are the structurals, x0
+    # and the rhs. x0 holds -1 in every row with b < 0; pivoting it in on
     # the most negative row makes every row feasible at once, and phase 1
     # minimizes x0 from there (Chvatal's auxiliary problem).
-    rows = np.arange(m)
     art = n + m
-    T = np.zeros((m, art + 2))
-    T[:, :n] = A
-    T[rows, n + rows] = 1.0
-    T[:, -1] = b
-    basis = n + rows
+    D = np.zeros((m, n + 2))
+    D[:, :n] = A
+    D[:, -1] = b
+    basis = n + np.arange(m)
+    nonbasic = np.append(np.arange(n), art)
 
-    ncols = art + 1
-    allowed = np.ones(ncols, dtype=bool)
     if np.any(b < 0):
-        T[b < 0, art] = -1.0
-        _pivot(T, basis, int(np.argmin(b)), art)
-        costs1 = np.zeros(ncols)
+        D[b < 0, n] = -1.0
+        _pivot(D, basis, nonbasic, int(np.argmin(b)), n)
+        costs1 = np.zeros(art + 1)
         costs1[art] = 1.0
-        phase1 = _pivot_loop(T, basis, costs1, allowed, max_pivots)
+        phase1 = _pivot_loop(D, basis, nonbasic, costs1, max_pivots)
         if phase1 > 1e-8 * max(1.0, np.abs(b_full).max()):
             return None, "infeasible"
-        # Pivot x0 out if it stays basic at zero. [A I] has full row rank,
-        # so its row holds a nonzero outside the x0 column.
+        # Pivot x0 out if it stays basic at zero, on the lowest label. [A I]
+        # has full row rank, so its row holds a nonzero outside x0.
         for i in np.flatnonzero(basis == art):
-            pivot_cols = np.flatnonzero(np.abs(T[i, :art]) > 1e2 * _TOL)
-            _pivot(T, basis, i, int(pivot_cols[0]))
-        allowed[art] = False
+            cols = np.flatnonzero(np.abs(D[i, :-1]) > 1e2 * _TOL)
+            q = cols[np.argmin(nonbasic[cols])]
+            _pivot(D, basis, nonbasic, i, q)
+    # x0 is nonbasic now; its column never enters again.
+    q = int(np.flatnonzero(nonbasic == art)[0])
+    D = np.delete(D, q, axis=1)
+    nonbasic = np.delete(nonbasic, q)
 
-    costs2 = np.zeros(ncols)
+    costs2 = np.zeros(art + 1)
     costs2[:n] = c
-    _pivot_loop(T, basis, costs2, allowed, max_pivots)
+    _pivot_loop(D, basis, nonbasic, costs2, max_pivots)
 
     x = np.zeros(n)
     structural = basis < n
-    x[basis[structural]] = T[structural, -1]
+    x[basis[structural]] = D[structural, -1]
 
     x_polished = _polish(A, b, basis, n)
     if x_polished is not None:

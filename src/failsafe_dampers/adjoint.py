@@ -104,9 +104,9 @@ def solve_adjoint(
     `newmark_solve`), and ``C_d``, the damping it was integrated under,
     must match its batch. `transition_sweep` runs P' backward over rows
     k..1 with the transposes (P^j)' = (P')^j of the first floor(sqrt(k))
-    entries of the primal's table: in blocks of that many rows where the
-    primal ran in blocks (k <= N), row by row where its size rule kept it
-    so. ||(P')^j|| = ||P^j||, so the blocks are as safe as the primal's.
+    entries of the primal's table: in the primal's blocks wherever the
+    forcing runs at least as many rows as the block squared, in shorter ones
+    otherwise. ||(P')^j|| = ||P^j||, so the blocks are as safe as the primal's.
     Returns lambda over rows 0..k, shape (k+1, n), row 0 zero; every later
     row would be zero. Zero forcing sweeps nothing and gives one row.
     A (B, n, n) stack ``C_d`` with a batched history and forcing

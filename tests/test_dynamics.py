@@ -14,7 +14,6 @@ from failsafe_dampers import (
     InputError,
     assemble_added_damping,
     enumerate_scenarios,
-    equilibrium_residual,
     load_ground_motion,
     newmark_solve,
     select_dominant_record,
@@ -30,6 +29,26 @@ from failsafe_dampers.dynamics import (
 from failsafe_dampers.errors import ConvergenceError
 
 from conftest import buckled_frame, shear_frame, synthetic_record
+
+
+def equilibrium_residual(model, C_d, gm, history):
+    """Worst relative residual of M a + C v + K u = load over all steps."""
+    C = model.inherent_damping + np.asarray(C_d, dtype=float)
+    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    res = (
+        history.a @ model.mass.T
+        + history.v @ C.T
+        + history.u @ model.stiffness.T
+        - load
+    )
+    res_norm = np.linalg.norm(res, axis=1).max()
+    ref = max(
+        np.linalg.norm(load, axis=1).max(),
+        np.linalg.norm(history.u @ model.stiffness.T, axis=1).max(),
+        np.linalg.norm(history.a @ model.mass.T, axis=1).max(),
+        1e-300,
+    )
+    return float(res_norm / ref)
 
 
 def stepwise_newmark(M, C, K, load, dt, u0, v0, beta, gamma):
@@ -325,29 +344,71 @@ def test_single_block_is_the_row_sweep(stacked, reverse, monkeypatch):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("size, block", [(7, math.isqrt(600)), (8, 1)])
-def test_stacks_above_the_size_rule_sweep_row_by_row(size, block, monkeypatch):
-    # The 4-story frame's P holds 9 * 4^2 = 144 entries per system: a stack
-    # of 7 (1,008 entries) is swept in blocks, one of 8 (1,152) row by row.
+@pytest.mark.parametrize("size", [1, 7, 8])
+def test_primal_sweeps_in_the_block_the_rule_picks(size, monkeypatch):
+    # The 4-story frame over 600 steps: a single system and stacks of 7 and
+    # 8 all sweep in blocks, of the length `block_length` picks for their P.
     model = shear_frame(4)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
-    blocks = []
+    seen = []
 
     def spy(powers, S):
-        blocks.append(len(powers))
+        seen.append(powers)
         real(powers, S)
 
     real = dynamics.transition_sweep
     monkeypatch.setattr(dynamics, "transition_sweep", spy)
     newmark_solve(model, np.full((size, 4, 4), 0.0), gm)
-    assert blocks == [block]
+    (powers,) = seen
+    assert len(powers) == dynamics.block_length(powers[0], 600) > 1
+
+
+@pytest.mark.parametrize("size", [0, 1, 22, 137])
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 99, 100, 2000])
+def test_block_length_is_a_block_of_the_sweep(size, n_rows):
+    # One of 1..floor(sqrt(n_rows)), so that every block but the last is full
+    # and the table of powers stays shorter than the sweep.
+    P = np.zeros((size, 9, 9)) if size else np.zeros((9, 9))
+    L = dynamics.block_length(P, n_rows)
+    assert 1 <= L <= max(1, math.isqrt(n_rows))
+
+
+# Stacks of the benchmark workloads and of recipe W2 (see conftest), as
+# (stack size B, states 3n, steps N): fullset-6d's SLP stacks, cli-4d's,
+# and W2's at 300 and 2,000 steps.
+RULE_SHAPES = [
+    (22, 9, 100),
+    (1, 12, 600),
+    (3, 12, 600),
+    (2, 24, 300),
+    (9, 24, 300),
+    (2, 24, 2000),
+    (9, 24, 2000),
+]
+
+
+@pytest.mark.parametrize("size, states, n_steps", RULE_SHAPES)
+def test_sweep_in_the_rules_block_matches_row_sweep(size, states, n_steps, monkeypatch):
+    n = states // 3
+    model = shear_frame(n)
+    rng = np.random.default_rng(size)
+    C_d = rng.uniform(0.0, 400.0, (size, 1, 1)) * np.eye(n)
+    gm = synthetic_record(n_steps, dt=0.02, seed=5, peak=1.5)
+    P, S = sweep_operands(monkeypatch, model, C_d, gm)
+    L = dynamics.block_length(P, n_steps)
+    assert L > 1
+    want, got = S.copy(), S.copy()
+    row_loop(P, want)
+    transition_sweep(transition_powers(P, L), got)
+    assert_states_close(got, want, n, 1e-12)
 
 
 def test_adjoint_follows_the_size_rule(monkeypatch):
     # The adjoint sweeps the transposes of the primal's own powers over the
-    # k rows up to the last nonzero forcing: in blocks of floor(sqrt(k))
-    # rows for one 4-story system (144 entries), row by row for a stack of
-    # 11 (1,584), whose primal built P alone.
+    # k rows up to the last nonzero forcing: the first floor(sqrt(k)) entries
+    # of the primal's table, which is as long as `block_length` picked for
+    # the primal's N rows. Both a single 4-story system and a stack of 11
+    # sweep in blocks.
     design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
     seen, histories = [], []
@@ -367,15 +428,15 @@ def test_adjoint_follows_the_size_rule(monkeypatch):
         model, scenarios, C_d = scenario_batch(size)
         adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8, q=8))
         powers, k = seen[-1]
-        want = histories[-1].powers[: math.isqrt(k)].mT
+        table = histories[-1].powers
+        assert len(table) == dynamics.block_length(table[0], 600)
+        want = table[: math.isqrt(k)].mT
+        assert k > 100 and len(want) > 1
         assert powers.flags.c_contiguous and np.array_equal(powers, want)
         P, _ = dynamics.transition_matrices(
             model.mass, model.inherent_damping + C_d, model.stiffness, gm.dt
         )
-        assert np.array_equal(histories[-1].powers[0], P)
-    (single, k), (stacked, _) = seen
-    assert k > 100 and len(single) == math.isqrt(k)
-    assert len(stacked) == 1
+        assert np.array_equal(table[0], P)
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -25,11 +25,13 @@ from failsafe_dampers import (
     spectral_displacement,
 )
 from failsafe_dampers import adjoint, failsafe, optimizer
+from failsafe_dampers._simplex import SimplexError
 from failsafe_dampers.optimizer import EvalCounter
 
 from conftest import (
     buckled_frame,
     frame_with_redundant_dampers,
+    paper_scale_problem,
     shear_frame,
     synthetic_record,
 )
@@ -337,6 +339,24 @@ def test_paper_scale_recipe_verifies(w2_400):
     )
     assert final.converged and final.verified
     assert final.cost == pytest.approx(1.7560, rel=0.01)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=SimplexError, reason="Bland at tol 1e-10 cycles, ROADMAP item 2"
+)
+def test_paper_scale_recipe_at_200_steps_verifies():
+    # Recipe W2 at 200 steps: a phase-2 LP of sub-problem 3 cycles until the
+    # pivot budget runs out (see the LP itself in test_optimizer.py).
+    model, records, scenarios = paper_scale_problem(200)
+    final = run_failsafe(
+        model,
+        scenarios,
+        records,
+        c_bar=2000.0,
+        slp_config=SlpConfig(i_min=50, i_max=400),
+        mode="failsafe",
+    )
+    assert final.converged and final.verified
 
 
 class TestRecordLoop:

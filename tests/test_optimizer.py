@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from failsafe_dampers.constraints import normalized_drifts
 from failsafe_dampers.model import StructuralModel
 
 from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
+
+DATA = Path(__file__).parent / "data"
 
 
 def plane_set(n, *planes):
@@ -230,6 +233,19 @@ class TestSimplexCore:
         assert status == "optimal"
         assert c @ x == pytest.approx(0.7, abs=1e-10)
         assert x[0] >= 0.5 - 1e-10
+
+    @pytest.mark.xfail(
+        strict=True, raises=SimplexError, reason="Bland at tol 1e-10 cycles, ROADMAP item 2"
+    )
+    def test_cycling_lp_of_the_paper_scale_recipe(self):
+        # The phase-2 LP of sub-problem 3 that recipe W2 met at 200 steps
+        # (144 planes over 16 dampers, 104 negative right-hand sides) when
+        # its sweeps ran row by row. Bland's rule at tol 1e-10 cycles on it
+        # until the pivot budget runs out; HiGHS solves it.
+        lp = np.load(DATA / "w2_200_cycling_lp.npz")
+        x, status = solve_inequality_lp(lp["c"], lp["A"], lp["b"])
+        assert status == "optimal"
+        assert lp["c"] @ x == pytest.approx(0.15066082087229535, rel=1e-9)
 
 
 class TestPhaseOne:

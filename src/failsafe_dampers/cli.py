@@ -620,9 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def solver_configs(args: argparse.Namespace) -> tuple[SlpConfig, FailSafeConfig]:
     """The optimizer and working-set settings given on the command line."""
-    for flag, value in (("--cbar", args.cbar), ("--ml", args.ml)):
-        if not 0 < value < np.inf:
-            raise InputError(f"{flag} must be positive and finite, got {value:g}")
+    if not 0 < args.cbar < np.inf:
+        raise InputError(f"--cbar must be positive and finite, got {args.cbar:g}")
     try:
         slp = SlpConfig(
             ml=args.ml,
@@ -637,8 +636,12 @@ def solver_configs(args: argparse.Namespace) -> tuple[SlpConfig, FailSafeConfig]
         )
         return slp, FailSafeConfig(epsilon=args.epsilon)
     except ValueError as exc:
-        # A message that starts with a schedule field, p_step, names --p-step.
-        raise InputError(re.sub(r"^([pq])_(\w+)", r"--\1-\2", str(exc))) from exc
+        # Name each setting by its flag; ConstraintParams calls p_start p, q_start q.
+        flags = {"ml": "--ml", "i_min": "--imin", "i_max": "--imax", "epsilon": "--epsilon",
+                 "p": "--p-start", "p_start": "--p-start", "p_step": "--p-step",
+                 "p_cap": "--p-cap", "q": "--q-start", "q_start": "--q-start",
+                 "q_step": "--q-step", "q_cap": "--q-cap"}
+        raise InputError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -268,13 +268,17 @@ def damper_scales(model: StructuralModel, scenario: Scenarios) -> np.ndarray:
     if scenario is None:
         return np.ones(model.n_dampers)
     if isinstance(scenario, FailureScenario):
-        return scenario.scale_vector(model.n_dampers)
+        return damper_scales(model, [scenario])[0]
     scenarios = list(scenario)
     counts = [len(sc.damaged) for sc in scenarios]
     rows = np.repeat(np.arange(len(scenarios)), counts)
     cols = np.fromiter(chain.from_iterable(sc.damaged for sc in scenarios), int)
     if cols.size and cols.max() >= model.n_dampers:
-        scenarios[rows[cols.argmax()]].scale_vector(model.n_dampers)  # raises
+        worst = cols.argmax()
+        raise ValueError(
+            f"scenario {scenarios[rows[worst]].id} damages damper {cols[worst]}, "
+            f"but the model has only {model.n_dampers} dampers"
+        )
     scales = np.ones((len(scenarios), model.n_dampers))
     scales[rows, cols] = np.repeat([sc.factor for sc in scenarios], counts)
     return scales

@@ -55,9 +55,9 @@ class CuttingPlane(NamedTuple):
     """One linearization of a scenario's aggregated constraint, as read
     from `CuttingPlanes`.
 
-    Predicts ghat(x) = intercept + gradient @ (x - point); the half-space
-    kept in the LP is ghat(x) <= 0. Disabled planes stay in the log but are
-    excluded from the LP.
+    ghat(x) = intercept + gradient @ (x - point); the half-space kept in the
+    LP is ghat(x) <= 0. Disabled planes stay in the log but are excluded
+    from the LP.
     """
 
     scenario_id: int
@@ -67,9 +67,6 @@ class CuttingPlane(NamedTuple):
     point: np.ndarray
     iteration: int
     enabled: bool
-
-    def predict(self, x: np.ndarray) -> float:
-        return float(self.intercept + self.gradient @ (x - self.point))
 
 
 class CuttingPlanes:
@@ -81,9 +78,9 @@ class CuttingPlanes:
     iteration's point, which is stored once. Each row holds a plane's
     gradient, its intercept, the right-hand side gradient @ point -
     intercept of its half-space gradient @ x <= rhs, and whether it is
-    enabled. Planes are never removed: `disable` clears their flags.
-    Iteration gives `CuttingPlane` records over read-only views of the
-    rows.
+    enabled. Planes are never removed: `disable` clears their flags. The LP
+    reads only the gradients and right-hand sides; the points and intercepts
+    are kept for the `CuttingPlane` records that iteration gives.
     """
 
     def __init__(self, n: int, labels):
@@ -132,11 +129,10 @@ class CuttingPlanes:
         self._enabled[rows] = False
 
     def enabled_rows(self):
-        """Indices, gradients, points, intercepts and right-hand sides of the
-        enabled planes, in plane order."""
+        """Indices, gradients and right-hand sides of the enabled planes, in
+        plane order."""
         idx = np.flatnonzero(self._enabled)
-        return (idx, self._gradients[idx], self._points[idx // len(self._labels)],
-                self._intercepts[idx], self._rhs[idx])
+        return idx, self._gradients[idx], self._rhs[idx]
 
 
 @dataclass(frozen=True)
@@ -146,9 +142,8 @@ class SlpConfig:
     p and q start at ``p_start`` and ``q_start`` and grow by their steps
     after every iteration up to their caps; steps of 0 hold them fixed.
     The p schedule stays even (see `ConstraintParams`). The convergence
-    tolerance defaults to 0.10 * ml * sqrt(N_d), i.e. 10% of the largest
-    possible move, and is evaluated per problem size through
-    `convergence_tol`; pass ``delta`` to override it.
+    tolerance is 0.10 * ml * sqrt(N_d), i.e. 10% of the largest possible
+    move (`convergence_tol`).
     """
 
     ml: float = 0.02
@@ -160,11 +155,10 @@ class SlpConfig:
     q_start: int = 100
     q_step: int = 500
     q_cap: int = 1_000_000
-    delta: float | None = None
 
     def __post_init__(self):
         if not 0 < self.ml < math.inf:
-            raise ValueError(f"move limit must be positive and finite, got {self.ml}")
+            raise ValueError(f"ml must be positive and finite, got {self.ml}")
         if self.i_min < 1 or self.i_max < self.i_min:
             raise ValueError("need 1 <= i_min <= i_max")
         for name in ("p", "q"):
@@ -172,19 +166,13 @@ class SlpConfig:
             step = getattr(self, f"{name}_step")
             cap = getattr(self, f"{name}_cap")
             if step < 0 or not start <= cap:
-                raise ValueError(f"{name} schedule must be nondecreasing up to its cap")
+                raise ValueError(f"need {name}_step >= 0 and {name}_start <= {name}_cap")
         for name in ("p_step", "p_cap"):
             if getattr(self, name) % 2:
                 raise ValueError(f"{name} must be even, got {getattr(self, name)}")
         ConstraintParams(p=self.p_start, q=self.q_start)
-        if self.delta is not None and not 0 < self.delta < math.inf:
-            raise ValueError(
-                f"delta must be positive and finite when given, got {self.delta}"
-            )
 
     def convergence_tol(self, n_dampers: int) -> float:
-        if self.delta is not None:
-            return self.delta
         return 0.10 * self.ml * math.sqrt(n_dampers)
 
     def advance(self, p: int, q: int) -> tuple[int, int]:
@@ -194,9 +182,7 @@ class SlpConfig:
 @dataclass(frozen=True)
 class LpResult:
     x: np.ndarray
-    objective: float
     status: str
-    violation: float
     binding: tuple[int, ...]
 
 
@@ -221,7 +207,7 @@ def solve_lp(
     When the plane set admits no point in the box, the LP is relaxed
     elastically: per-plane violations are minimized first, then the cost
     among minimal-violation points, and the result is flagged with status
-    ``"elastic"``.
+    ``"elastic"``. ``binding`` holds the enabled planes x meets within ``_BIND_TOL``.
     """
     center = np.asarray(center, dtype=float)
     objective = np.asarray(objective, dtype=float)
@@ -229,7 +215,7 @@ def solve_lp(
     lo = np.maximum(0.0, center - move_limit)
     hi = np.minimum(1.0, center + move_limit)
 
-    enabled, A_pl, points, intercepts, rhs = planes.enabled_rows()
+    enabled, A_pl, rhs = planes.enabled_rows()
     b_pl = rhs - margin
 
     # Shift to y = x - lo so the simplex's x >= 0 convention applies.
@@ -239,21 +225,13 @@ def solve_lp(
     b_full = np.concatenate([b_shift, span])
 
     y, status = solve_inequality_lp(objective, A_full, b_full)
-    violation = 0.0
     if status == "infeasible":
-        y, violation = _solve_elastic(objective, A_pl, b_shift, span)
+        y = _solve_elastic(objective, A_pl, b_shift, span)
         status = "elastic"
 
     x = np.clip(lo + y, lo, hi)
-    predicted = intercepts + np.vecdot(A_pl, x - points)
-    binding = tuple(enabled[predicted >= -margin - _BIND_TOL].tolist())
-    return LpResult(
-        x=x,
-        objective=float(objective @ x),
-        status=status,
-        violation=violation,
-        binding=binding,
-    )
+    binding = tuple(enabled[A_pl @ x - rhs >= -margin - _BIND_TOL].tolist())
+    return LpResult(x=x, status=status, binding=binding)
 
 
 def _solve_elastic(objective, A_pl, b_shift, span):
@@ -280,7 +258,7 @@ def _solve_elastic(objective, A_pl, b_shift, span):
     z, status = solve_inequality_lp(c2, A2, b2)
     if status != "optimal":
         raise SimplexError("elastic cost stage is infeasible")
-    return z[:n], v_min
+    return z[:n]
 
 
 @dataclass

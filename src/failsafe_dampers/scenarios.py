@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .errors import InputError
 
 # Largest scenario set `enumerate_scenarios` builds.
@@ -40,18 +38,6 @@ class FailureScenario:
     @property
     def is_no_failure(self) -> bool:
         return not self.damaged
-
-    def scale_vector(self, n_dampers: int) -> np.ndarray:
-        """Per-damper capacity multipliers (1 for intact devices)."""
-        if self.damaged and self.damaged[-1] >= n_dampers:
-            raise ValueError(
-                f"scenario {self.id} damages damper {self.damaged[-1]}, "
-                f"but the model has only {n_dampers} dampers"
-            )
-        s = np.ones(n_dampers)
-        if self.damaged:
-            s[list(self.damaged)] = self.factor
-        return s
 
     def label(self) -> str:
         """Human-readable tag, damper locations reported 1-based."""

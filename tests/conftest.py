@@ -159,12 +159,6 @@ def paper_scale_problem(n_steps: int):
 
 
 @pytest.fixture(scope="session")
-def w2_400():
-    """Recipe W2 with 400-step records."""
-    return paper_scale_problem(400)
-
-
-@pytest.fixture(scope="session")
 def frame_2dof() -> StructuralModel:
     """Two-story frame with dampers on both stories."""
     return shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.03)

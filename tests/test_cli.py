@@ -86,6 +86,11 @@ MALFORMED = [
     ("--ml", "inf"),
     ("--p-step", "3"),
     ("--p-cap", "101"),
+    ("--imin", "0"),
+    ("--imin", "10 --imax 5"),
+    ("--epsilon", "1.5"),
+    ("--p-start", "101"),
+    ("--q-start", "0"),
 ]
 
 
@@ -353,7 +358,7 @@ class TestMain:
             design.write_text(value)
             argv += ["--design", str(design)]
         elif key.startswith("--"):
-            argv += [key, value]
+            argv += [key, *value.split()]
         else:
             doc[key] = value
         model_path.write_text(yaml.safe_dump(doc))

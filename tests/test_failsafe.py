@@ -326,9 +326,16 @@ class TestResumes:
         assert not final.converged
 
 
-def test_paper_scale_recipe_verifies(w2_400):
-    # Recipe W2 at 400 steps: 16 dampers, 137 scenarios, 2 records.
-    model, records, scenarios = w2_400
+@pytest.mark.parametrize(
+    "n_steps,cost",
+    [(400, 1.7560), (600, 0.98655), (2000, 0.83901)],
+    ids=["400", "600", "2000"],
+)
+def test_paper_scale_recipe_verifies(n_steps, cost):
+    # Recipe W2: 16 dampers, 137 scenarios, 2 records. 400 steps ends with
+    # both records active, 600 and 2,000 steps with one; 2,000 steps is the
+    # longest record the recipe sweeps.
+    model, records, scenarios = paper_scale_problem(n_steps)
     final = run_failsafe(
         model,
         scenarios,
@@ -338,7 +345,7 @@ def test_paper_scale_recipe_verifies(w2_400):
         mode="failsafe",
     )
     assert final.converged and final.verified
-    assert final.cost == pytest.approx(1.7560, rel=0.01)
+    assert final.cost == pytest.approx(cost, rel=0.01)
 
 
 @pytest.mark.xfail(

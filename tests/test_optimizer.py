@@ -474,6 +474,11 @@ def two_record_problem():
     return model, list(scenarios)[:4], [gm, second], design0
 
 
+def ghat(plane, x):
+    """The linearization a `CuttingPlane` record holds, evaluated at x."""
+    return float(plane.intercept + plane.gradient @ (x - plane.point))
+
+
 def lp_rows_from_records(planes, center, move_limit, margin):
     """Slow reference: the (A, b) `solve_lp` hands the simplex, assembled
     plane by plane from the records of the enabled planes."""
@@ -519,7 +524,8 @@ class TestSolveLp:
         )
         res = solve_lp(np.ones(2), planes, center=np.full(2, 0.5), move_limit=0.5)
         assert res.status == "elastic"
-        assert res.violation == pytest.approx(0.6, abs=1e-8)
+        violation = sum(max(0.0, ghat(pl, res.x)) for pl in planes)
+        assert violation == pytest.approx(0.6, abs=1e-8)
 
     def test_respects_move_limits(self):
         res = solve_lp(
@@ -552,7 +558,7 @@ class TestSolveLp:
                 np.concatenate([b - A @ lo, hi - lo]),
                 n,
             ) + float(lo.sum())
-            assert res.objective == pytest.approx(oracle, abs=1e-9)
+            assert np.ones(n) @ res.x == pytest.approx(oracle, abs=1e-9)
 
 
 class TestSlpConfig:
@@ -560,9 +566,6 @@ class TestSlpConfig:
         cfg = SlpConfig(ml=0.02)
         assert cfg.convergence_tol(16) == pytest.approx(0.008, rel=1e-12)
         assert cfg.convergence_tol(4) == pytest.approx(0.004, rel=1e-12)
-
-    def test_delta_override(self):
-        assert SlpConfig(delta=0.001).convergence_tol(16) == 0.001
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -578,7 +581,7 @@ class TestSlpConfig:
         assert SlpConfig(q_step=3, q_cap=101).advance(100, 100) == (600, 101)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["ml", "delta"])
+    @pytest.mark.parametrize("name", ["ml"])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             SlpConfig(**{name: value})
@@ -709,20 +712,21 @@ class TestSlpSolve:
         assert res.history[-1].lp_status == "optimal"
         for pl in res.planes:
             if pl.enabled:
-                assert pl.predict(res.x) <= 1e-9
+                assert ghat(pl, res.x) <= 1e-9
 
     @pytest.mark.parametrize(
         "x0,ml,all_infeasible", [(0.5, 0.1, False), (0.1, 0.02, True)]
     )
     def test_iteration_cap_returns_best_evaluated_iterate(
-        self, x0, ml, all_infeasible, caplog
+        self, x0, ml, all_infeasible, caplog, monkeypatch
     ):
-        # delta = 1e-9 keeps every step above the tolerance, so the loop
-        # runs into i_max. Plane k holds iterate k, the point whose g_max
+        # A tolerance of 1e-9 keeps every step above it, so the loop runs
+        # into i_max. Plane k holds iterate k, the point whose g_max
         # history[k] records; the LP's last proposal is never evaluated.
         model = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.012)
         gm = synthetic_record(200, dt=0.02, seed=23, peak=1.2)
-        cfg = SlpConfig(i_min=12, i_max=12, ml=ml, delta=1e-9)
+        monkeypatch.setattr(SlpConfig, "convergence_tol", lambda self, n_dampers: 1e-9)
+        cfg = SlpConfig(i_min=12, i_max=12, ml=ml)
         res = slp_solve(
             model, [no_failure()], [gm], DesignVector(x=[x0, x0], c_bar=400.0), cfg
         )
@@ -798,7 +802,7 @@ class TestSlpSolve:
             lp = real_lp(objective, planes, center, move_limit, margin=margin)
             binding.append((lp.binding, tuple(
                 i for i, pl in enumerate(planes)
-                if pl.enabled and pl.predict(lp.x) >= -margin - optimizer._BIND_TOL
+                if pl.enabled and ghat(pl, lp.x) >= -margin - optimizer._BIND_TOL
             )))
             return lp
 

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failsafe_dampers import FailureScenario, InputError, enumerate_scenarios
+from failsafe_dampers.model import damper_scales
 from failsafe_dampers.scenarios import ScenarioSet, no_failure
+
+from conftest import shear_frame
 
 
 class TestFailureScenario:
@@ -23,10 +26,12 @@ class TestFailureScenario:
         assert sc.damaged == (1, 3)
 
     def test_scale_vector(self):
+        # A scenario's capacity multipliers come from `damper_scales` alone.
         sc = FailureScenario(id=1, damaged=(0, 2), factor=0.5)
-        assert np.allclose(sc.scale_vector(4), [0.5, 1.0, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            sc.scale_vector(2)
+        assert np.array_equal(damper_scales(shear_frame(4), sc), [0.5, 1.0, 0.5, 1.0])
+        message = "scenario 1 damages damper 2, but the model has only 2 dampers"
+        with pytest.raises(ValueError, match=message):
+            damper_scales(shear_frame(2), sc)
 
 
 class TestEnumerate:

@@ -13,6 +13,8 @@ import pytest
 from failsafe_dampers import (
     CuttingPlanes,
     FailSafeConfig,
+    FailureScenario,
+    SlpConfig,
     adjoint_gradient,
     evaluate_all,
     fd_gradient,
@@ -26,7 +28,7 @@ from failsafe_dampers.dynamics import (
     transition_matrices,
     transition_sweep,
 )
-from failsafe_dampers.optimizer import IterationRecord
+from failsafe_dampers.optimizer import CuttingPlane, IterationRecord, LpResult
 
 
 @pytest.mark.parametrize(
@@ -118,3 +120,28 @@ def test_basic_mode_only_narrows_the_scenario_set():
         and any(isinstance(c, ast.Constant) and c.value == "basic" for c in n.comparators)
     ]
     assert len(basic) == 1
+
+
+def test_lp_result_holds_the_point_its_status_and_its_binding_planes():
+    assert {f.name for f in dataclasses.fields(LpResult)} == {"x", "status", "binding"}
+
+
+def test_convergence_tolerance_is_its_formula():
+    assert "delta" not in {f.name for f in dataclasses.fields(SlpConfig)}
+
+
+def test_damage_multipliers_and_plane_predictions_have_one_definition():
+    # `model.damper_scales` maps scenarios to multipliers; the LP decides
+    # which planes bind from its own rows.
+    assert not hasattr(FailureScenario, "scale_vector")
+    assert not hasattr(CuttingPlane, "predict")
+
+
+def test_enabled_rows_are_indices_gradients_and_right_hand_sides():
+    planes = CuttingPlanes(2, [(0, "r"), (1, "r")])
+    planes.append([[1.0, 0.0], [0.0, 2.0]], [0.5, -0.5], [0.25, 0.25])
+    planes.disable([0])
+    idx, A, rhs = planes.enabled_rows()
+    assert idx.tolist() == [1]
+    assert A.tolist() == [[0.0, 2.0]]
+    assert rhs.tolist() == [1.0]

@@ -2,8 +2,9 @@
 
 Model files are YAML documents with the keys ``n_dof``, ``mass``,
 ``stiffness``, ``influence``, ``drift_transform``, ``d_allow``, ``dampers``
-and either ``inherent_damping`` or ``rayleigh: {zeta: ...}``. Matrices may
-be nested lists of rows or flat row-major lists. Units are kN, m, s, ton.
+and either ``inherent_damping`` or ``rayleigh: {zeta: ...}``, and no other.
+Matrices may be nested lists of rows or flat row-major lists. Units are kN,
+m, s, ton.
 
 Exit codes: 0 on success, 2 for input errors, 3 for non-convergence.
 """
@@ -41,24 +42,13 @@ logger = logging.getLogger(__name__)
 MODES = ("failsafe", "basic", "fullset", "simulate", "check-gradients")
 # libyaml's loader where it is installed: the same documents, ten times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The top-level keys `save_model` writes, and the ``rayleigh`` block.
+_MODEL_KEYS = {"n_dof", "mass", "stiffness", "inherent_damping", "rayleigh", "influence",
+               "drift_transform", "d_allow", "dampers"}
 
 
 # ---------------------------------------------------------------------------
 # model file handling
-
-
-def _key_lines(text: str) -> dict[str, int]:
-    """Map top-level YAML keys to 1-based line numbers for error messages."""
-    try:
-        node = yaml.compose(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError:
-        return {}
-    if node is None or not hasattr(node, "value"):
-        return {}
-    out = {}
-    for key_node, _ in node.value:
-        out[str(key_node.value)] = key_node.start_mark.line + 1
-    return out
 
 
 def parse_model(path: str | Path) -> StructuralModel:
@@ -76,17 +66,24 @@ def parse_model(path: str | Path) -> StructuralModel:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
+    loader = _YAML_LOADER(text)
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        node = loader.get_single_node()
+        doc = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as exc:
         raise InputError(f"model file {path} is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"model file {path} must hold a mapping of fields")
-    lines = _key_lines(text)
+    # Top-level keys and their 1-based lines, for error messages.
+    lines = {key.value: key.start_mark.line + 1 for key, _ in node.value}
 
     def error(key, message):
         where = f" (line {lines[key]})" if key in lines else ""
         return InputError(f"field '{key}'{where}: {message}")
+
+    unknown = [key for key in lines if key not in _MODEL_KEYS]
+    if unknown:
+        raise error(unknown[0], f"unknown key; expected one of {sorted(_MODEL_KEYS)}")
 
     def require(key):
         if key not in doc:
@@ -99,10 +96,9 @@ def parse_model(path: str | Path) -> StructuralModel:
         except (TypeError, ValueError, OverflowError) as exc:
             raise error(key, f"not numeric: {exc}") from exc
 
-    try:
-        n = int(require("n_dof"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error("n_dof", exc) from exc
+    n = require("n_dof")
+    if type(n) is not int:  # a bool is no integer here either
+        raise error("n_dof", f"must be an integer, got {n!r}")
     if n < 1:
         raise error("n_dof", "must be at least 1")
 
@@ -126,8 +122,8 @@ def parse_model(path: str | Path) -> StructuralModel:
         if not isinstance(entry, dict) or "row" not in entry:
             raise error("dampers", f"entry {i + 1} must be a mapping with a 'row' key")
         row = numeric("dampers", entry["row"])
-        if row.size % n:
-            raise error("dampers", f"entry {i + 1} length is not a multiple of n_dof={n}")
+        if not row.size or row.size % n:
+            raise error("dampers", f"entry {i + 1} length is not a positive multiple of n_dof={n}")
         transforms.append(row.reshape(-1, n))
 
     if "inherent_damping" in doc and "rayleigh" in doc:
@@ -196,24 +192,22 @@ def load_design(path: str | Path, model: StructuralModel, c_bar: float) -> Desig
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read design file {path}: {exc}") from exc
     values = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
+    for number, line in enumerate(text.splitlines(), 1):
+        parts = [p.strip() for p in line.split(",")]
+        if not parts[0] or parts[0].startswith("#"):
             continue
-        parts = [p.strip() for p in ln.split(",")]
-        if len(parts) == 1:
-            try:
-                values.append(float(parts[0]))
-            except ValueError:
-                continue  # header or summary row
-        else:
-            # CSV rows keyed by an integer location; the first design
-            # column is read, headers and J summary rows are skipped.
-            try:
-                int(parts[0])
-                values.append(float(parts[1]))
-            except ValueError:
-                continue
+        # CSV rows keyed by an integer location give their first design
+        # column; rows keyed otherwise are headers or J rows. A one-column
+        # file may open with a header. Any other line must parse.
+        if len(parts) > 1 and not re.fullmatch(r"[+-]?\d+", parts[0]):
+            continue
+        try:
+            values.append(float(parts[1] if len(parts) > 1 else parts[0]))
+        except ValueError:
+            if len(parts) > 1 or values:
+                raise InputError(
+                    f"design file {path}, line {number}: '{line.strip()}' is not a coefficient"
+                ) from None
     if len(values) != model.n_dampers:
         raise InputError(
             f"design file {path} holds {len(values)} coefficients, model has "
@@ -608,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--compare", nargs="*", default=[],
                         help="design files to list side by side in the "
                              "design report (e.g. a basic-mode design.csv)")
-    parser.add_argument("--check-gradients", action="store_true",
-                        help="shorthand for --mode check-gradients")
     parser.add_argument("--fd-step", type=float, default=1e-6,
                         help="finite-difference step for the gradient check")
     parser.add_argument("--export-drifts", action="store_true",
@@ -646,8 +638,6 @@ def solver_configs(args: argparse.Namespace) -> tuple[SlpConfig, FailSafeConfig]
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.check_gradients:
-        args.mode = "check-gradients"
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -89,6 +89,17 @@ def pruned_powers(
     return t, col, flat[t, col] ** p
 
 
+def _aggregation_terms(d_tilde, q: int) -> tuple[np.ndarray, ...]:
+    """Per row of ``d_tilde``, with the drift axis kept: tau = d / max(d), the
+    sums of tau^(q+1) and of tau^q, and max(d). An all-zero row has tau = 0
+    and the sum of tau^q taken as 1, so no power of a ratio above 1 is taken."""
+    d = np.atleast_1d(np.asarray(d_tilde, dtype=float))
+    peak = d.max(axis=-1, keepdims=True)
+    tau = d / np.where(peak > 0, peak, 1.0)
+    den = np.where(peak > 0, np.sum(tau ** q, axis=-1, keepdims=True), 1.0)
+    return tau, np.sum(tau ** (q + 1), axis=-1, keepdims=True), den, peak
+
+
 def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
     """Collapse per-drift indices into one constraint value.
 
@@ -97,19 +108,14 @@ def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
     largest entry for overflow safety. An all-zero input returns the limit
     value -1. A (B, n_drifts) input gives one value per row, shape (B,).
     """
-    d = np.atleast_1d(np.asarray(d_tilde, dtype=float))
+    d = np.asarray(d_tilde, dtype=float)
     if np.any(d < 0):
         raise ValueError("smooth drift indices must be nonnegative")
-    peak = d.max(axis=-1)
-    moving = peak > 0
-    if not np.all(moving):
+    tau, num, den, peak = _aggregation_terms(d, q)
+    if not np.all(peak > 0):
         logger.debug("aggregate() over an all-zero history; returning -1")
-    # An all-zero row has tau = 0 and num = 0, so the value comes out -1.
-    scale = np.where(moving, peak, 1.0)
-    tau = d / scale[..., None]
-    num = np.sum(tau ** (q + 1), axis=-1)
-    den = np.where(moving, np.sum(tau ** q, axis=-1), 1.0)
-    g = scale * num / den - 1.0
+    # An all-zero row has peak = 0 and num = 0, so the value comes out -1.
+    g = (peak * num / den)[..., 0] - 1.0
     return g.item() if g.ndim == 0 else g
 
 
@@ -172,11 +178,6 @@ def aggregation_sensitivities(d_tilde: np.ndarray, q: int) -> np.ndarray:
     where tau^0 = 1). An all-zero row gets zero sensitivities. Rows of a
     (B, n_drifts) input are independent.
     """
-    d = np.atleast_1d(np.asarray(d_tilde, dtype=float))
-    peak = d.max(axis=-1, keepdims=True)
-    moving = peak > 0
+    tau, num_hat, den_hat, _ = _aggregation_terms(d_tilde, q)
     # An all-zero row has tau = 0 and num_hat = 0, so it comes out zero.
-    tau = d / np.where(moving, peak, 1.0)
-    num_hat = np.sum(tau ** (q + 1), axis=-1, keepdims=True)
-    den_hat = np.where(moving, np.sum(tau ** q, axis=-1, keepdims=True), 1.0)
     return ((q + 1) * tau ** q * den_hat - q * tau ** (q - 1) * num_hat) / den_hat ** 2

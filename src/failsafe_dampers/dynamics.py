@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import StructuralModel
+from .model import StructuralModel, check_symmetric
 
 STANDARD_GRAVITY = 9.80665
 
@@ -290,9 +290,7 @@ def newmark_solve(
     C_d = np.asarray(C_d, dtype=float)
     if C_d.ndim not in (2, 3) or C_d.shape[-2:] != (n, n):
         raise ValueError(f"C_d shape {C_d.shape} does not match {n} DOFs")
-    scale = np.abs(C_d).max(initial=0.0)
-    if scale > 0 and np.abs(C_d - C_d.mT).max() > 1e-8 * scale:
-        raise ValueError("C_d must be symmetric")
+    check_symmetric(C_d, "C_d")
 
     C = model.inherent_damping + C_d
     load = -np.outer(gm.scaled_accel, model.mass @ model.influence)

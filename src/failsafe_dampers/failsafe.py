@@ -164,7 +164,6 @@ def run_failsafe(
     slp_config: SlpConfig | None = None,
     fs_config: FailSafeConfig | None = None,
     mode: str = "failsafe",
-    x0: np.ndarray | None = None,
 ) -> FinalDesign:
     """Minimum-cost design satisfying every scenario under every record.
 
@@ -222,8 +221,7 @@ def run_failsafe(
     active = [dominant]
 
     counter = EvalCounter()
-    x0 = np.full(model.n_dampers, 0.5) if x0 is None else x0
-    design = DesignVector(x=x0, c_bar=c_bar)
+    design = DesignVector(x=np.full(model.n_dampers, 0.5), c_bar=c_bar)
     working_set = list(range(len(scenario_set))) if mode == "fullset" else [0]
     tol = fs_config.violation_tol
 

@@ -21,15 +21,6 @@ logger = logging.getLogger(__name__)
 # One scenario (None means no failure), or a batch of them.
 Scenarios = FailureScenario | Iterable[FailureScenario] | None
 
-_SYM_TOL = 1e-8
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def _finite(a, name: str, ndmin: int = 0) -> np.ndarray:
     """Read-only float copy of ``a``; every entry must be finite."""
     out = np.array(a, dtype=float, ndmin=ndmin)
@@ -39,9 +30,11 @@ def _finite(a, name: str, ndmin: int = 0) -> np.ndarray:
     return out
 
 
-def _check_symmetric(a: np.ndarray, name: str) -> None:
-    scale = np.abs(a).max() or 1.0
-    if np.abs(a - a.T).max() > _SYM_TOL * scale:
+def check_symmetric(a: np.ndarray, name: str) -> None:
+    """Raise `ValueError` unless the matrix ``a``, or each matrix of a stack,
+    is symmetric to 1e-8 of the largest entry."""
+    scale = np.abs(a).max(initial=0.0)
+    if np.abs(a - a.mT).max(initial=0.0) > 1e-8 * scale:
         raise ValueError(f"{name} matrix must be symmetric")
 
 
@@ -96,7 +89,7 @@ class StructuralModel:
         if mass.ndim != 2 or mass.shape[0] != mass.shape[1]:
             raise ValueError(f"mass must be square, got shape {mass.shape}")
         n = mass.shape[0]
-        _check_symmetric(mass, "mass")
+        check_symmetric(mass, "mass")
         try:
             np.linalg.cholesky(mass)
         except np.linalg.LinAlgError:
@@ -107,7 +100,7 @@ class StructuralModel:
             raise ValueError(
                 f"stiffness shape {stiffness.shape} does not match {n} DOFs"
             )
-        _check_symmetric(stiffness, "stiffness")
+        check_symmetric(stiffness, "stiffness")
 
         damping = _finite(self.inherent_damping, "inherent_damping")
         if damping.shape != (n, n):
@@ -155,9 +148,9 @@ class StructuralModel:
         object.__setattr__(self, "d_allow", d_allow)
         object.__setattr__(self, "damper_transforms", tuple(transforms))
         owner = np.repeat(np.arange(len(transforms)), [t.shape[0] for t in transforms])
-        object.__setattr__(self, "damper_rows", _readonly(np.vstack(transforms)))
+        object.__setattr__(self, "damper_rows", _finite(np.vstack(transforms), "damper_rows"))
         object.__setattr__(
-            self, "row_owner", _readonly(owner[:, None] == np.arange(len(transforms)))
+            self, "row_owner", _finite(owner[:, None] == np.arange(len(transforms)), "row_owner")
         )
 
     @property
@@ -193,7 +186,7 @@ class DesignVector:
                 f"design variables must lie in [0, 1], got range "
                 f"[{x.min():g}, {x.max():g}]"
             )
-        x = _readonly(np.clip(x, 0.0, 1.0))
+        x = _finite(np.clip(x, 0.0, 1.0), "design vector")
         object.__setattr__(self, "x", x)
         if not 0 < self.c_bar < np.inf:
             raise ValueError(f"c_bar must be positive and finite, got {self.c_bar}")

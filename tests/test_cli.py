@@ -80,6 +80,7 @@ MALFORMED = [
     ("dampers", [{"row": [float("nan")]}]),
     ("dampers", [{"row": [float("inf")]}]),
     ("design", "nan\n"),
+    ("raleigh", {"zeta": 0.05}),
     ("--cbar", "nan"),
     ("--cbar", "0"),
     ("--ml", "nan"),
@@ -219,6 +220,44 @@ class TestParseModel:
         with pytest.raises(InputError, match=r"field 'rayleigh' \(line"):
             parse_model(path)
 
+    @pytest.mark.parametrize(
+        "key,value", [("raleigh", {"zeta": 0.05}), ("n_dof", 2.9), ("n_dof", True)]
+    )
+    def test_unknown_key_or_non_integer_n_dof_names_it_and_its_line(
+        self, tmp_path, key, value
+    ):
+        _, model_path, _ = write_inputs(tmp_path)
+        doc = yaml.safe_load(model_path.read_text())
+        doc[key] = value
+        text = yaml.safe_dump(doc, sort_keys=False)
+        model_path.write_text(text)
+        line = [ln.split(":")[0] for ln in text.splitlines()].index(key) + 1
+        with pytest.raises(InputError, match=rf"field '{key}' \(line {line}\)"):
+            parse_model(model_path)
+
+    def test_empty_damper_row_with_a_huge_n_dof_reported(self, tmp_path):
+        # numpy cannot reshape even an empty row to 2**60 columns.
+        doc = yaml.safe_load(SDOF_YAML)
+        doc["n_dof"] = 2**60
+        doc["dampers"] = [{"row": []}]
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(InputError, match=r"field 'dampers' \(line \d+\): entry 1"):
+            parse_model(path)
+
+    def test_model_file_is_parsed_once(self, tmp_path, monkeypatch):
+        _, model_path, _ = write_inputs(tmp_path)
+        loaders = []
+
+        class CountingLoader(cli._YAML_LOADER):
+            def __init__(self, stream):
+                loaders.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(cli, "_YAML_LOADER", CountingLoader)
+        parse_model(model_path)
+        assert len(loaders) == 1
+
     def test_undecodable_files_reported(self, tmp_path):
         model, _, _ = write_inputs(tmp_path)
         path = tmp_path / "binary.dat"
@@ -289,6 +328,25 @@ class TestReports:
         model, _, _ = write_inputs(tmp_path)
         design = load_design(path, model, c_bar=1000.0)
         assert np.allclose(design.coefficients, [500.0, 0.0, 125.0, 80.0])
+
+    def test_one_column_design_skips_its_header_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "design.txt"
+        path.write_text("c [kNs/m]\n# from a basic run\n500\n\n0\n125\n80\n")
+        model, _, _ = write_inputs(tmp_path)
+        design = load_design(path, model, c_bar=1000.0)
+        assert np.allclose(design.coefficients, [500.0, 0.0, 125.0, 80.0])
+
+    @pytest.mark.parametrize(
+        "content,line",
+        [("100\n2O0\n300\n400\n500\n", 2), ("location,c\n1,100\n2,2O0\n3,300\n4,400\n5,500\n", 3)],
+    )
+    def test_design_value_that_does_not_parse_is_an_error(self, tmp_path, content, line):
+        # Skipping the line would hand damper 2 the next line's value.
+        path = tmp_path / "design.txt"
+        path.write_text(content)
+        model, _, _ = write_inputs(tmp_path)
+        with pytest.raises(InputError, match=rf"design\.txt, line {line}: '[\d,]*2O0'"):
+            load_design(path, model, c_bar=1000.0)
 
     def test_constraint_report_covers_every_scenario(self):
         # 16 dampers, singles complete plus pairs partial: 137 rows.
@@ -453,7 +511,7 @@ class TestMain:
     def test_bad_fd_step_exits_2(self, tmp_path, capsys, step):
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
         argv = ["--model", str(model_path), "--records", str(rec_path)]
-        argv += ["--check-gradients", f"--fd-step={step}", "--out", str(tmp_path / "out")]
+        argv += ["--mode", "check-gradients", f"--fd-step={step}", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "--fd-step" in captured.err and "Traceback" not in captured.err
@@ -477,7 +535,7 @@ class TestMain:
             [
                 "--model", str(model_path),
                 "--records", str(rec_path),
-                "--check-gradients",
+                "--mode", "check-gradients",
                 "--complete-k", "1",
                 "--out", str(out),
             ]
@@ -493,7 +551,7 @@ class TestMain:
         design = tmp_path / "design.txt"
         design.write_text("0\n200\n400\n100\n")
         argv = ["--model", str(model_path), "--records", str(rec_path)]
-        argv += ["--check-gradients", "--design", str(design), "--cbar", "400"]
+        argv += ["--mode", "check-gradients", "--design", str(design), "--cbar", "400"]
         code = main(argv + ["--complete-k", "1", "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 0, captured.err

@@ -22,7 +22,7 @@ from failsafe_dampers import (
     run_failsafe,
     slp_solve,
 )
-from failsafe_dampers import failsafe
+from failsafe_dampers import cli, failsafe, model
 from failsafe_dampers.dynamics import (
     ResponseHistory,
     transition_matrices,
@@ -145,3 +145,17 @@ def test_enabled_rows_are_indices_gradients_and_right_hand_sides():
     assert idx.tolist() == [1]
     assert A.tolist() == [[0.0, 2.0]]
     assert rhs.tolist() == [1.0]
+
+
+def test_model_file_has_one_parse_and_matrices_one_symmetry_rule():
+    assert not hasattr(cli, "_key_lines")
+    assert not hasattr(model, "_readonly")
+
+
+def test_check_gradients_has_one_spelling():
+    options = {o for action in cli.build_parser()._actions for o in action.option_strings}
+    assert "--check-gradients" not in options
+
+
+def test_run_failsafe_has_no_start_point_parameter():
+    assert "x0" not in inspect.signature(run_failsafe).parameters

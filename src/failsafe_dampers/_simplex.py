@@ -3,20 +3,19 @@
 Solves  minimize c @ x  subject to  A @ x <= b,  x >= 0.
 
 A handful of variables meets up to about a thousand rows, one cutting
-plane per scenario and record per SLP iteration. Phase 1 adds a single
-artificial column for all rows with negative rhs, so it takes about as
-many pivots as there are structural columns, not one per violated row.
-The tableau is condensed (Chvatal 1983): the basic columns are unit
-vectors, so only the n + 1 nonbasic ones are stored, m x (n + 2) with the
-rhs, each labelled with its variable, and a pivot puts the leaving
-variable's column where the entering one was. The labels make every
-choice the full m x (n + m + 2) tableau would make: reduced costs are
-priced afresh each pivot from the basic and nonbasic costs, Dantzig's
-entering columns take the lowest label among near-ties until the
-objective stalls on degenerate pivots, then Bland's rule (lowest label)
-takes over, and the ratio test breaks ties on the lowest basic label. The
-final vertex is re-solved from the original constraint data to strip
-accumulated elimination error.
+plane per scenario and record per SLP iteration. The tableau is condensed
+(Chvatal 1983): the basic columns are unit vectors, so only the nonbasic
+ones are stored, each labelled with its variable, m x (n + 1) with the
+rhs, and a pivot updates all of it, putting the leaving variable's column
+where the entering one was. If some b < 0, phase 1 pivots m x (n + 2):
+one artificial column serves all those rows (so about as many pivots as
+structural columns), and one selection drops it for phase 2. The labels
+make every choice the full m x (n + m + 2) tableau would make: reduced
+costs are priced afresh each pivot, Dantzig's entering columns take the
+lowest label among near-ties until the objective stalls on degenerate
+pivots, then Bland's rule (lowest label) takes over, and the ratio test
+breaks ties on the lowest basic label. The final vertex is re-solved from
+the original constraint data to strip accumulated elimination error.
 
 Rows that cannot bind are dropped first. The singleton rows
 a_ij y_j <= b_i with a_ij > 0 <= b_i (the move-limit box) bound y above
@@ -42,6 +41,7 @@ class SimplexError(ConvergenceError):
 _STALL_LIMIT = 25
 # Reduced-cost, ratio-test and tie tolerance of the pivots.
 _TOL = 1e-10
+_BELOW_TOL = np.nextafter(-_TOL, -np.inf)  # r < -_TOL is r <= _BELOW_TOL
 
 
 def _pivot(D, basis, nonbasic, i, q):
@@ -70,7 +70,6 @@ def _pivot_loop(D, basis, nonbasic, costs, max_pivots):
     last; the basic and nonbasic cost vectors swap a pair with each pivot,
     as the labels do.
     """
-    m = D.shape[0]
     c_B, c_N = costs[basis], costs[nonbasic]
     above_all = costs.size  # a label above every variable's
     bland = False
@@ -81,30 +80,24 @@ def _pivot_loop(D, basis, nonbasic, costs, max_pivots):
         r_min = r.min()
         if r_min >= -_TOL:
             return float(c_B @ D[:, -1])
-        entering = r < -_TOL
-        # Dantzig's near-ties go to the lowest label, as row ties do below.
-        if not bland:
-            entering &= r <= r_min + _TOL
-        q = int(np.argmin(np.where(entering, nonbasic, above_all)))
+        # r < -_TOL may enter; Dantzig's near-ties go to the lowest label.
+        top = _BELOW_TOL if bland else min(r_min + _TOL, _BELOW_TOL)
+        q = int(np.where(r <= top, nonbasic, above_all).argmin())
 
         col = D[:, q]
-        positive = col > _TOL
-        if not positive.any():
+        rows = (col > _TOL).nonzero()[0]
+        if not rows.size:
             raise SimplexError("LP is unbounded")
-        ratios = np.divide(D[:, -1], col, out=np.full(m, np.inf), where=positive)
+        ratios = D[rows, -1] / col[rows]
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + _TOL * (1.0 + abs(best)))
-        i = int(ties[np.argmin(basis[ties])])
+        ties = rows[ratios <= best + _TOL * (1.0 + abs(best))]
+        i = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         _pivot(D, basis, nonbasic, i, q)
         c_B[i], c_N[q] = c_N[q], c_B[i]
 
         obj = float(c_B @ D[:, -1])
-        if obj >= prev_obj - _TOL:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
+        stall = stall + 1 if obj >= prev_obj - _TOL else 0
+        bland = bland or stall >= _STALL_LIMIT
         prev_obj = obj
     raise SimplexError("pivot budget exhausted")
 
@@ -130,30 +123,26 @@ def solve_inequality_lp(c, A, b):
     A_full, b_full, A, b = A, b, A[keep], b[keep]
     m = A.shape[0]
 
-    if m == 0:
-        if np.any(c < -_TOL):
-            raise SimplexError("LP is unbounded")
-        return np.zeros(n), "optimal"
-
     # Labels: structurals 0..n-1, the slack of row i n+i, one artificial x0
     # n+m. The slacks start basic; the columns of D are the structurals, x0
-    # and the rhs. x0 holds -1 in every row with b < 0; pivoting it in on
-    # the most negative row makes every row feasible at once, and phase 1
-    # minimizes x0 from there (Chvatal's auxiliary problem).
+    # if some b < 0, and the rhs. x0 holds -1 in every row with b < 0;
+    # pivoting it in on the most negative row makes every row feasible at
+    # once, and phase 1 minimizes x0 from there (Chvatal's auxiliary problem).
     art = n + m
-    D = np.zeros((m, n + 2))
+    phase1 = bool((b < 0).any())
+    D = np.zeros((m, n + 1 + phase1))
     D[:, :n] = A
     D[:, -1] = b
     basis = n + np.arange(m)
-    nonbasic = np.append(np.arange(n), art)
-
-    if np.any(b < 0):
+    nonbasic = np.arange(n + phase1)
+    nonbasic[n:] = art
+    if phase1:
         D[b < 0, n] = -1.0
         _pivot(D, basis, nonbasic, int(np.argmin(b)), n)
         costs1 = np.zeros(art + 1)
         costs1[art] = 1.0
-        phase1 = _pivot_loop(D, basis, nonbasic, costs1, max_pivots)
-        if phase1 > 1e-8 * max(1.0, np.abs(b_full).max()):
+        phase1_min = _pivot_loop(D, basis, nonbasic, costs1, max_pivots)
+        if phase1_min > 1e-8 * max(1.0, np.abs(b_full).max()):
             return None, "infeasible"
         # Pivot x0 out if it stays basic at zero, on the lowest label. [A I]
         # has full row rank, so its row holds a nonzero outside x0.
@@ -161,10 +150,9 @@ def solve_inequality_lp(c, A, b):
             cols = np.flatnonzero(np.abs(D[i, :-1]) > 1e2 * _TOL)
             q = cols[np.argmin(nonbasic[cols])]
             _pivot(D, basis, nonbasic, i, q)
-    # x0 is nonbasic now; its column never enters again.
-    q = int(np.flatnonzero(nonbasic == art)[0])
-    D = np.delete(D, q, axis=1)
-    nonbasic = np.delete(nonbasic, q)
+        # x0 is nonbasic now; its column never enters again.
+        keep = nonbasic != art
+        D, nonbasic = D.compress(np.append(keep, True), axis=1), nonbasic[keep]
 
     costs2 = np.zeros(art + 1)
     costs2[:n] = c
@@ -176,10 +164,10 @@ def solve_inequality_lp(c, A, b):
 
     x_polished = _polish(A, b, basis, n)
     if x_polished is not None:
-        feas_tol = 1e-8 * (1.0 + np.abs(b_full).max())
+        feas_tol = 1e-8 * (1.0 + np.abs(b_full).max(initial=0.0))
         if (
-            np.all(x_polished >= -feas_tol)
-            and np.all(A_full @ x_polished <= b_full + feas_tol)
+            (x_polished >= -feas_tol).all()
+            and (A_full @ x_polished <= b_full + feas_tol).all()
             and c @ x_polished <= c @ x + feas_tol * (1.0 + np.abs(c).sum())
         ):
             x = x_polished
@@ -189,8 +177,8 @@ def solve_inequality_lp(c, A, b):
 def _rows_that_can_bind(A, b):
     """Mask of the rows the presolve keeps: the singleton rows, and every
     row that some point of the box they span can make tight."""
-    singleton = np.count_nonzero(A, axis=1) == 1
-    r, j = np.nonzero((A > 0) & (singleton & (b >= 0))[:, None])
+    singleton = (A != 0) @ np.ones(A.shape[1]) == 1  # one nonzero
+    r, j = np.divmod(np.flatnonzero((A > 0) & (singleton & (b >= 0))[:, None]), A.shape[1])
     upper = np.full(A.shape[1], np.inf)
     np.minimum.at(upper, j, b[r] / A[r, j])
     u = np.where(np.isfinite(upper), upper, 0.0)
@@ -213,7 +201,7 @@ def _polish(A, b, basis, n):
         sol = np.linalg.solve(A[np.ix_(free, cols)], b[free])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         return None
     x = np.zeros(n)
     x[cols] = sol

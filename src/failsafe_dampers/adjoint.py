@@ -62,10 +62,11 @@ def dg_du_trajectory(
     ratios stay bounded by T/w_min regardless of p, so the evaluation is
     safe at the largest continuation exponents. Only the ratios above
     exp(-746/(p-1)) are raised (see `pruned_powers`); every other term is
-    exactly 0. A drift that never moves has d_tilde_j = 0 and rho_ji = 0,
-    so it contributes nothing. ``value`` is this history's
-    `evaluate_drift_constraint` result, which supplies rho and d_tilde;
-    without it the evaluation runs here.
+    exactly 0, so the rows after the last raised one are built as zeros
+    and only the rows up to it go through H'. A drift that never moves has
+    d_tilde_j = 0 and rho_ji = 0, so it contributes nothing. ``value`` is
+    this history's `evaluate_drift_constraint` result, which supplies rho,
+    |rho| and d_tilde; without it the evaluation runs here.
     """
     if value is None:
         value = evaluate_drift_constraint(history, model, params)
@@ -74,16 +75,21 @@ def dg_du_trajectory(
     w = time_weights(rho.shape[0], history.dt)
     duration = history.n_steps * history.dt
 
-    ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)
+    ratio = value.magnitude / np.where(d_tilde > 0, d_tilde, 1.0)
     t, col, powers = pruned_powers(ratio, params.p - 1)
-    core = np.zeros(rho.shape)
-    core.reshape(rho.shape[0], -1)[t, col] = (
+    # t ascends: rows k.. are zero. A single history's rows go through one
+    # product, whose rounding may depend on its length, so it keeps them all.
+    k = len(rho) if rho.ndim == 2 else int(t[-1]) + 1 if t.size else 0
+    core = np.zeros((k, rho[0].size))
+    core[t, col] = (
         np.sign(rho.reshape(rho.shape[0], -1)[t, col])
         * powers
         * (w / duration)[t]
         * (sens / model.d_allow).ravel()[col]
     )
-    return core @ model.drift_transform
+    forcing = np.zeros(rho.shape[:-1] + (model.n_dof,))
+    forcing[:k] = core.reshape((k,) + rho.shape[1:]) @ model.drift_transform
+    return forcing
 
 
 def solve_adjoint(
@@ -119,15 +125,16 @@ def solve_adjoint(
         raise ValueError(f"damping shape {np.shape(C_d)} does not match the history")
     if history.powers is None:
         raise ValueError("the history carries no transition matrices to sweep")
-    nonzero = np.flatnonzero(np.any(forcing, axis=tuple(range(1, forcing.ndim))))
-    k = int(nonzero[-1]) if nonzero.size else 0
+    nonzero = forcing.reshape(-1)[::-1] != 0  # the last nonzero entry is in row k
+    last = nonzero.size - 1 - int(nonzero.argmax()) if nonzero.any() else 0
+    k = last // max(1, math.prod(forcing.shape[1:]))
     mu = np.zeros((k + 1,) + forcing.shape[1:-1] + (3 * n,))
     mu[..., :n] = forcing[: k + 1]
     powers = history.powers[: max(1, math.isqrt(k))]
     transition_sweep(np.ascontiguousarray(powers.mT), mu[:0:-1])
     lam = np.zeros(mu.shape[:-1] + (n,))
     # lambda_i = -Q' mu_i for each system of the batch, time axis moved aside.
-    lam[1:] = -np.moveaxis(np.moveaxis(mu[1:], 0, -2) @ history.Q, -2, 0)
+    lam[1:] = -(mu[1:].swapaxes(0, -2) @ history.Q).swapaxes(0, -2)
     return lam
 
 

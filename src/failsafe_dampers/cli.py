@@ -185,7 +185,8 @@ def save_model(model: StructuralModel, path: str | Path) -> None:
 
 
 def load_design(path: str | Path, model: StructuralModel, c_bar: float) -> DesignVector:
-    """Read per-location damping coefficients (kNs/m), one per line or CSV."""
+    """Read per-location damping coefficients (kNs/m): one per line, or rows
+    keyed by location, comma- or space-separated (design.csv, design.txt)."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -193,11 +194,11 @@ def load_design(path: str | Path, model: StructuralModel, c_bar: float) -> Desig
         raise InputError(f"cannot read design file {path}: {exc}") from exc
     values = []
     for number, line in enumerate(text.splitlines(), 1):
-        parts = [p.strip() for p in line.split(",")]
+        parts = [p.strip() for p in line.split(",")] if "," in line else line.split() or [""]
         if not parts[0] or parts[0].startswith("#"):
             continue
-        # CSV rows keyed by an integer location give their first design
-        # column; rows keyed otherwise are headers or J rows. A one-column
+        # Rows keyed by an integer location give their first design column;
+        # rows keyed otherwise are headers, rules or J rows. A one-column
         # file may open with a header. Any other line must parse.
         if len(parts) > 1 and not re.fullmatch(r"[+-]?\d+", parts[0]):
             continue

@@ -41,16 +41,17 @@ class ConstraintParams:
 class ConstraintValue:
     """Aggregated constraint with its smooth and exact ingredients.
 
-    ``rho`` holds the signed normalized drifts the indices were computed
-    from, so that the gradient can reuse this pass instead of repeating
-    it. For a batched history ``g`` and ``d_max_exact`` are arrays (B,),
-    ``d_tilde`` is (B, n_drifts) and ``rho`` is (N+1, B, n_drifts).
+    ``rho`` holds the signed normalized drifts the indices came from and
+    ``magnitude`` |rho|, so that the gradient reuses this pass. For a
+    batched history ``g`` and ``d_max_exact`` are arrays (B,), ``d_tilde``
+    is (B, n_drifts) and ``rho`` is (N+1, B, n_drifts).
     """
 
     g: float | np.ndarray
     d_tilde: np.ndarray
     d_max_exact: float | np.ndarray
     rho: np.ndarray = field(repr=False)
+    magnitude: np.ndarray = field(repr=False)
 
 
 def time_weights(n_samples: int, dt: float) -> np.ndarray:
@@ -85,7 +86,7 @@ def pruned_powers(
     exponents nearly every ratio is skipped.
     """
     flat = ratio.reshape(ratio.shape[0], -1)
-    t, col = np.nonzero(flat > np.exp(-746.0 / p))
+    t, col = np.divmod(np.flatnonzero(flat > np.exp(-746.0 / p)), flat.shape[1])
     return t, col, flat[t, col] ** p
 
 
@@ -96,8 +97,8 @@ def _aggregation_terms(d_tilde, q: int) -> tuple[np.ndarray, ...]:
     d = np.atleast_1d(np.asarray(d_tilde, dtype=float))
     peak = d.max(axis=-1, keepdims=True)
     tau = d / np.where(peak > 0, peak, 1.0)
-    den = np.where(peak > 0, np.sum(tau ** q, axis=-1, keepdims=True), 1.0)
-    return tau, np.sum(tau ** (q + 1), axis=-1, keepdims=True), den, peak
+    den = np.where(peak > 0, (tau ** q).sum(axis=-1, keepdims=True), 1.0)
+    return tau, (tau ** (q + 1)).sum(axis=-1, keepdims=True), den, peak
 
 
 def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
@@ -109,10 +110,10 @@ def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
     value -1. A (B, n_drifts) input gives one value per row, shape (B,).
     """
     d = np.asarray(d_tilde, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("smooth drift indices must be nonnegative")
     tau, num, den, peak = _aggregation_terms(d, q)
-    if not np.all(peak > 0):
+    if not (peak > 0).all():
         logger.debug("aggregate() over an all-zero history; returning -1")
     # An all-zero row has peak = 0 and num = 0, so the value comes out -1.
     g = (peak * num / den)[..., 0] - 1.0
@@ -165,6 +166,7 @@ def evaluate_drift_constraint(
         d_tilde=d_tilde,
         d_max_exact=d_max.item() if d_max.ndim == 0 else d_max,
         rho=rho,
+        magnitude=magnitude,
     )
 
 

@@ -132,8 +132,9 @@ def transition_matrices(M, C, K, dt):
 
     One step is linear in the state and the next load, s_{i+1} = P s_i +
     Q f_{i+1} (Newmark 1959). P and Q come from applying the step to
-    identity columns, with one stacked solve against K_eff; a stack ``C``
-    (B, n, n) gives one pair per system.
+    identity columns of (u, v, a, f), whose effective load [c0 M + c1 C |
+    c2 M + c4 C | c3 M + c5 C | I] goes through one stacked solve against
+    K_eff; a stack ``C`` (B, n, n) gives one pair per system.
     """
     n = M.shape[0]
     beta, gamma = BETA, GAMMA
@@ -145,8 +146,8 @@ def transition_matrices(M, C, K, dt):
     c5 = dt * (gamma / (2.0 * beta) - 1.0)
 
     K_eff = K + c0 * M + c1 * C
-    u, v, a, f = np.split(np.eye(4 * n), 4)
-    rhs = f + M @ (c0 * u + c2 * v + c3 * a) + C @ (c1 * u + c4 * v + c5 * a)
+    eye = np.broadcast_to(np.eye(n), C.shape)
+    rhs = np.concatenate([c0 * M + c1 * C, c2 * M + c4 * C, c3 * M + c5 * C, eye], axis=-1)
     try:
         np.linalg.cholesky(K_eff)
         u_next = np.linalg.solve(K_eff, rhs)
@@ -154,6 +155,7 @@ def transition_matrices(M, C, K, dt):
         raise np.linalg.LinAlgError(
             "effective stiffness matrix is singular or indefinite"
         ) from None
+    u, v, a = np.eye(3 * n, 4 * n).reshape(3, n, 4 * n)
     a_next = c0 * (u_next - u) - c2 * v - c3 * a
     v_next = v + dt * ((1.0 - gamma) * a + gamma * a_next)
     PQ = np.concatenate([u_next, v_next, a_next], axis=-2)
@@ -176,7 +178,7 @@ def _integrate(M, C, K, load, dt):
     S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
     S[0, ..., : 2 * n] = 0.0
     S[0, ..., 2 * n :] = np.linalg.solve(M, load[0])
-    np.matmul(load[1:], Q.mT, out=np.moveaxis(S[1:], 0, -2))
+    np.matmul(load[1:], Q.mT, out=S[1:].swapaxes(0, -2))
     powers = transition_powers(P, block_length(P, len(S) - 1))
     transition_sweep(powers, S)
     return S, powers, Q
@@ -244,10 +246,11 @@ def transition_sweep(powers, S):
         nb = (len(S) - 1) // L
         if L > 1 and nb:
             # Block k's last row gets sum_{j<L} P^(L-j) r_(kL+j) in one product.
-            r = S[1 : nb * L + 1].reshape((nb, L) + S.shape[1:])[:, :-1]
-            r = np.moveaxis(r, (0, 1), (-3, -2)).reshape(S.shape[1:-1] + (nb, -1))
+            # A stack's time axis goes behind its system axis, as in W.
+            r = S[1 : nb * L + 1].swapaxes(0, -2).reshape(S.shape[1:-1] + (nb, L, -1))
+            r = r[..., :-1, :].reshape(S.shape[1:-1] + (nb, -1))
             W = np.concatenate(powers[L - 2 :: -1], axis=-1)
-            S[L : nb * L + 1 : L] += np.moveaxis(r @ W.mT, -2, 0)
+            S[L : nb * L + 1 : L] += (r @ W.mT).swapaxes(0, -2)
         matvec, PL = np.matvec, powers[-1]
         for prev, row in zip(S[::L], S[L::L]):
             row += matvec(PL, prev)
@@ -295,15 +298,13 @@ def newmark_solve(
     C = model.inherent_damping + C_d
     load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
     S, powers, Q = _integrate(model.mass, C, model.stiffness, load, gm.dt)
-    finite = np.isfinite(S).reshape(S.shape[0], -1).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(S).all():
         raise ConvergenceError(
-            f"response to record '{gm.name}' diverged: the state is not finite "
-            f"at time step {int(np.argmin(finite))} of {gm.n_steps} "
+            f"response to record '{gm.name}' diverged: the state is not finite at "
+            f"time step {np.isfinite(S).reshape(len(S), -1).all(axis=1).argmin()} of {gm.n_steps} "
             f"(dt = {gm.dt:g})"
         )
-    u, v, a = np.split(S, 3, axis=-1)
-    return ResponseHistory(u=u, v=v, a=a, dt=gm.dt, powers=powers, Q=Q)
+    return ResponseHistory(S[..., :n], S[..., n : 2 * n], S[..., 2 * n :], gm.dt, powers, Q)
 
 
 def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float:

@@ -1,5 +1,7 @@
 """Adjoint gradients against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -238,6 +240,48 @@ def test_pruned_dg_du_matches_dense_reference(pq):
     # are zero, down to the subnormal range.
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.array_equal(dg_du_trajectory(hist, model, params), got)
+
+
+def full_product_dg_du(history, model, params, value):
+    """Reference: dg/du with every time row through H' in one product, the
+    pruned terms of `dg_du_trajectory` placed in an all-row array."""
+    rho, d_tilde = value.rho, value.d_tilde
+    sens = aggregation_sensitivities(d_tilde, params.q)
+    w = time_weights(rho.shape[0], history.dt)
+    ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)
+    flat = ratio.reshape(len(rho), -1)
+    t, col = np.nonzero(flat > np.exp(-746.0 / (params.p - 1)))
+    core = np.zeros(rho.shape)
+    core.reshape(len(rho), -1)[t, col] = (
+        np.sign(rho.reshape(len(rho), -1)[t, col])
+        * flat[t, col] ** (params.p - 1)
+        * (w / (history.n_steps * history.dt))[t]
+        * (sens / model.d_allow).ravel()[col]
+    )
+    return core @ model.drift_transform
+
+
+@pytest.mark.parametrize("rows", [1, 20])
+@pytest.mark.parametrize("size", [None, 3])
+def test_forcing_matches_the_full_product_bitwise(size, rows):
+    # A drift transform with general entries, whose products round, and
+    # drifts near their peaks in the first rows only, so that the forcing
+    # ends early: built only through its last nonzero row, it equals the
+    # all-row product bit for bit, for one history and for a batch. numpy
+    # multiplies a one-row matrix by H' with another kernel than a taller one.
+    rng = np.random.default_rng(3)
+    model = replace(shear_frame(4), drift_transform=rng.standard_normal((4, 4)))
+    shape = (601,) if size is None else (601, size)
+    rho = 1e-3 * rng.standard_normal(shape + (4,))
+    rho[:rows] = rng.uniform(0.95, 1.0, rho[:rows].shape) * rng.choice([-1, 1], rho[:rows].shape)
+    u = (rho * model.d_allow) @ np.linalg.inv(model.drift_transform).T
+    hist = ResponseHistory(u=u, v=np.zeros_like(u), a=np.zeros_like(u), dt=0.01)
+    params = ConstraintParams(p=600, q=600)
+    value = evaluate_drift_constraint(hist, model, params)
+    got = dg_du_trajectory(hist, model, params, value=value)
+    want = full_product_dg_du(hist, model, params, value)
+    assert last_nonzero_row(want) == rows - 1
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pq", [600, 37100, 1_000_000])

@@ -329,6 +329,20 @@ class TestReports:
         design = load_design(path, model, c_bar=1000.0)
         assert np.allclose(design.coefficients, [500.0, 0.0, 125.0, 80.0])
 
+    def test_a_runs_design_txt_and_design_csv_load_the_same_x(self, tmp_path):
+        # The aligned table is whitespace-separated: its location rows are
+        # read, its header, rule and J rows skipped, as in the CSV.
+        model, _, _ = write_inputs(tmp_path)
+        final = DesignVector(x=[0.386179767171, 0.137497354753, 0.0, 0.25], c_bar=1000.0)
+        basic = DesignVector(x=[0.5, 0.0, 0.125, 0.08], c_bar=1000.0)
+        header, rows = report_design(final, {"basic": basic}, label="failsafe design")
+        cli.write_csv(tmp_path / "design.csv", header, rows)
+        (tmp_path / "design.txt").write_text(render_table(header, rows))
+        from_csv = load_design(tmp_path / "design.csv", model, c_bar=1000.0)
+        from_txt = load_design(tmp_path / "design.txt", model, c_bar=1000.0)
+        assert from_txt.x.tobytes() == from_csv.x.tobytes()
+        assert np.allclose(from_txt.coefficients, [386.179767171, 137.497354753, 0.0, 250.0])
+
     def test_one_column_design_skips_its_header_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "design.txt"
         path.write_text("c [kNs/m]\n# from a basic run\n500\n\n0\n125\n80\n")
@@ -338,14 +352,18 @@ class TestReports:
 
     @pytest.mark.parametrize(
         "content,line",
-        [("100\n2O0\n300\n400\n500\n", 2), ("location,c\n1,100\n2,2O0\n3,300\n4,400\n5,500\n", 3)],
+        [
+            ("100\n2O0\n300\n400\n500\n", 2),
+            ("location,c\n1,100\n2,2O0\n3,300\n4,400\n5,500\n", 3),
+            ("location   c\n1   100\n2   2O0\n3   300\n4   400\n", 3),
+        ],
     )
     def test_design_value_that_does_not_parse_is_an_error(self, tmp_path, content, line):
         # Skipping the line would hand damper 2 the next line's value.
         path = tmp_path / "design.txt"
         path.write_text(content)
         model, _, _ = write_inputs(tmp_path)
-        with pytest.raises(InputError, match=rf"design\.txt, line {line}: '[\d,]*2O0'"):
+        with pytest.raises(InputError, match=rf"design\.txt, line {line}: '[\d,\s]*2O0'"):
             load_design(path, model, c_bar=1000.0)
 
     def test_constraint_report_covers_every_scenario(self):

@@ -28,7 +28,12 @@ from failsafe_dampers.dynamics import (
 )
 from failsafe_dampers.errors import ConvergenceError
 
-from conftest import buckled_frame, shear_frame, synthetic_record
+from conftest import (
+    buckled_frame,
+    frame_with_redundant_dampers,
+    shear_frame,
+    synthetic_record,
+)
 
 
 def equilibrium_residual(model, C_d, gm, history):
@@ -112,6 +117,28 @@ def extended_newmark(M, C, K, load, dt, beta, gamma=0.5):
         A[i + 1] = c0 * (U[i + 1] - u) - c2 * v - c3 * a
         V[i + 1] = v + dt * ((1 - gamma) * a + gamma * A[i + 1])
     return U, V, A
+
+
+def identity_column_matrices(M, C, K, dt):
+    """Slow reference for `transition_matrices`: one Newmark step applied
+    to the identity columns of (u, v, a, f), its effective load formed by
+    multiplying M and C with those identity blocks."""
+    n = M.shape[0]
+    beta, gamma = dynamics.BETA, dynamics.GAMMA
+    c0 = 1.0 / (beta * dt * dt)
+    c1 = gamma / (beta * dt)
+    c2 = 1.0 / (beta * dt)
+    c3 = 1.0 / (2.0 * beta) - 1.0
+    c4 = gamma / beta - 1.0
+    c5 = dt * (gamma / (2.0 * beta) - 1.0)
+    K_eff = K + c0 * M + c1 * C
+    u, v, a, f = np.split(np.eye(4 * n), 4)
+    rhs = f + M @ (c0 * u + c2 * v + c3 * a) + C @ (c1 * u + c4 * v + c5 * a)
+    u_next = np.linalg.solve(K_eff, rhs)
+    a_next = c0 * (u_next - u) - c2 * v - c3 * a
+    v_next = v + dt * ((1.0 - gamma) * a + gamma * a_next)
+    PQ = np.concatenate([u_next, v_next, a_next], axis=-2)
+    return PQ[..., : 3 * n], PQ[..., 3 * n :]
 
 
 def sdof(period=1.0, zeta=0.0, mass=1.0, d_allow=1.0):
@@ -231,6 +258,26 @@ def test_transition_sweep_matches_stepwise_reference(n, c_d, beta, monkeypatch):
     ref = stepwise_newmark(M, C, K, load, gm.dt, u0, v0, beta, 0.5)
     for got, want in zip(np.split(S, 3, axis=1), ref):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
+@pytest.mark.parametrize("size", [None, 3, 22])
+def test_transition_matrices_match_identity_columns_bitwise(size, beta, monkeypatch):
+    # One damping matrix, then stacks of 3 and 22 (cli-4d's and fullset-6d's
+    # widest SLP stacks): the effective load built block by block gives the
+    # identity-column construction's P and Q bit for bit.
+    monkeypatch.setattr(dynamics, "BETA", beta)
+    model = frame_with_redundant_dampers(n_stories=3, per_story=2)
+    scenarios = enumerate_scenarios(6, 1, 2, nu=0.5)
+    assert len(scenarios) == 22
+    design = DesignVector(x=[0.9, 0.2, 0.6, 0.4, 0.7, 0.1], c_bar=500.0)
+    picked = scenarios[0] if size is None else list(scenarios)[:size]
+    C = model.inherent_damping + assemble_added_damping(model, design, picked)
+    got = transition_matrices(model.mass, C, model.stiffness, 0.02)
+    want = identity_column_matrices(model.mass, C, model.stiffness, 0.02)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == np.ascontiguousarray(w).tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
@@ -493,6 +540,31 @@ def test_diverged_response_raises_convergence_error():
     rng = np.random.default_rng(1)
     gm = GroundMotion(name="noise", dt=0.02, accel=rng.standard_normal(1501))
     with pytest.raises(ConvergenceError, match=r"'noise' diverged.*time step 791 of 1500"):
+        newmark_solve(model, np.zeros((2, 4, 4)), gm)
+
+
+@pytest.mark.parametrize(
+    "n_steps, seed, row", [(1500, 1, "fill"), (1200, 2, "carry"), (900, 3, "fill")]
+)
+def test_divergence_names_the_first_non_finite_step(n_steps, seed, row):
+    # The first state that is not finite lies in a block's fill row, whose
+    # carry row later in the block overflows first, or in a carry row. The
+    # step named is the row sweep's first non-finite one either way.
+    model = buckled_frame()
+    rng = np.random.default_rng(seed)
+    gm = GroundMotion(name="noise", dt=0.02, accel=rng.standard_normal(n_steps + 1))
+    C = model.inherent_damping + np.zeros((2, 4, 4))
+    P, Q = transition_matrices(model.mass, C, model.stiffness, gm.dt)
+    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    S = np.zeros((n_steps + 1, 2, 12))
+    S[0, :, 8:] = np.linalg.solve(model.mass, load[0])
+    S[1:] = np.swapaxes(load[1:] @ Q.mT, 0, 1)
+    transition_sweep(transition_powers(P, 1), S)
+    first = int(np.argmin(np.isfinite(S).reshape(n_steps + 1, -1).all(axis=1)))
+    assert 0 < first < n_steps
+    L = dynamics.block_length(P, n_steps)
+    assert L > 1 and (first % L == 0) == (row == "carry")
+    with pytest.raises(ConvergenceError, match=rf"time step {first} of {n_steps}\b"):
         newmark_solve(model, np.zeros((2, 4, 4)), gm)
 
 

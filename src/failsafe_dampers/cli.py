@@ -34,12 +34,15 @@ from .model import (
     build_rayleigh,
     compute_lowest_modes,
 )
-from .optimizer import SlpConfig
+from .optimizer import P_CAP, SlpConfig
 from .scenarios import ScenarioSet, enumerate_scenarios
 
 logger = logging.getLogger(__name__)
 
 MODES = ("failsafe", "basic", "fullset", "simulate", "check-gradients")
+# The flags that only some modes read: (flag, argument, modes).
+_MODE_FLAGS = (("--design", "design", ("simulate", "check-gradients")),
+               ("--compare", "compare", ("failsafe", "basic", "fullset")))
 # libyaml's loader where it is installed: the same documents, ten times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # The top-level keys `save_model` writes, and the ``rayleigh`` block.
@@ -337,9 +340,9 @@ def write_drift_history(
 
 
 def write_iteration_log(path: Path, history) -> None:
-    header = ["iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "q", "lp_status"]
+    header = ["iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "lp_status"]
     rows = [
-        [i, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.q, r.lp_status]
+        [i, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.lp_status]
         for i, r in enumerate(history, 1)
     ]
     write_csv(path, header, rows)
@@ -375,8 +378,7 @@ def _manifest(
             "delta": slp.convergence_tol(scenario_set.n_dampers),
             "i_min": slp.i_min,
             "i_max": slp.i_max,
-            "p_schedule": [slp.p_start, slp.p_step, slp.p_cap],
-            "q_schedule": [slp.q_start, slp.q_step, slp.q_cap],
+            "p_schedule": [slp.p_start, slp.p_step, P_CAP],
         },
         "subproblems": [
             {
@@ -387,7 +389,6 @@ def _manifest(
                 "converged": sp.converged,
                 "cost": sp.cost,
                 "p_final": sp.p_final,
-                "q_final": sp.q_final,
                 "resumes": sp.resumes,
             }
             for sp in final.subproblems
@@ -534,25 +535,20 @@ def _run_check_gradients(
         raise InputError(f"--fd-step must be positive and finite, got {args.fd_step:g}")
     scenario_set = _scenario_set(args, model)
     design = _given_design(args, model, 0.5)
-    params = ConstraintParams(p=args.p_start, q=args.q_start)
+    params = ConstraintParams(p=args.p_start, q=args.p_start)
     out = _output_dir(Path(args.out))
-    rows = gradient_check(
-        model, design, list(scenario_set), records[0], params, h=args.fd_step
-    )
-    write_csv(
-        out / "gradient_check.csv",
-        ["scenario_id", "scenario", "max_rel_error"],
-        [[r["scenario_id"], r["scenario"], r["max_rel_error"]] for r in rows],
-    )
-    worst = max(r["max_rel_error"] for r in rows)
-    for r in rows:
-        print(
-            f"scenario {r['scenario_id']:>4} ({r['scenario']}): "
-            f"max relative error {r['max_rel_error']:.3e}"
-        )
+    rows = [
+        [gm.name, r["scenario_id"], r["scenario"], r["max_rel_error"]]
+        for gm in records
+        for r in gradient_check(model, design, list(scenario_set), gm, params, h=args.fd_step)
+    ]
+    write_csv(out / "gradient_check.csv", ["record", "scenario_id", "scenario", "max_rel_error"], rows)
+    for name, scenario_id, label, err in rows:
+        print(f"record {name} scenario {scenario_id:>4} ({label}): max relative error {err:.3e}")
+    name, scenario_id, label, worst = max(rows, key=lambda row: row[3])
     print(
-        f"worst adjoint-vs-FD relative error {worst:.3e} at "
-        f"p={params.p}, q={params.q} (record {records[0].name})"
+        f"worst adjoint-vs-FD relative error {worst:.3e} at p=q={params.p}, "
+        f"scenario {scenario_id} ({label}), record {name}"
     )
     return 0
 
@@ -589,12 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SLP iteration cap per sub-problem")
     parser.add_argument("--epsilon", type=float, default=0.05,
                         help="relative closeness for critical-scenario selection")
-    parser.add_argument("--p-start", type=int, default=100)
-    parser.add_argument("--p-step", type=int, default=500)
-    parser.add_argument("--p-cap", type=int, default=1_000_000)
-    parser.add_argument("--q-start", type=int, default=100)
-    parser.add_argument("--q-step", type=int, default=500)
-    parser.add_argument("--q-cap", type=int, default=1_000_000)
+    parser.add_argument("--p-start", type=int, default=100,
+                        help="first exponent of the time norm and the aggregation")
+    parser.add_argument("--p-step", type=int, default=500,
+                        help="exponent increment per SLP iteration")
     parser.add_argument("--accel-units", choices=("m/s2", "g"), default="m/s2")
     parser.add_argument("--out", default="failsafe-out", help="output directory")
     parser.add_argument("--design", default=None,
@@ -622,18 +616,12 @@ def solver_configs(args: argparse.Namespace) -> tuple[SlpConfig, FailSafeConfig]
             i_max=args.imax,
             p_start=args.p_start,
             p_step=args.p_step,
-            p_cap=args.p_cap,
-            q_start=args.q_start,
-            q_step=args.q_step,
-            q_cap=args.q_cap,
         )
         return slp, FailSafeConfig(epsilon=args.epsilon)
     except ValueError as exc:
-        # Name each setting by its flag; ConstraintParams calls p_start p, q_start q.
+        # Name each setting by its flag; ConstraintParams calls p_start p.
         flags = {"ml": "--ml", "i_min": "--imin", "i_max": "--imax", "epsilon": "--epsilon",
-                 "p": "--p-start", "p_start": "--p-start", "p_step": "--p-step",
-                 "p_cap": "--p-cap", "q": "--q-start", "q_start": "--q-start",
-                 "q_step": "--q-step", "q_cap": "--q-cap"}
+                 "p": "--p-start", "p_start": "--p-start", "p_step": "--p-step"}
         raise InputError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from exc
 
 
@@ -645,6 +633,10 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
+        for flag, given, modes in _MODE_FLAGS:
+            if getattr(args, given) and args.mode not in modes:
+                raise InputError(f"{flag} is read only by --mode {', '.join(modes)}, "
+                                 f"not by --mode {args.mode}")
         slp, fs = solver_configs(args)
         model = parse_model(args.model)
         records = [load_ground_motion(p, units=args.accel_units) for p in args.records]

@@ -80,6 +80,7 @@ class GroundMotion:
         return self.scale * self.accel
 
     def rescaled(self, scale: float) -> "GroundMotion":
+        """This record with its scale set to ``scale``, not multiplied by it."""
         return GroundMotion(name=self.name, dt=self.dt, accel=self.accel, scale=scale)
 
 

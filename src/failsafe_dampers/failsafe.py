@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,24 +47,23 @@ RESUME_I_MIN = 5
 @dataclass(frozen=True)
 class FailSafeConfig:
     """Tolerances of the working-set loop: ``epsilon`` for joining the
-    working set, ``violation_tol`` for the largest g that counts as met.
+    working set, and the constant ``violation_tol`` for the largest g that
+    counts as met.
 
     A "resume" re-solves the current sub-problem when violations persist
     but no scenario is left to add; it runs with the continuation frozen
-    at the sub-problem's final exponents and a short minimum-iteration
+    at the sub-problem's final exponent and a short minimum-iteration
     budget (`RESUME_I_MIN`, at most the SLP's ``i_max``). Each
     sub-problem's planes are tightened by half of ``violation_tol``, and
     each resume adds the max g that forced it.
     """
 
     epsilon: float = 0.05
-    violation_tol: float = 1e-6
+    violation_tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.violation_tol < 0:
-            raise ValueError("violation tolerance must be nonnegative")
 
 
 @dataclass
@@ -74,7 +74,6 @@ class SubproblemStats:
     converged: bool
     cost: float
     p_final: int
-    q_final: int
     resumes: int
     history: list
 
@@ -236,17 +235,17 @@ def run_failsafe(
             # resume by the violation it has to clear.
             history, margin, cfg = [], 0.5 * tol, slp_config
         else:
-            # Each solve continues p and q from where the last one ended; a
-            # resume holds them there.
+            # Each solve continues the exponent from where the last one
+            # ended; a resume holds it there.
             i_min = min(RESUME_I_MIN, slp_config.i_max)
-            cfg = replace(slp_config, i_min=i_min, p_step=0, q_step=0)
+            cfg = replace(slp_config, i_min=i_min, p_step=0)
         result = slp_solve(
             model, [scenario_set[i] for i in working_set], active, design, cfg,
             counter=counter, feasibility_margin=margin, label=f"[sub-problem {k}] ",
         )
-        slp_config = replace(slp_config, p_start=result.p_final, q_start=result.q_final)
+        slp_config = replace(slp_config, p_start=result.p_final)
         history += result.history
-        params = ConstraintParams(p=result.p_final, q=result.q_final)
+        params = ConstraintParams(p=result.p_final, q=result.p_final)
         design = DesignVector(x=result.x, c_bar=c_bar)
         g_all = evaluate_all(design, model, scenario_set, active, params, counter)
         violated = bool(np.any(g_all > tol))
@@ -271,7 +270,7 @@ def run_failsafe(
         subproblems.append(SubproblemStats(
             index=k, scenario_ids=tuple(working_set), iterations=len(history),
             converged=result.converged, cost=float(result.x.sum()), p_final=params.p,
-            q_final=params.q, resumes=resume, history=history,
+            resumes=resume, history=history,
         ))
         logger.info(
             "sub-problem %d: %d scenario(s), %d iterations, cost %.4f, "

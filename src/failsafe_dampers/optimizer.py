@@ -9,9 +9,9 @@ that bind the LP while their underlying constraint is comfortably
 satisfied, and move to the cost-minimizing vertex of the accumulated
 planes inside a move-limit box. The LP takes the enabled rows of those
 arrays as they stand, so no plane is read back one by one. A
-continuation schedule ratchets the smoothing exponents p and q up every
-iteration so the smooth constraint approaches the true peak-drift
-constraint as the design settles.
+continuation schedule ratchets the smoothing exponent up every iteration
+(the aggregation's q follows the time norm's p) so the smooth constraint
+approaches the true peak-drift constraint as the design settles.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ logger = logging.getLogger(__name__)
 _BIND_TOL = 1e-7
 # A binding plane is retired once its constraint is satisfied by this much.
 _DROP_MARGIN = 0.02
+# The continuation's largest exponent, up to which the time norm and the
+# aggregation are overflow-safe.
+P_CAP = 1_000_000
 
 
 @dataclass
@@ -137,13 +140,13 @@ class CuttingPlanes:
 
 @dataclass(frozen=True)
 class SlpConfig:
-    """Tuning for the SLP loop and the p/q continuation.
+    """Tuning for the SLP loop and the continuation.
 
-    p and q start at ``p_start`` and ``q_start`` and grow by their steps
-    after every iteration up to their caps; steps of 0 hold them fixed.
-    The p schedule stays even (see `ConstraintParams`). The convergence
-    tolerance is 0.10 * ml * sqrt(N_d), i.e. 10% of the largest possible
-    move (`convergence_tol`).
+    The time norm's p and the aggregation's q are one exponent: it starts
+    at ``p_start`` and grows by ``p_step`` after every iteration up to
+    `P_CAP`; a step of 0 holds it fixed. The schedule stays even (see
+    `ConstraintParams`). The convergence tolerance is 0.10 * ml * sqrt(N_d),
+    i.e. 10% of the largest possible move (`convergence_tol`).
     """
 
     ml: float = 0.02
@@ -151,32 +154,23 @@ class SlpConfig:
     i_max: int = 500
     p_start: int = 100
     p_step: int = 500
-    p_cap: int = 1_000_000
-    q_start: int = 100
-    q_step: int = 500
-    q_cap: int = 1_000_000
 
     def __post_init__(self):
         if not 0 < self.ml < math.inf:
             raise ValueError(f"ml must be positive and finite, got {self.ml}")
         if self.i_min < 1 or self.i_max < self.i_min:
             raise ValueError("need 1 <= i_min <= i_max")
-        for name in ("p", "q"):
-            start = getattr(self, f"{name}_start")
-            step = getattr(self, f"{name}_step")
-            cap = getattr(self, f"{name}_cap")
-            if step < 0 or not start <= cap:
-                raise ValueError(f"need {name}_step >= 0 and {name}_start <= {name}_cap")
-        for name in ("p_step", "p_cap"):
-            if getattr(self, name) % 2:
-                raise ValueError(f"{name} must be even, got {getattr(self, name)}")
-        ConstraintParams(p=self.p_start, q=self.q_start)
+        if self.p_step < 0 or not self.p_start <= P_CAP:
+            raise ValueError(f"need p_step >= 0 and p_start <= {P_CAP}")
+        if self.p_step % 2:
+            raise ValueError(f"p_step must be even, got {self.p_step}")
+        ConstraintParams(p=self.p_start, q=self.p_start)
 
     def convergence_tol(self, n_dampers: int) -> float:
         return 0.10 * self.ml * math.sqrt(n_dampers)
 
-    def advance(self, p: int, q: int) -> tuple[int, int]:
-        return min(p + self.p_step, self.p_cap), min(q + self.q_step, self.q_cap)
+    def advance(self, p: int) -> int:
+        return min(p + self.p_step, P_CAP)
 
 
 @dataclass(frozen=True)
@@ -268,7 +262,6 @@ class IterationRecord:
     step_norm: float
     n_active_planes: int
     p: int
-    q: int
     lp_status: str
 
 
@@ -280,7 +273,6 @@ class SlpResult:
     history: list[IterationRecord]
     planes: CuttingPlanes
     p_final: int
-    q_final: int
 
 
 def slp_solve(
@@ -300,7 +292,7 @@ def slp_solve(
     than the convergence tolerance after at least ``i_min`` iterations.
     When the iteration cap is reached instead, the best iterate seen so far
     is returned (preferring evaluated-feasible designs of least cost) with
-    ``converged=False``. p and q follow ``config``'s continuation schedule.
+    ``converged=False``. p = q follows ``config``'s continuation schedule.
     """
     if not working_scenarios:
         raise ValueError("the working set must hold at least one scenario")
@@ -314,7 +306,7 @@ def slp_solve(
     n_d = model.n_dampers
     x = design0.x.copy()
     delta = config.convergence_tol(n_d)
-    p, q = config.p_start, config.q_start
+    p = config.p_start
     cost_gradient = np.ones(n_d)
     # One plane per (scenario, record) pair each iteration, scenario-major:
     # the simplex's pivot choices depend on the order of its rows.
@@ -326,7 +318,7 @@ def slp_solve(
     converged = False
 
     for iteration in range(1, config.i_max + 1):
-        params = ConstraintParams(p=p, q=q)
+        params = ConstraintParams(p=p, q=p)
         design = DesignVector(x=x, c_bar=design0.c_bar)
 
         # One batched primal and adjoint sweep per record covers every
@@ -376,14 +368,13 @@ def slp_solve(
                 step_norm=step,
                 n_active_planes=int(np.count_nonzero(planes.enabled)),
                 p=p,
-                q=q,
                 lp_status=lp.status,
             )
         )
         if iteration >= config.i_min and step < delta:
             converged = True
             break
-        p, q = config.advance(p, q)
+        p = config.advance(p)
 
     if not converged:
         logger.warning(
@@ -403,5 +394,4 @@ def slp_solve(
         history=history,
         planes=planes,
         p_final=p,
-        q_final=q,
     )

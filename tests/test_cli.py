@@ -1,5 +1,6 @@
 """Model-file parsing, report rendering, and the command-line flow."""
 
+import csv
 import json
 import os
 import subprocess
@@ -86,12 +87,11 @@ MALFORMED = [
     ("--ml", "nan"),
     ("--ml", "inf"),
     ("--p-step", "3"),
-    ("--p-cap", "101"),
     ("--imin", "0"),
     ("--imin", "10 --imax 5"),
     ("--epsilon", "1.5"),
     ("--p-start", "101"),
-    ("--q-start", "0"),
+    ("--p-start", "1000002"),
 ]
 
 
@@ -397,8 +397,16 @@ class TestDefaults:
         assert fs.epsilon == 0.05
         assert slp.ml == 0.02
         assert slp.i_min == 50
-        assert (slp.p_start, slp.p_step, slp.p_cap) == (100, 500, 1_000_000)
-        assert (slp.q_start, slp.q_step, slp.q_cap) == (100, 500, 1_000_000)
+        assert (slp.p_start, slp.p_step) == (100, 500)
+        assert fs.violation_tol == 1e-6
+
+    @pytest.mark.parametrize("flag", ["--p-cap", "--q-start", "--q-step", "--q-cap"])
+    def test_removed_exponent_flags_exit_2(self, flag, capsys):
+        # q follows p, and the cap is a constant: no flag sets either.
+        with pytest.raises(SystemExit) as exc:
+            main(["--model", "m.yaml", "--records", "r.txt", flag, "100"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestMain:
@@ -561,6 +569,46 @@ class TestMain:
         assert code == 0
         assert (out / "gradient_check.csv").exists()
         assert "worst adjoint-vs-FD relative error" in capsys.readouterr().out
+
+    def test_check_gradients_checks_every_record(self, tmp_path, capsys):
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        flipped = tmp_path / "flipped.txt"
+        gm = load_ground_motion(rec_path)
+        np.savetxt(flipped, np.column_stack([gm.times, -gm.accel]), fmt="%.8g")
+        out = tmp_path / "out"
+        argv = ["--model", str(model_path), "--records", str(rec_path), str(flipped)]
+        code = main(argv + ["--mode", "check-gradients", "--complete-k", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        with open(out / "gradient_check.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # One row per scenario (intact and 4 complete failures) per record.
+        assert [r["record"] for r in rows] == ["quake"] * 5 + ["flipped"] * 5
+        worst = max(rows, key=lambda r: float(r["max_rel_error"]))
+        summary = captured.out.splitlines()[-1]
+        assert f"scenario {worst['scenario_id']} " in summary
+        assert summary.endswith(f"record {worst['record']}")
+
+    @pytest.mark.parametrize(
+        "mode,flag", [(m, "--design") for m in ("failsafe", "basic", "fullset")]
+        + [(m, "--compare") for m in ("simulate", "check-gradients")],
+    )
+    def test_flag_the_mode_does_not_read_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, mode, flag
+    ):
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        design = tmp_path / "design.txt"
+        design.write_text("100\n200\n400\n100\n")
+        calls = []
+        for name in ("run_failsafe", "gradient_check", "newmark_solve"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+        argv = ["--model", str(model_path), "--records", str(rec_path), "--mode", mode]
+        assert main(argv + [flag, str(design), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and flag in err and f"--mode {mode}" in err
+        assert "Traceback" not in err
+        assert not calls
+        assert not (tmp_path / "out").exists()
 
     def test_check_gradients_with_a_zero_coefficient(self, tmp_path, capsys):
         # A damper at 0 (or at c_bar) gets a one-sided difference instead of

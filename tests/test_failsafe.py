@@ -267,8 +267,8 @@ class TestResumes:
         assert margins == [0.5 * fs.violation_tol, 0.5 * fs.violation_tol + g_max[0]]
 
     def test_resume_holds_p_and_q_at_the_final_exponents(self, light_problem, monkeypatch):
-        # The first solve ratchets p and q up every iteration; the resume
-        # runs every iteration at the exponents the first solve ended with.
+        # The first solve ratchets the exponent (q = p) up every iteration;
+        # the resume runs every iteration at the one the first solve ended with.
         model, gm, scen, slp, fs = light_problem
         results = []
 
@@ -283,11 +283,11 @@ class TestResumes:
         )
         first, resume = results
         assert first.history[1].p == first.history[0].p + slp.p_step
-        end = (first.p_final, first.q_final)
-        assert end > (slp.p_start, slp.q_start)
-        assert [(r.p, r.q) for r in resume.history] == [end] * resume.n_iterations
-        assert (resume.p_final, resume.q_final) == end
-        assert (final.params_final.p, final.params_final.q) == end
+        end = first.p_final
+        assert end > slp.p_start
+        assert [r.p for r in resume.history] == [end] * resume.n_iterations
+        assert resume.p_final == end
+        assert (final.params_final.p, final.params_final.q) == (end, end)
         assert resume.n_iterations >= failsafe.RESUME_I_MIN
 
     def test_resume_budget_raises_after_the_last_resume(self, monkeypatch, caplog):

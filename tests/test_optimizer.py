@@ -27,6 +27,7 @@ from failsafe_dampers._simplex import (
 )
 from failsafe_dampers.constraints import normalized_drifts
 from failsafe_dampers.model import StructuralModel
+from failsafe_dampers.optimizer import P_CAP
 
 from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
 
@@ -568,17 +569,17 @@ class TestSlpConfig:
         assert cfg.convergence_tol(4) == pytest.approx(0.004, rel=1e-12)
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            SlpConfig(p_start=200, p_cap=100)
+        with pytest.raises(ValueError, match="p_start <= 1000000"):
+            SlpConfig(p_start=P_CAP + 2)
+        with pytest.raises(ValueError, match="p_step >= 0"):
+            SlpConfig(p_step=-2)
         with pytest.raises(ValueError, match="even"):
             SlpConfig(p_start=99)
-        # An odd step or cap would lead p to an odd exponent mid-run.
+        # An odd step would lead p to an odd exponent mid-run.
         with pytest.raises(ValueError, match="p_step must be even, got 3"):
             SlpConfig(p_step=3)
-        with pytest.raises(ValueError, match="p_cap must be even, got 101"):
-            SlpConfig(p_cap=101)
-        assert SlpConfig(p_step=0, q_step=0).advance(100, 100) == (100, 100)
-        assert SlpConfig(q_step=3, q_cap=101).advance(100, 100) == (600, 101)
+        assert SlpConfig(p_step=0).advance(100) == 100
+        assert SlpConfig(p_start=P_CAP).advance(P_CAP) == P_CAP
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["ml"])
@@ -587,9 +588,9 @@ class TestSlpConfig:
             SlpConfig(**{name: value})
 
     def test_advance_caps(self):
-        cfg = SlpConfig(p_start=100, p_step=500, p_cap=800, q_start=100, q_step=500, q_cap=800)
-        assert cfg.advance(100, 100) == (600, 600)
-        assert cfg.advance(600, 600) == (800, 800)
+        cfg = SlpConfig(p_start=P_CAP - 700, p_step=500)
+        assert cfg.advance(P_CAP - 700) == P_CAP - 200
+        assert cfg.advance(P_CAP - 200) == P_CAP
 
 
 class TestSlpSolve:

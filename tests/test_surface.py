@@ -46,9 +46,19 @@ def test_slp_solve_takes_its_continuation_from_the_config():
 
 
 def test_failsafe_config_holds_only_the_tolerances():
-    assert {f.name for f in dataclasses.fields(FailSafeConfig)} == {
-        "epsilon",
-        "violation_tol",
+    # The violation tolerance is a constant of the class, not a setting.
+    assert {f.name for f in dataclasses.fields(FailSafeConfig)} == {"epsilon"}
+    assert FailSafeConfig.violation_tol == FailSafeConfig().violation_tol == 1e-6
+
+
+def test_slp_config_sets_one_exponent_schedule():
+    # q follows p, and the exponent cap is the constant P_CAP.
+    assert {f.name for f in dataclasses.fields(SlpConfig)} == {
+        "ml",
+        "i_min",
+        "i_max",
+        "p_start",
+        "p_step",
     }
 
 
@@ -94,7 +104,6 @@ def test_iteration_record_holds_no_label_or_per_pair_values():
         "step_norm",
         "n_active_planes",
         "p",
-        "q",
         "lp_status",
     }
 

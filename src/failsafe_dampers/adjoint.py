@@ -22,7 +22,7 @@ import numpy as np
 from .constraints import (
     ConstraintParams,
     ConstraintValue,
-    aggregation_sensitivities,
+    _sensitivities,
     evaluate_drift_constraint,
     pruned_powers,
     time_weights,
@@ -66,12 +66,13 @@ def dg_du_trajectory(
     and only the rows up to it go through H'. A drift that never moves has
     d_tilde_j = 0 and rho_ji = 0, so it contributes nothing. ``value`` is
     this history's `evaluate_drift_constraint` result, which supplies rho,
-    |rho| and d_tilde; without it the evaluation runs here.
+    |rho|, d_tilde and its aggregation terms; without it the evaluation
+    runs here.
     """
     if value is None:
         value = evaluate_drift_constraint(history, model, params)
     rho, d_tilde = value.rho, value.d_tilde
-    sens = aggregation_sensitivities(d_tilde, params.q)
+    sens = _sensitivities(value.terms, params.q)
     w = time_weights(rho.shape[0], history.dt)
     duration = history.n_steps * history.dt
 

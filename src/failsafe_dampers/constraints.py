@@ -41,8 +41,9 @@ class ConstraintParams:
 class ConstraintValue:
     """Aggregated constraint with its smooth and exact ingredients.
 
-    ``rho`` holds the signed normalized drifts the indices came from and
-    ``magnitude`` |rho|, so that the gradient reuses this pass. For a
+    ``rho`` holds the signed normalized drifts the indices came from,
+    ``magnitude`` |rho| and ``terms`` the aggregation terms of ``d_tilde``
+    (see `aggregate`), so that the gradient reuses this pass. For a
     batched history ``g`` and ``d_max_exact`` are arrays (B,), ``d_tilde``
     is (B, n_drifts) and ``rho`` is (N+1, B, n_drifts).
     """
@@ -52,6 +53,7 @@ class ConstraintValue:
     d_max_exact: float | np.ndarray
     rho: np.ndarray = field(repr=False)
     magnitude: np.ndarray = field(repr=False)
+    terms: tuple[np.ndarray, ...] = field(repr=False)
 
 
 def time_weights(n_samples: int, dt: float) -> np.ndarray:
@@ -112,7 +114,12 @@ def aggregate(d_tilde: np.ndarray, q: int) -> float | np.ndarray:
     d = np.asarray(d_tilde, dtype=float)
     if (d < 0).any():
         raise ValueError("smooth drift indices must be nonnegative")
-    tau, num, den, peak = _aggregation_terms(d, q)
+    return _aggregate(_aggregation_terms(d, q))
+
+
+def _aggregate(terms) -> float | np.ndarray:
+    """`aggregate` from the `_aggregation_terms` of its input."""
+    _, num, den, peak = terms
     if not (peak > 0).all():
         logger.debug("aggregate() over an all-zero history; returning -1")
     # An all-zero row has peak = 0 and num = 0, so the value comes out -1.
@@ -161,12 +168,14 @@ def evaluate_drift_constraint(
     s = np.bincount(col, weights=(w / duration)[t] * powers, minlength=scale.size)
     d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
     d_max = peak.max(axis=-1)
+    terms = _aggregation_terms(d_tilde, params.q)
     return ConstraintValue(
-        g=aggregate(d_tilde, params.q),
+        g=_aggregate(terms),
         d_tilde=d_tilde,
         d_max_exact=d_max.item() if d_max.ndim == 0 else d_max,
         rho=rho,
         magnitude=magnitude,
+        terms=terms,
     )
 
 
@@ -180,6 +189,11 @@ def aggregation_sensitivities(d_tilde: np.ndarray, q: int) -> np.ndarray:
     where tau^0 = 1). An all-zero row gets zero sensitivities. Rows of a
     (B, n_drifts) input are independent.
     """
-    tau, num_hat, den_hat, _ = _aggregation_terms(d_tilde, q)
+    return _sensitivities(_aggregation_terms(d_tilde, q), q)
+
+
+def _sensitivities(terms, q: int) -> np.ndarray:
+    """`aggregation_sensitivities` from the `_aggregation_terms` of its input."""
+    tau, num_hat, den_hat, _ = terms
     # An all-zero row has tau = 0 and num_hat = 0, so it comes out zero.
     return ((q + 1) * tau ** q * den_hat - q * tau ** (q - 1) * num_hat) / den_hat ** 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,8 @@ GAMMA = 0.5
 _CARRY_S = (1.3e-6, 4.5e-8, 1.9e-10)
 _FILL_S = (3.5e-6, 2.0e-7, 3.6e-9)
 _BLOCK_S = (2.0e-5, 2.1e-7, 2.2e-9)
+# Models whose load rows one record holds (see `_record_load`).
+_LOADS_PER_RECORD = 4
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,9 @@ class GroundMotion:
     dt: float
     accel: np.ndarray
     scale: float = 1.0
+    # Per model mass and influence: the load rows and the initial
+    # acceleration `newmark_solve` integrates this record with.
+    _loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
@@ -135,20 +140,22 @@ def transition_matrices(M, C, K, dt):
     Q f_{i+1} (Newmark 1959). P and Q come from applying the step to
     identity columns of (u, v, a, f), whose effective load [c0 M + c1 C |
     c2 M + c4 C | c3 M + c5 C | I] goes through one stacked solve against
-    K_eff; a stack ``C`` (B, n, n) gives one pair per system.
+    K_eff; a stack ``C`` (B, n, n) gives one pair per system. The terms
+    that hold no C are built once per (M, K, dt), see `_step_terms`.
     """
     n = M.shape[0]
     beta, gamma = BETA, GAMMA
-    c0 = 1.0 / (beta * dt * dt)
+    c0, K_c0M, c0M, c2M, c3M, eye, u, v, c2v, c3a, a_rest = _step_terms(
+        np.asarray(M, dtype=float).tobytes(), np.asarray(K, dtype=float).tobytes(),
+        n, dt, beta, gamma,
+    )
     c1 = gamma / (beta * dt)
-    c2 = 1.0 / (beta * dt)
-    c3 = 1.0 / (2.0 * beta) - 1.0
     c4 = gamma / beta - 1.0
     c5 = dt * (gamma / (2.0 * beta) - 1.0)
 
-    K_eff = K + c0 * M + c1 * C
-    eye = np.broadcast_to(np.eye(n), C.shape)
-    rhs = np.concatenate([c0 * M + c1 * C, c2 * M + c4 * C, c3 * M + c5 * C, eye], axis=-1)
+    K_eff = K_c0M + c1 * C
+    eye = np.broadcast_to(eye, C.shape)
+    rhs = np.concatenate([c0M + c1 * C, c2M + c4 * C, c3M + c5 * C, eye], axis=-1)
     try:
         np.linalg.cholesky(K_eff)
         u_next = np.linalg.solve(K_eff, rhs)
@@ -156,18 +163,38 @@ def transition_matrices(M, C, K, dt):
         raise np.linalg.LinAlgError(
             "effective stiffness matrix is singular or indefinite"
         ) from None
-    u, v, a = np.eye(3 * n, 4 * n).reshape(3, n, 4 * n)
-    a_next = c0 * (u_next - u) - c2 * v - c3 * a
-    v_next = v + dt * ((1.0 - gamma) * a + gamma * a_next)
+    a_next = c0 * (u_next - u) - c2v - c3a
+    v_next = v + dt * (a_rest + gamma * a_next)
     PQ = np.concatenate([u_next, v_next, a_next], axis=-2)
     return np.ascontiguousarray(PQ[..., : 3 * n]), PQ[..., 3 * n :]
 
 
-def _integrate(M, C, K, load, dt):
+@functools.lru_cache(maxsize=16)
+def _step_terms(M_bytes, K_bytes, n, dt, beta, gamma):
+    """c0 and the read-only arrays of `transition_matrices` that hold no C:
+    K + c0 M, c0 M, c2 M, c3 M, I (n, n), the u and v rows of the identity
+    over (u, v, a, f), and c2 v, c3 a and (1 - gamma) a. M and K are float
+    (n, n), given by their bytes."""
+    M = np.frombuffer(M_bytes).reshape(n, n)
+    K = np.frombuffer(K_bytes).reshape(n, n)
+    c0 = 1.0 / (beta * dt * dt)
+    c2 = 1.0 / (beta * dt)
+    c3 = 1.0 / (2.0 * beta) - 1.0
+    u, v, a = np.eye(3 * n, 4 * n).reshape(3, n, 4 * n)
+    arrays = [
+        K + c0 * M, c0 * M, c2 * M, c3 * M, np.eye(n), u, v, c2 * v, c3 * a, (1.0 - gamma) * a
+    ]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return c0, *arrays
+
+
+def _integrate(M, C, K, load, a0, dt):
     """Newmark recurrence from rest on raw matrices; returns the states
     (N+1, ..., 3n), the powers of P they were swept with and Q.
 
-    ``load`` is (N+1, n). ``C`` is (n, n), or a stack (B, n, n) of systems
+    ``load`` is (N+1, n) and ``a0`` = M^-1 load[0], the initial
+    acceleration. ``C`` is (n, n), or a stack (B, n, n) of systems
     that share M, K and the load and go through one time loop; the states
     then have shape (N+1, B, 3n). With P and Q from `transition_matrices`,
     each row Q f_{i+1} is written in place, and `transition_sweep` adds
@@ -178,7 +205,7 @@ def _integrate(M, C, K, load, dt):
 
     S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
     S[0, ..., : 2 * n] = 0.0
-    S[0, ..., 2 * n :] = np.linalg.solve(M, load[0])
+    S[0, ..., 2 * n :] = a0
     np.matmul(load[1:], Q.mT, out=S[1:].swapaxes(0, -2))
     powers = transition_powers(P, block_length(P, len(S) - 1))
     transition_sweep(powers, S)
@@ -193,7 +220,7 @@ def block_length(P, n_rows):
     return _block_length(math.prod(P.shape[:-2]), P.shape[-1], n_rows)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _block_length(B, m, n_rows):
     L = np.arange(1, max(1, math.isqrt(n_rows)) + 1)
     carry = (n_rows // L) * (_CARRY_S[0] + B * (_CARRY_S[1] + _CARRY_S[2] * m * m))
@@ -297,8 +324,8 @@ def newmark_solve(
     check_symmetric(C_d, "C_d")
 
     C = model.inherent_damping + C_d
-    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    S, powers, Q = _integrate(model.mass, C, model.stiffness, load, gm.dt)
+    load, a0 = _record_load(model, gm)
+    S, powers, Q = _integrate(model.mass, C, model.stiffness, load, a0, gm.dt)
     if not np.isfinite(S).all():
         raise ConvergenceError(
             f"response to record '{gm.name}' diverged: the state is not finite at "
@@ -306,6 +333,23 @@ def newmark_solve(
             f"(dt = {gm.dt:g})"
         )
     return ResponseHistory(S[..., :n], S[..., n : 2 * n], S[..., 2 * n :], gm.dt, powers, Q)
+
+
+def _record_load(model: StructuralModel, gm: GroundMotion):
+    """The load rows -a_g(t_i) M iota (N+1, n) and the initial acceleration
+    M^-1 f_0 of ``gm`` on ``model``, read-only. The record holds them for its
+    latest few (M, iota), so a record swept many times builds them once."""
+    key = (model.mass.tobytes(), model.influence.tobytes())
+    loads = gm._loads
+    if key not in loads:
+        load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+        a0 = np.linalg.solve(model.mass, load[0])
+        load.setflags(write=False)
+        a0.setflags(write=False)
+        if len(loads) >= _LOADS_PER_RECORD:
+            loads.pop(next(iter(loads)), None)
+        loads[key] = load, a0
+    return loads[key]
 
 
 def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float:
@@ -322,7 +366,7 @@ def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float
     C = np.array([[2.0 * zeta * w]])
     K = np.array([[w * w]])
     load = -gm.scaled_accel[:, None]
-    S, _, _ = _integrate(M, C, K, load, gm.dt)
+    S, _, _ = _integrate(M, C, K, load, np.linalg.solve(M, load[0]), gm.dt)
     return float(np.abs(S[:, 0]).max())
 
 

@@ -7,6 +7,7 @@ conversion factors.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections.abc import Iterable
 from itertools import chain
@@ -257,23 +258,31 @@ def damper_scales(model: StructuralModel, scenario: Scenarios) -> np.ndarray:
 
     ``None`` means no failure. One scenario gives shape (n_dampers,); a
     sequence of B scenarios gives (B, n_dampers), one row per scenario.
+    A scenario or a sequence gives a read-only array, built once per
+    (n_dampers, scenarios) and shared by every later call: a working set
+    stays fixed over its sub-problem's iterations.
     """
     if scenario is None:
         return np.ones(model.n_dampers)
     if isinstance(scenario, FailureScenario):
         return damper_scales(model, [scenario])[0]
-    scenarios = list(scenario)
+    return _damper_scales(model.n_dampers, tuple(scenario))
+
+
+@functools.lru_cache(maxsize=64)
+def _damper_scales(n_dampers: int, scenarios: tuple[FailureScenario, ...]) -> np.ndarray:
     counts = [len(sc.damaged) for sc in scenarios]
     rows = np.repeat(np.arange(len(scenarios)), counts)
     cols = np.fromiter(chain.from_iterable(sc.damaged for sc in scenarios), int)
-    if cols.size and cols.max() >= model.n_dampers:
+    if cols.size and cols.max() >= n_dampers:
         worst = cols.argmax()
         raise ValueError(
             f"scenario {scenarios[rows[worst]].id} damages damper {cols[worst]}, "
-            f"but the model has only {model.n_dampers} dampers"
+            f"but the model has only {n_dampers} dampers"
         )
-    scales = np.ones((len(scenarios), model.n_dampers))
+    scales = np.ones((len(scenarios), n_dampers))
     scales[rows, cols] = np.repeat([sc.factor for sc in scenarios], counts)
+    scales.setflags(write=False)
     return scales
 
 

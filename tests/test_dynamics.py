@@ -12,6 +12,7 @@ from failsafe_dampers import (
     DesignVector,
     GroundMotion,
     InputError,
+    StructuralModel,
     assemble_added_damping,
     enumerate_scenarios,
     load_ground_motion,
@@ -278,6 +279,43 @@ def test_transition_matrices_match_identity_columns_bitwise(size, beta, monkeypa
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+def test_warm_newmark_solve_is_bitwise_a_cold_one():
+    # The terms built once per (M, K, dt) and per (record, M, iota) are
+    # shared by every later solve. Models that differ in K only, in M only
+    # and in iota only, under records at two time steps, all go through the
+    # same caches: a key that misses an input hands one of them another's
+    # terms.
+    base = shear_frame(3)
+    stiffer = shear_frame(3, story_k=2.0 * 13000.0)
+    heavier = shear_frame(3, mass=12.0)
+    tilted = StructuralModel(
+        base.mass, base.stiffness, base.inherent_damping, base.influence * [1.0, 0.5, 0.25],
+        base.drift_transform, base.d_allow, base.damper_transforms,
+    )
+    assert np.array_equal(stiffer.mass, base.mass)
+    assert np.array_equal(heavier.stiffness, base.stiffness)
+    models = [base, stiffer, heavier, tilted]
+    records = [
+        synthetic_record(150, dt=dt, seed=5, peak=1.5, name=f"dt{dt}") for dt in (0.01, 0.02)
+    ]
+    C_d = np.stack([np.zeros((3, 3)), 40.0 * np.eye(3)])
+
+    def cold(model, gm):
+        dynamics._step_terms.cache_clear()
+        return newmark_solve(model, C_d, GroundMotion(gm.name, gm.dt, gm.accel, gm.scale))
+
+    want = [[cold(model, gm) for gm in records] for model in models]
+    for _ in range(2):
+        for model, row in zip(models, want):
+            for gm, ref in zip(records, row):
+                got = newmark_solve(model, C_d, gm)
+                for name in ("u", "v", "a", "powers", "Q"):
+                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert dynamics._step_terms.cache_info().hits > 0
+    # The load rows hold no K: the stiffer frame shares the base frame's.
+    assert all(len(gm._loads) == 3 for gm in records)
 
 
 @pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])

@@ -317,3 +317,40 @@ def test_damper_scales_stack_the_scenarios_scale_vectors(n_dampers):
     for sc, row in zip(scenarios, want):
         assert np.array_equal(damper_scales(model, sc), row)
     assert damper_scales(model, []).shape == (0, n_dampers)
+
+
+def test_cached_damper_scales_are_read_only_and_equal_a_fresh_build():
+    # The scales of a scenario list are built once and shared by every later
+    # call with an equal list, so no caller may write into them.
+    rng = np.random.default_rng(7)
+    model = shear_frame(6)
+    for _ in range(20):
+        scenarios = [
+            FailureScenario(
+                id=i,
+                damaged=tuple(rng.choice(6, rng.integers(0, 3), replace=False)),
+                factor=float(rng.choice([0.0, 0.3, 0.5])),
+            )
+            for i in range(int(rng.integers(1, 12)))
+        ]
+        want = np.ones((len(scenarios), 6))
+        for row, sc in zip(want, scenarios):
+            row[list(sc.damaged)] = sc.factor
+        for _ in range(2):  # a build, then the shared copy
+            got = damper_scales(model, scenarios)
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 2.0
+        assert not damper_scales(model, scenarios[0]).flags.writeable
+
+
+def test_out_of_range_damper_raises_on_every_call():
+    # A failed build is not kept: the same list raises again.
+    model = shear_frame(2)
+    scenarios = [no_failure(), FailureScenario(id=1, damaged=(4,), factor=0.5)]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="scenario 1 damages damper 4"):
+            damper_scales(model, scenarios)
+    # The same scenarios on a model with enough dampers have scales.
+    assert damper_scales(shear_frame(5), scenarios)[1].tolist() == [1, 1, 1, 1, 0.5]

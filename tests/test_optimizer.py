@@ -238,15 +238,27 @@ class TestSimplexCore:
     @pytest.mark.xfail(
         strict=True, raises=SimplexError, reason="Bland at tol 1e-10 cycles, ROADMAP item 2"
     )
-    def test_cycling_lp_of_the_paper_scale_recipe(self):
-        # The phase-2 LP of sub-problem 3 that recipe W2 met at 200 steps
-        # (144 planes over 16 dampers, 104 negative right-hand sides) when
-        # its sweeps ran row by row. Bland's rule at tol 1e-10 cycles on it
-        # until the pivot budget runs out; HiGHS solves it.
-        lp = np.load(DATA / "w2_200_cycling_lp.npz")
+    @pytest.mark.parametrize(
+        "name,optimum",
+        [
+            ("w2_200_cycling_lp", 0.15066082087229535),
+            ("w2_1000_swapped_cycling_lp", 0.12000108952722706),
+        ],
+        ids=["w2_200", "w2_1000_swapped"],
+    )
+    def test_cycling_lp_of_the_paper_scale_recipe(self, name, optimum):
+        # LPs on which Bland's rule at tol 1e-10 cycles until the pivot
+        # budget runs out; HiGHS solves both, to the optimum given.
+        # - w2_200: the phase-2 LP of sub-problem 3 that recipe W2 met at 200
+        #   steps (144 planes over 16 dampers, 104 negative right-hand sides)
+        #   when its sweeps ran row by row.
+        # - w2_1000_swapped: LP 222 of recipe W2 at 1,000 steps with each
+        #   story's two dampers swapped (damper_transforms permuted by
+        #   i ^ 1): 168 planes, 126 negative right-hand sides.
+        lp = np.load(DATA / f"{name}.npz")
         x, status = solve_inequality_lp(lp["c"], lp["A"], lp["b"])
         assert status == "optimal"
-        assert lp["c"] @ x == pytest.approx(0.15066082087229535, rel=1e-9)
+        assert lp["c"] @ x == pytest.approx(optimum, rel=1e-9)
 
 
 class TestPhaseOne:

@@ -1,6 +1,6 @@
 """Dense two-phase tableau simplex for small inequality-form LPs.
 
-Solves  minimize c @ x  subject to  A @ x <= b,  x >= 0.
+Solves  minimize c @ x  subject to  A @ x <= b,  0 <= x <= upper.
 
 A handful of variables meets up to about a thousand rows, one cutting
 plane per scenario and record per SLP iteration. The tableau is condensed
@@ -17,14 +17,16 @@ pivots, then Bland's rule (lowest label) takes over, and the ratio test
 breaks ties on the lowest basic label. The final vertex is re-solved from
 the original constraint data to strip accumulated elimination error.
 
-Rows that cannot bind are dropped first. The singleton rows
-a_ij y_j <= b_i with a_ij > 0 <= b_i (the move-limit box) bound y above
-by u. A longer row whose maximum over 0 <= y <= u stays below
-b - 1e-6 (|a| @ u + |b|) is slack at every vertex either phase visits, as
-those lie in the box: its slack would stay basic, and the kept rows, in
-order, give the full LP's pivots. A positive coefficient on a column with
-no upper bound keeps its row. The phase-1 threshold, the pivot budget and
-the polish check use the full (A, b).
+Each finite bound x_j <= upper_j (the move-limit box) pivots as a row of
+the tableau, after the rows of A. Rows of A that cannot bind are dropped
+first. The bounds, tightened by the singleton rows a_ij x_j <= b_i with
+a_ij > 0 <= b_i, bound x above by u. A longer row whose maximum over
+0 <= x <= u stays below b - 1e-6 (|a| @ u + |b|) is slack at every vertex
+either phase visits, as those lie in the box: its slack would stay basic,
+and the kept rows, in order, give the full LP's pivots. A positive
+coefficient on a column with no upper bound keeps its row. The phase-1
+threshold, the pivot budget and the polish check use the full (A, b) and
+the bounds.
 """
 
 from __future__ import annotations
@@ -102,13 +104,18 @@ def _pivot_loop(D, basis, nonbasic, costs, max_pivots):
     raise SimplexError("pivot budget exhausted")
 
 
-def solve_inequality_lp(c, A, b):
-    """Minimize c @ x with A @ x <= b and x >= 0.
+def solve_inequality_lp(c, A, b, upper=None):
+    """Minimize c @ x with A @ x <= b and 0 <= x <= upper.
 
-    Returns ``(x, "optimal")`` or ``(None, "infeasible")``. Raises
+    ``upper`` (n,) holds each variable's bound, +inf for none, which is
+    every variable's if it is omitted. The bounds pivot as the rows
+    x_j <= upper_j of the finite ones, in column order after the kept rows
+    of A, so the LP is the one with those rows stacked under (A, b): the
+    same tableau, labels, pivot budget, phase-1 threshold and polish
+    check. Returns ``(x, "optimal")`` or ``(None, "infeasible")``. Raises
     SimplexError for unbounded problems (callers here always bound the
-    variables with explicit rows) or an exhausted budget of
-    1000 + 50 (m + n) pivots per phase.
+    variables) or an exhausted budget of 1000 + 50 (m + n) pivots per
+    phase, m counting the bound rows.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -117,11 +124,22 @@ def solve_inequality_lp(c, A, b):
     m = A.shape[0]
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    if upper.shape != (n,):
+        raise ValueError(f"upper has shape {upper.shape}, expected ({n},)")
+    boxed = np.isfinite(upper).nonzero()[0]
+    b_box = upper[boxed]
 
-    max_pivots = 1000 + 50 * (m + n)
-    keep = _rows_that_can_bind(A, b)
-    A_full, b_full, A, b = A, b, A[keep], b[keep]
-    m = A.shape[0]
+    max_pivots = 1000 + 50 * (m + boxed.size + n)
+    b_max = np.abs(np.concatenate([b, b_box])).max(initial=0.0)
+    # The tableau's rows: the kept rows of A, then one per finite bound.
+    keep = _rows_that_can_bind(A, b, upper)
+    m_kept = int(np.count_nonzero(keep))
+    m = m_kept + boxed.size
+    rows = np.zeros((m, n))
+    rows[:m_kept] = A.compress(keep, axis=0)
+    rows[m_kept + np.arange(boxed.size), boxed] = 1.0
+    rhs = np.concatenate([b[keep], b_box])
 
     # Labels: structurals 0..n-1, the slack of row i n+i, one artificial x0
     # n+m. The slacks start basic; the columns of D are the structurals, x0
@@ -129,20 +147,21 @@ def solve_inequality_lp(c, A, b):
     # pivoting it in on the most negative row makes every row feasible at
     # once, and phase 1 minimizes x0 from there (Chvatal's auxiliary problem).
     art = n + m
-    phase1 = bool((b < 0).any())
-    D = np.zeros((m, n + 1 + phase1))
-    D[:, :n] = A
-    D[:, -1] = b
+    negative = rhs < 0
+    phase1 = bool(negative.any())
+    D = np.empty((m, n + 1 + phase1))
+    D[:, :n] = rows
+    D[:, -1] = rhs
     basis = n + np.arange(m)
     nonbasic = np.arange(n + phase1)
     nonbasic[n:] = art
     if phase1:
-        D[b < 0, n] = -1.0
-        _pivot(D, basis, nonbasic, int(np.argmin(b)), n)
+        D[:, n] = np.where(negative, -1.0, 0.0)
+        _pivot(D, basis, nonbasic, int(np.argmin(rhs)), n)
         costs1 = np.zeros(art + 1)
         costs1[art] = 1.0
         phase1_min = _pivot_loop(D, basis, nonbasic, costs1, max_pivots)
-        if phase1_min > 1e-8 * max(1.0, np.abs(b_full).max()):
+        if phase1_min > 1e-8 * max(1.0, b_max):
             return None, "infeasible"
         # Pivot x0 out if it stays basic at zero, on the lowest label. [A I]
         # has full row rank, so its row holds a nonzero outside x0.
@@ -162,29 +181,39 @@ def solve_inequality_lp(c, A, b):
     structural = basis < n
     x[basis[structural]] = D[structural, -1]
 
-    x_polished = _polish(A, b, basis, n)
+    x_polished = _polish(rows, rhs, basis, n)
     if x_polished is not None:
-        feas_tol = 1e-8 * (1.0 + np.abs(b_full).max(initial=0.0))
+        # The cheap tests first; the rows of A last.
+        feas_tol = 1e-8 * (1.0 + b_max)
         if (
             (x_polished >= -feas_tol).all()
-            and (A_full @ x_polished <= b_full + feas_tol).all()
             and c @ x_polished <= c @ x + feas_tol * (1.0 + np.abs(c).sum())
+            and (x_polished[boxed] <= b_box + feas_tol).all()
+            and (A @ x_polished <= b + feas_tol).all()
         ):
             x = x_polished
     return np.maximum(x, 0.0), "optimal"
 
 
-def _rows_that_can_bind(A, b):
-    """Mask of the rows the presolve keeps: the singleton rows, and every
-    row that some point of the box they span can make tight."""
-    singleton = (A != 0) @ np.ones(A.shape[1]) == 1  # one nonzero
-    r, j = np.divmod(np.flatnonzero((A > 0) & (singleton & (b >= 0))[:, None]), A.shape[1])
-    upper = np.full(A.shape[1], np.inf)
-    np.minimum.at(upper, j, b[r] / A[r, j])
-    u = np.where(np.isfinite(upper), upper, 0.0)
-    unbounded = (A[:, np.isinf(upper)] > 0).any(axis=1)
+def _rows_that_can_bind(A, b, upper=None):
+    """Mask of the rows of A the presolve keeps: the singleton rows, and
+    every row that some point of the box 0 <= x <= u can make tight. u is
+    ``upper`` where it is given and nonnegative, tightened by the singleton
+    rows a_ij x_j <= b_i with a_ij > 0 <= b_i; a positive coefficient on a
+    column that stays unbounded keeps its row."""
+    n = A.shape[1]
+    singleton = (A != 0) @ np.ones(n) == 1  # one nonzero
+    bound = np.full(n, np.inf) if upper is None else np.where(upper >= 0, upper, np.inf)
+    if singleton.any():
+        r, j = np.divmod(np.flatnonzero((A > 0) & (singleton & (b >= 0))[:, None]), n)
+        np.minimum.at(bound, j, b[r] / A[r, j])
+    free = np.isinf(bound)
+    u = np.where(free, 0.0, bound)
     slack = np.maximum(A, 0.0) @ u < b - 1e-6 * (np.abs(A) @ u + np.abs(b))
-    return singleton | unbounded | ~slack
+    keep = singleton | ~slack
+    if free.any():
+        keep |= (A[:, free] > 0).any(axis=1)
+    return keep
 
 
 def _polish(A, b, basis, n):
@@ -198,7 +227,7 @@ def _polish(A, b, basis, n):
     free[basis[basis >= n] - n] = False
     cols = basis[basis < n]
     try:
-        sol = np.linalg.solve(A[np.ix_(free, cols)], b[free])
+        sol = np.linalg.solve(A.compress(free, axis=0).take(cols, axis=1), b[free])
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(sol).all():

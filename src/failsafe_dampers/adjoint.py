@@ -23,6 +23,7 @@ from .constraints import (
     ConstraintParams,
     ConstraintValue,
     _sensitivities,
+    _time_last,
     evaluate_drift_constraint,
     pruned_powers,
     time_weights,
@@ -63,7 +64,9 @@ def dg_du_trajectory(
     safe at the largest continuation exponents. Only the ratios above
     exp(-746/(p-1)) are raised (see `pruned_powers`); every other term is
     exactly 0, so the rows after the last raised one are built as zeros
-    and only the rows up to it go through H'. A drift that never moves has
+    and only the rows up to it go through H', in one product for the whole
+    batch; the terms are gathered from the drift columns, time contiguous,
+    that the evaluation holds. A drift that never moves has
     d_tilde_j = 0 and rho_ji = 0, so it contributes nothing. ``value`` is
     this history's `evaluate_drift_constraint` result, which supplies rho,
     |rho|, d_tilde and its aggregation terms; without it the evaluation
@@ -71,25 +74,27 @@ def dg_du_trajectory(
     """
     if value is None:
         value = evaluate_drift_constraint(history, model, params)
-    rho, d_tilde = value.rho, value.d_tilde
+    # Drift columns, time last: (..., n_drifts, N+1).
+    rho, d_tilde = _time_last(value.rho), value.d_tilde
     sens = _sensitivities(value.terms, params.q)
-    w = time_weights(rho.shape[0], history.dt)
+    w = time_weights(rho.shape[-1], history.dt)
     duration = history.n_steps * history.dt
 
-    ratio = value.magnitude / np.where(d_tilde > 0, d_tilde, 1.0)
+    ratio = _time_last(value.magnitude) / np.where(d_tilde > 0, d_tilde, 1.0)[..., None]
     t, col, powers = pruned_powers(ratio, params.p - 1)
-    # t ascends: rows k.. are zero. A single history's rows go through one
-    # product, whose rounding may depend on its length, so it keeps them all.
-    k = len(rho) if rho.ndim == 2 else int(t[-1]) + 1 if t.size else 0
-    core = np.zeros((k, rho[0].size))
+    # Rows k.. are zero. Two rows at least: numpy multiplies a single row
+    # with its vector-matrix kernel, which rounds a general H otherwise.
+    k = max(2, int(t.max()) + 1) if t.size else 0
+    core = np.zeros((k, d_tilde.size))  # time first, one product for all
     core[t, col] = (
-        np.sign(rho.reshape(rho.shape[0], -1)[t, col])
+        np.sign(rho.reshape(d_tilde.size, -1)[col, t])
         * powers
         * (w / duration)[t]
         * (sens / model.d_allow).ravel()[col]
     )
-    forcing = np.zeros(rho.shape[:-1] + (model.n_dof,))
-    forcing[:k] = core.reshape((k,) + rho.shape[1:]) @ model.drift_transform
+    forcing = np.zeros(history.u.shape)
+    rows = forcing[:k].reshape(-1, model.n_dof)
+    np.matmul(core.reshape(-1, model.n_drifts), model.drift_transform, out=rows)
     return forcing
 
 

@@ -45,7 +45,9 @@ class ConstraintValue:
     ``magnitude`` |rho| and ``terms`` the aggregation terms of ``d_tilde``
     (see `aggregate`), so that the gradient reuses this pass. For a
     batched history ``g`` and ``d_max_exact`` are arrays (B,), ``d_tilde``
-    is (B, n_drifts) and ``rho`` is (N+1, B, n_drifts).
+    is (B, n_drifts) and ``rho`` is (N+1, B, n_drifts), a view of drift
+    columns with time contiguous (see `normalized_drifts`), as is
+    ``magnitude``.
     """
 
     g: float | np.ndarray
@@ -67,29 +69,46 @@ def time_weights(n_samples: int, dt: float) -> np.ndarray:
 
 def normalized_drifts(history: ResponseHistory, model: StructuralModel) -> np.ndarray:
     """Signed drift ratios d_j(t_i) / d_allow_j, shape (N+1, n_drifts), or
-    (N+1, B, n_drifts) for a batched history."""
+    (N+1, B, n_drifts) for a batched history.
+
+    The array is a view of drift columns with time as the contiguous axis,
+    (n_drifts, N+1) per response, each from one product H u', which its
+    time-last transpose gives back without a copy."""
     if history.n_dof != model.n_dof:
         raise ValueError(
             f"history has {history.n_dof} DOFs, model has {model.n_dof}"
         )
-    return (history.u @ model.drift_transform.T) / model.d_allow
+    columns = model.drift_transform @ _time_last(history.u)
+    columns /= model.d_allow[:, None]
+    return _time_first(columns)
+
+
+def _time_last(a: np.ndarray) -> np.ndarray:
+    """View of a time-first (N+1, ...) array with time as the last axis."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
+def _time_first(a: np.ndarray) -> np.ndarray:
+    """View of a time-last (..., N+1) array with time as the first axis."""
+    return a.transpose(-1, *range(a.ndim - 1))
 
 
 def pruned_powers(
     ratio: np.ndarray, p: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero p-th powers of a nonnegative (N+1, ...) ratio array.
+    """The nonzero p-th powers of a nonnegative (..., N+1) ratio array.
 
-    Returns time rows ``t``, flattened trailing indices ``col`` and
-    ``ratio[t, col] ** p`` for the ratios above exp(-746/p) only. Any ratio
-    at or below that cutoff has ratio^p <= exp(-746) < 2^-1075, which
-    rounds to exactly 0 in float64, so the skipped powers are the ones a
-    dense evaluation would also give as 0. At the continuation's large
-    exponents nearly every ratio is skipped.
+    Returns time indices ``t``, flattened leading indices ``col`` and
+    ``ratio[col, t] ** p`` for the ratios above exp(-746/p) only, column
+    by column with t ascending. Any ratio at or below that cutoff has
+    ratio^p <= exp(-746) < 2^-1075, which rounds to exactly 0 in float64,
+    so the skipped powers are the ones a dense evaluation would also give
+    as 0. At the continuation's large exponents nearly every ratio is
+    skipped.
     """
-    flat = ratio.reshape(ratio.shape[0], -1)
-    t, col = np.divmod(np.flatnonzero(flat > np.exp(-746.0 / p)), flat.shape[1])
-    return t, col, flat[t, col] ** p
+    flat = ratio.reshape(-1, ratio.shape[-1])
+    col, t = np.divmod(np.flatnonzero(flat > np.exp(-746.0 / p)), flat.shape[1])
+    return t, col, flat[col, t] ** p
 
 
 def _aggregation_terms(d_tilde, q: int) -> tuple[np.ndarray, ...]:
@@ -154,17 +173,18 @@ def evaluate_drift_constraint(
     p-th power; with exponents up to 1e6 the naive form would overflow
     immediately, while the factored ratios are at most 1 and can only
     underflow harmlessly. Only the ratios above exp(-746/p) are raised and
-    summed (see `pruned_powers`); the others would add exactly 0. A drift
-    that never moves gets index 0.
+    summed (see `pruned_powers`), each drift's in time order; the others
+    would add exactly 0. A drift that never moves gets index 0.
     """
-    rho = normalized_drifts(history, model)
+    # Drift columns, time last: (..., n_drifts, N+1).
+    rho = _time_last(normalized_drifts(history, model))
     magnitude = np.abs(rho)
-    w = time_weights(rho.shape[0], history.dt)
+    w = time_weights(rho.shape[-1], history.dt)
     duration = history.n_steps * history.dt
 
-    peak = magnitude.max(axis=0)
+    peak = magnitude.max(axis=-1)
     scale = np.where(peak > 0, peak, 1.0)
-    t, col, powers = pruned_powers(magnitude / scale, params.p)
+    t, col, powers = pruned_powers(magnitude / scale[..., None], params.p)
     s = np.bincount(col, weights=(w / duration)[t] * powers, minlength=scale.size)
     d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
     d_max = peak.max(axis=-1)
@@ -173,8 +193,8 @@ def evaluate_drift_constraint(
         g=_aggregate(terms),
         d_tilde=d_tilde,
         d_max_exact=d_max.item() if d_max.ndim == 0 else d_max,
-        rho=rho,
-        magnitude=magnitude,
+        rho=_time_first(rho),
+        magnitude=_time_first(magnitude),
         terms=terms,
     )
 

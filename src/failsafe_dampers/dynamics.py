@@ -315,7 +315,9 @@ def newmark_solve(
     rounding, and the history keeps Q and the powers of P for the adjoint. A response
     that overflows (an indefinite stiffness, whose unstable mode grows
     exponentially) raises `ConvergenceError` naming the record and the
-    first time step whose state is not finite.
+    first time step whose state is not finite. An effective stiffness that
+    is not positive definite (a stiffness so indefinite that K + 4 M / dt^2
+    is not) raises `ConvergenceError` naming the record and dt.
     """
     n = model.n_dof
     C_d = np.asarray(C_d, dtype=float)
@@ -325,7 +327,12 @@ def newmark_solve(
 
     C = model.inherent_damping + C_d
     load, a0 = _record_load(model, gm)
-    S, powers, Q = _integrate(model.mass, C, model.stiffness, load, a0, gm.dt)
+    try:
+        S, powers, Q = _integrate(model.mass, C, model.stiffness, load, a0, gm.dt)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"response to record '{gm.name}' cannot be integrated at dt = {gm.dt:g}: {exc}"
+        ) from None
     if not np.isfinite(S).all():
         raise ConvergenceError(
             f"response to record '{gm.name}' diverged: the state is not finite at "

@@ -205,20 +205,18 @@ def solve_lp(
     """
     center = np.asarray(center, dtype=float)
     objective = np.asarray(objective, dtype=float)
-    n = center.size
     lo = np.maximum(0.0, center - move_limit)
     hi = np.minimum(1.0, center + move_limit)
 
     enabled, A_pl, rhs = planes.enabled_rows()
     b_pl = rhs - margin
 
-    # Shift to y = x - lo so the simplex's x >= 0 convention applies.
+    # Shift to y = x - lo so the simplex's x >= 0 convention applies; the
+    # box is its bound y <= span.
     span = hi - lo
     b_shift = b_pl - A_pl @ lo
-    A_full = np.vstack([A_pl, np.eye(n)])
-    b_full = np.concatenate([b_shift, span])
 
-    y, status = solve_inequality_lp(objective, A_full, b_full)
+    y, status = solve_inequality_lp(objective, A_pl, b_shift, span)
     if status == "infeasible":
         y = _solve_elastic(objective, A_pl, b_shift, span)
         status = "elastic"
@@ -232,22 +230,20 @@ def _solve_elastic(objective, A_pl, b_shift, span):
     """Two-stage relaxation: least total plane violation, then least cost."""
     n = span.size
     mp = A_pl.shape[0]
-    # Variables [y, s]: planes become A y - s <= b, box rows keep y <= span.
-    A1 = np.vstack(
-        [
-            np.hstack([A_pl, -np.eye(mp)]),
-            np.hstack([np.eye(n), np.zeros((n, mp))]),
-        ]
-    )
-    b1 = np.concatenate([b_shift, span])
+    # Variables [y, s]: planes become A y - s <= b, y keeps its box and s
+    # has none.
+    A1 = np.hstack([A_pl, -np.eye(mp)])
+    upper = np.concatenate([span, np.full(mp, np.inf)])
     c1 = np.concatenate([np.zeros(n), np.ones(mp)])
-    z, status = solve_inequality_lp(c1, A1, b1)
+    z, status = solve_inequality_lp(c1, A1, b_shift, upper)
     if status != "optimal":
         raise SimplexError("elastic relaxation is infeasible")
     v_min = float(c1 @ z)
 
-    A2 = np.vstack([A1, c1[None, :]])
-    b2 = np.concatenate([b1, [v_min + 1e-9]])
+    # Bounds would pivot after the violation row; the LP has always had it
+    # after the box rows, so this stage stacks the box as rows.
+    A2 = np.vstack([A1, np.hstack([np.eye(n), np.zeros((n, mp))]), c1[None, :]])
+    b2 = np.concatenate([b_shift, span, [v_min + 1e-9]])
     c2 = np.concatenate([objective, np.zeros(mp)])
     z, status = solve_inequality_lp(c2, A2, b2)
     if status != "optimal":

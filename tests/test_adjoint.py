@@ -284,6 +284,25 @@ def test_forcing_matches_the_full_product_bitwise(size, rows):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("pq", [2, 100, 5100, 1_000_000])
+@pytest.mark.parametrize("size", [None, 3])
+def test_forcing_matches_the_time_first_rows_on_a_shear_frame(size, pq):
+    # The time-contiguous drift columns go through H' in one product per
+    # response; the reference sends each time row of the time-first terms
+    # through it. A shear frame's H has two entries of +-1 per column, so
+    # each entry rounds once either way: the same length, bit for bit.
+    model = shear_frame(4)
+    gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+    C_d = np.zeros((4, 4)) if size is None else np.stack([c * np.eye(4) for c in (0.0, 150.0, 600.0)])
+    hist = newmark_solve(model, C_d, gm)
+    params = ConstraintParams(p=pq, q=pq)
+    value = evaluate_drift_constraint(hist, model, params)
+    got = dg_du_trajectory(hist, model, params, value=value)
+    want = full_product_dg_du(hist, model, params, value)
+    assert got.shape == want.shape == hist.u.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("pq", [600, 37100, 1_000_000])
 def test_truncated_adjoint_matches_stepwise_reference(pq):
     model, scenarios, C_d = scenario_batch(3)

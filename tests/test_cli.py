@@ -733,6 +733,26 @@ class TestMain:
         assert "did not converge: response to record 'noise' diverged" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["simulate", "failsafe"])
+    def test_indefinite_effective_stiffness_exits_3(self, tmp_path, capsys, mode):
+        # K + 4 M / dt^2 < 0 at dt = 0.02: no Newmark step exists, and the
+        # run ends in exit 3 naming the record and dt, not in a traceback.
+        model_path = tmp_path / "indefinite.yaml"
+        model_path.write_text(
+            "n_dof: 1\nmass: [[10.0]]\nstiffness: [[-2000000.0]]\n"
+            "inherent_damping: [[0.0]]\ninfluence: [1.0]\ndrift_transform: [[1.0]]\n"
+            "d_allow: [0.01]\ndampers:\n- row: [[1.0]]\n"
+        )
+        gm = synthetic_record(600, dt=0.02, seed=31, peak=1.55)
+        rec_path = tmp_path / "rec1.txt"
+        np.savetxt(rec_path, np.column_stack([gm.times, gm.accel]), fmt="%.8g")
+        argv = ["--model", str(model_path), "--records", str(rec_path), "--mode", mode]
+        code = main(argv + ["--cbar", "2000", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "record 'rec1' cannot be integrated at dt = 0.02" in err
+        assert "Traceback" not in err
+
     def test_rigid_body_mode_with_two_records_exits_2(self, tmp_path, capsys):
         # A free-floating frame has a zero lowest frequency, so no
         # fundamental period exists to rank the records at.

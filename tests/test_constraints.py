@@ -1,5 +1,7 @@
 """Smooth drift indices, aggregation, exact peaks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,7 +178,10 @@ class TestPrunedPowers:
         far = np.exp(-np.array([745.5, 745.0, 740.0, 720.0, 700.0]) / p)
         ratio = np.concatenate([[0.0, 5e-324], near, far, [0.5, 1.0]])
         ratio = np.stack([ratio, ratio[::-1]], axis=1).reshape(-1, 2, 2)
-        t, col, powers = pruned_powers(ratio, p)
+        # Time last, as the drift evaluation holds its columns.
+        t, col, powers = pruned_powers(np.moveaxis(ratio, 0, -1), p)
+        # Column by column, time ascending: the order each sum adds in.
+        assert np.array_equal(np.lexsort((t, col)), np.arange(t.size))
         dense = ratio.reshape(ratio.shape[0], -1) ** p
         rebuilt = np.zeros_like(dense)
         rebuilt[t, col] = powers
@@ -199,6 +204,65 @@ class TestPrunedPowers:
         assert np.abs(value.g - g_want).max() <= 1e-12 * np.abs(g_want).max()
         assert np.array_equal(value.d_max_exact, exact_peak(hist, model))
         assert np.array_equal(value.rho, normalized_drifts(hist, model))
+
+
+def per_row_constraint(history, model, params):
+    """Reference: drifts time first, each time row through H' as
+    (u @ H') / d_allow, then the time p-norms, peaks and aggregate with
+    every reduction over the time axis of that layout. Returns rho, d_tilde,
+    g and the exact peak."""
+    rho = (history.u @ model.drift_transform.T) / model.d_allow
+    magnitude = np.abs(rho)
+    w = time_weights(len(rho), history.dt)
+    peak = magnitude.max(axis=0)
+    scale = np.where(peak > 0, peak, 1.0)
+    flat = (magnitude / scale).reshape(len(rho), -1)
+    t, col = np.divmod(np.flatnonzero(flat > np.exp(-746.0 / params.p)), flat.shape[1])
+    weights = (w / (history.n_steps * history.dt))[t] * flat[t, col] ** params.p
+    s = np.bincount(col, weights=weights, minlength=scale.size)
+    d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
+    return rho, d_tilde, aggregate(d_tilde, params.q), peak.max(axis=-1)
+
+
+class TestTimeContiguousColumns:
+    @pytest.mark.parametrize("p", [2, 100, 5100, 1_000_000])
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_shear_frame_matches_the_per_row_reference_bitwise(self, size, p):
+        # Each drift of a shear frame is one difference of two
+        # displacements, rounded once in any product; every reduction is a
+        # max or adds each drift's terms in time order.
+        model = shear_frame(4)
+        gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+        C_d = np.zeros((4, 4)) if size is None else np.stack([c * np.eye(4) for c in (0.0, 150.0, 600.0)])
+        hist = newmark_solve(model, C_d, gm)
+        params = ConstraintParams(p=p, q=p)
+        value = evaluate_drift_constraint(hist, model, params)
+        rho, d_tilde, g, d_max = per_row_constraint(hist, model, params)
+        assert value.rho.shape == value.magnitude.shape == rho.shape
+        assert value.rho.tobytes() == rho.tobytes()
+        assert np.array_equal(value.magnitude, np.abs(rho))
+        assert np.moveaxis(value.rho, 0, -1).flags.c_contiguous
+        for got, want in ((value.d_tilde, d_tilde), (value.g, g), (value.d_max_exact, d_max)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_general_transform_matches_the_per_row_reference(self, size):
+        # A drift transform with general entries rounds its sums, in an
+        # order the kernel picks: a few ulps.
+        rng = np.random.default_rng(5)
+        model = replace(shear_frame(4), drift_transform=rng.standard_normal((4, 4)))
+        gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
+        C_d = np.zeros((4, 4)) if size is None else np.stack([c * np.eye(4) for c in (0.0, 150.0, 600.0)])
+        hist = newmark_solve(model, C_d, gm)
+        params = ConstraintParams(p=600, q=600)
+        value = evaluate_drift_constraint(hist, model, params)
+        rho, d_tilde, g, d_max = per_row_constraint(hist, model, params)
+        eps = np.finfo(float).eps
+        bound = 8 * eps * (np.abs(hist.u) @ np.abs(model.drift_transform).T) / model.d_allow
+        assert np.all(np.abs(value.rho - rho) <= bound)
+        assert np.abs(value.d_tilde - d_tilde).max() <= 16 * eps * d_tilde.max()
+        assert np.abs(value.g - g).max() <= 16 * eps * np.abs(g + 1.0).max()
+        assert np.abs(value.d_max_exact - d_max).max() <= 8 * eps * d_max.max()
 
 
 class TestSandwich:

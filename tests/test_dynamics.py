@@ -581,6 +581,27 @@ def test_diverged_response_raises_convergence_error():
         newmark_solve(model, np.zeros((2, 4, 4)), gm)
 
 
+@pytest.mark.parametrize("C_d", [np.zeros((1, 1)), np.zeros((2, 1, 1))], ids=["one", "stack"])
+def test_indefinite_effective_stiffness_raises_convergence_error(C_d):
+    # K + 4 M / dt^2 = -2e6 + 1e5 < 0: no Newmark step exists at this dt.
+    model = StructuralModel(
+        mass=[[10.0]],
+        stiffness=[[-2.0e6]],
+        inherent_damping=[[0.0]],
+        influence=[1.0],
+        drift_transform=[[1.0]],
+        d_allow=[0.01],
+        damper_transforms=(np.array([[1.0]]),),
+    )
+    gm = synthetic_record(600, dt=0.02, seed=1, name="quake")
+    with pytest.raises(
+        ConvergenceError,
+        match=r"record 'quake' cannot be integrated at dt = 0\.02: effective stiffness "
+        r"matrix is singular or indefinite",
+    ):
+        newmark_solve(model, C_d, gm)
+
+
 @pytest.mark.parametrize(
     "n_steps, seed, row", [(1500, 1, "fill"), (1200, 2, "carry"), (900, 3, "fill")]
 )

@@ -149,6 +149,16 @@ def dense_tableau_lp(c, A, b, *, tol=1e-10):
     return np.maximum(x, 0.0), "optimal"
 
 
+def stacked(A, b, upper=None):
+    """The LP that ``solve_inequality_lp(c, A, b, upper)`` solves, in the
+    three-argument form: a row x_j <= upper_j under (A, b) for each finite
+    bound."""
+    if upper is None:
+        return A, b
+    boxed = np.flatnonzero(np.isfinite(upper))
+    return np.vstack([A, np.eye(A.shape[1])[boxed]]), np.concatenate([b, upper[boxed]])
+
+
 def random_cutting_plane_lp(rng, n, m_planes):
     """A move-limit-box LP shaped like the SLP sub-problems, with the cases
     that exercise the simplex: negative right-hand sides (phase 1),
@@ -315,8 +325,8 @@ class TestPhaseOne:
         # run's LPs are infeasible inside their boxes.
         lps = []
 
-        def spy(c, A, b):
-            lps.append((c, A, b, real(c, A, b)))
+        def spy(c, A, b, upper=None):
+            lps.append((c, *stacked(A, b, upper), real(c, A, b, upper)))
             return lps[-1][-1]
 
         real = optimizer.solve_inequality_lp
@@ -464,6 +474,92 @@ class TestPresolve:
         assert np.abs(x - x_ref).max() <= 1e-12
         keep = _rows_that_can_bind(A, b)
         assert solve_inequality_lp(np.ones(2), A[keep], b[keep]) == (None, "infeasible")
+
+
+def split_box(A, b):
+    """``A y <= b`` whose last n rows are the box y <= span, as the planes
+    and the bounds `solve_lp` passes."""
+    n = A.shape[1]
+    assert np.array_equal(A[-n:], np.eye(n))
+    return A[:-n], b[:-n], b[-n:]
+
+
+def assert_same_solution(got, want):
+    (x, status), (x_ref, status_ref) = got, want
+    assert status == status_ref
+    assert (x is None) == (x_ref is None)
+    if x is not None:
+        assert x.tobytes() == x_ref.tobytes()
+
+
+class TestBounds:
+    def test_bounds_match_the_stacked_rows_bitwise(self):
+        # The bounds pivot as the box rows stacked under the planes: the
+        # same x, bit for bit, and the same status, also for the elastic
+        # stage, whose violation columns have no bound.
+        rng = np.random.default_rng(19)
+        statuses = []
+        for m_planes in (3, 10, 30, 60, 120, 200, 300):
+            for _ in range(4):
+                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
+                A, b, _ = with_far_planes(rng, A, b, m_planes)
+                A_pl, b_pl, span = split_box(A, b)
+                mp, n = A_pl.shape
+                c_el, A_el, _ = elastic_lp(A, b)
+                upper_el = np.concatenate([span, np.full(mp, np.inf)])
+                for c_k, A_k, b_k, u_k in ((c, A_pl, b_pl, span), (c_el, A_el[:mp], b_pl, upper_el)):
+                    got = solve_inequality_lp(c_k, A_k, b_k, u_k)
+                    assert_same_solution(got, solve_inequality_lp(c_k, *stacked(A_k, b_k, u_k)))
+                    statuses.append(got[1])
+        assert "infeasible" in statuses and "optimal" in statuses
+
+    @pytest.mark.parametrize("name", ["w2_200_cycling_lp", "w2_1000_swapped_cycling_lp"])
+    def test_cycling_lp_with_its_box_as_bounds_still_cycles(self, name, monkeypatch):
+        # The stored cycling LPs of ROADMAP item 2, split into planes and
+        # box: as many pivots as stacked, the box rows counted in the
+        # budget, so the budget still runs out.
+        lp = np.load(DATA / f"{name}.npz")
+        pivots = [0]
+
+        def spy_pivot(*args):
+            pivots[-1] += 1
+            real_pivot(*args)
+
+        real_pivot = _simplex._pivot
+        monkeypatch.setattr(_simplex, "_pivot", spy_pivot)
+        for args in ((lp["A"], lp["b"]), split_box(lp["A"], lp["b"])):
+            with pytest.raises(SimplexError, match="pivot budget exhausted"):
+                solve_inequality_lp(lp["c"], *args)
+            pivots.append(0)
+        assert pivots[1] == pivots[0] > 1000
+
+    def test_presolve_mask_from_bounds_matches_the_stacked_rows(self):
+        # The same kept planes, with the box given as bounds as with it
+        # stacked as rows (which are singletons, always kept): also with
+        # singleton planes that tighten a bound, a bound below zero (no
+        # bound, as for a row with a negative rhs) and unbounded columns.
+        rng = np.random.default_rng(23)
+        for m_planes in (3, 30, 120):
+            for _ in range(6):
+                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
+                A, b, _ = with_far_planes(rng, A, b, m_planes)
+                A_pl, b_pl, span = split_box(A, b)
+                n = span.size
+                j = rng.choice(n, 2, replace=False)
+                tight = np.zeros((2, n))
+                tight[[0, 1], j] = [2.0, 0.5]
+                A_pl = np.vstack([A_pl, tight])
+                b_pl = np.concatenate([b_pl, [0.5 * span[j[0]], 0.3 * span[j[1]]]])
+                if rng.random() < 0.5:
+                    span = span.copy()
+                    span[rng.integers(n)] = -0.1
+                mp = A_pl.shape[0]
+                _, A_el, _ = elastic_lp(*stacked(A_pl, b_pl, span))
+                upper_el = np.concatenate([span, np.full(mp, np.inf)])
+                for A_k, u_k in ((A_pl, span), (A_el[:mp], upper_el)):
+                    old = _rows_that_can_bind(*stacked(A_k, b_pl, u_k))
+                    assert old[mp:].all()
+                    assert np.array_equal(_rows_that_can_bind(A_k, b_pl, u_k), old[:mp])
 
 
 def fullset_problem():
@@ -770,9 +866,9 @@ class TestSlpSolve:
                 lps.append(real_lp(*args, **kwargs))
                 return lps[-1]
 
-            def spy_simplex(c, A, b):
-                dropped.append(int(np.sum(~_rows_that_can_bind(A, b))))
-                return solver(c, A, b)
+            def spy_simplex(c, A, b, upper=None):
+                dropped.append(int(np.sum(~_rows_that_can_bind(A, b, upper))))
+                return solver(c, A, b, upper)
 
             monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
             monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
@@ -782,7 +878,7 @@ class TestSlpSolve:
 
         real_lp = optimizer.solve_lp
         res, lps, dropped = run(solve_inequality_lp)
-        ref, ref_lps, _ = run(dense_tableau_lp)
+        ref, ref_lps, _ = run(lambda c, A, b, upper: dense_tableau_lp(c, *stacked(A, b, upper)))
         assert dropped > 0
         assert "elastic" in [lp.status for lp in lps]
         assert any(lp.binding for lp in lps)
@@ -799,9 +895,29 @@ class TestSlpSolve:
         assert active == [r.n_active_planes for r in ref.history]
         assert active[-1] == enabled.sum() < len(res.planes)
 
+    def test_lps_of_the_loop_solve_alike_with_their_box_stacked(self, monkeypatch):
+        # Every simplex call of a run that goes elastic and retires planes,
+        # re-solved with its bounds stacked as rows: bit for bit the same.
+        model, scenarios, gm, design0 = fullset_problem()
+        calls = []
+        real_simplex = optimizer.solve_inequality_lp
+
+        def spy_simplex(c, A, b, upper=None):
+            calls.append((c, A, b, upper))
+            return real_simplex(c, A, b, upper)
+
+        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
+        res = slp_solve(model, scenarios, [gm], design0, SlpConfig(i_min=20, i_max=20, ml=0.05))
+        assert "elastic" in [r.lp_status for r in res.history]
+        assert any(upper is not None and np.isinf(upper).any() for *_, upper in calls)
+        for c, A, b, upper in calls:
+            assert_same_solution(
+                solve_inequality_lp(c, A, b, upper), solve_inequality_lp(c, *stacked(A, b, upper))
+            )
+
     def test_lp_rows_from_the_plane_arrays_match_the_plane_records(self, monkeypatch):
-        # Every LP's (A, b) as the simplex receives it, bit for bit the one
-        # assembled plane by plane from the records of the enabled planes,
+        # Every LP's (A, b) as the simplex receives it, its box stacked as
+        # rows, bit for bit the one assembled plane by plane from the records of the enabled planes,
         # also once planes have been retired; and its binding set, the
         # enabled planes whose records predict ghat >= -margin at its x.
         model, scenarios, gm, design0 = fullset_problem()
@@ -819,10 +935,10 @@ class TestSlpSolve:
             )))
             return lp
 
-        def spy_simplex(c, A, b):
+        def spy_simplex(c, A, b, upper=None):
             if len(got) < len(want):  # the first call of each LP
-                got.append((A, b))
-            return real_simplex(c, A, b)
+                got.append(stacked(A, b, upper))
+            return real_simplex(c, A, b, upper)
 
         monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
         monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)

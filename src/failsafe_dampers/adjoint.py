@@ -150,6 +150,7 @@ def accumulate_gradient(
     scenario: Scenarios,
     velocities: np.ndarray,
     lambda_u: np.ndarray,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Contract velocities and adjoint displacements with dC_d/dx.
 
@@ -160,12 +161,17 @@ def accumulate_gradient(
     1..k of ``lambda_u``, which may stop at the last row k that
     `solve_adjoint` returns: the velocities' later rows would meet zeros.
     A list of B scenarios with batched (N+1, B, n) velocities and (k+1, B, n)
-    adjoint displacements gives shape (B, n_dampers).
+    adjoint displacements gives shape (B, n_dampers). With ``index`` (B,),
+    the responses are those of the distinct systems of the scenarios'
+    stack (see `distinct_matrices`): each scenario takes its system's
+    per-row sums and scales them by its own multipliers.
     """
     rows = model.damper_rows
     per_row = np.sum(
         (velocities[1 : len(lambda_u)] @ rows.T) * (lambda_u[1:] @ rows.T), axis=0
     )
+    if index is not None:
+        per_row = per_row[index]
     scales = damper_scales(model, scenario)
     return design.c_bar * scales * (per_row @ model.row_owner)
 
@@ -180,6 +186,7 @@ def adjoint_gradient(
     C_d: np.ndarray | None = None,
     history: ResponseHistory | None = None,
     value: ConstraintValue | None = None,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the scenario's aggregated drift constraint.
 
@@ -191,17 +198,21 @@ def adjoint_gradient(
     `newmark_solve` integrates it, so the starting state does not depend
     on the design. A list of B scenarios (with, if given, their batched
     history) gives every gradient from one batched sweep, shape
-    (B, n_dampers).
+    (B, n_dampers). With ``index``, ``C_d`` and ``history`` hold only the
+    distinct systems of the scenarios' stack, and scenario b's is
+    ``index[b]`` (see `distinct_matrices`).
     """
     if value is not None and history is None:
         raise ValueError("a constraint value needs the history it came from")
+    if index is not None and (C_d is None or history is None):
+        raise ValueError("an index needs the damping and history of its systems")
     if C_d is None:
         C_d = assemble_added_damping(model, design, scenario)
     if history is None:
         history = newmark_solve(model, C_d, gm)
     forcing = dg_du_trajectory(history, model, params, value=value)
     lambda_u = solve_adjoint(model, C_d, history, forcing)
-    return accumulate_gradient(model, design, scenario, history.v, lambda_u)
+    return accumulate_gradient(model, design, scenario, history.v, lambda_u, index)
 
 
 def fd_gradient(

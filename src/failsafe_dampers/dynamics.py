@@ -189,7 +189,7 @@ def _step_terms(M_bytes, K_bytes, n, dt, beta, gamma):
     return c0, *arrays
 
 
-def _integrate(M, C, K, load, a0, dt):
+def _integrate(M, C, K, load, a0, dt, batch=None):
     """Newmark recurrence from rest on raw matrices; returns the states
     (N+1, ..., 3n), the powers of P they were swept with and Q.
 
@@ -198,7 +198,8 @@ def _integrate(M, C, K, load, a0, dt):
     that share M, K and the load and go through one time loop; the states
     then have shape (N+1, B, 3n). With P and Q from `transition_matrices`,
     each row Q f_{i+1} is written in place, and `transition_sweep` adds
-    P s_i to it with the powers of the block `block_length` picks.
+    P s_i to it with the powers of the block `block_length` picks for
+    ``batch`` systems (see there).
     """
     n = M.shape[0]
     P, Q = transition_matrices(M, C, K, dt)
@@ -207,17 +208,20 @@ def _integrate(M, C, K, load, a0, dt):
     S[0, ..., : 2 * n] = 0.0
     S[0, ..., 2 * n :] = a0
     np.matmul(load[1:], Q.mT, out=S[1:].swapaxes(0, -2))
-    powers = transition_powers(P, block_length(P, len(S) - 1))
+    powers = transition_powers(P, block_length(P, len(S) - 1, batch))
     transition_sweep(powers, S)
     return S, powers, Q
 
 
-def block_length(P, n_rows):
+def block_length(P, n_rows, batch=None):
     """`transition_sweep`'s block for ``n_rows`` rows of ``P`` (..., m, m):
     the L in 1..floor(sqrt(n_rows)) with the least modelled cost (see
     `_CARRY_S`), 1 being row by row. A stable step keeps P's powers bounded,
-    damped or not, so every L is safe."""
-    return _block_length(math.prod(P.shape[:-2]), P.shape[-1], n_rows)
+    damped or not, so every L is safe. ``batch`` is the stack size the cost
+    is modelled for, P's own by default: the distinct systems of a larger
+    stack sweep in that stack's block, so that their trajectories are the
+    whole stack's bit for bit."""
+    return _block_length(batch or math.prod(P.shape[:-2]), P.shape[-1], n_rows)
 
 
 @functools.lru_cache(maxsize=256)
@@ -294,6 +298,7 @@ def newmark_solve(
     model: StructuralModel,
     C_d: np.ndarray,
     gm: GroundMotion,
+    batch: int | None = None,
 ) -> ResponseHistory:
     """Integrate the damped equations of motion under a ground motion.
 
@@ -309,6 +314,10 @@ def newmark_solve(
     gm : GroundMotion
         Record integrated from rest at its native time step, with the
         average acceleration scheme (`BETA` = 1/4, `GAMMA` = 1/2).
+    batch : int, optional
+        Size of the stack whose distinct matrices ``C_d`` holds (see
+        `distinct_matrices`): the sweep runs in that stack's block, so each
+        response is the one the whole stack gives, bit for bit.
 
     The effective stiffness is factorized once per matrix to build P and Q
     of the recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to
@@ -328,7 +337,7 @@ def newmark_solve(
     C = model.inherent_damping + C_d
     load, a0 = _record_load(model, gm)
     try:
-        S, powers, Q = _integrate(model.mass, C, model.stiffness, load, a0, gm.dt)
+        S, powers, Q = _integrate(model.mass, C, model.stiffness, load, a0, gm.dt, batch)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"response to record '{gm.name}' cannot be integrated at dt = {gm.dt:g}: {exc}"

@@ -308,3 +308,24 @@ def assemble_added_damping(
     rows = model.damper_rows
     # sum_k c_k T_k' T_k = sum_r c_owner(r) t_r' t_r over the stacked rows.
     return (rows.T * (coeffs @ model.row_owner.T)[..., None, :]) @ rows
+
+
+def distinct_matrices(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct matrices of a (B, n, n) stack and where each matrix is.
+
+    Matrices are told apart by their bytes and kept in the order of their
+    first occurrence; ``index`` (B,) gives each matrix's position among
+    them, so ``distinct[index]`` is ``stack`` bit for bit; a stack of two
+    or more equal matrices gives two of them. A design with zero dampers
+    repeats the intact matrix in every scenario that fails only those, and
+    a batched sweep of the distinct ones gives the same responses.
+    """
+    first, keep, index = {}, [], []
+    for b, matrix in enumerate(stack):
+        i = first.setdefault(matrix.tobytes(), len(first))
+        if i == len(keep):
+            keep.append(b)
+        index.append(i)
+    # Two systems at least: numpy multiplies a single row with its
+    # vector-matrix kernel, which rounds the gradient's contraction otherwise.
+    return stack[keep if len(keep) > 1 else slice(2)], np.array(index, dtype=np.intp)

@@ -28,7 +28,7 @@ from ._simplex import SimplexError, solve_inequality_lp
 from .adjoint import adjoint_gradient
 from .constraints import ConstraintParams, evaluate_drift_constraint
 from .dynamics import GroundMotion, newmark_solve
-from .model import DesignVector, StructuralModel, assemble_added_damping
+from .model import DesignVector, StructuralModel, assemble_added_damping, distinct_matrices
 from .scenarios import FailureScenario
 
 logger = logging.getLogger(__name__)
@@ -44,10 +44,15 @@ P_CAP = 1_000_000
 @dataclass
 class EvalCounter:
     """Tally of time-history and adjoint solves, one per (scenario, record)
-    pair, however many pairs share a batched sweep."""
+    pair, however many pairs share a batched sweep, and of the systems those
+    sweeps integrated: a batch sweeps each distinct damping matrix of its
+    stack once (see `distinct_matrices`), so scenarios that fail only zero
+    dampers share one system."""
 
     n_primal: int = 0
     n_adjoint: int = 0
+    n_primal_systems: int = 0
+    n_adjoint_systems: int = 0
 
     @property
     def total(self) -> int:
@@ -318,20 +323,24 @@ def slp_solve(
         design = DesignVector(x=x, c_bar=design0.c_bar)
 
         # One batched primal and adjoint sweep per record covers every
-        # working scenario.
-        C_d = assemble_added_damping(model, design, working_scenarios)
+        # working scenario, each distinct damping matrix once.
+        C_d, index = distinct_matrices(
+            assemble_added_damping(model, design, working_scenarios)
+        )
         g = np.empty((len(working_scenarios), len(records)))
         grads = np.empty(g.shape + (n_d,))
         for r, gm in enumerate(records):
-            hist = newmark_solve(model, C_d, gm)
+            hist = newmark_solve(model, C_d, gm, len(index))
             value = evaluate_drift_constraint(hist, model, params)
-            g[:, r] = value.g
+            g[:, r] = value.g[index]
             grads[:, r] = adjoint_gradient(
                 model, design, working_scenarios, gm, params,
-                C_d=C_d, history=hist, value=value,
+                C_d=C_d, history=hist, value=value, index=index,
             )
             counter.n_primal += len(working_scenarios)
             counter.n_adjoint += len(working_scenarios)
+            counter.n_primal_systems += len(C_d)
+            counter.n_adjoint_systems += len(C_d)
 
         planes.append(grads.reshape(-1, n_d), g.ravel(), x)
         g_max_true = float(g.max())

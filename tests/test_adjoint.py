@@ -366,6 +366,27 @@ def test_batched_g_and_gradients_match_per_pair_loop(size, monkeypatch):
             assert np.all(got[list(sc.damaged)] == 0.0)
 
 
+def test_an_index_needs_the_systems_it_points_into():
+    # Without the distinct systems' damping and history the gradient would
+    # sweep the whole stack, or the distinct one in its own block.
+    model, scenarios, C_d = scenario_batch(3)
+    design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
+    gm = synthetic_record(100, dt=0.01, seed=3, peak=2.0)
+    params = ConstraintParams(p=8, q=8)
+    hist = newmark_solve(model, C_d, gm)
+    index = np.arange(3)
+    with pytest.raises(ValueError, match="an index needs"):
+        adjoint_gradient(model, design, scenarios, gm, params, C_d=C_d, index=index)
+    with pytest.raises(ValueError, match="an index needs"):
+        adjoint_gradient(model, design, scenarios, gm, params, history=hist, index=index)
+    given = adjoint_gradient(
+        model, design, scenarios, gm, params, C_d=C_d, history=hist, index=index
+    )
+    assert given.tobytes() == adjoint_gradient(
+        model, design, scenarios, gm, params, C_d=C_d, history=hist
+    ).tobytes()
+
+
 class TestAccumulationKernel:
     def test_partial_failure_scales_linearly(self, frame_2dof):
         rng = np.random.default_rng(3)

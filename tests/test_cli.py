@@ -386,6 +386,45 @@ class TestReports:
         assert header[-1] == "threshold"
         assert all(row[-1] == 1.0 for row in rows)
 
+    def test_constraint_report_at_zero_dampers_is_the_whole_stacks(self, monkeypatch):
+        # Dampers 0-11 at size zero: the 137 scenarios hold at most 15
+        # distinct matrices, each swept once, and every row is bitwise the
+        # one of a sweep of the whole stack.
+        from failsafe_dampers import ConstraintParams, enumerate_scenarios
+        from failsafe_dampers import evaluate_drift_constraint
+        from failsafe_dampers.cli import report_constraints
+        from failsafe_dampers.model import assemble_added_damping, distinct_matrices
+
+        model = frame_with_redundant_dampers(n_stories=4, per_story=4)
+        records = [
+            synthetic_record(120, dt=0.02, seed=s, peak=0.5, name=f"r{s}") for s in (1, 2)
+        ]
+        scen = enumerate_scenarios(16, 1, 2, nu=0.5)
+        design = DesignVector(x=np.r_[np.zeros(12), 0.2, 0.4, 0.6, 0.8], c_bar=100.0)
+        params = ConstraintParams(p=100, q=100)
+        sizes = []
+
+        def spy(model, C_d, gm, *args):
+            sizes.append(len(C_d))
+            return newmark_solve(model, C_d, gm, *args)
+
+        monkeypatch.setattr(cli, "newmark_solve", spy)
+        _, rows = report_constraints(design, model, scen, records, params)
+        stack = assemble_added_damping(model, design, list(scen))
+        n_distinct = len(distinct_matrices(stack)[0])
+        assert sizes == [n_distinct] * 2 and n_distinct <= 15
+        values = [
+            evaluate_drift_constraint(newmark_solve(model, stack, gm), model, params)
+            for gm in records
+        ]
+        want = [
+            (sc.id, gm.name, float(v.g[i]), float(v.d_max_exact[i]))
+            for i, sc in enumerate(scen)
+            for gm, v in zip(records, values)
+        ]
+        got = [(row[0], row[3], row[4], row[6]) for row in rows]
+        assert got == want
+
 
 class TestDefaults:
     def test_cli_defaults_reproduce_reference_settings(self):
@@ -950,6 +989,32 @@ class TestMain:
         assert constraints[0].endswith("threshold")
         drifts = list((out / "drifts").glob("drifts_s*_quake.csv"))
         assert len(drifts) == 11
+
+    def test_exported_drifts_are_the_whole_stacks(self, tmp_path):
+        # The run ends with dampers at size zero, so some scenarios share a
+        # damping matrix and one sweep; every drift file is byte for byte
+        # the one a sweep of the whole stack writes.
+        from failsafe_dampers import enumerate_scenarios
+        from failsafe_dampers.model import assemble_added_damping
+
+        model, model_path, rec_path = write_inputs(tmp_path, n_steps=200)
+        out = tmp_path / "out"
+        argv = ["--model", str(model_path), "--records", str(rec_path), "--complete-k", "1"]
+        argv += ["--partial-k", "2", "--cbar", "800", "--imin", "5", "--imax", "80"]
+        assert main(argv + ["--export-drifts", "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        evals = manifest["function_evaluations"]
+        assert evals["total"] == evals["primal"] + evals["adjoint"]
+        assert 0 < evals["adjoint_systems"] <= evals["adjoint"]
+        assert 0 < evals["primal_systems"] < evals["primal"]
+        design = DesignVector(x=manifest["design"]["x"], c_bar=800.0)
+        scen = enumerate_scenarios(4, 1, 2, nu=0.5)
+        gm = load_ground_motion(rec_path)
+        hist = newmark_solve(model, assemble_added_damping(model, design, list(scen)), gm)
+        ref = tmp_path / "ref.csv"
+        for i, sc in enumerate(scen):
+            cli.write_drift_history(ref, model, hist.times, hist.u[:, i])
+            assert (out / "drifts" / f"drifts_s{sc.id:04d}_quake.csv").read_bytes() == ref.read_bytes()
 
 
 def test_cli_import_leaves_scipy_out():

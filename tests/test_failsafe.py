@@ -27,6 +27,8 @@ from failsafe_dampers import (
 )
 from failsafe_dampers import adjoint, dynamics, failsafe, optimizer
 from failsafe_dampers import model as model_mod
+from failsafe_dampers.adjoint import accumulate_gradient, dg_du_trajectory, solve_adjoint
+from failsafe_dampers.dynamics import ResponseHistory
 from failsafe_dampers._simplex import SimplexError
 from failsafe_dampers.optimizer import EvalCounter
 
@@ -158,6 +160,127 @@ class TestEvaluateAll:
                 c_bar=1000.0,
                 slp_config=SlpConfig(i_min=2, i_max=5),
             )
+
+
+def full_stack_reference(model, design, scenarios, gm, params):
+    """g and gradients of every scenario from the whole (B, n, n) stack,
+    repeats included: the states from `transition_matrices`,
+    `transition_powers` and `transition_sweep` in the block `block_length`
+    picks for all B systems, then the drift evaluation, dg/du, the adjoint
+    and the contraction on all B."""
+    n = model.n_dof
+    C_d = assemble_added_damping(model, design, scenarios)
+    P, Q = dynamics.transition_matrices(
+        model.mass, model.inherent_damping + C_d, model.stiffness, gm.dt
+    )
+    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    S = np.empty((len(load), len(C_d), 3 * n))
+    S[0, :, : 2 * n] = 0.0
+    S[0, :, 2 * n :] = np.linalg.solve(model.mass, load[0])
+    S[1:] = (load[1:] @ Q.mT).swapaxes(0, 1)
+    powers = dynamics.transition_powers(P, dynamics.block_length(P, gm.n_steps))
+    dynamics.transition_sweep(powers, S)
+    hist = ResponseHistory(S[..., :n], S[..., n : 2 * n], S[..., 2 * n :], gm.dt, powers, Q)
+    value = evaluate_drift_constraint(hist, model, params)
+    forcing = dg_du_trajectory(hist, model, params, value=value)
+    lambda_u = solve_adjoint(model, C_d, hist, forcing)
+    return value.g, accumulate_gradient(model, design, scenarios, hist.v, lambda_u)
+
+
+def assert_planes_are_the_reference(planes, refs):
+    """Each plane's intercept and gradient, scenario-major over the records,
+    bit for bit those of `full_stack_reference` (one per record)."""
+    planes = list(planes)
+    assert len(planes) == len(refs) * len(refs[0][0])
+    for k, plane in enumerate(planes):
+        s, r = divmod(k, len(refs))
+        g, grads = refs[r]
+        assert np.float64(plane.intercept).tobytes() == g[s].tobytes()
+        assert plane.gradient.tobytes() == grads[s].tobytes()
+
+
+class TestDistinctSystems:
+    """A batch sweeps each distinct damping matrix of its stack once: the
+    scenarios that fail only zero dampers share the intact matrix."""
+
+    @pytest.mark.parametrize("n_steps, nonzero", [(300, [0, 5, 10]), (2000, [1, 4, 8, 11, 14])])
+    def test_paper_scale_stack_is_bitwise_the_whole_stack(self, n_steps, nonzero):
+        # W2's 137 scenarios at a design with 13 and 11 zero dampers sweep 10
+        # and 21 systems. The whole stack's block differs from the one the
+        # rule picks for so few, so this also pins the block to the stack's.
+        model, records, scenario_set = paper_scale_problem(n_steps)
+        scenarios = list(scenario_set)
+        x = np.zeros(16)
+        x[nonzero] = np.linspace(0.3, 0.9, len(nonzero))
+        design = DesignVector(x=x, c_bar=2000.0)
+        stack = assemble_added_damping(model, design, scenarios)
+        distinct, _ = model_mod.distinct_matrices(stack)
+        k = len(nonzero)
+        assert len(distinct) == 1 + 2 * k + k * (k - 1) // 2
+        m = 3 * model.n_dof
+        assert dynamics._block_length(len(stack), m, n_steps) != dynamics._block_length(
+            len(distinct), m, n_steps
+        )
+        params = ConstraintParams(p=1000, q=1000)
+        refs = [full_stack_reference(model, design, scenarios, gm, params) for gm in records]
+
+        res = optimizer.slp_solve(
+            model, scenarios, records, design, SlpConfig(i_min=1, i_max=1, p_start=1000)
+        )
+        assert_planes_are_the_reference(res.planes, refs)
+        g = evaluate_all(design, model, scenario_set, records, params)
+        want = np.full(len(scenarios), -np.inf)
+        for g_rec, _ in refs:
+            want = np.maximum(want, g_rec)
+        assert g.tobytes() == want.tobytes()
+        # A completely failed damper gets an exactly zero component.
+        for plane in res.planes:
+            sc = scenario_set[plane.scenario_id]
+            if sc.factor == 0.0:
+                assert np.all(plane.gradient[list(sc.damaged)] == 0.0)
+
+    def test_two_equal_matrices_keep_the_parents_bits(self):
+        # The intact frame and damper 0 failed, at a design where damper 0
+        # has size zero: one matrix twice. Sweeping it as a single system
+        # would round the contraction's products in numpy's one-row kernels.
+        model = frame_with_redundant_dampers(d_allow=0.012)
+        gm = synthetic_record(300, dt=0.02, seed=31, peak=1.55)
+        scenarios = list(enumerate_scenarios(4, 1, 1, nu=0.5))[:2]
+        assert [sc.damaged for sc in scenarios] == [(), (0,)]
+        design = DesignVector(x=[0.0, 0.6, 0.3, 0.8], c_bar=800.0)
+        stack = assemble_added_damping(model, design, scenarios)
+        assert stack[0].tobytes() == stack[1].tobytes()
+        refs = [full_stack_reference(model, design, scenarios, gm, ConstraintParams())]
+        res = optimizer.slp_solve(model, scenarios, [gm], design, SlpConfig(i_min=1, i_max=1))
+        assert_planes_are_the_reference(res.planes, refs)
+
+    @pytest.mark.parametrize("x, n_systems", [([0.0, 0.6, 0.0, 0.8], 6), ([0.9, 0.6, 0.3, 0.8], 11)])
+    def test_sweeps_see_each_distinct_matrix_once(self, x, n_systems, monkeypatch):
+        # 11 scenarios; with dampers 0 and 2 at zero, four of them (intact,
+        # 0 failed, 2 failed, both at half) are the intact frame and two
+        # pairs more coincide.
+        model = frame_with_redundant_dampers(d_allow=0.012)
+        gm = synthetic_record(200, dt=0.02, seed=31, peak=1.55)
+        scen = enumerate_scenarios(4, 1, 2, nu=0.5)
+        design = DesignVector(x=x, c_bar=800.0)
+        seen = []
+
+        def spy(model, C_d, gm, *args):
+            seen.append((len(C_d), args))
+            return real(model, C_d, gm, *args)
+
+        real = dynamics.newmark_solve
+        monkeypatch.setattr(failsafe, "newmark_solve", spy)
+        monkeypatch.setattr(optimizer, "newmark_solve", spy)
+        counter = EvalCounter()
+        evaluate_all(design, model, scen, [gm], ConstraintParams(), counter)
+        optimizer.slp_solve(
+            model, list(scen), [gm], design, SlpConfig(i_min=1, i_max=1), counter=counter
+        )
+        assert seen == [(n_systems, (11,))] * 2
+        assert (counter.n_primal, counter.n_adjoint) == (22, 11)
+        assert (counter.n_primal_systems, counter.n_adjoint_systems) == (2 * n_systems, n_systems)
+        assert counter.total == 33
 
 
 @pytest.fixture(scope="module")

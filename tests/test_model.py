@@ -14,7 +14,7 @@ from failsafe_dampers import (
     enumerate_scenarios,
     no_failure,
 )
-from failsafe_dampers.model import damper_scales
+from failsafe_dampers.model import damper_scales, distinct_matrices
 
 from conftest import shear_frame
 
@@ -354,3 +354,34 @@ def test_out_of_range_damper_raises_on_every_call():
             damper_scales(model, scenarios)
     # The same scenarios on a model with enough dampers have scales.
     assert damper_scales(shear_frame(5), scenarios)[1].tolist() == [1, 1, 1, 1, 0.5]
+
+
+class TestDistinctMatrices:
+    def test_zero_dampers_repeat_the_intact_matrix(self, frame_2dof):
+        # Damper 0 has size zero: failing it, alone or with damper 1 at half
+        # capacity, leaves the intact matrix and the half-damper-1 one.
+        design = DesignVector(x=[0.0, 0.6], c_bar=1000.0)
+        scenarios = enumerate_scenarios(2, 1, 2, nu=0.5)
+        stack = assemble_added_damping(frame_2dof, design, scenarios)
+        distinct, index = distinct_matrices(stack)
+        assert [sc.damaged for sc in scenarios] == [(), (0,), (1,), (0, 1)]
+        assert index.tolist() == [0, 0, 1, 2]
+        assert distinct.tobytes() == stack[[0, 2, 3]].tobytes()
+        assert distinct[index].tobytes() == stack.tobytes()
+
+    def test_first_occurrence_order(self):
+        a, b, c = (np.full((2, 2), v) for v in (3.0, 1.0, 2.0))
+        distinct, index = distinct_matrices(np.stack([a, b, a, c, b]))
+        assert index.tolist() == [0, 1, 0, 2, 1]
+        assert distinct.tobytes() == np.stack([a, b, c]).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_one_matrix_keeps_two_systems(self, size):
+        # A single system would take numpy's one-row kernels, which round
+        # the gradient's contraction unlike the stack's.
+        stack = np.zeros((size, 3, 3))
+        distinct, index = distinct_matrices(stack)
+        assert index.tolist() == [0] * size
+        assert len(distinct) == min(size, 2)
+        assert distinct[index].tobytes() == stack.tobytes()
+

@@ -50,8 +50,8 @@ def dg_du_trajectory(
     *,
     value: ConstraintValue | None = None,
 ) -> np.ndarray:
-    """dg/du_i for every time sample, shape (N+1, n_dof), or (N+1, B, n_dof)
-    for a batched history.
+    """dg/du_i for every time sample, shape (N+1, n_dof), or
+    (N+1, B_swept, n_dof) for a batched history, the history's own shape.
 
     Chain rule through the time p-norm and the q-aggregation: with
     rho_ji = (H u_i)_j / d_allow_j,
@@ -122,12 +122,14 @@ def solve_adjoint(
     Returns lambda over rows 0..k, shape (k+1, n), row 0 zero; every later
     row would be zero. Zero forcing sweeps nothing and gives one row.
     A (B, n, n) stack ``C_d`` with a batched history and forcing
-    (N+1, B, n) sweeps the B systems in one loop; lambda is (k+1, B, n).
+    (N+1, B_swept, n) sweeps the history's systems in one loop; lambda is
+    (k+1, B_swept, n).
     """
     n = model.n_dof
     if forcing.shape != history.u.shape:
         raise ValueError(f"forcing shape {forcing.shape} does not match history")
-    if np.shape(C_d)[:-2] != forcing.shape[1:-1]:
+    stack = forcing.shape[1:-1] if history.index is None else history.index.shape
+    if np.shape(C_d)[:-2] != stack:
         raise ValueError(f"damping shape {np.shape(C_d)} does not match the history")
     if history.powers is None:
         raise ValueError("the history carries no transition matrices to sweep")
@@ -162,9 +164,9 @@ def accumulate_gradient(
     `solve_adjoint` returns: the velocities' later rows would meet zeros.
     A list of B scenarios with batched (N+1, B, n) velocities and (k+1, B, n)
     adjoint displacements gives shape (B, n_dampers). With ``index`` (B,),
-    the responses are those of the distinct systems of the scenarios'
-    stack (see `distinct_matrices`): each scenario takes its system's
-    per-row sums and scales them by its own multipliers.
+    the responses are those of the systems a history swept for the
+    scenarios' stack (see `ResponseHistory.index`): each scenario takes its
+    system's per-row sums and scales them by its own multipliers.
     """
     rows = model.damper_rows
     per_row = np.sum(
@@ -186,7 +188,6 @@ def adjoint_gradient(
     C_d: np.ndarray | None = None,
     history: ResponseHistory | None = None,
     value: ConstraintValue | None = None,
-    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the scenario's aggregated drift constraint.
 
@@ -197,22 +198,19 @@ def adjoint_gradient(
     drift pass of `dg_du_trajectory`. The history starts at rest, as
     `newmark_solve` integrates it, so the starting state does not depend
     on the design. A list of B scenarios (with, if given, their batched
-    history) gives every gradient from one batched sweep, shape
-    (B, n_dampers). With ``index``, ``C_d`` and ``history`` hold only the
-    distinct systems of the scenarios' stack, and scenario b's is
-    ``index[b]`` (see `distinct_matrices`).
+    history) gives every gradient from one batched sweep of the history's
+    systems, shape (B, n_dampers): scenario b reads system
+    ``history.index[b]`` (see `newmark_solve`).
     """
     if value is not None and history is None:
         raise ValueError("a constraint value needs the history it came from")
-    if index is not None and (C_d is None or history is None):
-        raise ValueError("an index needs the damping and history of its systems")
     if C_d is None:
         C_d = assemble_added_damping(model, design, scenario)
     if history is None:
         history = newmark_solve(model, C_d, gm)
     forcing = dg_du_trajectory(history, model, params, value=value)
     lambda_u = solve_adjoint(model, C_d, history, forcing)
-    return accumulate_gradient(model, design, scenario, history.v, lambda_u, index)
+    return accumulate_gradient(model, design, scenario, history.v, lambda_u, history.index)
 
 
 def fd_gradient(

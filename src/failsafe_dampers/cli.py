@@ -33,7 +33,6 @@ from .model import (
     assemble_added_damping,
     build_rayleigh,
     compute_lowest_modes,
-    distinct_matrices,
 )
 from .optimizer import P_CAP, SlpConfig
 from .scenarios import ScenarioSet, enumerate_scenarios
@@ -287,14 +286,17 @@ def report_constraints(
     scenario_set: ScenarioSet,
     records: list[GroundMotion],
     params: ConstraintParams,
+    drift_dir: Path | None = None,
 ) -> tuple[list[str], list[list]]:
     """Aggregated constraint and exact peak per scenario per record.
 
-    An independent re-sweep of the final design: every distinct damping
-    matrix of the scenarios goes through one batched analysis per record
-    (see `distinct_matrices`). The ``threshold`` column is
-    the constant 1.0 limit on the normalized peak, kept in the CSV so plots
-    can draw it directly.
+    An independent re-sweep of the final design: the scenarios' damping
+    matrices go through one batched analysis per record, each distinct one
+    once (see `newmark_solve`). With ``drift_dir``, each (scenario, record)
+    drift history of that sweep is written there as
+    ``drifts_s<id>_<record>.csv`` (see `write_drift_history`). The
+    ``threshold`` column is the constant 1.0 limit on the normalized peak,
+    kept in the CSV so plots can draw it directly.
     """
     header = [
         "scenario_id",
@@ -307,13 +309,17 @@ def report_constraints(
         "threshold",
     ]
     scenarios = list(scenario_set)
-    C_d, index = distinct_matrices(assemble_added_damping(model, design, scenarios))
+    C_d = assemble_added_damping(model, design, scenarios)
     values = []
     for gm in records:
-        hist = newmark_solve(model, C_d, gm, len(index))
+        hist = newmark_solve(model, C_d, gm)
         value = evaluate_drift_constraint(hist, model, params)
-        # Per scenario; the drift histories are dropped.
-        values.append((value.g[index], value.d_max_exact[index]))
+        # Per scenario; the drift histories are dropped once written.
+        values.append((value.g, value.d_max_exact))
+        if drift_dir is not None:
+            for sc, i in zip(scenarios, hist.index):
+                path = drift_dir / f"drifts_s{sc.id:04d}_{gm.name}.csv"
+                write_drift_history(path, model, hist.times, hist.u[:, i])
     rows: list[list] = []
     for i, sc in enumerate(scenarios):
         for gm, (g_rec, peak) in zip(records, values):
@@ -479,27 +485,13 @@ def _run_optimization(
     write_csv(out / "design.csv", header, rows)
     (out / "design.txt").write_text(design_table)
     header, rows = report_constraints(
-        final.design, model, scenario_set, records, final.params_final
+        final.design, model, scenario_set, records, final.params_final, drift_dir
     )
     write_csv(out / "constraints.csv", header, rows)
     manifest = _manifest(args, slp, scenario_set, final)
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for sp in final.subproblems:
         write_iteration_log(out / f"subproblem_{sp.index:02d}.csv", sp.history)
-    if drift_dir is not None:
-        scenarios = list(scenario_set)
-        C_d, index = distinct_matrices(
-            assemble_added_damping(model, final.design, scenarios)
-        )
-        for gm in records:
-            hist = newmark_solve(model, C_d, gm, len(index))
-            for sc, i in zip(scenarios, index):
-                write_drift_history(
-                    drift_dir / f"drifts_s{sc.id:04d}_{gm.name}.csv",
-                    model,
-                    hist.times,
-                    hist.u[:, i],
-                )
 
     print(design_table)
     print(

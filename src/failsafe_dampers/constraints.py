@@ -44,10 +44,11 @@ class ConstraintValue:
     ``rho`` holds the signed normalized drifts the indices came from,
     ``magnitude`` |rho| and ``terms`` the aggregation terms of ``d_tilde``
     (see `aggregate`), so that the gradient reuses this pass. For a
-    batched history ``g`` and ``d_max_exact`` are arrays (B,), ``d_tilde``
-    is (B, n_drifts) and ``rho`` is (N+1, B, n_drifts), a view of drift
-    columns with time contiguous (see `normalized_drifts`), as is
-    ``magnitude``.
+    batched history ``g`` and ``d_max_exact`` are arrays (B,), one per
+    matrix of the stack, and the rest are per swept system (see
+    `ResponseHistory.index`): ``d_tilde`` is (B_swept, n_drifts) and ``rho``
+    is (N+1, B_swept, n_drifts), a view of drift columns with time
+    contiguous (see `normalized_drifts`), as is ``magnitude``.
     """
 
     g: float | np.ndarray
@@ -146,14 +147,20 @@ def _aggregate(terms) -> float | np.ndarray:
     return g.item() if g.ndim == 0 else g
 
 
+def _per_matrix(values, history: ResponseHistory) -> float | np.ndarray:
+    """Per-system ``values`` per matrix of the history's stack, or a float."""
+    values = np.asarray(values)
+    if history.index is not None:
+        values = values[history.index]
+    return values.item() if values.ndim == 0 else values
+
+
 def exact_peak(
     history: ResponseHistory, model: StructuralModel
 ) -> float | np.ndarray:
     """True max over time and drifts of |d| / d_allow (non-smooth); one
-    value per response, shape (B,), for a batched history."""
-    rho = normalized_drifts(history, model)
-    peak = np.abs(rho).max(axis=(0, -1))
-    return peak.item() if peak.ndim == 0 else peak
+    value per matrix of the stack, shape (B,), for a batched history."""
+    return _per_matrix(np.abs(normalized_drifts(history, model)).max(axis=(0, -1)), history)
 
 
 def evaluate_drift_constraint(
@@ -187,12 +194,11 @@ def evaluate_drift_constraint(
     t, col, powers = pruned_powers(magnitude / scale[..., None], params.p)
     s = np.bincount(col, weights=(w / duration)[t] * powers, minlength=scale.size)
     d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
-    d_max = peak.max(axis=-1)
     terms = _aggregation_terms(d_tilde, params.q)
     return ConstraintValue(
-        g=_aggregate(terms),
+        g=_per_matrix(_aggregate(terms), history),
         d_tilde=d_tilde,
-        d_max_exact=d_max.item() if d_max.ndim == 0 else d_max,
+        d_max_exact=_per_matrix(peak.max(axis=-1), history),
         rho=_time_first(rho),
         magnitude=_time_first(magnitude),
         terms=terms,

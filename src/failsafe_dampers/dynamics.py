@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import StructuralModel, check_symmetric
+from .model import StructuralModel, check_symmetric, distinct_matrices
 
 STANDARD_GRAVITY = 9.80665
 
@@ -95,12 +95,13 @@ class ResponseHistory:
 
     Rows are time samples (N+1 of them), columns degrees of freedom; all
     responses are relative to the ground, which starts at rest. A batched
-    history, one response per damping matrix of a stack, has arrays of
-    shape (N+1, B, n). ``powers`` is the `transition_powers` table the
+    history has arrays of shape (N+1, B_swept, n), one response per swept
+    system, and ``index`` (B,) names the system of each matrix of the stack
+    (see `newmark_solve`). ``powers`` is the `transition_powers` table the
     trajectories were swept with (``powers[0]`` is P) and ``Q`` the load
-    map of `transition_matrices`, one per system of a stack, so that the
+    map of `transition_matrices`, one per swept system, so that the
     adjoint sweeps with the primal's own powers. A history built by hand
-    carries neither.
+    carries none of the three: its systems are the stack's.
     """
 
     u: np.ndarray
@@ -109,12 +110,13 @@ class ResponseHistory:
     dt: float
     powers: np.ndarray | None = None
     Q: np.ndarray | None = None
+    index: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("u", "v", "a", "powers", "Q"):
+        for name in ("u", "v", "a", "powers", "Q", "index"):
             if getattr(self, name) is None:
                 continue
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=np.intp if name == "index" else float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (self.u.shape == self.v.shape == self.a.shape):
@@ -298,7 +300,6 @@ def newmark_solve(
     model: StructuralModel,
     C_d: np.ndarray,
     gm: GroundMotion,
-    batch: int | None = None,
 ) -> ResponseHistory:
     """Integrate the damped equations of motion under a ground motion.
 
@@ -309,15 +310,14 @@ def newmark_solve(
     C_d : (n, n) or (B, n, n) array
         Added damping matrix, symmetric positive semidefinite, or a stack
         of B of them (one per failure scenario, as `assemble_added_damping`
-        returns for a list of scenarios). A stack goes through one time
-        loop and gives a batched history, arrays of shape (N+1, B, n).
+        returns for a list of scenarios). A stack sweeps each distinct
+        matrix once (see `distinct_matrices`) in one time loop, in the block
+        `block_length` picks for all B, so each response is the whole
+        stack's bit for bit; the history's ``index`` maps the stack onto
+        its systems.
     gm : GroundMotion
         Record integrated from rest at its native time step, with the
         average acceleration scheme (`BETA` = 1/4, `GAMMA` = 1/2).
-    batch : int, optional
-        Size of the stack whose distinct matrices ``C_d`` holds (see
-        `distinct_matrices`): the sweep runs in that stack's block, so each
-        response is the one the whole stack gives, bit for bit.
 
     The effective stiffness is factorized once per matrix to build P and Q
     of the recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to
@@ -333,6 +333,10 @@ def newmark_solve(
     if C_d.ndim not in (2, 3) or C_d.shape[-2:] != (n, n):
         raise ValueError(f"C_d shape {C_d.shape} does not match {n} DOFs")
     check_symmetric(C_d, "C_d")
+    batch = index = None
+    if C_d.ndim == 3:
+        batch = len(C_d)
+        C_d, index = distinct_matrices(C_d)
 
     C = model.inherent_damping + C_d
     load, a0 = _record_load(model, gm)
@@ -348,7 +352,9 @@ def newmark_solve(
             f"time step {np.isfinite(S).reshape(len(S), -1).all(axis=1).argmin()} of {gm.n_steps} "
             f"(dt = {gm.dt:g})"
         )
-    return ResponseHistory(S[..., :n], S[..., n : 2 * n], S[..., 2 * n :], gm.dt, powers, Q)
+    return ResponseHistory(
+        S[..., :n], S[..., n : 2 * n], S[..., 2 * n :], gm.dt, powers, Q, index
+    )
 
 
 def _record_load(model: StructuralModel, gm: GroundMotion):

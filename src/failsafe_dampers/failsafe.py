@@ -31,7 +31,6 @@ from .model import (
     StructuralModel,
     assemble_added_damping,
     compute_lowest_modes,
-    distinct_matrices,
 )
 from .optimizer import EvalCounter, SlpConfig, slp_solve
 from .scenarios import ScenarioSet
@@ -113,24 +112,23 @@ def evaluate_all(
 
     Every scenario goes through one batched time-history analysis per
     record: the damping matrices are assembled once as a (B, n, n) stack,
-    and each distinct matrix of it is swept once (see `distinct_matrices`),
-    in the block of the whole stack, so that a scenario that fails only
-    zero dampers reads the intact frame's g. The batch holds
-    B_distinct x (N+1) x 3n floats of states while its record is evaluated.
-    ``counter`` counts one primal per (scenario, record) pair and the
-    systems actually integrated.
+    whose sweep integrates each distinct matrix once (see
+    `newmark_solve`), so that a scenario that fails only zero dampers reads
+    the intact frame's g. The batch holds B_distinct x (N+1) x 3n floats of
+    states while its record is evaluated. ``counter`` counts one primal per
+    (scenario, record) pair and the systems actually integrated.
     """
     if not records:
         raise ValueError("need at least one ground motion")
     scenarios = list(scenario_set)
-    C_d, index = distinct_matrices(assemble_added_damping(model, design, scenarios))
+    C_d = assemble_added_damping(model, design, scenarios)
     g = np.full(len(scenarios), -np.inf)
     for gm in records:
-        hist = newmark_solve(model, C_d, gm, len(index))
+        hist = newmark_solve(model, C_d, gm)
         if counter is not None:
             counter.n_primal += len(scenarios)
-            counter.n_primal_systems += len(C_d)
-        g = np.maximum(g, evaluate_drift_constraint(hist, model, params).g[index])
+            counter.n_primal_systems += hist.u.shape[1]
+        g = np.maximum(g, evaluate_drift_constraint(hist, model, params).g)
     return g
 
 

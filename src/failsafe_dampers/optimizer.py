@@ -28,7 +28,7 @@ from ._simplex import SimplexError, solve_inequality_lp
 from .adjoint import adjoint_gradient
 from .constraints import ConstraintParams, evaluate_drift_constraint
 from .dynamics import GroundMotion, newmark_solve
-from .model import DesignVector, StructuralModel, assemble_added_damping, distinct_matrices
+from .model import DesignVector, StructuralModel, assemble_added_damping
 from .scenarios import FailureScenario
 
 logger = logging.getLogger(__name__)
@@ -46,7 +46,7 @@ class EvalCounter:
     """Tally of time-history and adjoint solves, one per (scenario, record)
     pair, however many pairs share a batched sweep, and of the systems those
     sweeps integrated: a batch sweeps each distinct damping matrix of its
-    stack once (see `distinct_matrices`), so scenarios that fail only zero
+    stack once (see `newmark_solve`), so scenarios that fail only zero
     dampers share one system."""
 
     n_primal: int = 0
@@ -324,23 +324,21 @@ def slp_solve(
 
         # One batched primal and adjoint sweep per record covers every
         # working scenario, each distinct damping matrix once.
-        C_d, index = distinct_matrices(
-            assemble_added_damping(model, design, working_scenarios)
-        )
+        C_d = assemble_added_damping(model, design, working_scenarios)
         g = np.empty((len(working_scenarios), len(records)))
         grads = np.empty(g.shape + (n_d,))
         for r, gm in enumerate(records):
-            hist = newmark_solve(model, C_d, gm, len(index))
+            hist = newmark_solve(model, C_d, gm)
             value = evaluate_drift_constraint(hist, model, params)
-            g[:, r] = value.g[index]
+            g[:, r] = value.g
             grads[:, r] = adjoint_gradient(
                 model, design, working_scenarios, gm, params,
-                C_d=C_d, history=hist, value=value, index=index,
+                C_d=C_d, history=hist, value=value,
             )
             counter.n_primal += len(working_scenarios)
             counter.n_adjoint += len(working_scenarios)
-            counter.n_primal_systems += len(C_d)
-            counter.n_adjoint_systems += len(C_d)
+            counter.n_primal_systems += hist.u.shape[1]
+            counter.n_adjoint_systems += hist.u.shape[1]
 
         planes.append(grads.reshape(-1, n_d), g.ravel(), x)
         g_max_true = float(g.max())

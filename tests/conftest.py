@@ -16,6 +16,8 @@ from failsafe_dampers import (
     exact_peak,
     newmark_solve,
 )
+from failsafe_dampers import dynamics
+from failsafe_dampers.dynamics import ResponseHistory
 
 
 def shear_frame(
@@ -156,6 +158,27 @@ def paper_scale_problem(n_steps: int):
         peak = exact_peak(newmark_solve(model, bare, gm), model)
         records.append(gm.rescaled(1.5 / peak))
     return model, records, enumerate_scenarios(16, 1, 2, 0.5)
+
+
+def whole_stack_history(model: StructuralModel, C_d: np.ndarray, gm: GroundMotion):
+    """The batched history of every matrix of a (B, n, n) stack, repeats
+    included, built without `newmark_solve`: the states from
+    `transition_matrices`, `transition_powers` and `transition_sweep` in the
+    block `block_length` picks for all B systems. It carries no index, so
+    matrix b's response is system b, an independent reference for the
+    sweep that integrates each distinct matrix once."""
+    n = model.n_dof
+    P, Q = dynamics.transition_matrices(
+        model.mass, model.inherent_damping + C_d, model.stiffness, gm.dt
+    )
+    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    S = np.empty((len(load), len(C_d), 3 * n))
+    S[0, :, : 2 * n] = 0.0
+    S[0, :, 2 * n :] = np.linalg.solve(model.mass, load[0])
+    S[1:] = (load[1:] @ Q.mT).swapaxes(0, 1)
+    powers = dynamics.transition_powers(P, dynamics.block_length(P, gm.n_steps))
+    dynamics.transition_sweep(powers, S)
+    return ResponseHistory(S[..., :n], S[..., n : 2 * n], S[..., 2 * n :], gm.dt, powers, Q)
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ from failsafe_dampers.model import assemble_added_damping, damper_scales
 
 from conftest import shear_frame, synthetic_record
 from test_constraints import EXPONENTS, dense_smooth_drift_indices
-from test_dynamics import BATCHES, scenario_batch
+from test_dynamics import BATCHES, repeated_stack, scenario_batch
 
 
 @pytest.fixture(scope="module")
@@ -366,25 +366,15 @@ def test_batched_g_and_gradients_match_per_pair_loop(size, monkeypatch):
             assert np.all(got[list(sc.damaged)] == 0.0)
 
 
-def test_an_index_needs_the_systems_it_points_into():
-    # Without the distinct systems' damping and history the gradient would
-    # sweep the whole stack, or the distinct one in its own block.
-    model, scenarios, C_d = scenario_batch(3)
-    design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
-    gm = synthetic_record(100, dt=0.01, seed=3, peak=2.0)
-    params = ConstraintParams(p=8, q=8)
-    hist = newmark_solve(model, C_d, gm)
-    index = np.arange(3)
-    with pytest.raises(ValueError, match="an index needs"):
-        adjoint_gradient(model, design, scenarios, gm, params, C_d=C_d, index=index)
-    with pytest.raises(ValueError, match="an index needs"):
-        adjoint_gradient(model, design, scenarios, gm, params, history=hist, index=index)
-    given = adjoint_gradient(
-        model, design, scenarios, gm, params, C_d=C_d, history=hist, index=index
-    )
-    assert given.tobytes() == adjoint_gradient(
-        model, design, scenarios, gm, params, C_d=C_d, history=hist
-    ).tobytes()
+def test_the_adjoint_takes_the_damping_of_the_whole_stack():
+    # The history's index maps the stack onto its swept systems, so the
+    # damping that goes with it is the stack's, not the swept systems'.
+    model, gm, _, _, stack = repeated_stack()
+    hist = newmark_solve(model, stack, gm)
+    forcing = dg_du_trajectory(hist, model, ConstraintParams(p=8, q=8))
+    assert len(solve_adjoint(model, stack, hist, forcing)[0]) == hist.u.shape[1] == 6
+    with pytest.raises(ValueError, match="does not match the history"):
+        solve_adjoint(model, stack[:6], hist, forcing)
 
 
 class TestAccumulationKernel:
@@ -436,6 +426,23 @@ class TestGradientConsistency:
         params = ConstraintParams(p=8, q=8)
         rows = gradient_check(frame_2dof, design, self.scenarios, record_short, params)
         assert max(r["max_rel_error"] for r in rows) <= 1e-5
+
+    def test_scenarios_that_share_a_matrix_share_their_rows(self):
+        # Dampers 0 and 2 at zero: the intact frame, either of them failed
+        # and both at half have one matrix. Their adjoint and FD rows are
+        # bitwise equal on every damper that none of them fails, and zero
+        # on a completely failed one.
+        model, gm, scenarios, design, stack = repeated_stack()
+        rows = gradient_check(model, design, scenarios, gm, ConstraintParams(p=8, q=8))
+        assert max(r["max_rel_error"] for r in rows) <= 1e-5
+        shared = [b for b in range(1, 11) if stack[b].tobytes() == stack[0].tobytes()]
+        assert [scenarios[b].damaged for b in shared] == [(0,), (2,), (0, 2)]
+        for b in shared:
+            same = damper_scales(model, scenarios[b]) == damper_scales(model, scenarios[0])
+            assert same.tolist() == [k not in scenarios[b].damaged for k in range(4)]
+            for key in ("adjoint", "finite_difference"):
+                assert rows[b][key][same].tobytes() == rows[0][key][same].tobytes()
+            assert np.all(rows[b]["adjoint"][damper_scales(model, scenarios[b]) == 0.0] == 0.0)
 
     def test_failed_damper_gradient_is_zero(self, frame_2dof, record_short):
         design = DesignVector(x=[0.5, 0.4], c_bar=300.0)

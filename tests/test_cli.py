@@ -37,6 +37,7 @@ from conftest import (
     frame_with_redundant_dampers,
     shear_frame,
     synthetic_record,
+    whole_stack_history,
 )
 
 SDOF_YAML = """\
@@ -386,14 +387,15 @@ class TestReports:
         assert header[-1] == "threshold"
         assert all(row[-1] == 1.0 for row in rows)
 
-    def test_constraint_report_at_zero_dampers_is_the_whole_stacks(self, monkeypatch):
+    def test_constraint_report_at_zero_dampers_is_the_whole_stacks(self, monkeypatch, tmp_path):
         # Dampers 0-11 at size zero: the 137 scenarios hold at most 15
-        # distinct matrices, each swept once, and every row is bitwise the
-        # one of a sweep of the whole stack.
+        # distinct matrices, each swept once, and every row and every drift
+        # file the sweep writes is bitwise the one of a sweep of the whole
+        # stack.
         from failsafe_dampers import ConstraintParams, enumerate_scenarios
         from failsafe_dampers import evaluate_drift_constraint
         from failsafe_dampers.cli import report_constraints
-        from failsafe_dampers.model import assemble_added_damping, distinct_matrices
+        from failsafe_dampers.model import assemble_added_damping
 
         model = frame_with_redundant_dampers(n_stories=4, per_story=4)
         records = [
@@ -404,19 +406,19 @@ class TestReports:
         params = ConstraintParams(p=100, q=100)
         sizes = []
 
-        def spy(model, C_d, gm, *args):
-            sizes.append(len(C_d))
-            return newmark_solve(model, C_d, gm, *args)
+        def spy(model, C_d, gm):
+            hist = newmark_solve(model, C_d, gm)
+            sizes.append((len(C_d), hist.u.shape[1]))
+            return hist
 
         monkeypatch.setattr(cli, "newmark_solve", spy)
-        _, rows = report_constraints(design, model, scen, records, params)
+        (tmp_path / "drifts").mkdir()
+        _, rows = report_constraints(design, model, scen, records, params, tmp_path / "drifts")
         stack = assemble_added_damping(model, design, list(scen))
-        n_distinct = len(distinct_matrices(stack)[0])
-        assert sizes == [n_distinct] * 2 and n_distinct <= 15
-        values = [
-            evaluate_drift_constraint(newmark_solve(model, stack, gm), model, params)
-            for gm in records
-        ]
+        n_distinct = len({matrix.tobytes() for matrix in stack})
+        assert sizes == [(137, n_distinct)] * 2 and n_distinct <= 15
+        hists = [whole_stack_history(model, stack, gm) for gm in records]
+        values = [evaluate_drift_constraint(hist, model, params) for hist in hists]
         want = [
             (sc.id, gm.name, float(v.g[i]), float(v.d_max_exact[i]))
             for i, sc in enumerate(scen)
@@ -424,6 +426,13 @@ class TestReports:
         ]
         got = [(row[0], row[3], row[4], row[6]) for row in rows]
         assert got == want
+        assert len(list((tmp_path / "drifts").iterdir())) == 137 * 2
+        ref = tmp_path / "ref.csv"
+        for gm, hist in zip(records, hists):
+            for i in range(137):
+                cli.write_drift_history(ref, model, hist.times, hist.u[:, i])
+                path = tmp_path / "drifts" / f"drifts_s{scen[i].id:04d}_{gm.name}.csv"
+                assert path.read_bytes() == ref.read_bytes()
 
 
 class TestDefaults:
@@ -991,9 +1000,9 @@ class TestMain:
         assert len(drifts) == 11
 
     def test_exported_drifts_are_the_whole_stacks(self, tmp_path):
-        # The run ends with dampers at size zero, so some scenarios share a
-        # damping matrix and one sweep; every drift file is byte for byte
-        # the one a sweep of the whole stack writes.
+        # Every drift file of a run is byte for byte the one a sweep of the
+        # whole stack writes (the report's test at zero dampers covers a
+        # stack whose matrices repeat).
         from failsafe_dampers import enumerate_scenarios
         from failsafe_dampers.model import assemble_added_damping
 
@@ -1010,7 +1019,7 @@ class TestMain:
         design = DesignVector(x=manifest["design"]["x"], c_bar=800.0)
         scen = enumerate_scenarios(4, 1, 2, nu=0.5)
         gm = load_ground_motion(rec_path)
-        hist = newmark_solve(model, assemble_added_damping(model, design, list(scen)), gm)
+        hist = whole_stack_history(model, assemble_added_damping(model, design, list(scen)), gm)
         ref = tmp_path / "ref.csv"
         for i, sc in enumerate(scen):
             cli.write_drift_history(ref, model, hist.times, hist.u[:, i])

@@ -17,7 +17,7 @@ from failsafe_dampers import (
 from failsafe_dampers.constraints import normalized_drifts, pruned_powers, time_weights
 from failsafe_dampers.dynamics import ResponseHistory
 
-from conftest import shear_frame, synthetic_record
+from conftest import shear_frame, synthetic_record, whole_stack_history
 
 # Exponents of the continuation, from the start value to the cap; the
 # gradient raises to p - 1, so its exponents are covered too.
@@ -165,6 +165,26 @@ class TestExactPeak:
             for j in range(model.n_drifts)
         )
         assert exact_peak(hist, model) == pytest.approx(brute, rel=1e-14)
+
+
+def test_batched_values_are_one_per_matrix_of_the_stack():
+    # g and the exact peaks follow the history's index back to the 11
+    # matrices of the stack, bit for bit a sweep of the whole stack's; the
+    # smooth indices and drifts stay one per swept system.
+    from test_dynamics import repeated_stack
+
+    model, gm, _, _, stack = repeated_stack()
+    params = ConstraintParams(p=100, q=100)
+    hist = newmark_solve(model, stack, gm)
+    ref = whole_stack_history(model, stack, gm)
+    value = evaluate_drift_constraint(hist, model, params)
+    want = evaluate_drift_constraint(ref, model, params)
+    assert value.g.shape == value.d_max_exact.shape == (11,)
+    assert value.g.tobytes() == want.g.tobytes()
+    assert value.d_max_exact.tobytes() == want.d_max_exact.tobytes()
+    assert exact_peak(hist, model).tobytes() == exact_peak(ref, model).tobytes()
+    assert value.d_tilde.shape == (6, model.n_drifts)
+    assert value.rho.shape == value.magnitude.shape == (len(gm.accel), 6, model.n_drifts)
 
 
 class TestPrunedPowers:

@@ -34,6 +34,7 @@ from conftest import (
     frame_with_redundant_dampers,
     shear_frame,
     synthetic_record,
+    whole_stack_history,
 )
 
 
@@ -432,7 +433,8 @@ def test_single_block_is_the_row_sweep(stacked, reverse, monkeypatch):
 @pytest.mark.parametrize("size", [1, 7, 8])
 def test_primal_sweeps_in_the_block_the_rule_picks(size, monkeypatch):
     # The 4-story frame over 600 steps: a single system and stacks of 7 and
-    # 8 all sweep in blocks, of the length `block_length` picks for their P.
+    # 8 all sweep in blocks, of the length `block_length` picks for the
+    # whole stack, though 7 or 8 equal matrices sweep as two systems.
     model = shear_frame(4)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
     seen = []
@@ -445,7 +447,44 @@ def test_primal_sweeps_in_the_block_the_rule_picks(size, monkeypatch):
     monkeypatch.setattr(dynamics, "transition_sweep", spy)
     newmark_solve(model, np.full((size, 4, 4), 0.0), gm)
     (powers,) = seen
-    assert len(powers) == dynamics.block_length(powers[0], 600) > 1
+    assert len(powers) == dynamics.block_length(powers[0], 600, size) > 1
+
+
+def repeated_stack(x=(0.0, 0.6, 0.0, 0.8), n_steps=200):
+    """The redundant-damper frame's 11 scenarios (every damper failed
+    completely, every pair at half) at design ``x``, with the stack of
+    their damping matrices. With dampers 0 and 2 at zero, the intact frame,
+    either of them failed and both at half share one matrix, and two pairs
+    more coincide: 6 distinct matrices."""
+    model = frame_with_redundant_dampers(d_allow=0.012)
+    gm = synthetic_record(n_steps, dt=0.02, seed=31, peak=1.55)
+    scenarios = list(enumerate_scenarios(4, 1, 2, nu=0.5))
+    design = DesignVector(x=list(x), c_bar=800.0)
+    return model, gm, scenarios, design, assemble_added_damping(model, design, scenarios)
+
+
+@pytest.mark.parametrize("x, n_systems", [((0.0, 0.6, 0.0, 0.8), 6), ((0.9, 0.6, 0.3, 0.8), 11)])
+@pytest.mark.parametrize("n_steps", [200, 600])
+def test_a_stack_sweeps_each_distinct_matrix_once(x, n_systems, n_steps):
+    # Equal matrices share one system, and each matrix's response is the
+    # whole stack's bit for bit; a stack with no repeats sweeps all of them.
+    model, gm, _, _, stack = repeated_stack(x, n_steps)
+    hist = newmark_solve(model, stack, gm)
+    ref = whole_stack_history(model, stack, gm)
+    assert hist.index.shape == (11,) and hist.u.shape == (n_steps + 1, n_systems, model.n_dof)
+    assert sorted(set(hist.index)) == list(range(n_systems))
+    pairs = {(matrix.tobytes(), int(i)) for matrix, i in zip(stack, hist.index)}
+    assert len(pairs) == len({key for key, _ in pairs}) == n_systems
+    for b, i in enumerate(hist.index):
+        for got, want in ((hist.u, ref.u), (hist.v, ref.v), (hist.a, ref.a)):
+            assert got[:, i].tobytes() == want[:, b].tobytes()
+
+
+def test_a_stack_of_one_repeated_matrix_sweeps_two_systems():
+    # numpy's one-row kernels would round the contraction of a single one.
+    model, gm, _, _, stack = repeated_stack()
+    hist = newmark_solve(model, np.stack([stack[0]] * 3), gm)
+    assert hist.index.tolist() == [0, 0, 0] and hist.u.shape[1] == 2
 
 
 @pytest.mark.parametrize("size", [0, 1, 22, 137])

@@ -28,7 +28,6 @@ from failsafe_dampers import (
 from failsafe_dampers import adjoint, dynamics, failsafe, optimizer
 from failsafe_dampers import model as model_mod
 from failsafe_dampers.adjoint import accumulate_gradient, dg_du_trajectory, solve_adjoint
-from failsafe_dampers.dynamics import ResponseHistory
 from failsafe_dampers._simplex import SimplexError
 from failsafe_dampers.optimizer import EvalCounter
 
@@ -38,6 +37,7 @@ from conftest import (
     paper_scale_problem,
     shear_frame,
     synthetic_record,
+    whole_stack_history,
 )
 
 
@@ -164,23 +164,10 @@ class TestEvaluateAll:
 
 def full_stack_reference(model, design, scenarios, gm, params):
     """g and gradients of every scenario from the whole (B, n, n) stack,
-    repeats included: the states from `transition_matrices`,
-    `transition_powers` and `transition_sweep` in the block `block_length`
-    picks for all B systems, then the drift evaluation, dg/du, the adjoint
-    and the contraction on all B."""
-    n = model.n_dof
+    repeats included: the states of `whole_stack_history`, then the drift
+    evaluation, dg/du, the adjoint and the contraction on all B."""
     C_d = assemble_added_damping(model, design, scenarios)
-    P, Q = dynamics.transition_matrices(
-        model.mass, model.inherent_damping + C_d, model.stiffness, gm.dt
-    )
-    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-    S = np.empty((len(load), len(C_d), 3 * n))
-    S[0, :, : 2 * n] = 0.0
-    S[0, :, 2 * n :] = np.linalg.solve(model.mass, load[0])
-    S[1:] = (load[1:] @ Q.mT).swapaxes(0, 1)
-    powers = dynamics.transition_powers(P, dynamics.block_length(P, gm.n_steps))
-    dynamics.transition_sweep(powers, S)
-    hist = ResponseHistory(S[..., :n], S[..., n : 2 * n], S[..., 2 * n :], gm.dt, powers, Q)
+    hist = whole_stack_history(model, C_d, gm)
     value = evaluate_drift_constraint(hist, model, params)
     forcing = dg_du_trajectory(hist, model, params, value=value)
     lambda_u = solve_adjoint(model, C_d, hist, forcing)
@@ -265,9 +252,10 @@ class TestDistinctSystems:
         design = DesignVector(x=x, c_bar=800.0)
         seen = []
 
-        def spy(model, C_d, gm, *args):
-            seen.append((len(C_d), args))
-            return real(model, C_d, gm, *args)
+        def spy(model, C_d, gm):
+            hist = real(model, C_d, gm)
+            seen.append((len(C_d), hist.u.shape[1]))
+            return hist
 
         real = dynamics.newmark_solve
         monkeypatch.setattr(failsafe, "newmark_solve", spy)
@@ -277,7 +265,7 @@ class TestDistinctSystems:
         optimizer.slp_solve(
             model, list(scen), [gm], design, SlpConfig(i_min=1, i_max=1), counter=counter
         )
-        assert seen == [(n_systems, (11,))] * 2
+        assert seen == [(11, n_systems)] * 2
         assert (counter.n_primal, counter.n_adjoint) == (22, 11)
         assert (counter.n_primal_systems, counter.n_adjoint_systems) == (2 * n_systems, n_systems)
         assert counter.total == 33

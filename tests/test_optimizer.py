@@ -783,8 +783,8 @@ class TestSlpSolve:
             designs.append(design.x)
             return real_damping(model, design, *args)
 
-        def spy_solve(model, C_d, gm, *args):
-            solved.append((real_solve(model, C_d, gm, *args), gm.name))
+        def spy_solve(model, C_d, gm):
+            solved.append((real_solve(model, C_d, gm), gm.name))
             return solved[-1][0]
 
         def spy_eval(hist, *args):

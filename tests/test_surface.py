@@ -78,7 +78,15 @@ def test_response_history_holds_the_trajectories_and_the_sweep_operands():
         "dt",
         "powers",
         "Q",
+        "index",
     }
+
+
+def test_newmark_solve_owns_the_distinct_matrix_sweep():
+    # A stack's sweep picks its distinct matrices and its block itself, and
+    # the history's index carries them to the drift evaluation and adjoint.
+    assert list(inspect.signature(newmark_solve).parameters) == ["model", "C_d", "gm"]
+    assert "index" not in inspect.signature(adjoint_gradient).parameters
 
 
 def test_cutting_planes_take_their_labels_once_per_sub_problem():

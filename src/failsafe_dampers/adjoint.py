@@ -53,8 +53,8 @@ def dg_du_trajectory(
     """dg/du_i for every time sample, shape (N+1, n_dof), or
     (N+1, B_swept, n_dof) for a batched history, the history's own shape.
 
-    Chain rule through the time p-norm and the q-aggregation: with
-    rho_ji = (H u_i)_j / d_allow_j,
+    Chain rule through the time p-norm and the aggregation, whose q is p:
+    with rho_ji = (H u_i)_j / d_allow_j,
 
         dg/du_i = H' D(1/d_allow) [ s_j * (w_i/T) * sign(rho_ji)
                                      * (|rho_ji| / d_tilde_j)^(p-1) ]_j
@@ -76,15 +76,13 @@ def dg_du_trajectory(
         value = evaluate_drift_constraint(history, model, params)
     # Drift columns, time last: (..., n_drifts, N+1).
     rho, d_tilde = _time_last(value.rho), value.d_tilde
-    sens = _sensitivities(value.terms, params.q)
+    sens = _sensitivities(value.terms, params.p)
     w = time_weights(rho.shape[-1], history.dt)
     duration = history.n_steps * history.dt
 
     ratio = _time_last(value.magnitude) / np.where(d_tilde > 0, d_tilde, 1.0)[..., None]
     t, col, powers = pruned_powers(ratio, params.p - 1)
-    # Rows k.. are zero. Two rows at least: numpy multiplies a single row
-    # with its vector-matrix kernel, which rounds a general H otherwise.
-    k = max(2, int(t.max()) + 1) if t.size else 0
+    k = int(t.max()) + 1 if t.size else 0  # rows k.. are zero
     core = np.zeros((k, d_tilde.size))  # time first, one product for all
     core[t, col] = (
         np.sign(rho.reshape(d_tilde.size, -1)[col, t])

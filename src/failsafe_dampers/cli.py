@@ -535,7 +535,7 @@ def _run_check_gradients(
         raise InputError(f"--fd-step must be positive and finite, got {args.fd_step:g}")
     scenario_set = _scenario_set(args, model)
     design = _given_design(args, model, 0.5)
-    params = ConstraintParams(p=args.p_start, q=args.p_start)
+    params = ConstraintParams(p=args.p_start)
     out = _output_dir(Path(args.out))
     rows = [
         [gm.name, r["scenario_id"], r["scenario"], r["max_rel_error"]]

@@ -23,18 +23,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ConstraintParams:
-    """Smoothing exponents of the time norm and the aggregation."""
+    """The smoothing exponent p of the time norm, which the aggregation
+    takes as its q too."""
 
     p: int = 100
-    q: int = 100
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 2 or self.p % 2:
             raise ValueError(f"p must be an even integer >= 2, got {self.p}")
-        if int(self.q) != self.q or self.q < 1:
-            raise ValueError(f"q must be an integer >= 1, got {self.q}")
         object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "q", int(self.q))
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ def evaluate_drift_constraint(
     t, col, powers = pruned_powers(magnitude / scale[..., None], params.p)
     s = np.bincount(col, weights=(w / duration)[t] * powers, minlength=scale.size)
     d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
-    terms = _aggregation_terms(d_tilde, params.q)
+    terms = _aggregation_terms(d_tilde, params.p)
     return ConstraintValue(
         g=_per_matrix(_aggregate(terms), history),
         d_tilde=d_tilde,

@@ -65,6 +65,8 @@ class GroundMotion:
             raise ValueError("record needs at least two acceleration samples")
         if not np.all(np.isfinite(accel)):
             raise ValueError(f"record '{self.name}' contains non-finite samples")
+        if not np.isfinite(self.scale):
+            raise ValueError(f"record '{self.name}' has a non-finite scale {self.scale}")
         accel.setflags(write=False)
         object.__setattr__(self, "accel", accel)
 

@@ -249,7 +249,7 @@ def run_failsafe(
         )
         slp_config = replace(slp_config, p_start=result.p_final)
         history += result.history
-        params = ConstraintParams(p=result.p_final, q=result.p_final)
+        params = ConstraintParams(p=result.p_final)
         design = DesignVector(x=result.x, c_bar=c_bar)
         g_all = evaluate_all(design, model, scenario_set, active, params, counter)
         violated = bool(np.any(g_all > tol))

@@ -53,6 +53,7 @@ class StructuralModel:
         `ConvergenceError` (exit 3 from the command line).
     inherent_damping : (n, n) array
         Inherent damping matrix, kNs/m, typically from `build_rayleigh`.
+        Symmetric.
     influence : (n,) array
         Displacements caused by a unit static ground displacement; routes
         the ground acceleration onto the dynamic degrees of freedom.
@@ -108,6 +109,7 @@ class StructuralModel:
             raise ValueError(
                 f"inherent_damping shape {damping.shape} does not match {n} DOFs"
             )
+        check_symmetric(damping, "inherent_damping")
 
         influence = _finite(self.influence, "influence")
         if influence.shape != (n,):
@@ -315,10 +317,10 @@ def distinct_matrices(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Matrices are told apart by their bytes and kept in the order of their
     first occurrence; ``index`` (B,) gives each matrix's position among
-    them, so ``distinct[index]`` is ``stack`` bit for bit; a stack of two
-    or more equal matrices gives two of them. A design with zero dampers
-    repeats the intact matrix in every scenario that fails only those, and
-    a batched sweep of the distinct ones gives the same responses.
+    them, so ``distinct[index]`` is ``stack`` bit for bit, and a stack of
+    equal matrices gives one. A design with zero dampers repeats the intact
+    matrix in every scenario that fails only those, and a batched sweep of
+    the distinct ones gives the same responses.
     """
     first, keep, index = {}, [], []
     for b, matrix in enumerate(stack):
@@ -326,6 +328,4 @@ def distinct_matrices(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if i == len(keep):
             keep.append(b)
         index.append(i)
-    # Two systems at least: numpy multiplies a single row with its
-    # vector-matrix kernel, which rounds the gradient's contraction otherwise.
-    return stack[keep if len(keep) > 1 else slice(2)], np.array(index, dtype=np.intp)
+    return stack[keep], np.array(index, dtype=np.intp)

@@ -169,7 +169,7 @@ class SlpConfig:
             raise ValueError(f"need p_step >= 0 and p_start <= {P_CAP}")
         if self.p_step % 2:
             raise ValueError(f"p_step must be even, got {self.p_step}")
-        ConstraintParams(p=self.p_start, q=self.p_start)
+        ConstraintParams(p=self.p_start)
 
     def convergence_tol(self, n_dampers: int) -> float:
         return 0.10 * self.ml * math.sqrt(n_dampers)
@@ -319,7 +319,7 @@ def slp_solve(
     converged = False
 
     for iteration in range(1, config.i_max + 1):
-        params = ConstraintParams(p=p, q=p)
+        params = ConstraintParams(p=p)
         design = DesignVector(x=x, c_bar=design0.c_bar)
 
         # One batched primal and adjoint sweep per record covers every

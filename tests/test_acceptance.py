@@ -157,7 +157,7 @@ def test_criterion_4_adjoint_consistency(frame_2dof, record_short):
     ]
     worst = {}
     for pq, tol in ((8, 1e-6), (100, 1e-3)):
-        params = ConstraintParams(p=pq, q=pq)
+        params = ConstraintParams(p=pq)
         errs = []
         for sc in cases:
             adj = adjoint_gradient(frame_2dof, design, sc, record_short, params)
@@ -177,7 +177,7 @@ def test_criterion_4_adjoint_consistency(frame_2dof, record_short):
 def test_criterion_5_aggregation_fidelity(acceptance_frame):
     t0 = time.perf_counter()
     model, gm = acceptance_frame
-    params = ConstraintParams(p=1000, q=1000)
+    params = ConstraintParams(p=1000)
     worst = 0.0
     for level in (0.0, 0.1, 0.4):
         C_d = 2000.0 * level * sum(

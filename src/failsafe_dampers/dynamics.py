@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,6 @@ GAMMA = 0.5
 _CARRY_S = (1.3e-6, 4.5e-8, 1.9e-10)
 _FILL_S = (3.5e-6, 2.0e-7, 3.6e-9)
 _BLOCK_S = (2.0e-5, 2.1e-7, 2.2e-9)
-# Models whose load rows one record holds (see `_record_load`).
-_LOADS_PER_RECORD = 4
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,6 @@ class GroundMotion:
     dt: float
     accel: np.ndarray
     scale: float = 1.0
-    # Per model mass and influence: the load rows and the initial
-    # acceleration `newmark_solve` integrates this record with.
-    _loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
@@ -193,30 +188,6 @@ def _step_terms(M_bytes, K_bytes, n, dt, beta, gamma):
     return c0, *arrays
 
 
-def _integrate(M, C, K, load, a0, dt, batch=None):
-    """Newmark recurrence from rest on raw matrices; returns the states
-    (N+1, ..., 3n), the powers of P they were swept with and Q.
-
-    ``load`` is (N+1, n) and ``a0`` = M^-1 load[0], the initial
-    acceleration. ``C`` is (n, n), or a stack (B, n, n) of systems
-    that share M, K and the load and go through one time loop; the states
-    then have shape (N+1, B, 3n). With P and Q from `transition_matrices`,
-    each row Q f_{i+1} is written in place, and `transition_sweep` adds
-    P s_i to it with the powers of the block `block_length` picks for
-    ``batch`` systems (see there).
-    """
-    n = M.shape[0]
-    P, Q = transition_matrices(M, C, K, dt)
-
-    S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
-    S[0, ..., : 2 * n] = 0.0
-    S[0, ..., 2 * n :] = a0
-    np.matmul(load[1:], Q.mT, out=S[1:].swapaxes(0, -2))
-    powers = transition_powers(P, block_length(P, len(S) - 1, batch))
-    transition_sweep(powers, S)
-    return S, powers, Q
-
-
 def block_length(P, n_rows, batch=None):
     """`transition_sweep`'s block for ``n_rows`` rows of ``P`` (..., m, m):
     the L in 1..floor(sqrt(n_rows)) with the least modelled cost (see
@@ -322,13 +293,16 @@ def newmark_solve(
         average acceleration scheme (`BETA` = 1/4, `GAMMA` = 1/2).
 
     The effective stiffness is factorized once per matrix to build P and Q
-    of the recurrence s_{i+1} = P s_i + Q f_{i+1}; equilibrium holds to
-    rounding, and the history keeps Q and the powers of P for the adjoint. A response
-    that overflows (an indefinite stiffness, whose unstable mode grows
-    exponentially) raises `ConvergenceError` naming the record and the
-    first time step whose state is not finite. An effective stiffness that
-    is not positive definite (a stiffness so indefinite that K + 4 M / dt^2
-    is not) raises `ConvergenceError` naming the record and dt.
+    of the recurrence s_{i+1} = P s_i + Q f_{i+1}, and `transition_sweep`
+    runs it with the powers of the block `block_length` picks; the load rows
+    f are built once per record content, M and iota (`_record_load`).
+    Equilibrium holds to rounding, and the history keeps Q and the powers of
+    P for the adjoint. A response that overflows (an indefinite stiffness,
+    whose unstable mode grows exponentially) raises `ConvergenceError`
+    naming the record and the first time step whose state is not finite.
+    An effective stiffness that is not positive definite (a stiffness so
+    indefinite that K + 4 M / dt^2 is not) raises `ConvergenceError` naming
+    the record and dt.
     """
     n = model.n_dof
     C_d = np.asarray(C_d, dtype=float)
@@ -341,13 +315,21 @@ def newmark_solve(
         C_d, index = distinct_matrices(C_d)
 
     C = model.inherent_damping + C_d
-    load, a0 = _record_load(model, gm)
+    load, a0 = _record_load(model.mass.tobytes(), model.influence.tobytes(),
+                            gm.accel.tobytes(), gm.scale)
     try:
-        S, powers, Q = _integrate(model.mass, C, model.stiffness, load, a0, gm.dt, batch)
+        P, Q = transition_matrices(model.mass, C, model.stiffness, gm.dt)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"response to record '{gm.name}' cannot be integrated at dt = {gm.dt:g}: {exc}"
         ) from None
+    # Each row Q f_{i+1} is written in place; the sweep adds P s_i to it.
+    S = np.empty(load.shape[:1] + C.shape[:-2] + (3 * n,))
+    S[0, ..., : 2 * n] = 0.0
+    S[0, ..., 2 * n :] = a0
+    np.matmul(load[1:], Q.mT, out=S[1:].swapaxes(0, -2))
+    powers = transition_powers(P, block_length(P, gm.n_steps, batch))
+    transition_sweep(powers, S)
     if not np.isfinite(S).all():
         raise ConvergenceError(
             f"response to record '{gm.name}' diverged: the state is not finite at "
@@ -359,39 +341,38 @@ def newmark_solve(
     )
 
 
-def _record_load(model: StructuralModel, gm: GroundMotion):
-    """The load rows -a_g(t_i) M iota (N+1, n) and the initial acceleration
-    M^-1 f_0 of ``gm`` on ``model``, read-only. The record holds them for its
-    latest few (M, iota), so a record swept many times builds them once."""
-    key = (model.mass.tobytes(), model.influence.tobytes())
-    loads = gm._loads
-    if key not in loads:
-        load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
-        a0 = np.linalg.solve(model.mass, load[0])
-        load.setflags(write=False)
-        a0.setflags(write=False)
-        if len(loads) >= _LOADS_PER_RECORD:
-            loads.pop(next(iter(loads)), None)
-        loads[key] = load, a0
-    return loads[key]
+@functools.lru_cache(maxsize=32)
+def _record_load(M_bytes, iota_bytes, accel_bytes, scale):
+    """The load rows -scale a_g(t_i) M iota (N+1, n) and the initial
+    acceleration M^-1 f_0 of a record on a model, read-only. M, iota and the
+    record's samples are float arrays, given by their bytes."""
+    iota = np.frombuffer(iota_bytes)
+    M = np.frombuffer(M_bytes).reshape(iota.size, iota.size)
+    load = -np.outer(scale * np.frombuffer(accel_bytes), M @ iota)
+    a0 = np.linalg.solve(M, load[0])
+    load.setflags(write=False)
+    a0.setflags(write=False)
+    return load, a0
 
 
 def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float:
     """Peak displacement of a unit-mass oscillator under the record.
 
-    Integrates a single-DOF system with natural period ``period`` and
-    damping ratio ``zeta`` using the average-acceleration scheme and
-    returns max |u(t)|. Used to rank records by severity.
+    Integrates a single-DOF model with natural period ``period`` and
+    damping ratio ``zeta`` through `newmark_solve` and returns max |u(t)|.
+    Used to rank records by severity. A period that is not positive (or
+    NaN) and a ratio that is not finite raise `ValueError`.
     """
-    if period <= 0:
+    if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
+    if not np.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
     w = 2.0 * np.pi / period
-    M = np.array([[1.0]])
-    C = np.array([[2.0 * zeta * w]])
-    K = np.array([[w * w]])
-    load = -gm.scaled_accel[:, None]
-    S, _, _ = _integrate(M, C, K, load, np.linalg.solve(M, load[0]), gm.dt)
-    return float(np.abs(S[:, 0]).max())
+    oscillator = StructuralModel(
+        mass=[[1.0]], stiffness=[[w * w]], inherent_damping=[[2.0 * zeta * w]],
+        influence=[1.0], drift_transform=[[1.0]], d_allow=[1.0], damper_transforms=([[1.0]],),
+    )
+    return float(np.abs(newmark_solve(oscillator, np.zeros((1, 1)), gm).u).max())
 
 
 def select_dominant_record(

@@ -163,7 +163,7 @@ def run_failsafe(
     scenario_set: ScenarioSet,
     ensemble: list[GroundMotion],
     *,
-    c_bar: float = 150_000.0,
+    c_bar: float = DesignVector.c_bar,
     slp_config: SlpConfig | None = None,
     fs_config: FailSafeConfig | None = None,
     mode: str = "failsafe",

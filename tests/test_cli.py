@@ -660,7 +660,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "mode,flag", [(m, "--design") for m in ("failsafe", "basic", "fullset")]
-        + [(m, "--compare") for m in ("simulate", "check-gradients")],
+        + [(m, "--compare") for m in ("simulate", "check-gradients")]
+        + [(m, "--export-drifts") for m in ("simulate", "check-gradients")],
     )
     def test_flag_the_mode_does_not_read_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch, mode, flag
@@ -672,7 +673,9 @@ class TestMain:
         for name in ("run_failsafe", "gradient_check", "newmark_solve"):
             monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
         argv = ["--model", str(model_path), "--records", str(rec_path), "--mode", mode]
-        assert main(argv + [flag, str(design), "--out", str(tmp_path / "out")]) == 2
+        # --export-drifts is a switch; the other two take a file.
+        argv += [flag] if flag == "--export-drifts" else [flag, str(design)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and flag in err and f"--mode {mode}" in err
         assert "Traceback" not in err

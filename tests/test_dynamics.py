@@ -314,7 +314,8 @@ def test_warm_newmark_solve_is_bitwise_a_cold_one():
 
     def cold(model, gm):
         dynamics._step_terms.cache_clear()
-        return newmark_solve(model, C_d, GroundMotion(gm.name, gm.dt, gm.accel, gm.scale))
+        dynamics._record_load.cache_clear()
+        return newmark_solve(model, C_d, gm)
 
     want = [[cold(model, gm) for gm in records] for model in models]
     for _ in range(2):
@@ -324,8 +325,11 @@ def test_warm_newmark_solve_is_bitwise_a_cold_one():
                 for name in ("u", "v", "a", "powers", "Q"):
                     assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
     assert dynamics._step_terms.cache_info().hits > 0
-    # The load rows hold no K: the stiffer frame shares the base frame's.
-    assert all(len(gm._loads) == 3 for gm in records)
+    # The load rows hold no K, so the stiffer frame shares the base frame's:
+    # three (M, iota) keys per record. They hold no dt either, and the two
+    # records have the same samples, so they share all three.
+    assert len({gm.accel.tobytes() for gm in records}) == 1
+    assert dynamics._record_load.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize("beta", [0.25, 1.0 / 6.0])
@@ -697,6 +701,30 @@ class TestSpectralDisplacement:
         expected = amp / (2.0 * zeta * w * w)
         got = spectral_displacement(gm, period, zeta)
         assert got == pytest.approx(expected, rel=0.05)
+
+    @pytest.mark.parametrize("period", [np.nan, 0.0, -1.0, -np.inf])
+    def test_period_that_is_not_positive_is_rejected(self, period):
+        with pytest.raises(ValueError, match="period"):
+            spectral_displacement(synthetic_record(100, dt=0.01), period, 0.05)
+
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf, -np.inf])
+    def test_zeta_that_is_not_finite_is_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta"):
+            spectral_displacement(synthetic_record(100, dt=0.01), 1.0, zeta)
+
+    @pytest.mark.parametrize("period,zeta", [(np.inf, 0.05), (0.5, -0.02)])
+    def test_matches_the_stepwise_scheme(self, period, zeta):
+        # An infinite period is a free mass, a negative ratio an oscillator
+        # that gains energy; both still integrate.
+        gm = synthetic_record(300, dt=0.01, seed=4)
+        w = 2.0 * np.pi / period
+        U, _, _ = stepwise_newmark(
+            np.array([[1.0]]), np.array([[2.0 * zeta * w]]), np.array([[w * w]]),
+            -gm.scaled_accel[:, None], gm.dt, np.zeros(1), np.zeros(1),
+            dynamics.BETA, dynamics.GAMMA,
+        )
+        got = spectral_displacement(gm, period, zeta)
+        assert got == pytest.approx(np.abs(U).max(), rel=1e-10)
 
     def test_dominant_record_is_argmax(self):
         period = 0.7

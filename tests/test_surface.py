@@ -23,8 +23,9 @@ from failsafe_dampers import (
     run_failsafe,
     slp_solve,
 )
-from failsafe_dampers import cli, failsafe, model
+from failsafe_dampers import cli, dynamics, failsafe, model
 from failsafe_dampers.dynamics import (
+    GroundMotion,
     ResponseHistory,
     transition_matrices,
     transition_sweep,
@@ -93,6 +94,13 @@ def test_newmark_solve_owns_the_distinct_matrix_sweep():
     # the history's index carries them to the drift evaluation and adjoint.
     assert list(inspect.signature(newmark_solve).parameters) == ["model", "C_d", "gm"]
     assert "index" not in inspect.signature(adjoint_gradient).parameters
+
+
+def test_newmark_solve_is_the_one_way_into_the_sweep_and_a_record_a_plain_value():
+    # The spectral ranking integrates a one-DOF model through `newmark_solve`,
+    # and a record's load rows live in a cache keyed on its content.
+    assert not hasattr(dynamics, "_integrate")
+    assert {f.name for f in dataclasses.fields(GroundMotion)} == {"name", "dt", "accel", "scale"}
 
 
 def test_cutting_planes_take_their_labels_once_per_sub_problem():

@@ -23,7 +23,6 @@ from .constraints import (
     ConstraintParams,
     ConstraintValue,
     _sensitivities,
-    _time_last,
     evaluate_drift_constraint,
     pruned_powers,
     time_weights,
@@ -74,13 +73,12 @@ def dg_du_trajectory(
     """
     if value is None:
         value = evaluate_drift_constraint(history, model, params)
-    # Drift columns, time last: (..., n_drifts, N+1).
-    rho, d_tilde = _time_last(value.rho), value.d_tilde
+    rho, d_tilde = value.rho, value.d_tilde  # drift columns, time last
     sens = _sensitivities(value.terms, params.p)
     w = time_weights(rho.shape[-1], history.dt)
     duration = history.n_steps * history.dt
 
-    ratio = _time_last(value.magnitude) / np.where(d_tilde > 0, d_tilde, 1.0)[..., None]
+    ratio = value.magnitude / np.where(d_tilde > 0, d_tilde, 1.0)[..., None]
     t, col, powers = pruned_powers(ratio, params.p - 1)
     k = int(t.max()) + 1 if t.size else 0  # rows k.. are zero
     core = np.zeros((k, d_tilde.size))  # time first, one product for all

@@ -189,14 +189,16 @@ def save_model(model: StructuralModel, path: str | Path) -> None:
 
 
 def load_design(path: str | Path, model: StructuralModel, c_bar: float) -> DesignVector:
-    """Read per-location damping coefficients (kNs/m): one per line, or rows
-    keyed by location, comma- or space-separated (design.csv, design.txt)."""
+    """Read per-location damping coefficients (kNs/m): one per line in
+    location order, or rows keyed by location, comma- or space-separated
+    (design.csv, design.txt), that name each location 1..n_dampers once."""
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read design file {path}: {exc}") from exc
-    values = []
+    n = model.n_dampers
+    values, keyed = [], {}  # keyed: location -> (coefficient, line number)
     for number, line in enumerate(text.splitlines(), 1):
         parts = [p.strip() for p in line.split(",")] if "," in line else line.split() or [""]
         if not parts[0] or parts[0].startswith("#"):
@@ -206,17 +208,32 @@ def load_design(path: str | Path, model: StructuralModel, c_bar: float) -> Desig
         # file may open with a header. Any other line must parse.
         if len(parts) > 1 and not re.fullmatch(r"[+-]?\d+", parts[0]):
             continue
+        where = f"design file {path}, line {number}"
         try:
-            values.append(float(parts[1] if len(parts) > 1 else parts[0]))
+            value = float(parts[1] if len(parts) > 1 else parts[0])
         except ValueError:
             if len(parts) > 1 or values:
-                raise InputError(
-                    f"design file {path}, line {number}: '{line.strip()}' is not a coefficient"
-                ) from None
-    if len(values) != model.n_dampers:
+                raise InputError(f"{where}: '{line.strip()}' is not a coefficient") from None
+            continue
+        if (len(parts) > 1 and values) or (len(parts) == 1 and keyed):
+            raise InputError(f"{where}: keyed and one-column rows are mixed")
+        if len(parts) == 1:
+            values.append(value)
+            continue
+        loc = int(parts[0])
+        if not 1 <= loc <= n:
+            raise InputError(f"{where}: location {loc} is not one of 1..{n}")
+        if loc in keyed:
+            raise InputError(f"{where}: location {loc} is already given on line {keyed[loc][1]}")
+        keyed[loc] = value, number
+    if keyed:
+        missing = sorted(set(range(1, n + 1)) - keyed.keys())
+        if missing:
+            raise InputError(f"design file {path} has no row for location {missing[0]}")
+        values = [keyed[loc][0] for loc in range(1, n + 1)]
+    if len(values) != n:
         raise InputError(
-            f"design file {path} holds {len(values)} coefficients, model has "
-            f"{model.n_dampers} dampers"
+            f"design file {path} holds {len(values)} coefficients, model has {n} dampers"
         )
     try:
         return DesignVector(x=np.asarray(values) / c_bar, c_bar=c_bar)
@@ -468,7 +485,12 @@ def _run_optimization(
     fs: FailSafeConfig,
 ) -> int:
     scenario_set = _scenario_set(args, model)
-    comparison = {Path(p).stem: load_design(p, model, args.cbar) for p in args.compare}
+    stems = [Path(p).stem for p in args.compare]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:
+        raise InputError(f"--compare names its columns by file stem, and '{shared[0]}' "
+                         "is the stem of more than one file")
+    comparison = {stem: load_design(p, model, args.cbar) for stem, p in zip(stems, args.compare)}
     out = _output_dir(Path(args.out))
     drift_dir = _output_dir(out / "drifts") if args.export_drifts else None
     final = run_failsafe(

@@ -44,8 +44,8 @@ class ConstraintValue:
     batched history ``g`` and ``d_max_exact`` are arrays (B,), one per
     matrix of the stack, and the rest are per swept system (see
     `ResponseHistory.index`): ``d_tilde`` is (B_swept, n_drifts) and ``rho``
-    is (N+1, B_swept, n_drifts), a view of drift columns with time
-    contiguous (see `normalized_drifts`), as is ``magnitude``.
+    and ``magnitude`` are the drift columns (B_swept, n_drifts, N+1), time
+    last (see `normalized_drifts`).
     """
 
     g: float | np.ndarray
@@ -66,29 +66,17 @@ def time_weights(n_samples: int, dt: float) -> np.ndarray:
 
 
 def normalized_drifts(history: ResponseHistory, model: StructuralModel) -> np.ndarray:
-    """Signed drift ratios d_j(t_i) / d_allow_j, shape (N+1, n_drifts), or
-    (N+1, B, n_drifts) for a batched history.
-
-    The array is a view of drift columns with time as the contiguous axis,
-    (n_drifts, N+1) per response, each from one product H u', which its
-    time-last transpose gives back without a copy."""
+    """Signed drift ratios d_j(t_i) / d_allow_j as drift columns, time
+    last: shape (n_drifts, N+1), or (B_swept, n_drifts, N+1) for a batched
+    history, each response's from one product H u'."""
     if history.n_dof != model.n_dof:
         raise ValueError(
             f"history has {history.n_dof} DOFs, model has {model.n_dof}"
         )
-    columns = model.drift_transform @ _time_last(history.u)
+    u = history.u  # time first: (N+1, ..., n_dof)
+    columns = model.drift_transform @ u.transpose(*range(1, u.ndim), 0)
     columns /= model.d_allow[:, None]
-    return _time_first(columns)
-
-
-def _time_last(a: np.ndarray) -> np.ndarray:
-    """View of a time-first (N+1, ...) array with time as the last axis."""
-    return a.transpose(*range(1, a.ndim), 0)
-
-
-def _time_first(a: np.ndarray) -> np.ndarray:
-    """View of a time-last (..., N+1) array with time as the first axis."""
-    return a.transpose(-1, *range(a.ndim - 1))
+    return columns
 
 
 def pruned_powers(
@@ -157,7 +145,7 @@ def exact_peak(
 ) -> float | np.ndarray:
     """True max over time and drifts of |d| / d_allow (non-smooth); one
     value per matrix of the stack, shape (B,), for a batched history."""
-    return _per_matrix(np.abs(normalized_drifts(history, model)).max(axis=(0, -1)), history)
+    return _per_matrix(np.abs(normalized_drifts(history, model)).max(axis=(-2, -1)), history)
 
 
 def evaluate_drift_constraint(
@@ -180,8 +168,7 @@ def evaluate_drift_constraint(
     summed (see `pruned_powers`), each drift's in time order; the others
     would add exactly 0. A drift that never moves gets index 0.
     """
-    # Drift columns, time last: (..., n_drifts, N+1).
-    rho = _time_last(normalized_drifts(history, model))
+    rho = normalized_drifts(history, model)
     magnitude = np.abs(rho)
     w = time_weights(rho.shape[-1], history.dt)
     duration = history.n_steps * history.dt
@@ -196,8 +183,8 @@ def evaluate_drift_constraint(
         g=_per_matrix(_aggregate(terms), history),
         d_tilde=d_tilde,
         d_max_exact=_per_matrix(peak.max(axis=-1), history),
-        rho=_time_first(rho),
-        magnitude=_time_first(magnitude),
+        rho=rho,
+        magnitude=magnitude,
         terms=terms,
     )
 

@@ -398,8 +398,9 @@ def load_ground_motion(
     Two layouts are accepted: two whitespace-separated columns of time and
     acceleration with uniform spacing, or a ``dt=<seconds>`` header line
     followed by one acceleration per line. Lines starting with ``#`` or
-    ``%`` are comments. ``units="g"`` converts samples to m/s^2. The
-    record is named after the file's stem.
+    ``%`` are comments. Samples are parsed by `np.loadtxt`, which reads
+    no underscores or non-ASCII digits. ``units="g"`` converts samples to
+    m/s^2. The record is named after the file's stem.
     """
     path = Path(path)
     if units not in ("m/s2", "g"):
@@ -409,40 +410,29 @@ def load_ground_motion(
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read record file {path}: {exc}") from exc
 
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith(("#", "%"))
-    ]
+    lines = [ln for ln in text.splitlines()
+             if ln.strip() and not ln.lstrip().startswith(("#", "%"))]
     if not lines:
         raise InputError(f"record file {path} holds no data")
-
     header = _DT_HEADER.match(lines[0])
     if header:
         try:
             dt = float(header.group(1))
         except ValueError as exc:
             raise InputError(f"bad dt= header in {path}: {exc}") from exc
-        try:
-            accel = np.array([float(ln.split()[0]) for ln in lines[1:]])
-        except ValueError as exc:
-            raise InputError(f"bad acceleration sample in {path}: {exc}") from exc
+        lines = lines[1:]
+    if len(lines) < 2:
+        raise InputError(f"record file {path} needs at least two samples")
+    try:
+        # Columns after those read are ignored. An error names the string and
+        # its row, counted from 0 over the data lines.
+        columns = np.loadtxt(lines, usecols=0 if header else (0, 1), unpack=True, comments=None)
+    except ValueError as exc:
+        raise InputError(f"bad sample in record file {path}: {exc}") from exc
+    if header:
+        accel = columns
     else:
-        rows = []
-        for i, ln in enumerate(lines):
-            parts = ln.split()
-            if len(parts) < 2:
-                raise InputError(
-                    f"{path}, data line {i + 1}: expected 'time accel' columns"
-                )
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise InputError(f"{path}, data line {i + 1}: {exc}") from exc
-        t = np.array([r[0] for r in rows])
-        accel = np.array([r[1] for r in rows])
-        if t.size < 2:
-            raise InputError(f"record file {path} needs at least two samples")
+        t, accel = columns
         # Times that are not finite, or that overflow in the differences,
         # fail the comparison below instead of warning.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -63,16 +63,15 @@ class CuttingPlane(NamedTuple):
     """One linearization of a scenario's aggregated constraint, as read
     from `CuttingPlanes`.
 
-    ghat(x) = intercept + gradient @ (x - point); the half-space kept in the
-    LP is ghat(x) <= 0. Disabled planes stay in the log but are excluded
-    from the LP.
+    ghat(x) = gradient @ x - rhs; the half-space kept in the LP is
+    ghat(x) <= 0. Disabled planes stay in the log but are excluded from the
+    LP.
     """
 
     scenario_id: int
     record: str
     gradient: np.ndarray
-    intercept: float
-    point: np.ndarray
+    rhs: float
     iteration: int
     enabled: bool
 
@@ -82,20 +81,15 @@ class CuttingPlanes:
 
     Every SLP iteration linearizes the same K (scenario id, record) pairs,
     ``labels``, at one design and appends their K planes as one block, so
-    row r is pair ``r % K`` of iteration ``r // K + 1``, linearized at that
-    iteration's point, which is stored once. Each row holds a plane's
-    gradient, its intercept, the right-hand side gradient @ point -
-    intercept of its half-space gradient @ x <= rhs, and whether it is
-    enabled. Planes are never removed: `disable` clears their flags. The LP
-    reads only the gradients and right-hand sides; the points and intercepts
-    are kept for the `CuttingPlane` records that iteration gives.
+    row r is pair ``r % K`` of iteration ``r // K + 1``. A row is the LP's:
+    a plane's gradient, the right-hand side of its half-space
+    gradient @ x <= rhs, and whether it is enabled. Planes are never
+    removed: `disable` clears their flags.
     """
 
     def __init__(self, n: int, labels):
         self._labels = list(labels)
-        self._points = np.empty((0, n))
         self._gradients = np.empty((0, n))
-        self._intercepts = np.empty(0)
         self._rhs = np.empty(0)
         self._enabled = np.empty(0, dtype=bool)
 
@@ -104,12 +98,12 @@ class CuttingPlanes:
 
     def __iter__(self) -> Iterator[CuttingPlane]:
         k = len(self._labels)
-        gradients, points = self._gradients.view(), self._points.view()
-        gradients.flags.writeable = points.flags.writeable = False
-        rows = zip(gradients, self._intercepts.tolist(), self._enabled.tolist())
-        for r, (gradient, intercept, enabled) in enumerate(rows):
+        gradients = self._gradients.view()
+        gradients.flags.writeable = False
+        rows = zip(gradients, self._rhs.tolist(), self._enabled.tolist())
+        for r, (gradient, rhs, enabled) in enumerate(rows):
             i, j = divmod(r, k)
-            yield CuttingPlane(*self._labels[j], gradient, intercept, points[i], i + 1, enabled)
+            yield CuttingPlane(*self._labels[j], gradient, rhs, i + 1, enabled)
 
     @property
     def enabled(self) -> np.ndarray:
@@ -119,17 +113,16 @@ class CuttingPlanes:
         return mask
 
     def append(self, gradients, intercepts, point) -> None:
-        """Add one enabled plane per label, all linearized at ``point``; row
-        j of ``gradients`` and ``intercepts`` belongs to ``labels[j]``."""
+        """Add one enabled plane per label, each the linearization
+        ghat(x) = intercept + gradient @ (x - point); row j of ``gradients``
+        and ``intercepts`` belongs to ``labels[j]``."""
         gradients = np.asarray(gradients, dtype=float)
         intercepts = np.asarray(intercepts, dtype=float)
         if not len(gradients) == len(intercepts) == len(self._labels):
             raise ValueError(f"need one plane per label ({len(self._labels)}), got "
                              f"{len(gradients)} gradients, {len(intercepts)} intercepts")
         rhs = np.vecdot(gradients, point) - intercepts
-        self._points = np.concatenate([self._points, [point]])
         self._gradients = np.concatenate([self._gradients, gradients])
-        self._intercepts = np.concatenate([self._intercepts, intercepts])
         self._rhs = np.concatenate([self._rhs, rhs])
         self._enabled = np.concatenate([self._enabled, np.ones(len(rhs), dtype=bool)])
 

@@ -88,8 +88,8 @@ def stepwise_adjoint(model, C_d, history, forcing):
 
 def dense_dg_du_trajectory(history, model, params):
     """Slow reference: dg/du with the drift pass repeated and every ratio
-    raised to p - 1."""
-    rho = normalized_drifts(history, model)
+    raised to p - 1, time first."""
+    rho = np.moveaxis(normalized_drifts(history, model), -1, 0)
     d_tilde = dense_smooth_drift_indices(history, model, params)
     sens = aggregation_sensitivities(d_tilde, params.p)
     w = time_weights(rho.shape[0], history.dt)
@@ -244,8 +244,9 @@ def test_pruned_dg_du_matches_dense_reference(pq):
 
 def full_product_dg_du(history, model, params, value):
     """Reference: dg/du with every time row through H' in one product, the
-    pruned terms of `dg_du_trajectory` placed in an all-row array."""
-    rho, d_tilde = value.rho, value.d_tilde
+    pruned terms of `dg_du_trajectory` placed in an all-row array, time
+    first."""
+    rho, d_tilde = np.moveaxis(value.rho, -1, 0), value.d_tilde
     sens = aggregation_sensitivities(d_tilde, params.p)
     w = time_weights(rho.shape[0], history.dt)
     ratio = np.abs(rho) / np.where(d_tilde > 0, d_tilde, 1.0)

@@ -367,6 +367,35 @@ class TestReports:
         with pytest.raises(InputError, match=rf"design\.txt, line {line}: '[\d,\s]*2O0'"):
             load_design(path, model, c_bar=1000.0)
 
+    @pytest.mark.parametrize(
+        "content",
+        ["2,200\n1,100\n3,300\n4,400\n", "location  c\n4  400\n3  300\n1  100\n2  200\nJ  1000\n"],
+    )
+    def test_keyed_rows_load_at_their_location(self, tmp_path, content):
+        path = tmp_path / "design.txt"
+        path.write_text(content)
+        model, _, _ = write_inputs(tmp_path)
+        design = load_design(path, model, c_bar=1000.0)
+        assert design.coefficients.tolist() == [100.0, 200.0, 300.0, 400.0]
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("1,100\n1,200\n3,300\n7,400\n", "line 2: location 1 is already given on line 1"),
+            ("1,100\n2,200\n3,300\n7,400\n", r"line 4: location 7 is not one of 1\.\.4"),
+            ("0,100\n1,200\n2,300\n3,400\n", r"line 1: location 0 is not one of 1\.\.4"),
+            ("location,c\n1,100\n2,200\n4,400\n", "has no row for location 3"),
+            ("1,100\n200\n300\n400\n", "line 2: keyed and one-column rows are mixed"),
+            ("100\n200\n3,300\n4,400\n", "line 3: keyed and one-column rows are mixed"),
+        ],
+    )
+    def test_keyed_rows_name_each_location_once(self, tmp_path, content, message):
+        path = tmp_path / "design.csv"
+        path.write_text(content)
+        model, _, _ = write_inputs(tmp_path)
+        with pytest.raises(InputError, match=rf"design file \S*design\.csv,? {message}"):
+            load_design(path, model, c_bar=1000.0)
+
     def test_constraint_report_covers_every_scenario(self):
         # 16 dampers, singles complete plus pairs partial: 137 rows.
         from failsafe_dampers import ConstraintParams, enumerate_scenarios
@@ -601,6 +630,57 @@ class TestMain:
         assert "Traceback" not in err
         assert not calls
         assert not (tmp_path / "out").exists()
+
+    def test_compare_files_with_one_stem_exit_2_before_the_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The report names a compare column by its file's stem: the second
+        # file's column would replace the first's.
+        model, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        for folder, text in (("a", "100\n200\n300\n400\n"), ("b", "400\n300\n200\n100\n")):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "design.csv").write_text(text)
+        calls = []
+        monkeypatch.setattr(cli, "run_failsafe", lambda *a, **k: calls.append(a))
+        argv = ["--model", str(model_path), "--records", str(rec_path)]
+        argv += ["--out", str(tmp_path / "out"), "--compare"]
+        argv += [str(tmp_path / folder / "design.csv") for folder in ("a", "b")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "'design'" in err and "--compare" in err
+        assert "Traceback" not in err
+        assert not calls
+        assert not (tmp_path / "out").exists()
+
+    def test_design_with_a_repeated_location_exits_2(self, tmp_path, capsys):
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        design = tmp_path / "design.csv"
+        design.write_text("location,c\n1,100\n1,200\n3,300\n4,400\n")
+        argv = ["--model", str(model_path), "--records", str(rec_path), "--mode", "simulate"]
+        argv += ["--design", str(design), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "design.csv, line 3: location 1 is already given on line 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_records_with_one_name_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Records are named by file stem, so a/rec.txt and b/rec.txt clash.
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "rec.txt")
+            paths[-1].write_text(rec_path.read_text())
+        calls = []
+        monkeypatch.setattr(cli, "run_failsafe", lambda *a, **k: calls.append(a))
+        argv = ["--model", str(model_path), "--records", *map(str, paths)]
+        argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: record names must be unique, got ['rec', 'rec']" in err
+        assert "Traceback" not in err
+        assert not calls
 
     @pytest.mark.parametrize("step", ["0", "-1e-6", "nan", "inf"])
     def test_bad_fd_step_exits_2(self, tmp_path, capsys, step):

@@ -25,8 +25,9 @@ EXPONENTS = [2, 8, 100, 600, 5100, 37100, 1_000_000]
 
 
 def dense_smooth_drift_indices(history, model, params):
-    """Slow reference: the time p-norms with every ratio raised to p."""
-    rho = np.abs(normalized_drifts(history, model))
+    """Slow reference: the time p-norms with every ratio raised to p, time
+    first."""
+    rho = np.abs(np.moveaxis(normalized_drifts(history, model), -1, 0))
     w = time_weights(rho.shape[0], history.dt)
     duration = history.n_steps * history.dt
     peak = rho.max(axis=0)
@@ -180,7 +181,7 @@ def test_batched_values_are_one_per_matrix_of_the_stack():
     assert value.d_max_exact.tobytes() == want.d_max_exact.tobytes()
     assert exact_peak(hist, model).tobytes() == exact_peak(ref, model).tobytes()
     assert value.d_tilde.shape == (6, model.n_drifts)
-    assert value.rho.shape == value.magnitude.shape == (len(gm.accel), 6, model.n_drifts)
+    assert value.rho.shape == value.magnitude.shape == (6, model.n_drifts, len(gm.accel))
 
 
 class TestPrunedPowers:
@@ -225,8 +226,8 @@ class TestPrunedPowers:
 def per_row_constraint(history, model, params):
     """Reference: drifts time first, each time row through H' as
     (u @ H') / d_allow, then the time p-norms, peaks and aggregate with
-    every reduction over the time axis of that layout. Returns rho, d_tilde,
-    g and the exact peak."""
+    every reduction over the time axis of that layout. Returns rho, moved to
+    time last, d_tilde, g and the exact peak."""
     rho = (history.u @ model.drift_transform.T) / model.d_allow
     magnitude = np.abs(rho)
     w = time_weights(len(rho), history.dt)
@@ -237,7 +238,7 @@ def per_row_constraint(history, model, params):
     weights = (w / (history.n_steps * history.dt))[t] * flat[t, col] ** params.p
     s = np.bincount(col, weights=weights, minlength=scale.size)
     d_tilde = scale * s.reshape(scale.shape) ** (1.0 / params.p)
-    return rho, d_tilde, aggregate(d_tilde, params.p), peak.max(axis=-1)
+    return np.moveaxis(rho, 0, -1), d_tilde, aggregate(d_tilde, params.p), peak.max(axis=-1)
 
 
 class TestTimeContiguousColumns:
@@ -257,7 +258,7 @@ class TestTimeContiguousColumns:
         assert value.rho.shape == value.magnitude.shape == rho.shape
         assert value.rho.tobytes() == rho.tobytes()
         assert np.array_equal(value.magnitude, np.abs(rho))
-        assert np.moveaxis(value.rho, 0, -1).flags.c_contiguous
+        assert value.rho.shape[-1] == len(gm.accel) and value.rho.flags.c_contiguous
         for got, want in ((value.d_tilde, d_tilde), (value.g, g), (value.d_max_exact, d_max)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -275,6 +276,7 @@ class TestTimeContiguousColumns:
         rho, d_tilde, g, d_max = per_row_constraint(hist, model, params)
         eps = np.finfo(float).eps
         bound = 8 * eps * (np.abs(hist.u) @ np.abs(model.drift_transform).T) / model.d_allow
+        bound = np.moveaxis(bound, 0, -1)
         assert np.all(np.abs(value.rho - rho) <= bound)
         assert np.abs(value.d_tilde - d_tilde).max() <= 16 * eps * d_tilde.max()
         assert np.abs(value.g - g).max() <= 16 * eps * np.abs(g + 1.0).max()

@@ -782,6 +782,23 @@ class TestRecordParsing:
         with pytest.raises(InputError, match="dt="):
             load_ground_motion(path)
 
+    @pytest.mark.parametrize("sample", ["1_000", "\u0661\u0662", "\uff15"])
+    @pytest.mark.parametrize("layout", ["dt=0.01\n0.5\n{}\n", "0.0 0.5\n0.01 {}\n"])
+    def test_numbers_only_python_reads_rejected(self, tmp_path, layout, sample):
+        # Underscores and non-ASCII digits, which float() accepts, are not
+        # numbers in a record file.
+        path = tmp_path / "rec.txt"
+        path.write_text(layout.format(sample), encoding="utf-8")
+        with pytest.raises(InputError, match=f"bad sample in record file .*rec.txt.*'{sample}'"):
+            load_ground_motion(path)
+
+    def test_columns_after_those_read_are_ignored(self, tmp_path):
+        path = tmp_path / "rec.txt"
+        path.write_text("dt=0.01\n0.5 x\n-0.5 1 2\n")
+        assert load_ground_motion(path).accel.tolist() == [0.5, -0.5]
+        path.write_text("0.0 0.5 x\n0.01 -0.5\n")
+        assert load_ground_motion(path).accel.tolist() == [0.5, -0.5]
+
     @given(data=st.data())
     @settings(
         max_examples=300,

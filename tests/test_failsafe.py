@@ -162,6 +162,17 @@ class TestEvaluateAll:
             )
 
 
+def test_record_lists_it_cannot_use_rejected():
+    model = frame_with_redundant_dampers(d_allow=0.012)
+    scen = enumerate_scenarios(model.n_dampers, 1, 0)
+    design = DesignVector(x=np.full(4, 0.5), c_bar=400.0)
+    with pytest.raises(ValueError, match="need at least one ground motion"):
+        evaluate_all(design, model, scen, [], ConstraintParams())
+    twins = [synthetic_record(50, seed=seed, name="rec") for seed in (1, 2)]
+    with pytest.raises(ValueError, match=r"record names must be unique, got \['rec', 'rec'\]"):
+        run_failsafe(model, scen, twins, c_bar=400.0)
+
+
 def full_stack_reference(model, design, scenarios, gm, params):
     """g and gradients of every scenario from the whole (B, n, n) stack,
     repeats included: the states of `whole_stack_history`, then the drift
@@ -174,16 +185,17 @@ def full_stack_reference(model, design, scenarios, gm, params):
     return value.g, accumulate_gradient(model, design, scenarios, hist.v, lambda_u)
 
 
-def assert_planes_are_the_reference(planes, refs):
-    """Each plane's intercept and gradient, scenario-major over the records,
-    bit for bit those of `full_stack_reference` (one per record)."""
+def assert_planes_are_the_reference(planes, refs, x):
+    """Each plane's gradient and right-hand side, scenario-major over the
+    records, bit for bit those of `full_stack_reference` (one per record)
+    linearized at x."""
     planes = list(planes)
     assert len(planes) == len(refs) * len(refs[0][0])
     for k, plane in enumerate(planes):
         s, r = divmod(k, len(refs))
         g, grads = refs[r]
-        assert np.float64(plane.intercept).tobytes() == g[s].tobytes()
         assert plane.gradient.tobytes() == grads[s].tobytes()
+        assert np.float64(plane.rhs).tobytes() == (np.vecdot(grads[s], x) - g[s]).tobytes()
 
 
 class TestDistinctSystems:
@@ -214,7 +226,7 @@ class TestDistinctSystems:
         res = optimizer.slp_solve(
             model, scenarios, records, design, SlpConfig(i_min=1, i_max=1, p_start=1000)
         )
-        assert_planes_are_the_reference(res.planes, refs)
+        assert_planes_are_the_reference(res.planes, refs, design.x)
         g = evaluate_all(design, model, scenario_set, records, params)
         want = np.full(len(scenarios), -np.inf)
         for g_rec, _ in refs:
@@ -249,7 +261,8 @@ class TestDistinctSystems:
         planes = list(res.planes)
         assert len(planes) == 2
         for plane, g_ref, grad_ref in zip(planes, g, grads):
-            assert plane.intercept == pytest.approx(g_ref, rel=1e-12)
+            g_plane = plane.gradient @ design.x - plane.rhs  # at its own point
+            assert g_plane == pytest.approx(g_ref, rel=1e-12)
             assert np.abs(plane.gradient - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
         # Scenario 1 fails damper 0 only: its other components are scenario 0's.
         assert planes[1].gradient[0] == 0.0

@@ -225,6 +225,22 @@ class TestSimplexCore:
         assert status == "infeasible"
         assert x is None
 
+    def test_detects_unbounded(self):
+        # x0 - x1 <= 1 with x1 free above: the cost -x1 falls without end.
+        with pytest.raises(SimplexError, match="LP is unbounded"):
+            solve_inequality_lp(np.array([0.0, -1.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "b,upper,message",
+        [
+            ([1.0, 2.0], None, r"b has shape \(2,\), expected \(1,\)"),
+            ([1.0], [1.0, 1.0, 1.0], r"upper has shape \(3,\), expected \(2,\)"),
+        ],
+    )
+    def test_operands_of_the_wrong_shape_rejected(self, b, upper, message):
+        with pytest.raises(ValueError, match=message):
+            solve_inequality_lp(np.ones(2), np.array([[1.0, 1.0]]), np.array(b), upper)
+
     def test_degenerate_vertex(self):
         # Five constraints all tight at the origin: a classic cycling trap.
         c = np.ones(2)
@@ -585,7 +601,21 @@ def two_record_problem():
 
 def ghat(plane, x):
     """The linearization a `CuttingPlane` record holds, evaluated at x."""
-    return float(plane.intercept + plane.gradient @ (x - plane.point))
+    return float(plane.gradient @ x - plane.rhs)
+
+
+def spy_centers(monkeypatch):
+    """The iterates of an SLP run, in order: the centers of its LPs, each
+    the design its iteration's planes were linearized at."""
+    centers = []
+    real_lp = optimizer.solve_lp
+
+    def spy_lp(objective, planes, center, *args, **kwargs):
+        centers.append(center.copy())
+        return real_lp(objective, planes, center, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
+    return centers
 
 
 def lp_rows_from_records(planes, center, move_limit, margin):
@@ -596,9 +626,7 @@ def lp_rows_from_records(planes, center, move_limit, margin):
     hi = np.minimum(1.0, center + move_limit)
     on = [pl for pl in planes if pl.enabled]
     A_pl = np.array([pl.gradient for pl in on]).reshape(len(on), n)
-    points = np.array([pl.point for pl in on]).reshape(len(on), n)
-    intercepts = np.array([pl.intercept for pl in on])
-    b_pl = np.vecdot(A_pl, points) - intercepts - margin
+    b_pl = np.array([pl.rhs for pl in on]) - margin
     return np.vstack([A_pl, np.eye(n)]), np.concatenate([b_pl - A_pl @ lo, hi - lo])
 
 
@@ -659,8 +687,8 @@ class TestSolveLp:
             assert res.status == "optimal"
             lo = np.maximum(0.0, center - ml)
             hi = np.minimum(1.0, center + ml)
-            A = np.array([pl.gradient for pl in planes])
-            b = np.array([pl.gradient @ pl.point - pl.intercept for pl in planes])
+            A = np.array([grad for grad, _, _ in triples])
+            b = np.array([grad @ x_star - g_val for grad, g_val, _ in triples])
             oracle = enumerate_vertices_objective(
                 np.ones(n),
                 np.vstack([A, np.eye(n)]),
@@ -668,6 +696,14 @@ class TestSolveLp:
                 n,
             ) + float(lo.sum())
             assert np.ones(n) @ res.x == pytest.approx(oracle, abs=1e-9)
+
+
+def test_planes_need_one_per_label():
+    planes = CuttingPlanes(2, [(0, "r"), (1, "r")])
+    message = r"need one plane per label \(2\), got 1 gradients, 2 intercepts"
+    with pytest.raises(ValueError, match=message):
+        planes.append([[1.0, 0.0]], [0.5, -0.5], [0.25, 0.25])
+    assert len(planes) == 0
 
 
 class TestSlpConfig:
@@ -702,6 +738,20 @@ class TestSlpConfig:
 
 
 class TestSlpSolve:
+    @pytest.mark.parametrize(
+        "scenarios,records,message",
+        [
+            ([], ["a"], "the working set must hold at least one scenario"),
+            ([no_failure()], [], "need at least one ground motion"),
+            ([no_failure()], ["a", "a"], r"record names must be unique, got \['a', 'a'\]"),
+        ],
+    )
+    def test_inputs_it_cannot_solve_rejected(self, scenarios, records, message):
+        model = shear_frame(1, mass=1.0, story_k=40.0, d_allow=0.5)
+        records = [synthetic_record(20, seed=2, name=name) for name in records]
+        with pytest.raises(ValueError, match=message):
+            slp_solve(model, scenarios, records, DesignVector(x=[0.5], c_bar=10.0), SlpConfig())
+
     def test_unconstrained_design_falls_to_zero(self):
         # Record so gentle the bare structure already satisfies the drift
         # limit: no plane ever binds and the cost walks x to the floor.
@@ -715,10 +765,11 @@ class TestSlpSolve:
         assert np.allclose(res.x, 0.0, atol=1e-12)
         assert all(r.g_max_true < 0 for r in res.history)
 
-    def test_iterates_respect_box_and_move_limits(self):
+    def test_iterates_respect_box_and_move_limits(self, monkeypatch):
         model = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.005)
         gm = synthetic_record(150, dt=0.02, seed=5, peak=1.0)
         cfg = SlpConfig(i_min=15, i_max=40, ml=0.05)
+        centers = spy_centers(monkeypatch)
         res = slp_solve(
             model,
             [no_failure()],
@@ -726,7 +777,8 @@ class TestSlpSolve:
             DesignVector(x=[0.5, 0.5], c_bar=400.0),
             cfg,
         )
-        points = [pl.point for pl in res.planes] + [res.x]
+        assert len(centers) == len(res.planes) == res.n_iterations
+        points = centers + [res.x]
         for x in points:
             assert np.all(x >= -1e-12) and np.all(x <= 1 + 1e-12)
         for a, b in zip(points, points[1:]):
@@ -735,13 +787,14 @@ class TestSlpSolve:
     def test_dropped_planes_were_binding_while_satisfied(self, monkeypatch):
         # Drop-rule safety: a plane may be disabled only after its true
         # constraint sat below -_DROP_MARGIN at a later iterate. That g is
-        # the intercept of the later plane of the same scenario and record.
+        # the later plane of the same scenario and record at its own iterate.
         model, scenarios, records, design0 = two_record_problem()
-        bindings = []
+        bindings, centers = [], []
         real_lp = optimizer.solve_lp
 
-        def spy_lp(*args, **kwargs):
-            lp = real_lp(*args, **kwargs)
+        def spy_lp(objective, planes, center, *args, **kwargs):
+            centers.append(center.copy())
+            lp = real_lp(objective, planes, center, *args, **kwargs)
             bindings.append(lp.binding)
             return lp
 
@@ -749,11 +802,15 @@ class TestSlpSolve:
         cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
         res = slp_solve(model, scenarios, records, design0, cfg)
         planes = list(res.planes)
+
+        def g(plane):
+            return ghat(plane, centers[plane.iteration - 1])
+
         disabled = [pl for pl in planes if not pl.enabled]
         assert disabled
         for pl in disabled:
             assert any(
-                later.intercept < -optimizer._DROP_MARGIN
+                g(later) < -optimizer._DROP_MARGIN
                 for later in planes
                 if (later.scenario_id, later.record) == (pl.scenario_id, pl.record)
                 and later.iteration > pl.iteration
@@ -765,15 +822,15 @@ class TestSlpSolve:
             row
             for i, binding in enumerate(bindings[:-1], 1)
             for row in binding
-            if plane_of[(planes[row].scenario_id, planes[row].record, i + 1)].intercept
+            if g(plane_of[(planes[row].scenario_id, planes[row].record, i + 1)])
             < -optimizer._DROP_MARGIN
         }
         assert retired == {row for row, pl in enumerate(planes) if not pl.enabled}
 
     def test_plane_labels_follow_the_row(self, monkeypatch):
         # Each plane carries the scenario, record and iteration of the
-        # evaluation it came from, that evaluation's g as its intercept and
-        # the design it ran at as its point, all read from its row number.
+        # evaluation it came from, all read from its row number, and the
+        # right-hand side of that evaluation's g linearized at its design.
         model, scenarios, records, design0 = two_record_problem()
         evaluations, designs, solved = {}, [], []
         real_solve, real_eval = optimizer.newmark_solve, optimizer.evaluate_drift_constraint
@@ -801,8 +858,7 @@ class TestSlpSolve:
         assert len(res.planes) == len(evaluations) == 3 * len(scenarios) * len(records)
         for pl in res.planes:
             g, point = evaluations[(pl.scenario_id, pl.record, pl.iteration)]
-            assert pl.intercept == g
-            assert np.array_equal(pl.point, point)
+            assert np.float64(pl.rhs).tobytes() == (np.vecdot(pl.gradient, point) - g).tobytes()
 
     def test_final_point_satisfies_enabled_planes(self):
         # Feasible problem (ample damping authority): the converged design
@@ -830,18 +886,20 @@ class TestSlpSolve:
         self, x0, ml, all_infeasible, caplog, monkeypatch
     ):
         # A tolerance of 1e-9 keeps every step above it, so the loop runs
-        # into i_max. Plane k holds iterate k, the point whose g_max
+        # into i_max. LP k is centred on iterate k, the point whose g_max
         # history[k] records; the LP's last proposal is never evaluated.
         model = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.012)
         gm = synthetic_record(200, dt=0.02, seed=23, peak=1.2)
         monkeypatch.setattr(SlpConfig, "convergence_tol", lambda self, n_dampers: 1e-9)
         cfg = SlpConfig(i_min=12, i_max=12, ml=ml)
+        centers = spy_centers(monkeypatch)
         res = slp_solve(
             model, [no_failure()], [gm], DesignVector(x=[x0, x0], c_bar=400.0), cfg
         )
         assert not res.converged and res.n_iterations == cfg.i_max
         assert "iteration cap" in caplog.text
-        evaluated = [(r.g_max_true, pl.point) for r, pl in zip(res.history, res.planes)]
+        assert len(centers) == len(res.history) == cfg.i_max
+        evaluated = [(r.g_max_true, x) for r, x in zip(res.history, centers)]
         feasible = [x for g, x in evaluated if g <= 0.0]
         assert (not feasible) == all_infeasible
         if feasible:

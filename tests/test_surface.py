@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import textwrap
 
+import numpy as np
 import pytest
 
 from failsafe_dampers import (
@@ -23,7 +24,7 @@ from failsafe_dampers import (
     run_failsafe,
     slp_solve,
 )
-from failsafe_dampers import cli, dynamics, failsafe, model
+from failsafe_dampers import cli, constraints, dynamics, failsafe, model
 from failsafe_dampers.dynamics import (
     GroundMotion,
     ResponseHistory,
@@ -31,6 +32,8 @@ from failsafe_dampers.dynamics import (
     transition_sweep,
 )
 from failsafe_dampers.optimizer import CuttingPlane, IterationRecord, LpResult
+
+from conftest import shear_frame, synthetic_record
 
 
 @pytest.mark.parametrize(
@@ -117,6 +120,37 @@ def test_cutting_planes_take_their_labels_once_per_sub_problem():
         "point",
     ]
     assert not hasattr(CuttingPlanes, "__getitem__")
+
+
+def test_a_cutting_plane_is_its_lp_row():
+    # A plane holds what the LP reads, ghat(x) = gradient @ x - rhs; its
+    # linearization point and intercept are folded into the right-hand side.
+    assert CuttingPlane._fields == (
+        "scenario_id",
+        "record",
+        "gradient",
+        "rhs",
+        "iteration",
+        "enabled",
+    )
+    planes = CuttingPlanes(2, [(0, "r")])
+    planes.append([[1.0, 2.0]], [0.5], [0.25, 0.25])
+    assert set(vars(planes)) == {"_labels", "_gradients", "_rhs", "_enabled"}
+    (plane,) = planes
+    assert plane.rhs == 0.25
+
+
+def test_drift_columns_stay_time_last():
+    # The columns H u' gives are the layout the evaluation, the peak and the
+    # adjoint read; no time-first view of them is handed out.
+    assert not hasattr(constraints, "_time_first")
+    assert not hasattr(constraints, "_time_last")
+    frame = shear_frame(2)
+    gm = synthetic_record(50, dt=0.02, seed=1, peak=1.0)
+    for C_d in (np.zeros((2, 2)), np.stack([c * np.eye(2) for c in (0.0, 100.0, 400.0)])):
+        hist = newmark_solve(frame, C_d, gm)
+        drifts = constraints.normalized_drifts(hist, frame)
+        assert drifts.shape == C_d.shape[:-2] + (frame.n_drifts, gm.n_steps + 1)
 
 
 def test_iteration_record_holds_no_label_or_per_pair_values():

@@ -1,7 +1,8 @@
 """Exact gradients of the aggregated drift constraint.
 
 The gradient with respect to the damper sizes is computed by the
-discretize-then-differentiate adjoint method. One Newmark step is the
+discretize-then-differentiate adjoint method, from the forcing dg/du that
+`constraints` gives for the caller's own sweep. One Newmark step is the
 linear map s_i = P s_{i-1} + Q load_i of the state s = (u, v, a), so the
 costate of the discrete response steps backward with P', swept by the
 primal's own kernel from the primal's own transition matrices, and one
@@ -22,17 +23,10 @@ import numpy as np
 from .constraints import (
     ConstraintParams,
     ConstraintValue,
-    _sensitivities,
+    dg_du_trajectory,
     evaluate_drift_constraint,
-    pruned_powers,
-    time_weights,
 )
-from .dynamics import (
-    GroundMotion,
-    ResponseHistory,
-    newmark_solve,
-    transition_sweep,
-)
+from .dynamics import GroundMotion, ResponseHistory, newmark_solve, transition_sweep
 from .model import (
     DesignVector,
     Scenarios,
@@ -40,58 +34,6 @@ from .model import (
     assemble_added_damping,
     damper_scales,
 )
-
-
-def dg_du_trajectory(
-    history: ResponseHistory,
-    model: StructuralModel,
-    params: ConstraintParams,
-    *,
-    value: ConstraintValue | None = None,
-) -> np.ndarray:
-    """dg/du_i for every time sample, shape (N+1, n_dof), or
-    (N+1, B_swept, n_dof) for a batched history, the history's own shape.
-
-    Chain rule through the time p-norm and the aggregation, whose q is p:
-    with rho_ji = (H u_i)_j / d_allow_j,
-
-        dg/du_i = H' D(1/d_allow) [ s_j * (w_i/T) * sign(rho_ji)
-                                     * (|rho_ji| / d_tilde_j)^(p-1) ]_j
-
-    where s_j is the aggregation sensitivity. The (|rho|/d_tilde)^(p-1)
-    ratios stay bounded by T/w_min regardless of p, so the evaluation is
-    safe at the largest continuation exponents. Only the ratios above
-    exp(-746/(p-1)) are raised (see `pruned_powers`); every other term is
-    exactly 0, so the rows after the last raised one are built as zeros
-    and only the rows up to it go through H', in one product for the whole
-    batch; the terms are gathered from the drift columns, time contiguous,
-    that the evaluation holds. A drift that never moves has
-    d_tilde_j = 0 and rho_ji = 0, so it contributes nothing. ``value`` is
-    this history's `evaluate_drift_constraint` result, which supplies rho,
-    |rho|, d_tilde and its aggregation terms; without it the evaluation
-    runs here.
-    """
-    if value is None:
-        value = evaluate_drift_constraint(history, model, params)
-    rho, d_tilde = value.rho, value.d_tilde  # drift columns, time last
-    sens = _sensitivities(value.terms, params.p)
-    w = time_weights(rho.shape[-1], history.dt)
-    duration = history.n_steps * history.dt
-
-    ratio = value.magnitude / np.where(d_tilde > 0, d_tilde, 1.0)[..., None]
-    t, col, powers = pruned_powers(ratio, params.p - 1)
-    k = int(t.max()) + 1 if t.size else 0  # rows k.. are zero
-    core = np.zeros((k, d_tilde.size))  # time first, one product for all
-    core[t, col] = (
-        np.sign(rho.reshape(d_tilde.size, -1)[col, t])
-        * powers
-        * (w / duration)[t]
-        * (sens / model.d_allow).ravel()[col]
-    )
-    forcing = np.zeros(history.u.shape)
-    rows = forcing[:k].reshape(-1, model.n_dof)
-    np.matmul(core.reshape(-1, model.n_drifts), model.drift_transform, out=rows)
-    return forcing
 
 
 def solve_adjoint(
@@ -177,36 +119,28 @@ def accumulate_gradient(
 def adjoint_gradient(
     model: StructuralModel,
     design: DesignVector,
-    scenario: Scenarios,
-    gm: GroundMotion,
+    scenarios: Scenarios,
     params: ConstraintParams,
     *,
-    C_d: np.ndarray | None = None,
-    history: ResponseHistory | None = None,
-    value: ConstraintValue | None = None,
+    C_d: np.ndarray,
+    history: ResponseHistory,
+    value: ConstraintValue,
 ) -> np.ndarray:
-    """Gradient of the scenario's aggregated drift constraint.
+    """Gradient of the scenarios' aggregated drift constraint, of the
+    caller's sweep.
 
-    Reuses ``C_d``, the added damping of this (design, scenario), and
-    ``history`` when the primal solve for this (design, scenario, record)
-    is already available; otherwise computes them. Likewise ``value``,
-    the `evaluate_drift_constraint` result of that history, spares the
-    drift pass of `dg_du_trajectory`. The history starts at rest, as
-    `newmark_solve` integrates it, so the starting state does not depend
-    on the design. A list of B scenarios (with, if given, their batched
-    history) gives every gradient from one batched sweep of the history's
-    systems, shape (B, n_dampers): scenario b reads system
-    ``history.index[b]`` (see `newmark_solve`).
+    ``C_d`` is the added damping of (design, scenarios), ``history`` its
+    `newmark_solve` response to one record and ``value`` that history's
+    `evaluate_drift_constraint` result, which gives dg/du
+    (`dg_du_trajectory`). The history starts at rest, so the starting
+    state does not depend on the design. A list of B scenarios with their
+    batched history gives every gradient from one batched backward sweep
+    of the history's systems, shape (B, n_dampers): scenario b reads
+    system ``history.index[b]`` (see `newmark_solve`).
     """
-    if value is not None and history is None:
-        raise ValueError("a constraint value needs the history it came from")
-    if C_d is None:
-        C_d = assemble_added_damping(model, design, scenario)
-    if history is None:
-        history = newmark_solve(model, C_d, gm)
     forcing = dg_du_trajectory(history, model, params, value=value)
     lambda_u = solve_adjoint(model, C_d, history, forcing)
-    return accumulate_gradient(model, design, scenario, history.v, lambda_u, history.index)
+    return accumulate_gradient(model, design, scenarios, history.v, lambda_u, history.index)
 
 
 def fd_gradient(
@@ -254,7 +188,11 @@ def gradient_check(
     finite-difference gradient, and the error max|adj - fd| / max(1, |fd|).
     """
     scenarios = list(scenarios)
-    adjoint = adjoint_gradient(model, design, scenarios, gm, params)
+    C_d = assemble_added_damping(model, design, scenarios)
+    history = newmark_solve(model, C_d, gm)
+    value = evaluate_drift_constraint(history, model, params)
+    adjoint = adjoint_gradient(model, design, scenarios, params,
+                               C_d=C_d, history=history, value=value)
     finite_diff = fd_gradient(model, design, scenarios, gm, params, h=h)
     rows = []
     for sc, adj, fd in zip(scenarios, adjoint, finite_diff):

@@ -5,7 +5,9 @@ any time. Two smooth surrogates make it usable in gradient-based
 optimization: a time p-norm replaces the max over time for each drift, and
 a q-power ratio aggregates the per-drift indices into a single scalar
 ``g`` with ``g <= 0`` meaning feasible. Both approach the exact peak as the
-exponents grow, which a continuation scheme exploits.
+exponents grow, which a continuation scheme exploits. This module gives g
+and its derivative dg/du along the response; `adjoint` sweeps dg/du
+backward and contracts it into the gradient in the damper sizes.
 """
 
 from __future__ import annotations
@@ -187,6 +189,58 @@ def evaluate_drift_constraint(
         magnitude=magnitude,
         terms=terms,
     )
+
+
+def dg_du_trajectory(
+    history: ResponseHistory,
+    model: StructuralModel,
+    params: ConstraintParams,
+    *,
+    value: ConstraintValue | None = None,
+) -> np.ndarray:
+    """dg/du_i for every time sample, shape (N+1, n_dof), or
+    (N+1, B_swept, n_dof) for a batched history, the history's own shape.
+
+    Chain rule through the time p-norm and the aggregation, whose q is p:
+    with rho_ji = (H u_i)_j / d_allow_j,
+
+        dg/du_i = H' D(1/d_allow) [ s_j * (w_i/T) * sign(rho_ji)
+                                     * (|rho_ji| / d_tilde_j)^(p-1) ]_j
+
+    where s_j is the aggregation sensitivity. The (|rho|/d_tilde)^(p-1)
+    ratios stay bounded by T/w_min regardless of p, so the evaluation is
+    safe at the largest continuation exponents. Only the ratios above
+    exp(-746/(p-1)) are raised (see `pruned_powers`); every other term is
+    exactly 0, so the rows after the last raised one are built as zeros
+    and only the rows up to it go through H', in one product for the whole
+    batch; the terms are gathered from the drift columns, time contiguous,
+    that the evaluation holds. A drift that never moves has
+    d_tilde_j = 0 and rho_ji = 0, so it contributes nothing. ``value`` is
+    this history's `evaluate_drift_constraint` result, which supplies rho,
+    |rho|, d_tilde and its aggregation terms; without it the evaluation
+    runs here.
+    """
+    if value is None:
+        value = evaluate_drift_constraint(history, model, params)
+    rho, d_tilde = value.rho, value.d_tilde  # drift columns, time last
+    sens = _sensitivities(value.terms, params.p)
+    w = time_weights(rho.shape[-1], history.dt)
+    duration = history.n_steps * history.dt
+
+    ratio = value.magnitude / np.where(d_tilde > 0, d_tilde, 1.0)[..., None]
+    t, col, powers = pruned_powers(ratio, params.p - 1)
+    k = int(t.max()) + 1 if t.size else 0  # rows k.. are zero
+    core = np.zeros((k, d_tilde.size))  # time first, one product for all
+    core[t, col] = (
+        np.sign(rho.reshape(d_tilde.size, -1)[col, t])
+        * powers
+        * (w / duration)[t]
+        * (sens / model.d_allow).ravel()[col]
+    )
+    forcing = np.zeros(history.u.shape)
+    rows = forcing[:k].reshape(-1, model.n_dof)
+    np.matmul(core.reshape(-1, model.n_drifts), model.drift_transform, out=rows)
+    return forcing
 
 
 def aggregation_sensitivities(d_tilde: np.ndarray, q: int) -> np.ndarray:

@@ -19,6 +19,8 @@ STANDARD_GRAVITY = 9.80665
 # gamma = 1/2 is second-order accurate and adds no numerical damping.
 BETA = 0.25
 GAMMA = 0.5
+# Damping ratio of the oscillator that ranks records (`select_dominant_record`).
+RANKING_ZETA = 0.05
 # Cost model of `transition_sweep` in seconds, for a stack of B systems of m
 # states over N rows in blocks of L (see `block_length`). Each part costs
 # fixed + per system + per system and entry:
@@ -43,25 +45,22 @@ _BLOCK_S = (2.0e-5, 2.1e-7, 2.2e-9)
 class GroundMotion:
     """Uniformly sampled ground acceleration record.
 
-    ``accel`` holds N+1 samples in m/s^2 at spacing ``dt``; ``scale`` is an
-    amplitude multiplier applied when the record is used.
+    ``accel`` holds N+1 samples in m/s^2 at spacing ``dt``; they carry the
+    record's amplitude. The record keeps its own read-only copy of them.
     """
 
     name: str
     dt: float
     accel: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError(f"time step must be positive and finite, got {self.dt}")
-        accel = np.atleast_1d(np.asarray(self.accel, dtype=float))
+        accel = np.array(self.accel, dtype=float, ndmin=1)
         if accel.ndim != 1 or accel.size < 2:
             raise ValueError("record needs at least two acceleration samples")
         if not np.all(np.isfinite(accel)):
             raise ValueError(f"record '{self.name}' contains non-finite samples")
-        if not np.isfinite(self.scale):
-            raise ValueError(f"record '{self.name}' has a non-finite scale {self.scale}")
         accel.setflags(write=False)
         object.__setattr__(self, "accel", accel)
 
@@ -79,11 +78,14 @@ class GroundMotion:
 
     @property
     def scaled_accel(self) -> np.ndarray:
-        return self.scale * self.accel
+        """The samples, under the name `bench/workloads.py` reads."""
+        return self.accel
 
-    def rescaled(self, scale: float) -> "GroundMotion":
-        """This record with its scale set to ``scale``, not multiplied by it."""
-        return GroundMotion(name=self.name, dt=self.dt, accel=self.accel, scale=scale)
+    def rescaled(self, factor: float) -> "GroundMotion":
+        """This record with every sample multiplied by ``factor``. A factor
+        that makes a sample non-finite is rejected as non-finite samples."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return GroundMotion(name=self.name, dt=self.dt, accel=self.accel * factor)
 
 
 @dataclass(frozen=True)
@@ -315,8 +317,7 @@ def newmark_solve(
         C_d, index = distinct_matrices(C_d)
 
     C = model.inherent_damping + C_d
-    load, a0 = _record_load(model.mass.tobytes(), model.influence.tobytes(),
-                            gm.accel.tobytes(), gm.scale)
+    load, a0 = _record_load(model.mass.tobytes(), model.influence.tobytes(), gm.accel.tobytes())
     try:
         P, Q = transition_matrices(model.mass, C, model.stiffness, gm.dt)
     except np.linalg.LinAlgError as exc:
@@ -342,13 +343,13 @@ def newmark_solve(
 
 
 @functools.lru_cache(maxsize=32)
-def _record_load(M_bytes, iota_bytes, accel_bytes, scale):
-    """The load rows -scale a_g(t_i) M iota (N+1, n) and the initial
+def _record_load(M_bytes, iota_bytes, accel_bytes):
+    """The load rows -a_g(t_i) M iota (N+1, n) and the initial
     acceleration M^-1 f_0 of a record on a model, read-only. M, iota and the
     record's samples are float arrays, given by their bytes."""
     iota = np.frombuffer(iota_bytes)
     M = np.frombuffer(M_bytes).reshape(iota.size, iota.size)
-    load = -np.outer(scale * np.frombuffer(accel_bytes), M @ iota)
+    load = -np.outer(np.frombuffer(accel_bytes), M @ iota)
     a0 = np.linalg.solve(M, load[0])
     load.setflags(write=False)
     a0.setflags(write=False)
@@ -375,13 +376,12 @@ def spectral_displacement(gm: GroundMotion, period: float, zeta: float) -> float
     return float(np.abs(newmark_solve(oscillator, np.zeros((1, 1)), gm).u).max())
 
 
-def select_dominant_record(
-    records: list[GroundMotion], period: float, zeta: float = 0.05
-) -> GroundMotion:
-    """Record with the largest spectral displacement at the given period."""
+def select_dominant_record(records: list[GroundMotion], period: float) -> GroundMotion:
+    """Record with the largest spectral displacement at the given period,
+    at the damping ratio `RANKING_ZETA`."""
     if not records:
         raise ValueError("record ensemble is empty")
-    sd = [spectral_displacement(gm, period, zeta) for gm in records]
+    sd = [spectral_displacement(gm, period, RANKING_ZETA) for gm in records]
     return records[int(np.argmax(sd))]
 
 
@@ -399,7 +399,8 @@ def load_ground_motion(
     acceleration with uniform spacing, or a ``dt=<seconds>`` header line
     followed by one acceleration per line. Lines starting with ``#`` or
     ``%`` are comments. Samples are parsed by `np.loadtxt`, which reads
-    no underscores or non-ASCII digits. ``units="g"`` converts samples to
+    no underscores or non-ASCII digits; a sample that does not parse is
+    reported with its line of the file. ``units="g"`` converts samples to
     m/s^2. The record is named after the file's stem.
     """
     path = Path(path)
@@ -410,25 +411,31 @@ def load_ground_motion(
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read record file {path}: {exc}") from exc
 
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith(("#", "%"))]
-    if not lines:
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1)
+                if ln.strip() and not ln.lstrip().startswith(("#", "%"))]
+    if not numbered:
         raise InputError(f"record file {path} holds no data")
-    header = _DT_HEADER.match(lines[0])
+    header = _DT_HEADER.match(numbered[0][1])
     if header:
         try:
             dt = float(header.group(1))
         except ValueError as exc:
             raise InputError(f"bad dt= header in {path}: {exc}") from exc
-        lines = lines[1:]
-    if len(lines) < 2:
+        numbered = numbered[1:]
+    if len(numbered) < 2:
         raise InputError(f"record file {path} needs at least two samples")
+    cols = 0 if header else (0, 1)  # columns after those read are ignored
     try:
-        # Columns after those read are ignored. An error names the string and
-        # its row, counted from 0 over the data lines.
-        columns = np.loadtxt(lines, usecols=0 if header else (0, 1), unpack=True, comments=None)
+        columns = np.loadtxt([ln for _, ln in numbered], usecols=cols, unpack=True, comments=None)
     except ValueError as exc:
-        raise InputError(f"bad sample in record file {path}: {exc}") from exc
+        reason = exc
+        for number, line in numbered:  # name the first data line that fails alone
+            try:
+                np.loadtxt([line], usecols=cols, comments=None)
+            except ValueError as line_exc:
+                reason = f"line {number}: {line_exc}"
+                break
+        raise InputError(f"bad sample in record file {path}: {reason}") from exc
     if header:
         accel = columns
     else:

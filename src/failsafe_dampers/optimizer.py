@@ -325,8 +325,7 @@ def slp_solve(
             value = evaluate_drift_constraint(hist, model, params)
             g[:, r] = value.g
             grads[:, r] = adjoint_gradient(
-                model, design, working_scenarios, gm, params,
-                C_d=C_d, history=hist, value=value,
+                model, design, working_scenarios, params, C_d=C_d, history=hist, value=value
             )
             counter.n_primal += len(working_scenarios)
             counter.n_adjoint += len(working_scenarios)

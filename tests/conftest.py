@@ -10,9 +10,11 @@ import pytest
 from failsafe_dampers import (
     GroundMotion,
     StructuralModel,
+    assemble_added_damping,
     build_rayleigh,
     compute_lowest_modes,
     enumerate_scenarios,
+    evaluate_drift_constraint,
     exact_peak,
     newmark_solve,
 )
@@ -112,6 +114,16 @@ def synthetic_record(
     return GroundMotion(name=name or f"syn{seed}", dt=dt, accel=smooth)
 
 
+def record_sweep(model, design, scenarios, gm, params) -> dict:
+    """The sweep `adjoint_gradient` differentiates, as its keywords: the
+    added damping of (design, scenarios), its response to ``gm`` and that
+    response's constraint value."""
+    C_d = assemble_added_damping(model, design, scenarios)
+    history = newmark_solve(model, C_d, gm)
+    value = evaluate_drift_constraint(history, model, params)
+    return {"C_d": C_d, "history": history, "value": value}
+
+
 def frame_with_redundant_dampers(
     n_stories=2, per_story=2, efficiencies=(1.0, 0.8), **kwargs
 ) -> StructuralModel:
@@ -171,7 +183,7 @@ def whole_stack_history(model: StructuralModel, C_d: np.ndarray, gm: GroundMotio
     P, Q = dynamics.transition_matrices(
         model.mass, model.inherent_damping + C_d, model.stiffness, gm.dt
     )
-    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    load = -np.outer(gm.accel, model.mass @ model.influence)
     S = np.empty((len(load), len(C_d), 3 * n))
     S[0, :, : 2 * n] = 0.0
     S[0, :, 2 * n :] = np.linalg.solve(model.mass, load[0])

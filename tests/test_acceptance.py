@@ -32,7 +32,7 @@ from failsafe_dampers import (
 from failsafe_dampers._simplex import solve_inequality_lp
 from failsafe_dampers.model import StructuralModel
 
-from conftest import shear_frame, synthetic_record
+from conftest import record_sweep, shear_frame, synthetic_record
 
 
 def _report(criterion: int, message: str) -> None:
@@ -160,7 +160,8 @@ def test_criterion_4_adjoint_consistency(frame_2dof, record_short):
         params = ConstraintParams(p=pq)
         errs = []
         for sc in cases:
-            adj = adjoint_gradient(frame_2dof, design, sc, record_short, params)
+            sweep = record_sweep(frame_2dof, design, sc, record_short, params)
+            adj = adjoint_gradient(frame_2dof, design, sc, params, **sweep)
             fd = fd_gradient(frame_2dof, design, sc, record_short, params, h=1e-6)
             errs.append(np.abs(adj - fd).max() / max(1.0, np.abs(fd).max()))
         worst[pq] = max(errs)

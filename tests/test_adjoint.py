@@ -33,7 +33,7 @@ from failsafe_dampers import dynamics
 from failsafe_dampers.dynamics import ResponseHistory, transition_matrices
 from failsafe_dampers.model import assemble_added_damping, damper_scales
 
-from conftest import shear_frame, synthetic_record
+from conftest import record_sweep, shear_frame, synthetic_record
 from test_constraints import EXPONENTS, dense_smooth_drift_indices
 from test_dynamics import BATCHES, repeated_stack, scenario_batch
 
@@ -341,10 +341,9 @@ def per_pair_g_and_gradients(model, design, scenarios, gm, params):
     """Slow reference: one primal and one adjoint analysis per scenario."""
     g, grads = [], []
     for sc in scenarios:
-        C_d = assemble_added_damping(model, design, sc)
-        hist = newmark_solve(model, C_d, gm)
-        g.append(evaluate_drift_constraint(hist, model, params).g)
-        grads.append(adjoint_gradient(model, design, sc, gm, params, history=hist))
+        sweep = record_sweep(model, design, sc, gm, params)
+        g.append(sweep["value"].g)
+        grads.append(adjoint_gradient(model, design, sc, params, **sweep))
     return np.array(g), np.array(grads)
 
 
@@ -354,13 +353,14 @@ def test_batched_g_and_gradients_match_per_pair_loop(size, monkeypatch):
     design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
     gm = synthetic_record(400, dt=0.01, seed=3, peak=2.0)
     params = ConstraintParams(p=600)
-    hist = newmark_solve(model, C_d, gm)
-    g = evaluate_drift_constraint(hist, model, params).g
-    grads = adjoint_gradient(model, design, scenarios, gm, params, history=hist)
-    # Given the damping stack, the gradient does not assemble it again.
-    monkeypatch.setattr(adjoint_module, "assemble_added_damping", None)
-    given = adjoint_gradient(model, design, scenarios, gm, params, C_d=C_d, history=hist)
-    assert np.array_equal(given, grads)
+    sweep = record_sweep(model, design, scenarios, gm, params)
+    assert np.array_equal(sweep["C_d"], C_d)
+    g = sweep["value"].g
+    # The gradient is of the caller's sweep: it assembles, integrates and
+    # evaluates nothing of its own.
+    for name in ("assemble_added_damping", "newmark_solve", "evaluate_drift_constraint"):
+        monkeypatch.setattr(adjoint_module, name, None)
+    grads = adjoint_gradient(model, design, scenarios, params, **sweep)
     monkeypatch.undo()
     g_ref, grads_ref = per_pair_g_and_gradients(model, design, scenarios, gm, params)
     assert g.shape == (size,) and grads.shape == (size, 4)
@@ -371,6 +371,23 @@ def test_batched_g_and_gradients_match_per_pair_loop(size, monkeypatch):
     for sc, got in zip(scenarios, grads):
         if sc.factor == 0.0:
             assert np.all(got[list(sc.damaged)] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "forcing_rows,keep_powers,message",
+    [
+        (10, True, r"forcing shape \(10, 2\) does not match history"),
+        (51, False, "the history carries no transition matrices to sweep"),
+    ],
+    ids=["forcing-shape", "no-powers"],
+)
+def test_malformed_adjoint_argument_raises(forcing_rows, keep_powers, message):
+    model = shear_frame(2)
+    hist = newmark_solve(model, np.zeros((2, 2)), synthetic_record(50))
+    if not keep_powers:
+        hist = ResponseHistory(hist.u, hist.v, hist.a, hist.dt)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_adjoint(model, np.zeros((2, 2)), hist, np.zeros((forcing_rows, 2)))
 
 
 def test_the_adjoint_takes_the_damping_of_the_whole_stack():
@@ -418,7 +435,8 @@ class TestGradientConsistency:
         design = DesignVector(x=[0.5, 0.4], c_bar=300.0)
         params = ConstraintParams(p=pq)
         for sc in self.scenarios:
-            adj = adjoint_gradient(frame_2dof, design, sc, record_short, params)
+            sweep = record_sweep(frame_2dof, design, sc, record_short, params)
+            adj = adjoint_gradient(frame_2dof, design, sc, params, **sweep)
             fd = fd_gradient(
                 frame_2dof, design, sc, record_short, params, h=1e-6
             )
@@ -455,7 +473,8 @@ class TestGradientConsistency:
         design = DesignVector(x=[0.5, 0.4], c_bar=300.0)
         params = ConstraintParams(p=8)
         sc = FailureScenario(id=1, damaged=(0,), factor=0.0)
-        adj = adjoint_gradient(frame_2dof, design, sc, record_short, params)
+        sweep = record_sweep(frame_2dof, design, sc, record_short, params)
+        adj = adjoint_gradient(frame_2dof, design, sc, params, **sweep)
         assert adj[0] == 0.0
 
     def test_all_dampers_failed_is_the_bare_frame(self):
@@ -466,11 +485,9 @@ class TestGradientConsistency:
         design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
         params = ConstraintParams(p=600)
         scenarios = [no_failure(), FailureScenario(id=1, damaged=(0, 1, 2, 3), factor=0.0)]
-        hist = newmark_solve(model, assemble_added_damping(model, design, scenarios), gm)
-        value = evaluate_drift_constraint(hist, model, params)
-        grads = adjoint_gradient(
-            model, design, scenarios, gm, params, history=hist, value=value
-        )
+        sweep = record_sweep(model, design, scenarios, gm, params)
+        value = sweep["value"]
+        grads = adjoint_gradient(model, design, scenarios, params, **sweep)
         bare = newmark_solve(model, np.zeros((4, 4)), gm)
         g_bare = evaluate_drift_constraint(bare, model, params).g
         assert value.g[1] == pytest.approx(g_bare, rel=1e-12)
@@ -484,9 +501,9 @@ class TestGradientConsistency:
         model = shear_frame(1, mass=1.0, story_k=40.0, d_allow=0.05)
         gm = synthetic_record(300, dt=0.02, seed=6, peak=1.5)
         design = DesignVector(x=[0.5], c_bar=8.0)
-        adj = adjoint_gradient(
-            model, design, no_failure(), gm, ConstraintParams(p=8)
-        )
+        params = ConstraintParams(p=8)
+        sweep = record_sweep(model, design, no_failure(), gm, params)
+        adj = adjoint_gradient(model, design, no_failure(), params, **sweep)
         assert adj[0] < 0.0
 
     def test_multi_row_damper_transform(self, record_short):
@@ -507,7 +524,8 @@ class TestGradientConsistency:
         )
         design = DesignVector(x=[0.5, 0.4], c_bar=300.0)
         params = ConstraintParams(p=8)
-        adj = adjoint_gradient(model, design, no_failure(), record_short, params)
+        sweep = record_sweep(model, design, no_failure(), record_short, params)
+        adj = adjoint_gradient(model, design, no_failure(), params, **sweep)
         fd = fd_gradient(model, design, no_failure(), record_short, params, h=1e-6)
         err = np.abs(adj - fd).max() / max(1.0, np.abs(fd).max())
         assert err <= 1e-6

@@ -96,6 +96,15 @@ MALFORMED = [
 ]
 
 
+def sdof_yaml(drop=(), **fields) -> str:
+    """`SDOF_YAML` without the ``drop`` fields and with ``fields`` set."""
+    doc = yaml.safe_load(SDOF_YAML)
+    for key in drop:
+        del doc[key]
+    doc.update(fields)
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
 def write_inputs(tmp_path, n_steps=250, peak=1.55):
     base = shear_frame(2, mass=10.0, story_k=2000.0, d_allow=0.012)
     H = base.drift_transform
@@ -236,6 +245,32 @@ class TestParseModel:
         with pytest.raises(InputError, match=rf"field '{key}' \(line {line}\)"):
             parse_model(model_path)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("- 1.0\n- 2.0\n", r"model file \S*m\.yaml must hold a mapping of fields$"),
+            (sdof_yaml(n_dof=0), r"^field 'n_dof' \(line 1\): must be at least 1$"),
+            (
+                sdof_yaml(dampers=[{"rows": [1.0]}]),
+                r"^field 'dampers' \(line \d+\): entry 1 must be a mapping with a 'row' key$",
+            ),
+            (
+                sdof_yaml(drop=["inherent_damping"], rayleigh=0.05),
+                r"^field 'rayleigh' \(line \d+\): expected a mapping with a 'zeta' key$",
+            ),
+            (
+                sdof_yaml(drop=["inherent_damping"], rayleigh={"zeta": 0.05}),
+                r"^field 'rayleigh' \(line \d+\): fitting two modes needs at least 2 DOFs",
+            ),
+        ],
+        ids=["yaml-list", "zero-dofs", "damper-without-row", "rayleigh-scalar", "rayleigh-1-dof"],
+    )
+    def test_malformed_document_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "m.yaml"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            parse_model(path)
+
     def test_empty_damper_row_with_a_huge_n_dof_reported(self, tmp_path):
         # numpy cannot reshape even an empty row to 2**60 columns.
         doc = yaml.safe_load(SDOF_YAML)
@@ -350,6 +385,13 @@ class TestReports:
         model, _, _ = write_inputs(tmp_path)
         design = load_design(path, model, c_bar=1000.0)
         assert np.allclose(design.coefficients, [500.0, 0.0, 125.0, 80.0])
+
+    def test_one_column_design_may_open_with_a_one_word_header(self, tmp_path):
+        path = tmp_path / "design.txt"
+        path.write_text("coefficient\n500\n0\n125\n80\n")
+        model, _, _ = write_inputs(tmp_path)
+        design = load_design(path, model, c_bar=1000.0)
+        assert design.coefficients.tolist() == [500.0, 0.0, 125.0, 80.0]
 
     @pytest.mark.parametrize(
         "content,line",
@@ -1025,7 +1067,7 @@ class TestMain:
             gm = gm.rescaled(1.5 / exact_peak(newmark_solve(model, bare, gm), model))
             records.append(tmp_path / f"{name}.txt")
             np.savetxt(
-                records[-1], np.column_stack([gm.times, gm.scaled_accel]), fmt="%.17g"
+                records[-1], np.column_stack([gm.times, gm.accel]), fmt="%.17g"
             )
         out = tmp_path / "out"
         code = main(

@@ -48,6 +48,25 @@ def unit_model():
     return shear_frame(1, mass=1.0, story_k=1.0, d_allow=1.0, zeta=0.0)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: time_weights(1, 0.01), "need at least two time samples"),
+        (
+            lambda: normalized_drifts(
+                newmark_solve(shear_frame(2), np.zeros((2, 2)), synthetic_record(50)),
+                shear_frame(3),
+            ),
+            "history has 2 DOFs, model has 3",
+        ),
+    ],
+    ids=["one-sample", "other-models-history"],
+)
+def test_malformed_argument_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestConstraintParams:
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError, match="even"):

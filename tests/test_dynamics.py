@@ -23,6 +23,7 @@ from failsafe_dampers import (
 from failsafe_dampers import ConstraintParams, adjoint, adjoint_gradient, dynamics
 from failsafe_dampers.dynamics import (
     STANDARD_GRAVITY,
+    ResponseHistory,
     transition_matrices,
     transition_powers,
     transition_sweep,
@@ -32,6 +33,7 @@ from failsafe_dampers.errors import ConvergenceError
 from conftest import (
     buckled_frame,
     frame_with_redundant_dampers,
+    record_sweep,
     shear_frame,
     synthetic_record,
     whole_stack_history,
@@ -41,7 +43,7 @@ from conftest import (
 def equilibrium_residual(model, C_d, gm, history):
     """Worst relative residual of M a + C v + K u = load over all steps."""
     C = model.inherent_damping + np.asarray(C_d, dtype=float)
-    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    load = -np.outer(gm.accel, model.mass @ model.influence)
     res = (
         history.a @ model.mass.T
         + history.v @ C.T
@@ -149,6 +151,29 @@ def sdof(period=1.0, zeta=0.0, mass=1.0, d_allow=1.0):
     return shear_frame(1, mass=mass, story_k=k, d_allow=d_allow, zeta=zeta)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: GroundMotion("r", 0.0, [0, 1]), "time step must be positive and finite, got 0.0"),
+        (lambda: GroundMotion("r", -0.01, [0, 1]), "time step must be positive and finite, got -0.01"),
+        (lambda: GroundMotion("r", 0.01, [1.0]), "record needs at least two acceleration samples"),
+        (
+            lambda: ResponseHistory(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((4, 2)), 0.01),
+            "u, v, a must share one shape",
+        ),
+        (
+            lambda: newmark_solve(shear_frame(2), np.zeros((3, 3)), synthetic_record(50)),
+            r"C_d shape \(3, 3\) does not match 2 DOFs",
+        ),
+        (lambda: select_dominant_record([], 1.0), "record ensemble is empty"),
+    ],
+    ids=["zero-dt", "negative-dt", "one-sample", "history-shapes", "damping-shape", "no-records"],
+)
+def test_malformed_argument_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestNewmarkSolve:
     def test_zero_motion_zero_response(self, frame_2dof):
         gm = GroundMotion(name="zero", dt=0.01, accel=np.zeros(101))
@@ -237,13 +262,30 @@ class TestNewmarkSolve:
         with pytest.raises(ValueError, match="symmetric"):
             newmark_solve(frame_2dof, C_d, record_short)
 
+    def test_a_record_keeps_its_own_samples(self):
+        # The caller's array stays writable, and a record built from a view
+        # does not follow writes to the view's base.
+        samples = np.array([0.0, 1.0, -2.0, 3.0])
+        base = np.arange(8.0)
+        gm = GroundMotion("r", 0.01, samples)
+        view = GroundMotion("v", 0.01, base[::2])
+        samples[1] = base[2] = 7.0
+        assert gm.accel.tolist() == [0.0, 1.0, -2.0, 3.0]
+        assert view.accel.tolist() == [0.0, 2.0, 4.0, 6.0]
+        assert not gm.accel.flags.writeable
+
+    def test_rescaling_multiplies_the_samples(self):
+        gm = synthetic_record(50, dt=0.02, seed=4, peak=1.0)
+        assert np.array_equal(gm.rescaled(2.0).rescaled(3.0).accel, 6.0 * gm.accel)
+        assert gm.rescaled(1.0).accel.tobytes() == gm.accel.tobytes()
+        assert gm.scaled_accel is gm.accel
+
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_scale_rejected(self, scale):
-        # It would give non-finite samples and a "diverged" response later.
-        with pytest.raises(ValueError, match="record 'x' has a non-finite scale"):
-            GroundMotion("x", 0.01, [0.0, 1.0], scale=scale)
-        gm = GroundMotion("x", 0.01, [0.0, 1.0], scale=2.0)
-        with pytest.raises(ValueError, match="record 'x' has a non-finite scale"):
+        # A non-finite factor gives non-finite samples (0 * inf is NaN), which
+        # the record rejects before any response could read "diverged".
+        gm = GroundMotion("x", 0.01, [0.0, 1.0])
+        with pytest.raises(ValueError, match="record 'x' contains non-finite samples"):
             gm.rescaled(scale)
 
 
@@ -261,7 +303,7 @@ def test_transition_sweep_matches_stepwise_reference(n, c_d, beta, monkeypatch):
     rng = np.random.default_rng(n)
     u0, v0 = 1e-3 * rng.standard_normal(n), 1e-2 * rng.standard_normal(n)
     M, C, K = model.mass, model.inherent_damping + c_d * np.eye(n), model.stiffness
-    load = -np.outer(gm.scaled_accel, M @ model.influence)
+    load = -np.outer(gm.accel, M @ model.influence)
     P, Q = transition_matrices(M, C, K, gm.dt)
     a0 = np.linalg.solve(M, load[0] - C @ v0 - K @ u0)
     S = np.vstack([np.concatenate([u0, v0, a0]), load[1:] @ Q.T])
@@ -346,7 +388,7 @@ def test_damped_sweep_from_rest_matches_extended_reference(n, beta, monkeypatch)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
     C_d = 1e5 * np.eye(n)
     M, C, K = model.mass, model.inherent_damping + C_d, model.stiffness
-    load = -np.outer(gm.scaled_accel, M @ model.influence)
+    load = -np.outer(gm.accel, M @ model.influence)
     ref = extended_newmark(M, C, K, load, gm.dt, beta)
     hist = newmark_solve(model, C_d, gm)
     for got, want in zip((hist.u, hist.v, hist.a), ref):
@@ -377,7 +419,7 @@ def test_batched_sweep_matches_stepwise_reference(size, beta, monkeypatch):
     gm = synthetic_record(300, dt=0.01, seed=5, peak=1.5)
     hist = newmark_solve(model, C_d, gm)
     assert hist.u.shape == (301, size, 4)
-    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    load = -np.outer(gm.accel, model.mass @ model.influence)
     for b in range(size):
         ref = stepwise_newmark(
             model.mass, model.inherent_damping + C_d[b], model.stiffness, load,
@@ -554,24 +596,21 @@ def test_adjoint_follows_the_size_rule(monkeypatch):
     # sweep in blocks.
     design = DesignVector(x=[0.9, 0.2, 0.6, 0.4], c_bar=500.0)
     gm = synthetic_record(600, dt=0.01, seed=5, peak=1.5)
-    seen, histories = [], []
+    params = ConstraintParams(p=8)
+    seen = []
 
     def spy(powers, S):
         seen.append((powers, len(S)))
         real(powers, S)
 
-    def solve(*args):
-        histories.append(real_solve(*args))
-        return histories[-1]
-
-    real, real_solve = adjoint.transition_sweep, adjoint.newmark_solve
+    real = adjoint.transition_sweep
     monkeypatch.setattr(adjoint, "transition_sweep", spy)
-    monkeypatch.setattr(adjoint, "newmark_solve", solve)
     for size in (1, 11):
         model, scenarios, C_d = scenario_batch(size)
-        adjoint_gradient(model, design, scenarios, gm, ConstraintParams(p=8))
+        sweep = record_sweep(model, design, scenarios, gm, params)
+        adjoint_gradient(model, design, scenarios, params, **sweep)
         powers, k = seen[-1]
-        table = histories[-1].powers
+        table = sweep["history"].powers
         assert len(table) == dynamics.block_length(table[0], 600)
         want = table[: math.isqrt(k)].mT
         assert k > 100 and len(want) > 1
@@ -672,7 +711,7 @@ def test_divergence_names_the_first_non_finite_step(n_steps, seed, row):
     gm = GroundMotion(name="noise", dt=0.02, accel=rng.standard_normal(n_steps + 1))
     C = model.inherent_damping + np.zeros((2, 4, 4))
     P, Q = transition_matrices(model.mass, C, model.stiffness, gm.dt)
-    load = -np.outer(gm.scaled_accel, model.mass @ model.influence)
+    load = -np.outer(gm.accel, model.mass @ model.influence)
     S = np.zeros((n_steps + 1, 2, 12))
     S[0, :, 8:] = np.linalg.solve(model.mass, load[0])
     S[1:] = np.swapaxes(load[1:] @ Q.mT, 0, 1)
@@ -720,7 +759,7 @@ class TestSpectralDisplacement:
         w = 2.0 * np.pi / period
         U, _, _ = stepwise_newmark(
             np.array([[1.0]]), np.array([[2.0 * zeta * w]]), np.array([[w * w]]),
-            -gm.scaled_accel[:, None], gm.dt, np.zeros(1), np.zeros(1),
+            -gm.accel[:, None], gm.dt, np.zeros(1), np.zeros(1),
             dynamics.BETA, dynamics.GAMMA,
         )
         got = spectral_displacement(gm, period, zeta)
@@ -791,6 +830,37 @@ class TestRecordParsing:
         path.write_text(layout.format(sample), encoding="utf-8")
         with pytest.raises(InputError, match=f"bad sample in record file .*rec.txt.*'{sample}'"):
             load_ground_motion(path)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("# header comment\ndt=0.01\n0.5\n\n# note\n{}\n0.25\n", 6),
+            ("0.0 0.5\n% note\n\n0.01 {}\n0.02 0.25\n", 4),
+        ],
+        ids=["dt-header", "two-column"],
+    )
+    def test_a_bad_sample_names_its_file_line(self, tmp_path, text, line):
+        # Comments, blank lines and the dt= header count as lines of the file.
+        path = tmp_path / "rec.txt"
+        path.write_text(text.format("1_000"))
+        message = f"rec.txt: line {line}: could not convert string '1_000'"
+        with pytest.raises(InputError, match=message):
+            load_ground_motion(path)
+
+    @pytest.mark.parametrize(
+        "text,units,message",
+        [
+            ("dt=0.01\n0.5\nnan\n", "m/s2", "record 'rec' contains non-finite samples"),
+            ("dt=1e999\n0.5\n0.25\n", "m/s2", "time step must be positive and finite, got inf"),
+            ("dt=0.01\n0.5\n0.25\n", "ft", r"unknown acceleration units 'ft' \(use m/s2 or g\)"),
+        ],
+        ids=["nan-sample", "infinite-dt", "unknown-units"],
+    )
+    def test_unusable_record_is_an_input_error(self, tmp_path, text, units, message):
+        path = tmp_path / "rec.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            load_ground_motion(path, units=units)
 
     def test_columns_after_those_read_are_ignored(self, tmp_path):
         path = tmp_path / "rec.txt"

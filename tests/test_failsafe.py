@@ -340,7 +340,7 @@ def test_a_second_run_with_warm_caches_is_bitwise_the_first(light_problem):
     model_mod._damper_scales.cache_clear()
     first, second = [
         run_failsafe(model, scen, [record], c_bar=800.0, slp_config=slp, fs_config=fs)
-        for record in (GroundMotion(gm.name, gm.dt, gm.accel, gm.scale),) * 2
+        for record in (GroundMotion(gm.name, gm.dt, gm.accel),) * 2
     ]
     assert first.design.x.tobytes() == second.design.x.tobytes()
     assert first.working_set_history == second.working_set_history

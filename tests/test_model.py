@@ -31,6 +31,34 @@ def sdof_model(m=1.0, k=4.0, c=0.0, d_allow=1.0):
     )
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: StructuralModel(
+                [[1.0]], [[4.0]], [[0.0, 0.0]], [1.0], [[1.0]], [1.0], ([[1.0]],)
+            ),
+            r"inherent_damping shape \(1, 2\) does not match 1 DOFs",
+        ),
+        (
+            lambda: StructuralModel(
+                [[1.0]], [[4.0]], [[0.0]], [1.0], [[1.0]], [1.0], ([[1.0, -1.0]],)
+            ),
+            r"damper_transforms\[0\] has shape \(1, 2\), expected \(rows, 1\)",
+        ),
+        (lambda: DesignVector(x=[[0.5, 0.5]]), "design vector must be one-dimensional"),
+        (
+            lambda: assemble_added_damping(shear_frame(2), DesignVector(x=[0.5]), None),
+            "design has 1 variables, model has 2 dampers",
+        ),
+    ],
+    ids=["damping-shape", "damper-row-width", "2-d-design", "design-length"],
+)
+def test_malformed_argument_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestStructuralModel:
     def test_rejects_asymmetric_mass(self):
         with pytest.raises(ValueError, match="symmetric"):

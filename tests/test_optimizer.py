@@ -1013,7 +1013,7 @@ class TestSlpSolve:
         # built by the primal solve; the adjoint sweeps with the transposes
         # of that table's first floor(sqrt(k)) entries.
         model, scenarios, gm, design0 = fullset_problem()
-        reversed_gm = GroundMotion("reversed", gm.dt, gm.accel[::-1], gm.scale)
+        reversed_gm = GroundMotion("reversed", gm.dt, gm.accel[::-1])
         built, tables, swept = [], [], []
         real_matrices, real_powers = dynamics.transition_matrices, dynamics.transition_powers
         real_sweep = adjoint.transition_sweep
@@ -1112,7 +1112,7 @@ def _grid_search_cost(model, gm, c_bar, resolution):
     C_all = Cs[None, :, :] + np.einsum("gd,dij->gij", c_bar * X, outer)
     K_eff_inv = np.linalg.inv(K[None] + c0 * M[None] + c1 * C_all)
 
-    load = -np.outer(gm.scaled_accel, M @ model.influence)  # (N+1, n)
+    load = -np.outer(gm.accel, M @ model.influence)  # (N+1, n)
     u = np.zeros((G, n))
     v = np.zeros((G, n))
     a = np.tile(np.linalg.solve(M, load[0]), (G, 1))

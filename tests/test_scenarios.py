@@ -14,6 +14,27 @@ from failsafe_dampers.scenarios import ScenarioSet, no_failure
 from conftest import shear_frame
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: FailureScenario(id=-1), "scenario id must be nonnegative, got -1"),
+        (
+            lambda: FailureScenario(id=1, damaged=(-1, 2)),
+            r"damper indices must be nonnegative, got \(-1, 2\)",
+        ),
+        (
+            lambda: ScenarioSet((no_failure(), FailureScenario(id=1, damaged=(3,))), n_dampers=3),
+            "scenario 1 references damper 3 out of range for 3 dampers",
+        ),
+        (lambda: enumerate_scenarios(0), "need at least one damper, got 0"),
+    ],
+    ids=["negative-id", "negative-damper", "damper-out-of-range", "no-dampers"],
+)
+def test_malformed_argument_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestFailureScenario:
     def test_factor_bounds(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from failsafe_dampers import (
     run_failsafe,
     slp_solve,
 )
-from failsafe_dampers import cli, constraints, dynamics, failsafe, model
+from failsafe_dampers import adjoint, cli, constraints, dynamics, failsafe, model
 from failsafe_dampers.dynamics import (
     GroundMotion,
     ResponseHistory,
@@ -103,7 +103,42 @@ def test_newmark_solve_is_the_one_way_into_the_sweep_and_a_record_a_plain_value(
     # The spectral ranking integrates a one-DOF model through `newmark_solve`,
     # and a record's load rows live in a cache keyed on its content.
     assert not hasattr(dynamics, "_integrate")
-    assert {f.name for f in dataclasses.fields(GroundMotion)} == {"name", "dt", "accel", "scale"}
+    assert {f.name for f in dataclasses.fields(GroundMotion)} == {"name", "dt", "accel"}
+
+
+def test_the_record_ranking_has_one_damping_ratio():
+    assert list(inspect.signature(dynamics.select_dominant_record).parameters) == [
+        "records",
+        "period",
+    ]
+    assert dynamics.RANKING_ZETA == 0.05
+
+
+def test_the_gradient_is_of_the_callers_sweep():
+    params = inspect.signature(adjoint_gradient).parameters
+    assert "gm" not in params
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+    assert [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY] == [
+        "C_d",
+        "history",
+        "value",
+    ]
+
+
+def test_constraints_own_g_and_dg_du():
+    # The adjoint sweeps the forcing `constraints` gives and reads none of
+    # its internals.
+    assert adjoint.dg_du_trajectory is constraints.dg_du_trajectory
+    assert constraints.dg_du_trajectory.__module__ == "failsafe_dampers.constraints"
+    tree = ast.parse(inspect.getsource(adjoint))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "constraints"
+        for alias in node.names
+    ]
+    assert "dg_du_trajectory" in imported
+    assert not [name for name in imported if name.startswith("_")]
 
 
 def test_cutting_planes_take_their_labels_once_per_sub_problem():

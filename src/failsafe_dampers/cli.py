@@ -368,16 +368,22 @@ def write_drift_history(
 
 
 def write_iteration_log(path: Path, history) -> None:
-    header = ["iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "lp_status"]
+    header = [
+        "iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "lp_status", "margin"
+    ]
     rows = [
-        [i, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.lp_status]
+        [i, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.lp_status, r.margin]
         for i, r in enumerate(history, 1)
     ]
     write_csv(path, header, rows)
 
 
 def _manifest(
-    args: argparse.Namespace, slp: SlpConfig, scenario_set: ScenarioSet, final: FinalDesign
+    args: argparse.Namespace,
+    slp: SlpConfig,
+    scenario_set: ScenarioSet,
+    final: FinalDesign,
+    max_exact_peak: float,
 ) -> dict:
     return {
         "mode": final.mode,
@@ -433,6 +439,7 @@ def _manifest(
         "converged": final.converged,
         "verified": final.verified,
         "max_g": final.max_g,
+        "max_exact_peak": max_exact_peak,
         "wall_time_s": final.wall_time,
         "design": {
             "x": final.design.x.tolist(),
@@ -511,7 +518,9 @@ def _run_optimization(
         final.design, model, scenario_set, records, final.params_final, drift_dir
     )
     write_csv(out / "constraints.csv", header, rows)
-    manifest = _manifest(args, slp, scenario_set, final)
+    column = header.index("exact_peak")
+    max_exact_peak = max(row[column] for row in rows)
+    manifest = _manifest(args, slp, scenario_set, final, max_exact_peak)
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for sp in final.subproblems:
         write_iteration_log(out / f"subproblem_{sp.index:02d}.csv", sp.history)
@@ -519,7 +528,8 @@ def _run_optimization(
     print(design_table)
     print(
         f"mode={final.mode} converged={final.converged} verified={final.verified} "
-        f"max_g={final.max_g:.3g} evaluations={final.eval_counter.total} "
+        f"max_g={final.max_g:.3g} max_exact_peak={max_exact_peak:.7g} "
+        f"evaluations={final.eval_counter.total} "
         f"wall_time={final.wall_time:.1f}s"
     )
     return 0 if final.converged else 3

@@ -55,7 +55,10 @@ class FailSafeConfig:
     at the sub-problem's final exponent and a short minimum-iteration
     budget (`RESUME_I_MIN`, at most the SLP's ``i_max``). Each
     sub-problem's planes are tightened by half of ``violation_tol``, and
-    each resume adds the max g that forced it.
+    each resume adds the max g that forced it. Within a solve, `slp_solve`
+    adds the linearization error of its last step once its steps fall
+    below the convergence tolerance, so that its unevaluated final
+    proposal passes verification without a resume.
     """
 
     epsilon: float = 0.05

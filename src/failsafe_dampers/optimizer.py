@@ -126,6 +126,13 @@ class CuttingPlanes:
         self._rhs = np.concatenate([self._rhs, rhs])
         self._enabled = np.concatenate([self._enabled, np.ones(len(rhs), dtype=bool)])
 
+    def linearization_error(self, g, x) -> float:
+        """The most by which the last block's planes fall below ``g``, the
+        values of their pairs at ``x``: max of g - (gradient @ x - rhs)
+        over the labels, or 0 where no plane falls below."""
+        k = len(self._labels)
+        return max(0.0, float(np.max(g - (self._gradients[-k:] @ x - self._rhs[-k:]))))
+
     def disable(self, rows) -> None:
         self._enabled[rows] = False
 
@@ -191,8 +198,10 @@ def solve_lp(
     variable. ``margin`` tightens every plane to ghat <= -margin: because
     linearizations of the (locally convex) constraint underestimate it, the
     plain half-spaces would let the iterates converge to the boundary from
-    the infeasible side, and a margin of half the termination tolerance
-    parks the limit point strictly inside instead. The simplex then drops
+    the infeasible side. The driver's margin of half the termination
+    tolerance, to which `slp_solve` adds the last step's linearization
+    error once its steps settle, keeps the limit point strictly inside
+    instead. The simplex then drops
     every tightened plane that stays slack by more than 1e-6 relative over
     the whole box (see `_simplex`).
 
@@ -257,6 +266,7 @@ class IterationRecord:
     n_active_planes: int
     p: int
     lp_status: str
+    margin: float
 
 
 @dataclass
@@ -283,7 +293,13 @@ def slp_solve(
     """Solve one working-set sub-problem.
 
     Runs the evaluate / drop / LP / move cycle until the design moves less
-    than the convergence tolerance after at least ``i_min`` iterations.
+    than the convergence tolerance δ after at least ``i_min`` iterations.
+    Each LP tightens its planes by ``feasibility_margin``. From the first
+    step below δ on, it also adds the last step's linearization error, the
+    largest g - ghat at the current design over the previous iteration's
+    planes, clipped at zero: the converged proposal is returned without an
+    evaluation, and this error is how far the sharp g overshot the planes
+    on the way there. Each `IterationRecord` logs its LP's margin.
     When the iteration cap is reached instead, the best iterate seen so far
     is returned (preferring evaluated-feasible designs of least cost) with
     ``converged=False``. p = q follows ``config``'s continuation schedule.
@@ -309,7 +325,7 @@ def slp_solve(
     history: list[IterationRecord] = []
     binding = np.empty(0, dtype=int)
     best_rank, best_x = None, x
-    converged = False
+    converged = settled = False
 
     for iteration in range(1, config.i_max + 1):
         params = ConstraintParams(p=p)
@@ -332,6 +348,12 @@ def slp_solve(
             counter.n_primal_systems += hist.u.shape[1]
             counter.n_adjoint_systems += hist.u.shape[1]
 
+        # Once a step has fallen below delta, the LP's proposal may be the
+        # answer, which no sweep checks before the driver does. Tighten it
+        # by as much as the last planes underestimated g at this design.
+        margin = feasibility_margin
+        if settled:
+            margin += planes.linearization_error(g.ravel(), x)
         planes.append(grads.reshape(-1, n_d), g.ravel(), x)
         g_max_true = float(g.max())
 
@@ -349,12 +371,11 @@ def slp_solve(
         if best_rank is None or rank < best_rank:
             best_rank, best_x = rank, x
 
-        lp = solve_lp(
-            cost_gradient, planes, x, config.ml, margin=feasibility_margin
-        )
+        lp = solve_lp(cost_gradient, planes, x, config.ml, margin=margin)
         binding = np.array(lp.binding, dtype=int)
         step = float(np.linalg.norm(lp.x - x))
         x = lp.x
+        settled = settled or step < delta
 
         history.append(
             IterationRecord(
@@ -364,6 +385,7 @@ def slp_solve(
                 n_active_planes=int(np.count_nonzero(planes.enabled)),
                 p=p,
                 lp_status=lp.status,
+                margin=margin,
             )
         )
         if iteration >= config.i_min and step < delta:

@@ -172,6 +172,23 @@ def paper_scale_problem(n_steps: int):
     return model, records, enumerate_scenarios(16, 1, 2, 0.5)
 
 
+def fullset_6d_problem():
+    """The fullset-6d benchmark frame, unrelabelled: 6 dampers, 22 scenarios.
+
+    A 3-story frame (m = 10, k = 13000, d_allow = 0.01, 5% Rayleigh
+    damping) with two dampers of efficiency 1.0 and 0.8 on every story;
+    every single damper failed completely and every pair at nu = 0.5; one
+    100-step record from noise stream 11, rescaled to a bare-frame peak
+    drift ratio of 1.5. Solved with c_bar = 2000, SlpConfig(i_min=50,
+    i_max=400) and mode "fullset".
+    """
+    model = frame_with_redundant_dampers(n_stories=3, per_story=2)
+    bare = np.zeros((model.n_dof, model.n_dof))
+    gm = synthetic_record(100, dt=0.02, seed=11, peak=2.5, name="rec1")
+    gm = gm.rescaled(1.5 / exact_peak(newmark_solve(model, bare, gm), model))
+    return model, gm, enumerate_scenarios(6, 1, 2, 0.5)
+
+
 def whole_stack_history(model: StructuralModel, C_d: np.ndarray, gm: GroundMotion):
     """The batched history of every matrix of a (B, n, n) stack, repeats
     included, built without `newmark_solve`: the states from

@@ -1145,6 +1145,36 @@ class TestMain:
         drifts = list((out / "drifts").glob("drifts_s*_quake.csv"))
         assert len(drifts) == 11
 
+    def test_run_reports_its_max_exact_peak_and_margins(self, tmp_path, capsys):
+        # The manifest and the summary line carry the largest exact peak of
+        # the constraint report; each iteration log row carries its margin.
+        _, model_path, rec_path = write_inputs(tmp_path, n_steps=200)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "--model", str(model_path),
+                "--records", str(rec_path),
+                "--complete-k", "1",
+                "--cbar", "800",
+                "--imin", "5",
+                "--imax", "80",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        with open(out / "constraints.csv", newline="") as fh:
+            peaks = [float(row["exact_peak"]) for row in csv.DictReader(fh)]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["max_exact_peak"] == pytest.approx(max(peaks), rel=1e-11)
+        assert f"max_exact_peak={manifest['max_exact_peak']:.7g} " in capsys.readouterr().out
+        with open(out / "subproblem_00.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "lp_status",
+            "margin",
+        ]
+        assert all(float(row[-1]) >= 0.5 * FailSafeConfig.violation_tol for row in rows[1:])
+
     def test_exported_drifts_are_the_whole_stacks(self, tmp_path):
         # Every drift file of a run is byte for byte the one a sweep of the
         # whole stack writes (the report's test at zero dampers covers a

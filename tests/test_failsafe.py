@@ -34,6 +34,7 @@ from failsafe_dampers.optimizer import EvalCounter
 from conftest import (
     buckled_frame,
     frame_with_redundant_dampers,
+    fullset_6d_problem,
     paper_scale_problem,
     shear_frame,
     synthetic_record,
@@ -516,6 +517,25 @@ def test_paper_scale_recipe_verifies(n_steps, cost):
     )
     assert final.converged and final.verified
     assert final.cost == pytest.approx(cost, rel=0.01)
+
+
+def test_fullset_6d_verifies_without_a_resume():
+    # The SLP returns its last LP proposal unevaluated. With planes
+    # tightened by half the tolerance alone it reads g = +2.8e-6 and forces
+    # a resume; the margin sized to the last step's linearization error
+    # (about 7.5e-6 at the end) lets it pass verification.
+    model, gm, scenarios = fullset_6d_problem()
+    final = run_failsafe(
+        model,
+        scenarios,
+        [gm],
+        c_bar=2000.0,
+        slp_config=SlpConfig(i_min=50, i_max=400),
+        mode="fullset",
+    )
+    assert final.converged and final.verified
+    assert [sp.resumes for sp in final.subproblems] == [0]
+    assert final.cost == pytest.approx(0.24573, rel=0.01)
 
 
 @pytest.mark.xfail(

@@ -29,7 +29,12 @@ from failsafe_dampers.constraints import normalized_drifts
 from failsafe_dampers.model import StructuralModel
 from failsafe_dampers.optimizer import P_CAP
 
-from conftest import frame_with_redundant_dampers, shear_frame, synthetic_record
+from conftest import (
+    frame_with_redundant_dampers,
+    fullset_6d_problem,
+    shear_frame,
+    synthetic_record,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -826,6 +831,40 @@ class TestSlpSolve:
             < -optimizer._DROP_MARGIN
         }
         assert retired == {row for row, pl in enumerate(planes) if not pl.enabled}
+
+    def test_margin_adds_the_last_planes_error_once_a_step_is_below_delta(self, monkeypatch):
+        # Until a step falls below delta, each LP is tightened by the
+        # feasibility margin alone; from then on also by how far the last
+        # iteration's planes fell below g at the new iterate, clipped at 0.
+        # g at an iterate is its own plane's value there.
+        model, gm, scenario_set = fullset_6d_problem()
+        centers, margins = [], []
+        real_lp = optimizer.solve_lp
+
+        def spy_lp(objective, planes, center, move_limit, margin):
+            centers.append(center.copy())
+            margins.append(margin)
+            return real_lp(objective, planes, center, move_limit, margin=margin)
+
+        monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
+        cfg = SlpConfig(i_min=50, i_max=400)
+        base = 5e-7
+        design0 = DesignVector(x=np.full(6, 0.5), c_bar=2000.0)
+        res = slp_solve(model, list(scenario_set), [gm], design0, cfg, feasibility_margin=base)
+
+        steps = [r.step_norm for r in res.history]
+        first = next(i for i, step in enumerate(steps) if step < cfg.convergence_tol(6))
+        assert margins[: first + 1] == [base] * (first + 1)
+        planes = list(res.planes)
+        block = [[pl for pl in planes if pl.iteration == i + 1] for i in range(len(centers))]
+        for i in range(first + 1, len(centers)):
+            error = max(
+                ghat(now, centers[i]) - ghat(last, centers[i])
+                for now, last in zip(block[i], block[i - 1])
+            )
+            assert margins[i] == pytest.approx(base + max(0.0, error), rel=0, abs=1e-12)
+        assert first + 1 < len(margins) and max(margins) > base
+        assert [r.margin for r in res.history] == margins
 
     def test_plane_labels_follow_the_row(self, monkeypatch):
         # Each plane carries the scenario, record and iteration of the

@@ -196,6 +196,7 @@ def test_iteration_record_holds_no_label_or_per_pair_values():
         "n_active_planes",
         "p",
         "lp_status",
+        "margin",
     }
 
 

@@ -369,10 +369,12 @@ def write_drift_history(
 
 def write_iteration_log(path: Path, history) -> None:
     header = [
-        "iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "lp_status", "margin"
+        "iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "lp_status",
+        "margin", "lp_pivots",
     ]
     rows = [
-        [i, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.lp_status, r.margin]
+        [i, r.cost, r.g_max_true, r.step_norm, r.n_active_planes, r.p, r.lp_status, r.margin,
+         r.lp_pivots]
         for i, r in enumerate(history, 1)
     ]
     write_csv(path, header, rows)

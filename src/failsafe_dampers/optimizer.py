@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._simplex import SimplexError, solve_inequality_lp
+from ._simplex import SimplexError, solve_inequality_lp, tableau_simplex
 from .adjoint import adjoint_gradient
 from .constraints import ConstraintParams, evaluate_drift_constraint
 from .dynamics import GroundMotion, newmark_solve
@@ -183,6 +183,8 @@ class LpResult:
     x: np.ndarray
     status: str
     binding: tuple[int, ...]
+    tight: tuple[int, ...] | None
+    pivots: int
 
 
 def solve_lp(
@@ -191,8 +193,10 @@ def solve_lp(
     center: np.ndarray,
     move_limit: float,
     margin: float = 0.0,
+    start: tuple[int, ...] | None = None,
 ) -> LpResult:
-    """Minimize a linear cost over the enabled planes within move limits.
+    """Minimize a nonnegative linear cost over the enabled planes within
+    move limits.
 
     The feasible box is [max(0, center - ml), min(1, center + ml)] per
     variable. ``margin`` tightens every plane to ghat <= -margin: because
@@ -201,14 +205,23 @@ def solve_lp(
     the infeasible side. The driver's margin of half the termination
     tolerance, to which `slp_solve` adds the last step's linearization
     error once its steps settle, keeps the limit point strictly inside
-    instead. The simplex then drops
-    every tightened plane that stays slack by more than 1e-6 relative over
-    the whole box (see `_simplex`).
+    instead.
+
+    The LP goes whole to the dual simplex `solve_inequality_lp`, with no
+    presolve or polish. ``tight`` holds the n constraints tight at its
+    vertex: the lower bound of x_j as j, the upper bound as n + j, and
+    plane r as 2n + r, a key that stays valid as planes are added. Passing
+    it back as ``start`` for the next LP of the same cost warm-starts the
+    dual simplex there, which re-optimizes in a pivot or two after planes
+    are added and the box moves; a start that names a plane disabled since
+    begins at the lower corner instead. ``pivots`` counts the dual
+    simplex's pivots.
 
     When the plane set admits no point in the box, the LP is relaxed
-    elastically: per-plane violations are minimized first, then the cost
-    among minimal-violation points, and the result is flagged with status
-    ``"elastic"``. ``binding`` holds the enabled planes x meets within ``_BIND_TOL``.
+    elastically on `tableau_simplex`: per-plane violations are minimized
+    first, then the cost among minimal-violation points, and the result is
+    flagged with status ``"elastic"`` and ``tight`` None. ``binding`` holds
+    the enabled planes x meets within ``_BIND_TOL``.
     """
     center = np.asarray(center, dtype=float)
     objective = np.asarray(objective, dtype=float)
@@ -223,14 +236,29 @@ def solve_lp(
     span = hi - lo
     b_shift = b_pl - A_pl @ lo
 
-    y, status = solve_inequality_lp(objective, A_pl, b_shift, span)
+    # The dual simplex labels plane rows by their place among the enabled
+    # ones; a disabled plane's key maps to -1, which it rejects.
+    bounds = 2 * span.size
+    basis = None
+    if start is not None:
+        basis = np.array(start)
+        row_of = np.full(len(planes), -1 - bounds)
+        row_of[enabled] = np.arange(enabled.size)
+        on_plane = basis >= bounds
+        basis[on_plane] = bounds + row_of[basis[on_plane] - bounds]
+    y, status, basis, pivots = solve_inequality_lp(objective, A_pl, b_shift, span, basis)
+    tight = None
     if status == "infeasible":
         y = _solve_elastic(objective, A_pl, b_shift, span)
         status = "elastic"
+    else:
+        on_plane = basis >= bounds
+        basis[on_plane] = bounds + enabled[basis[on_plane] - bounds]
+        tight = tuple(basis.tolist())
 
     x = np.clip(lo + y, lo, hi)
     binding = tuple(enabled[A_pl @ x - rhs >= -margin - _BIND_TOL].tolist())
-    return LpResult(x=x, status=status, binding=binding)
+    return LpResult(x=x, status=status, binding=binding, tight=tight, pivots=pivots)
 
 
 def _solve_elastic(objective, A_pl, b_shift, span):
@@ -242,7 +270,7 @@ def _solve_elastic(objective, A_pl, b_shift, span):
     A1 = np.hstack([A_pl, -np.eye(mp)])
     upper = np.concatenate([span, np.full(mp, np.inf)])
     c1 = np.concatenate([np.zeros(n), np.ones(mp)])
-    z, status = solve_inequality_lp(c1, A1, b_shift, upper)
+    z, status = tableau_simplex(c1, A1, b_shift, upper)
     if status != "optimal":
         raise SimplexError("elastic relaxation is infeasible")
     v_min = float(c1 @ z)
@@ -252,7 +280,7 @@ def _solve_elastic(objective, A_pl, b_shift, span):
     A2 = np.vstack([A1, np.hstack([np.eye(n), np.zeros((n, mp))]), c1[None, :]])
     b2 = np.concatenate([b_shift, span, [v_min + 1e-9]])
     c2 = np.concatenate([objective, np.zeros(mp)])
-    z, status = solve_inequality_lp(c2, A2, b2)
+    z, status = tableau_simplex(c2, A2, b2)
     if status != "optimal":
         raise SimplexError("elastic cost stage is infeasible")
     return z[:n]
@@ -267,6 +295,7 @@ class IterationRecord:
     p: int
     lp_status: str
     margin: float
+    lp_pivots: int
 
 
 @dataclass
@@ -324,6 +353,7 @@ def slp_solve(
     planes = CuttingPlanes(n_d, labels)
     history: list[IterationRecord] = []
     binding = np.empty(0, dtype=int)
+    tight = None
     best_rank, best_x = None, x
     converged = settled = False
 
@@ -371,8 +401,8 @@ def slp_solve(
         if best_rank is None or rank < best_rank:
             best_rank, best_x = rank, x
 
-        lp = solve_lp(cost_gradient, planes, x, config.ml, margin=margin)
-        binding = np.array(lp.binding, dtype=int)
+        lp = solve_lp(cost_gradient, planes, x, config.ml, margin=margin, start=tight)
+        binding, tight = np.array(lp.binding, dtype=int), lp.tight
         step = float(np.linalg.norm(lp.x - x))
         x = lp.x
         settled = settled or step < delta
@@ -386,6 +416,7 @@ def slp_solve(
                 p=p,
                 lp_status=lp.status,
                 margin=margin,
+                lp_pivots=lp.pivots,
             )
         )
         if iteration >= config.i_min and step < delta:

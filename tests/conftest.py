@@ -172,6 +172,12 @@ def paper_scale_problem(n_steps: int):
     return model, records, enumerate_scenarios(16, 1, 2, 0.5)
 
 
+def relabelled(model: StructuralModel, order) -> StructuralModel:
+    """The same frame with its dampers listed in ``order``: damper k of the
+    result is damper ``order[k]`` of ``model``."""
+    return replace(model, damper_transforms=tuple(model.damper_transforms[i] for i in order))
+
+
 def fullset_6d_problem():
     """The fullset-6d benchmark frame, unrelabelled: 6 dampers, 22 scenarios.
 

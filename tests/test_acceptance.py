@@ -272,7 +272,7 @@ def test_criterion_9_lp_against_vertex_enumeration():
         b = A @ x_feas + rng.uniform(0.0, 1.0, m)
         A_full = np.vstack([A, np.eye(n)])
         b_full = np.concatenate([b, np.ones(n)])
-        x, status = solve_inequality_lp(c, A_full, b_full)
+        x, status, _, _ = solve_inequality_lp(c, A_full, b_full)
         assert status == "optimal"
 
         rows = np.vstack([A_full, -np.eye(n)])

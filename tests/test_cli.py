@@ -886,8 +886,12 @@ class TestMain:
     def test_infeasible_elastic_fallback_exits_3(self, tmp_path, capsys, monkeypatch):
         from failsafe_dampers import optimizer
 
+        # The plain LP is infeasible, and so are the elastic stages.
         monkeypatch.setattr(
-            optimizer, "solve_inequality_lp", lambda *args, **kwargs: (None, "infeasible")
+            optimizer, "solve_inequality_lp", lambda *args, **kwargs: (None, "infeasible", None, 0)
+        )
+        monkeypatch.setattr(
+            optimizer, "tableau_simplex", lambda *args, **kwargs: (None, "infeasible")
         )
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
         code = main(
@@ -1147,7 +1151,8 @@ class TestMain:
 
     def test_run_reports_its_max_exact_peak_and_margins(self, tmp_path, capsys):
         # The manifest and the summary line carry the largest exact peak of
-        # the constraint report; each iteration log row carries its margin.
+        # the constraint report; each iteration log row carries its margin
+        # and the dual simplex pivots of its LP.
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=200)
         out = tmp_path / "out"
         code = main(
@@ -1171,9 +1176,11 @@ class TestMain:
             rows = list(csv.reader(fh))
         assert rows[0] == [
             "iteration", "cost", "g_max_true", "step_norm", "active_planes", "p", "lp_status",
-            "margin",
+            "margin", "lp_pivots",
         ]
-        assert all(float(row[-1]) >= 0.5 * FailSafeConfig.violation_tol for row in rows[1:])
+        assert all(float(row[7]) >= 0.5 * FailSafeConfig.violation_tol for row in rows[1:])
+        pivots = [int(row[8]) for row in rows[1:]]
+        assert min(pivots) >= 0 and sum(pivots) > 0
 
     def test_exported_drifts_are_the_whole_stacks(self, tmp_path):
         # Every drift file of a run is byte for byte the one a sweep of the

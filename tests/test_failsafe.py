@@ -28,7 +28,6 @@ from failsafe_dampers import (
 from failsafe_dampers import adjoint, dynamics, failsafe, optimizer
 from failsafe_dampers import model as model_mod
 from failsafe_dampers.adjoint import accumulate_gradient, dg_du_trajectory, solve_adjoint
-from failsafe_dampers._simplex import SimplexError
 from failsafe_dampers.optimizer import EvalCounter
 
 from conftest import (
@@ -36,6 +35,7 @@ from conftest import (
     frame_with_redundant_dampers,
     fullset_6d_problem,
     paper_scale_problem,
+    relabelled,
     shear_frame,
     synthetic_record,
     whole_stack_history,
@@ -504,8 +504,8 @@ class TestResumes:
 def test_paper_scale_recipe_verifies(n_steps, cost):
     # Recipe W2: 16 dampers, 137 scenarios, 2 records. 400 steps ends with
     # both records active, 600 and 2,000 steps with one; 2,000 steps is the
-    # longest record the recipe sweeps. 1,000 steps ends in `SimplexError`
-    # when the sweeps' products move in the last bit (ROADMAP item 9).
+    # longest record the recipe sweeps. 1,000 steps is also run under other
+    # damper labels below.
     model, records, scenarios = paper_scale_problem(n_steps)
     final = run_failsafe(
         model,
@@ -538,12 +538,10 @@ def test_fullset_6d_verifies_without_a_resume():
     assert final.cost == pytest.approx(0.24573, rel=0.01)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=SimplexError, reason="Bland at tol 1e-10 cycles, ROADMAP item 2"
-)
 def test_paper_scale_recipe_at_200_steps_verifies():
-    # Recipe W2 at 200 steps: a phase-2 LP of sub-problem 3 cycles until the
-    # pivot budget runs out (see the LP itself in test_optimizer.py).
+    # Recipe W2 at 200 steps. The tableau simplex cycles on a phase-2 LP of
+    # sub-problem 3 until its pivot budget runs out (the LP is stored for
+    # test_optimizer.py); the dual simplex solves it.
     model, records, scenarios = paper_scale_problem(200)
     final = run_failsafe(
         model,
@@ -554,6 +552,45 @@ def test_paper_scale_recipe_at_200_steps_verifies():
         mode="failsafe",
     )
     assert final.converged and final.verified
+    assert final.cost == pytest.approx(1.5761, rel=0.01)
+
+
+def test_answers_do_not_depend_on_the_damper_labels(light_runs):
+    # Listing the dampers in another order poses the same problem (ROADMAP
+    # item 9): W2 at 1,000 steps, and the light problem's working-set and
+    # full-set runs of `light_runs`, take as many evaluations to the same J
+    # with each story's dampers swapped and with all of them reversed.
+    def relabellings(n):
+        return [[i ^ 1 for i in range(n)], list(range(n - 1, -1, -1))]
+
+    def assert_alike(runs, first):
+        for final in runs:
+            assert final.converged and final.verified
+            assert final.eval_counter.total == first.eval_counter.total
+            assert final.cost == pytest.approx(first.cost, rel=1e-6)
+
+    model, records, scenarios = paper_scale_problem(1000)
+    w2 = [
+        run_failsafe(
+            relabelled(model, order),
+            scenarios,
+            records,
+            c_bar=2000.0,
+            slp_config=SlpConfig(i_min=50, i_max=400),
+            mode="failsafe",
+        )
+        for order in [range(model.n_dampers), *relabellings(model.n_dampers)]
+    ]
+    assert_alike(w2, w2[0])
+
+    model, gm, scen, slp, fs, runs = light_runs
+    for mode in ("failsafe", "fullset"):
+        relabelled_runs = [
+            run_failsafe(relabelled(model, order), scen, [gm], c_bar=800.0, slp_config=slp,
+                         fs_config=fs, mode=mode)
+            for order in relabellings(model.n_dampers)
+        ]
+        assert_alike(relabelled_runs, runs[mode])
 
 
 class TestRecordLoop:

@@ -24,6 +24,7 @@ from failsafe_dampers._simplex import (
     SimplexError,
     _rows_that_can_bind,
     solve_inequality_lp,
+    tableau_simplex,
 )
 from failsafe_dampers.constraints import normalized_drifts
 from failsafe_dampers.model import StructuralModel
@@ -155,7 +156,7 @@ def dense_tableau_lp(c, A, b, *, tol=1e-10):
 
 
 def stacked(A, b, upper=None):
-    """The LP that ``solve_inequality_lp(c, A, b, upper)`` solves, in the
+    """The LP that ``tableau_simplex(c, A, b, upper)`` solves, in the
     three-argument form: a row x_j <= upper_j under (A, b) for each finite
     bound."""
     if upper is None:
@@ -199,7 +200,7 @@ class TestSimplexCore:
         for m_planes in (3, 10, 30, 60, 120, 200, 300, 380):
             for _ in range(4):
                 c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
-                x, status = solve_inequality_lp(c, A, b)
+                x, status = tableau_simplex(c, A, b)
                 x_ref, status_ref = dense_tableau_lp(c, A, b)
                 assert status == status_ref
                 statuses.append(status)
@@ -218,7 +219,7 @@ class TestSimplexCore:
             b = A @ x_feas + rng.uniform(0.0, 1.0, m)
             A_full = np.vstack([A, np.eye(n)])
             b_full = np.concatenate([b, np.ones(n)])
-            x, status = solve_inequality_lp(c, A_full, b_full)
+            x, status = tableau_simplex(c, A_full, b_full)
             assert status == "optimal"
             oracle = enumerate_vertices_objective(c, A_full, b_full, n)
             assert c @ x == pytest.approx(oracle, abs=1e-9)
@@ -226,14 +227,14 @@ class TestSimplexCore:
     def test_detects_infeasible(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])
         b = np.array([0.2, -0.5])  # x0 <= 0.2 and x0 >= 0.5
-        x, status = solve_inequality_lp(np.ones(2), A, b)
+        x, status = tableau_simplex(np.ones(2), A, b)
         assert status == "infeasible"
         assert x is None
 
     def test_detects_unbounded(self):
         # x0 - x1 <= 1 with x1 free above: the cost -x1 falls without end.
         with pytest.raises(SimplexError, match="LP is unbounded"):
-            solve_inequality_lp(np.array([0.0, -1.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+            tableau_simplex(np.array([0.0, -1.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
 
     @pytest.mark.parametrize(
         "b,upper,message",
@@ -244,7 +245,7 @@ class TestSimplexCore:
     )
     def test_operands_of_the_wrong_shape_rejected(self, b, upper, message):
         with pytest.raises(ValueError, match=message):
-            solve_inequality_lp(np.ones(2), np.array([[1.0, 1.0]]), np.array(b), upper)
+            tableau_simplex(np.ones(2), np.array([[1.0, 1.0]]), np.array(b), upper)
 
     def test_degenerate_vertex(self):
         # Five constraints all tight at the origin: a classic cycling trap.
@@ -252,7 +253,7 @@ class TestSimplexCore:
         A = np.array(
             [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [2.0, 1.0]]
         )
-        x, status = solve_inequality_lp(c, A, np.zeros(5))
+        x, status = tableau_simplex(c, A, np.zeros(5))
         assert status == "optimal"
         assert np.allclose(x, 0.0, atol=1e-12)
 
@@ -261,7 +262,7 @@ class TestSimplexCore:
         c = np.ones(2)
         A = np.array([[-1.0, 0.0], [-1.0, 0.0], [-1.0, -1.0]])
         b = np.array([-0.5, -0.5, -0.7])
-        x, status = solve_inequality_lp(c, A, b)
+        x, status = tableau_simplex(c, A, b)
         assert status == "optimal"
         assert c @ x == pytest.approx(0.7, abs=1e-10)
         assert x[0] >= 0.5 - 1e-10
@@ -287,9 +288,119 @@ class TestSimplexCore:
         #   story's two dampers swapped (damper_transforms permuted by
         #   i ^ 1): 168 planes, 126 negative right-hand sides.
         lp = np.load(DATA / f"{name}.npz")
-        x, status = solve_inequality_lp(lp["c"], lp["A"], lp["b"])
+        x, status = tableau_simplex(lp["c"], lp["A"], lp["b"])
         assert status == "optimal"
         assert lp["c"] @ x == pytest.approx(optimum, rel=1e-9)
+
+
+def max_excess(A, b, upper, x):
+    """The most by which x breaks a row of A x <= b or its box 0 <= x <= upper."""
+    return max((A @ x - b).max(initial=-np.inf), (x - upper).max(), (-x).max())
+
+
+class TestDualSimplex:
+    def test_matches_vertex_enumeration_and_the_tableau(self):
+        # The cutting-plane LPs of `random_cutting_plane_lp` whose cost is
+        # nonnegative, the box as bounds: the tableau's status and optimal
+        # objective, and on the smallest (up to 6 variables) the best vertex.
+        rng = np.random.default_rng(2024)
+        statuses = []
+        for m_planes in (3, 3, 10, 30, 60, 120, 200, 300, 380):
+            for _ in range(8):
+                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
+                if (c < 0).any():
+                    continue
+                x, status, basis, _ = solve_inequality_lp(c, *split_box(A, b))
+                x_ref, status_ref = tableau_simplex(c, A, b)
+                assert status == status_ref
+                statuses.append(status)
+                if status == "infeasible":
+                    assert x is None and basis is None
+                    continue
+                assert max_excess(*split_box(A, b), x) <= 1e-9 * (1.0 + np.abs(b).max())
+                assert c @ x == pytest.approx(c @ x_ref, rel=1e-9)
+                assert len(set(basis.tolist())) == c.size
+                if m_planes == 3 and c.size <= 6:
+                    oracle = enumerate_vertices_objective(c, A, b, c.size)
+                    assert c @ x == pytest.approx(oracle, rel=1e-9)
+        assert statuses.count("optimal") >= 20 and "infeasible" in statuses
+
+    def test_warm_start_after_rows_and_a_box_shift_matches_the_cold_start(self):
+        # The next LP of an SLP iteration: planes appended and the box moved.
+        # Started from the previous optimal basis it reaches the cold start's
+        # optimum, in fewer pivots over the run.
+        rng = np.random.default_rng(7)
+        warm_pivots = cold_pivots = 0
+        for _ in range(20):
+            c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), 40)
+            c = np.abs(c)
+            A_pl, b_pl, span = split_box(A, b)
+            x, status, basis, _ = solve_inequality_lp(c, A_pl[:30], b_pl[:30], span)
+            if status != "optimal":
+                continue
+            # The box moves by shift: y = y' + shift with 0 <= y' <= span.
+            shift = rng.uniform(-0.05, 0.05, c.size)
+            b_next = b_pl - A_pl @ shift
+            warm = solve_inequality_lp(c, A_pl, b_next, span, basis)
+            cold = solve_inequality_lp(c, A_pl, b_next, span)
+            assert warm[1] == cold[1]
+            if cold[1] == "optimal":
+                assert c @ warm[0] == pytest.approx(c @ cold[0], rel=1e-9, abs=1e-12)
+            warm_pivots += warm[3]
+            cold_pivots += cold[3]
+        assert warm_pivots < cold_pivots
+
+    def test_start_that_names_a_row_gone_restarts_cold(self):
+        c, A, b = random_cutting_plane_lp(np.random.default_rng(7), 5, 30)
+        c = np.abs(c)
+        A_pl, b_pl, span = split_box(A, b)
+        _, status, basis, _ = solve_inequality_lp(c, A_pl, b_pl, span)
+        assert status == "optimal" and basis.max() >= 2 * c.size
+        # Drop the highest row the basis names: its label now names no row.
+        m = int(basis.max()) - 2 * c.size
+        cold = solve_inequality_lp(c, A_pl[:m], b_pl[:m], span)
+        restarted = solve_inequality_lp(c, A_pl[:m], b_pl[:m], span, basis)
+        assert restarted[0].tobytes() == cold[0].tobytes()
+        assert restarted[3] == cold[3]
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative cost"):
+            solve_inequality_lp(np.array([1.0, -1.0]), np.ones((1, 2)), np.ones(1), np.ones(2))
+
+    def test_degenerate_pivots_take_blands_rule(self):
+        # The dual of Beale's cycling LP (Beale 1955). From the lower corner,
+        # with the most violated row entering each time (Dantzig), six
+        # degenerate pivots lead back to the first basis, until the budget
+        # runs out. After a degenerate pivot the violated row of lowest
+        # label enters instead, which cannot cycle: four degenerate pivots,
+        # then two that gain. Breaking ratio ties on the highest label
+        # instead would reach the optimum in 2 pivots, not 6.
+        c = np.array([0.0, 0.0, 1.0])
+        A = np.array([[-0.25, -0.5, 0.0], [8.0, 12.0, 0.0], [1.0, 0.5, -1.0], [-9.0, -3.0, 0.0]])
+        b = np.array([-0.75, 20.0, -0.5, 6.0])
+        x, status, basis, pivots = solve_inequality_lp(c, A, b)
+        assert status == "optimal"
+        assert c @ x == pytest.approx(1.25, rel=1e-12)  # HiGHS's optimum
+        assert max_excess(A, b, np.full(3, np.inf), x) <= 1e-9 * (1.0 + np.abs(b).max())
+        assert basis.tolist() == [8, 0, 6] and pivots == 6
+
+    @pytest.mark.parametrize(
+        "name,optimum",
+        [
+            ("w2_200_cycling_lp", 0.15066082087229535),
+            ("w2_1000_swapped_cycling_lp", 0.12000108952722706),
+        ],
+        ids=["w2_200", "w2_1000_swapped"],
+    )
+    def test_cycling_lp_of_the_paper_scale_recipe(self, name, optimum):
+        # The stored LPs on which the tableau cycles (ROADMAP item 2), from
+        # the lower corner: HiGHS's optimum, every row kept.
+        lp = np.load(DATA / f"{name}.npz")
+        A, b, span = split_box(lp["A"], lp["b"])
+        x, status, _, _ = solve_inequality_lp(lp["c"], A, b, span)
+        assert status == "optimal"
+        assert lp["c"] @ x == pytest.approx(optimum, rel=1e-9)
+        assert max_excess(A, b, span, x) <= 1e-8 * (1.0 + np.abs(lp["b"]).max())
 
 
 class TestPhaseOne:
@@ -319,7 +430,7 @@ class TestPhaseOne:
         real_pivot, real_loop = _simplex._pivot, _simplex._pivot_loop
         monkeypatch.setattr(_simplex, "_pivot", spy_pivot)
         monkeypatch.setattr(_simplex, "_pivot_loop", spy_loop)
-        x, status = solve_inequality_lp(c, A, b)
+        x, status = tableau_simplex(c, A, b)
         assert status == "optimal"
         assert events.count("loop") == 2
         phase2_start = len(events) - events[::-1].index("loop") - 1
@@ -334,24 +445,29 @@ class TestPhaseOne:
         c = np.array([-1.0, -1.0 - 1e-12])
         A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         b = np.array([1.0, 1.0, 1.0])
-        x, status = solve_inequality_lp(c, A, b)
+        x, status = tableau_simplex(c, A, b)
         assert status == "optimal"
         assert np.array_equal(x, [1.0, 0.0])
         assert dense_tableau_lp(c, A, b) == (pytest.approx([1.0, 0.0]), "optimal")
 
     def test_lps_of_a_fullset_run_match_highs(self, monkeypatch):
-        # Every LP of a short fullset run, the elastic stages included,
-        # against HiGHS. Degenerate faces let x differ; the status and the
-        # optimal objective may not. At the default move limit some of the
-        # run's LPs are infeasible inside their boxes.
+        # Every LP of a short fullset run, the plain ones (dual simplex) and
+        # the elastic stages (tableau), against HiGHS. Degenerate faces let
+        # x differ; the status and the optimal objective may not. At the
+        # default move limit some of the run's LPs are infeasible inside
+        # their boxes.
         lps = []
 
-        def spy(c, A, b, upper=None):
-            lps.append((c, *stacked(A, b, upper), real(c, A, b, upper)))
-            return lps[-1][-1]
+        def spy(real):
+            def solve(c, A, b, upper=None, *start):
+                out = real(c, A, b, upper, *start)
+                lps.append((c, *stacked(A, b, upper), out[:2]))
+                return out
 
-        real = optimizer.solve_inequality_lp
-        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy)
+            return solve
+
+        for name in ("solve_inequality_lp", "tableau_simplex"):
+            monkeypatch.setattr(optimizer, name, spy(getattr(optimizer, name)))
         model = frame_with_redundant_dampers(n_stories=3, per_story=2)
         gm = synthetic_record(100, seed=9, peak=2.5)
         bare = newmark_solve(model, np.zeros((3, 3)), gm)
@@ -421,8 +537,8 @@ class TestPresolve:
                 c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
                 A_far, b_far, far = with_far_planes(rng, A, b, 2 * m_planes)
                 assert not _rows_that_can_bind(A_far, b_far)[far].any()
-                x, status = solve_inequality_lp(c, A, b)
-                x_far, status_far = solve_inequality_lp(c, A_far, b_far)
+                x, status = tableau_simplex(c, A, b)
+                x_far, status_far = tableau_simplex(c, A_far, b_far)
                 assert status_far == status
                 statuses.append(status)
                 if status == "optimal":
@@ -437,7 +553,7 @@ class TestPresolve:
                 c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
                 A, b, _ = with_far_planes(rng, A, b, m_planes)
                 for c_k, A_k, b_k in ((c, A, b), elastic_lp(A, b)):
-                    x, status = solve_inequality_lp(c_k, A_k, b_k)
+                    x, status = tableau_simplex(c_k, A_k, b_k)
                     x_ref, status_ref = dense_tableau_lp(c_k, A_k, b_k)
                     assert status == status_ref
                     statuses.append(status)
@@ -453,7 +569,7 @@ class TestPresolve:
         for b0, kept in ((b_edge * (1 - 1e-12), True), (b_edge * (1 + 1e-12), False)):
             b = np.array([b0, 1.0, 1.0])
             assert np.array_equal(_rows_that_can_bind(A, b), [kept, True, True])
-            x, status = solve_inequality_lp(-np.ones(2), A, b)
+            x, status = tableau_simplex(-np.ones(2), A, b)
             assert status == "optimal" and np.array_equal(x, np.ones(2))
 
     def test_positive_coefficient_on_unbounded_column_is_kept(self):
@@ -474,7 +590,7 @@ class TestPresolve:
             _rows_that_can_bind(A, b), [False, True, True, True, True]
         )
         c = np.array([1.0, 1.0, -1.0])
-        x, status = solve_inequality_lp(c, A, b)
+        x, status = tableau_simplex(c, A, b)
         x_ref, status_ref = dense_tableau_lp(c, A, b)
         assert status == status_ref == "optimal"
         assert np.array_equal(x, x_ref) and x[2] == pytest.approx(10.0)
@@ -489,12 +605,12 @@ class TestPresolve:
         )
         b = np.array([-0.5, 0.5 - 1e-6, 1e4, 1.0, 1.0])
         assert np.array_equal(_rows_that_can_bind(A, b), [True, True, False, True, True])
-        x, status = solve_inequality_lp(np.ones(2), A, b)
+        x, status = tableau_simplex(np.ones(2), A, b)
         x_ref, status_ref = dense_tableau_lp(np.ones(2), A, b)
         assert status == status_ref == "optimal"
         assert np.abs(x - x_ref).max() <= 1e-12
         keep = _rows_that_can_bind(A, b)
-        assert solve_inequality_lp(np.ones(2), A[keep], b[keep]) == (None, "infeasible")
+        assert tableau_simplex(np.ones(2), A[keep], b[keep]) == (None, "infeasible")
 
 
 def split_box(A, b):
@@ -529,8 +645,8 @@ class TestBounds:
                 c_el, A_el, _ = elastic_lp(A, b)
                 upper_el = np.concatenate([span, np.full(mp, np.inf)])
                 for c_k, A_k, b_k, u_k in ((c, A_pl, b_pl, span), (c_el, A_el[:mp], b_pl, upper_el)):
-                    got = solve_inequality_lp(c_k, A_k, b_k, u_k)
-                    assert_same_solution(got, solve_inequality_lp(c_k, *stacked(A_k, b_k, u_k)))
+                    got = tableau_simplex(c_k, A_k, b_k, u_k)
+                    assert_same_solution(got, tableau_simplex(c_k, *stacked(A_k, b_k, u_k)))
                     statuses.append(got[1])
         assert "infeasible" in statuses and "optimal" in statuses
 
@@ -550,7 +666,7 @@ class TestBounds:
         monkeypatch.setattr(_simplex, "_pivot", spy_pivot)
         for args in ((lp["A"], lp["b"]), split_box(lp["A"], lp["b"])):
             with pytest.raises(SimplexError, match="pivot budget exhausted"):
-                solve_inequality_lp(lp["c"], *args)
+                tableau_simplex(lp["c"], *args)
             pivots.append(0)
         assert pivots[1] == pivots[0] > 1000
 
@@ -841,10 +957,10 @@ class TestSlpSolve:
         centers, margins = [], []
         real_lp = optimizer.solve_lp
 
-        def spy_lp(objective, planes, center, move_limit, margin):
+        def spy_lp(objective, planes, center, move_limit, margin, start):
             centers.append(center.copy())
             margins.append(margin)
-            return real_lp(objective, planes, center, move_limit, margin=margin)
+            return real_lp(objective, planes, center, move_limit, margin=margin, start=start)
 
         monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
         cfg = SlpConfig(i_min=50, i_max=400)
@@ -952,11 +1068,13 @@ class TestSlpSolve:
 
     def test_presolved_lp_matches_dense_tableau_in_the_loop(self, monkeypatch):
         # The LP grows by 22 planes per iteration, goes elastic, and retires
-        # planes.
+        # planes. The run takes the dual simplex for each plain LP and the
+        # presolved tableau for the elastic stages; the reference solves
+        # every stage with the dense tableau.
         model, scenarios, gm, design0 = fullset_problem()
         cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
 
-        def run(solver):
+        def run(plain, elastic):
             lps, dropped = [], []
 
             def spy_lp(*args, **kwargs):
@@ -965,17 +1083,26 @@ class TestSlpSolve:
 
             def spy_simplex(c, A, b, upper=None):
                 dropped.append(int(np.sum(~_rows_that_can_bind(A, b, upper))))
-                return solver(c, A, b, upper)
+                return elastic(c, A, b, upper)
 
             monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
-            monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
+            monkeypatch.setattr(optimizer, "solve_inequality_lp", plain)
+            monkeypatch.setattr(optimizer, "tableau_simplex", spy_simplex)
             res = slp_solve(model, scenarios, [gm], design0, cfg)
             monkeypatch.undo()
             return res, lps, sum(dropped)
 
+        def dense(c, A, b, upper=None):
+            return dense_tableau_lp(c, *stacked(A, b, upper))
+
+        def dense_plain(c, A, b, upper, start):
+            # Any basis serves as the tight set: the reference takes no start.
+            x, status = dense(c, A, b, upper)
+            return x, status, None if x is None else np.arange(c.size), 0
+
         real_lp = optimizer.solve_lp
-        res, lps, dropped = run(solve_inequality_lp)
-        ref, ref_lps, _ = run(lambda c, A, b, upper: dense_tableau_lp(c, *stacked(A, b, upper)))
+        res, lps, dropped = run(solve_inequality_lp, tableau_simplex)
+        ref, ref_lps, _ = run(dense_plain, dense)
         assert dropped > 0
         assert "elastic" in [lp.status for lp in lps]
         assert any(lp.binding for lp in lps)
@@ -993,52 +1120,100 @@ class TestSlpSolve:
         assert active[-1] == enabled.sum() < len(res.planes)
 
     def test_lps_of_the_loop_solve_alike_with_their_box_stacked(self, monkeypatch):
-        # Every simplex call of a run that goes elastic and retires planes,
-        # re-solved with its bounds stacked as rows: bit for bit the same.
+        # Every LP of a run that goes elastic and retires planes, re-solved
+        # with its bounds stacked as rows: bit for bit the same, for the
+        # plain LP's dual simplex (both from the lower corner) and for the
+        # elastic stages' tableau.
         model, scenarios, gm, design0 = fullset_problem()
-        calls = []
-        real_simplex = optimizer.solve_inequality_lp
+        plain, elastic = [], []
+        real_dual, real_simplex = optimizer.solve_inequality_lp, optimizer.tableau_simplex
+
+        def spy_dual(c, A, b, upper, start):
+            plain.append((c, A, b, upper))
+            return real_dual(c, A, b, upper, start)
 
         def spy_simplex(c, A, b, upper=None):
-            calls.append((c, A, b, upper))
+            elastic.append((c, A, b, upper))
             return real_simplex(c, A, b, upper)
 
-        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
+        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_dual)
+        monkeypatch.setattr(optimizer, "tableau_simplex", spy_simplex)
         res = slp_solve(model, scenarios, [gm], design0, SlpConfig(i_min=20, i_max=20, ml=0.05))
         assert "elastic" in [r.lp_status for r in res.history]
-        assert any(upper is not None and np.isinf(upper).any() for *_, upper in calls)
-        for c, A, b, upper in calls:
+        assert len(plain) == res.n_iterations
+        assert any(upper is not None and np.isinf(upper).any() for *_, upper in elastic)
+        for c, A, b, upper in plain:
             assert_same_solution(
-                solve_inequality_lp(c, A, b, upper), solve_inequality_lp(c, *stacked(A, b, upper))
+                solve_inequality_lp(c, A, b, upper)[:2],
+                solve_inequality_lp(c, *stacked(A, b, upper))[:2],
+            )
+        for c, A, b, upper in elastic:
+            assert_same_solution(
+                tableau_simplex(c, A, b, upper), tableau_simplex(c, *stacked(A, b, upper))
             )
 
+    def test_each_lp_starts_from_the_constraints_tight_at_the_last_optimum(self, monkeypatch):
+        # An optimal LP's tight set, keyed by plane row and bound, names the
+        # same constraints in the next LP's numbering of its enabled planes;
+        # a plane disabled since maps to no label (-1), and an elastic LP
+        # leaves the next one no start. The log counts each LP's pivots.
+        model, scenarios, gm, design0 = fullset_problem()
+        calls = []
+        real_dual = optimizer.solve_inequality_lp
+
+        def spy_dual(c, A, b, upper, start):
+            x, status, basis, pivots = real_dual(c, A, b, upper, start)
+            calls.append((A, start, None if basis is None else basis.copy(), pivots))
+            return x, status, basis, pivots
+
+        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_dual)
+        res = slp_solve(model, scenarios, [gm], design0, SlpConfig(i_min=20, i_max=20, ml=0.05))
+        n = design0.x.size
+
+        def rows(A, labels):
+            return np.concatenate([-np.eye(n), np.eye(n), A])[labels]
+
+        assert calls[0][1] is None
+        starts = []
+        for (A_last, _, basis, _), (A, start, _, _) in zip(calls, calls[1:]):
+            if basis is None:
+                starts.append("none")
+                assert start is None
+            elif start.min() < 0:
+                starts.append("disabled")
+            else:
+                starts.append("warm")
+                assert np.array_equal(rows(A, start), rows(A_last, basis))
+        assert {"none", "disabled", "warm"} <= set(starts)
+        assert [r.lp_pivots for r in res.history] == [pivots for *_, pivots in calls]
+
     def test_lp_rows_from_the_plane_arrays_match_the_plane_records(self, monkeypatch):
-        # Every LP's (A, b) as the simplex receives it, its box stacked as
-        # rows, bit for bit the one assembled plane by plane from the records of the enabled planes,
-        # also once planes have been retired; and its binding set, the
-        # enabled planes whose records predict ghat >= -margin at its x.
+        # Every LP's (A, b) as the dual simplex receives it, its box stacked
+        # as rows, bit for bit the one assembled plane by plane from the
+        # records of the enabled planes, also once planes have been retired;
+        # and its binding set, the enabled planes whose records predict
+        # ghat >= -margin at its x.
         model, scenarios, gm, design0 = fullset_problem()
         cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
         want, got, disabled, binding = [], [], [], []
-        real_lp, real_simplex = optimizer.solve_lp, optimizer.solve_inequality_lp
+        real_lp, real_dual = optimizer.solve_lp, optimizer.solve_inequality_lp
 
-        def spy_lp(objective, planes, center, move_limit, margin=0.0):
+        def spy_lp(objective, planes, center, move_limit, margin=0.0, start=None):
             want.append(lp_rows_from_records(planes, center, move_limit, margin))
             disabled.append(len(planes) - int(planes.enabled.sum()))
-            lp = real_lp(objective, planes, center, move_limit, margin=margin)
+            lp = real_lp(objective, planes, center, move_limit, margin=margin, start=start)
             binding.append((lp.binding, tuple(
                 i for i, pl in enumerate(planes)
                 if pl.enabled and ghat(pl, lp.x) >= -margin - optimizer._BIND_TOL
             )))
             return lp
 
-        def spy_simplex(c, A, b, upper=None):
-            if len(got) < len(want):  # the first call of each LP
-                got.append(stacked(A, b, upper))
-            return real_simplex(c, A, b, upper)
+        def spy_dual(c, A, b, upper, start):
+            got.append(stacked(A, b, upper))
+            return real_dual(c, A, b, upper, start)
 
         monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
-        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_simplex)
+        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_dual)
         res = slp_solve(model, scenarios, [gm], design0, cfg, feasibility_margin=1e-3)
         assert len(got) == len(want) == res.n_iterations
         assert max(disabled) > 0

@@ -197,6 +197,7 @@ def test_iteration_record_holds_no_label_or_per_pair_values():
         "p",
         "lp_status",
         "margin",
+        "lp_pivots",
     }
 
 
@@ -224,7 +225,9 @@ def test_basic_mode_only_narrows_the_scenario_set():
 
 
 def test_lp_result_holds_the_point_its_status_and_its_binding_planes():
-    assert {f.name for f in dataclasses.fields(LpResult)} == {"x", "status", "binding"}
+    assert {f.name for f in dataclasses.fields(LpResult)} == {
+        "x", "status", "binding", "tight", "pivots"
+    }
 
 
 def test_convergence_tolerance_is_its_formula():

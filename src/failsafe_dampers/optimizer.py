@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._simplex import SimplexError, solve_inequality_lp, tableau_simplex
+from ._simplex import SimplexError, solve_inequality_lp
 from .adjoint import adjoint_gradient
 from .constraints import ConstraintParams, evaluate_drift_constraint
 from .dynamics import GroundMotion, newmark_solve
@@ -214,14 +214,15 @@ def solve_lp(
     it back as ``start`` for the next LP of the same cost warm-starts the
     dual simplex there, which re-optimizes in a pivot or two after planes
     are added and the box moves; a start that names a plane disabled since
-    begins at the lower corner instead. ``pivots`` counts the dual
-    simplex's pivots.
+    begins at the lower corner instead.
 
     When the plane set admits no point in the box, the LP is relaxed
-    elastically on `tableau_simplex`: per-plane violations are minimized
-    first, then the cost among minimal-violation points, and the result is
-    flagged with status ``"elastic"`` and ``tight`` None. ``binding`` holds
-    the enabled planes x meets within ``_BIND_TOL``.
+    elastically (`_solve_elastic`), on the same dual simplex: per-plane
+    violations are minimized first, then the cost among minimal-violation
+    points, and the result is flagged with status ``"elastic"`` and
+    ``tight`` None. ``pivots`` counts the dual simplex's pivots over every
+    LP it solved, the elastic stages included. ``binding`` holds the
+    enabled planes x meets within ``_BIND_TOL``.
     """
     center = np.asarray(center, dtype=float)
     objective = np.asarray(objective, dtype=float)
@@ -249,8 +250,9 @@ def solve_lp(
     y, status, basis, pivots = solve_inequality_lp(objective, A_pl, b_shift, span, basis)
     tight = None
     if status == "infeasible":
-        y = _solve_elastic(objective, A_pl, b_shift, span)
+        y, elastic_pivots = _solve_elastic(objective, A_pl, b_shift, span)
         status = "elastic"
+        pivots += elastic_pivots
     else:
         on_plane = basis >= bounds
         basis[on_plane] = bounds + enabled[basis[on_plane] - bounds]
@@ -262,7 +264,11 @@ def solve_lp(
 
 
 def _solve_elastic(objective, A_pl, b_shift, span):
-    """Two-stage relaxation: least total plane violation, then least cost."""
+    """Two-stage relaxation: least total plane violation, then least cost.
+
+    Both stages have a nonnegative cost, so both go to the dual simplex
+    from the lower corner. Returns y and the pivots of the two stages.
+    """
     n = span.size
     mp = A_pl.shape[0]
     # Variables [y, s]: planes become A y - s <= b, y keeps its box and s
@@ -270,20 +276,18 @@ def _solve_elastic(objective, A_pl, b_shift, span):
     A1 = np.hstack([A_pl, -np.eye(mp)])
     upper = np.concatenate([span, np.full(mp, np.inf)])
     c1 = np.concatenate([np.zeros(n), np.ones(mp)])
-    z, status = tableau_simplex(c1, A1, b_shift, upper)
+    z, status, _, pivots = solve_inequality_lp(c1, A1, b_shift, upper)
     if status != "optimal":
         raise SimplexError("elastic relaxation is infeasible")
     v_min = float(c1 @ z)
 
-    # Bounds would pivot after the violation row; the LP has always had it
-    # after the box rows, so this stage stacks the box as rows.
-    A2 = np.vstack([A1, np.hstack([np.eye(n), np.zeros((n, mp))]), c1[None, :]])
-    b2 = np.concatenate([b_shift, span, [v_min + 1e-9]])
+    A2 = np.vstack([A1, c1])
+    b2 = np.append(b_shift, v_min + 1e-9)
     c2 = np.concatenate([objective, np.zeros(mp)])
-    z, status = tableau_simplex(c2, A2, b2)
+    z, status, _, cost_pivots = solve_inequality_lp(c2, A2, b2, upper)
     if status != "optimal":
         raise SimplexError("elastic cost stage is infeasible")
-    return z[:n]
+    return z[:n], pivots + cost_pivots
 
 
 @dataclass

@@ -886,12 +886,10 @@ class TestMain:
     def test_infeasible_elastic_fallback_exits_3(self, tmp_path, capsys, monkeypatch):
         from failsafe_dampers import optimizer
 
-        # The plain LP is infeasible, and so are the elastic stages.
+        # The plain LP is infeasible, and so are the elastic stages, which
+        # the same dual simplex solves.
         monkeypatch.setattr(
             optimizer, "solve_inequality_lp", lambda *args, **kwargs: (None, "infeasible", None, 0)
-        )
-        monkeypatch.setattr(
-            optimizer, "tableau_simplex", lambda *args, **kwargs: (None, "infeasible")
         )
         _, model_path, rec_path = write_inputs(tmp_path, n_steps=60)
         code = main(

@@ -19,13 +19,8 @@ from failsafe_dampers import (
     slp_solve,
     solve_lp,
 )
-from failsafe_dampers import _simplex, adjoint, dynamics, optimizer, run_failsafe
-from failsafe_dampers._simplex import (
-    SimplexError,
-    _rows_that_can_bind,
-    solve_inequality_lp,
-    tableau_simplex,
-)
+from failsafe_dampers import adjoint, dynamics, optimizer, run_failsafe
+from failsafe_dampers._simplex import SimplexError, solve_inequality_lp
 from failsafe_dampers.constraints import normalized_drifts
 from failsafe_dampers.model import StructuralModel
 from failsafe_dampers.optimizer import P_CAP
@@ -156,8 +151,8 @@ def dense_tableau_lp(c, A, b, *, tol=1e-10):
 
 
 def stacked(A, b, upper=None):
-    """The LP that ``tableau_simplex(c, A, b, upper)`` solves, in the
-    three-argument form: a row x_j <= upper_j under (A, b) for each finite
+    """The LP ``A x <= b, 0 <= x <= upper`` in the three-argument form of
+    `dense_tableau_lp`: a row x_j <= upper_j under (A, b) for each finite
     bound."""
     if upper is None:
         return A, b
@@ -195,17 +190,22 @@ def random_cutting_plane_lp(rng, n, m_planes):
 
 class TestSimplexCore:
     def test_matches_dense_tableau_reference(self):
+        # The cutting-plane LPs of `random_cutting_plane_lp`, their cost made
+        # nonnegative and their box given as bounds: the reference's status
+        # and optimal objective.
         rng = np.random.default_rng(2024)
         statuses = []
         for m_planes in (3, 10, 30, 60, 120, 200, 300, 380):
             for _ in range(4):
                 c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
-                x, status = tableau_simplex(c, A, b)
+                c = np.abs(c)
+                x, status, _, _ = solve_inequality_lp(c, *split_box(A, b))
                 x_ref, status_ref = dense_tableau_lp(c, A, b)
                 assert status == status_ref
                 statuses.append(status)
                 if status == "optimal":
-                    assert np.abs(x - x_ref).max() <= 1e-12
+                    assert max_excess(*split_box(A, b), x) <= 1e-9 * (1.0 + np.abs(b).max())
+                    assert c @ x == pytest.approx(c @ x_ref, rel=1e-9, abs=1e-12)
         assert "infeasible" in statuses and "optimal" in statuses
 
     def test_matches_vertex_enumeration_on_random_lps(self):
@@ -217,24 +217,17 @@ class TestSimplexCore:
             x_feas = rng.uniform(0.0, 1.0, n)
             A = rng.standard_normal((m, n))
             b = A @ x_feas + rng.uniform(0.0, 1.0, m)
-            A_full = np.vstack([A, np.eye(n)])
-            b_full = np.concatenate([b, np.ones(n)])
-            x, status = tableau_simplex(c, A_full, b_full)
+            x, status, _, _ = solve_inequality_lp(c, A, b, np.ones(n))
             assert status == "optimal"
-            oracle = enumerate_vertices_objective(c, A_full, b_full, n)
+            oracle = enumerate_vertices_objective(c, *stacked(A, b, np.ones(n)), n)
             assert c @ x == pytest.approx(oracle, abs=1e-9)
 
     def test_detects_infeasible(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])
         b = np.array([0.2, -0.5])  # x0 <= 0.2 and x0 >= 0.5
-        x, status = tableau_simplex(np.ones(2), A, b)
+        x, status, basis, _ = solve_inequality_lp(np.ones(2), A, b)
         assert status == "infeasible"
-        assert x is None
-
-    def test_detects_unbounded(self):
-        # x0 - x1 <= 1 with x1 free above: the cost -x1 falls without end.
-        with pytest.raises(SimplexError, match="LP is unbounded"):
-            tableau_simplex(np.array([0.0, -1.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+        assert x is None and basis is None
 
     @pytest.mark.parametrize(
         "b,upper,message",
@@ -245,7 +238,7 @@ class TestSimplexCore:
     )
     def test_operands_of_the_wrong_shape_rejected(self, b, upper, message):
         with pytest.raises(ValueError, match=message):
-            tableau_simplex(np.ones(2), np.array([[1.0, 1.0]]), np.array(b), upper)
+            solve_inequality_lp(np.ones(2), np.array([[1.0, 1.0]]), np.array(b), upper)
 
     def test_degenerate_vertex(self):
         # Five constraints all tight at the origin: a classic cycling trap.
@@ -253,7 +246,7 @@ class TestSimplexCore:
         A = np.array(
             [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [2.0, 1.0]]
         )
-        x, status = tableau_simplex(c, A, np.zeros(5))
+        x, status, _, _ = solve_inequality_lp(c, A, np.zeros(5))
         assert status == "optimal"
         assert np.allclose(x, 0.0, atol=1e-12)
 
@@ -262,35 +255,10 @@ class TestSimplexCore:
         c = np.ones(2)
         A = np.array([[-1.0, 0.0], [-1.0, 0.0], [-1.0, -1.0]])
         b = np.array([-0.5, -0.5, -0.7])
-        x, status = tableau_simplex(c, A, b)
+        x, status, _, _ = solve_inequality_lp(c, A, b)
         assert status == "optimal"
         assert c @ x == pytest.approx(0.7, abs=1e-10)
         assert x[0] >= 0.5 - 1e-10
-
-    @pytest.mark.xfail(
-        strict=True, raises=SimplexError, reason="Bland at tol 1e-10 cycles, ROADMAP item 2"
-    )
-    @pytest.mark.parametrize(
-        "name,optimum",
-        [
-            ("w2_200_cycling_lp", 0.15066082087229535),
-            ("w2_1000_swapped_cycling_lp", 0.12000108952722706),
-        ],
-        ids=["w2_200", "w2_1000_swapped"],
-    )
-    def test_cycling_lp_of_the_paper_scale_recipe(self, name, optimum):
-        # LPs on which Bland's rule at tol 1e-10 cycles until the pivot
-        # budget runs out; HiGHS solves both, to the optimum given.
-        # - w2_200: the phase-2 LP of sub-problem 3 that recipe W2 met at 200
-        #   steps (144 planes over 16 dampers, 104 negative right-hand sides)
-        #   when its sweeps ran row by row.
-        # - w2_1000_swapped: LP 222 of recipe W2 at 1,000 steps with each
-        #   story's two dampers swapped (damper_transforms permuted by
-        #   i ^ 1): 168 planes, 126 negative right-hand sides.
-        lp = np.load(DATA / f"{name}.npz")
-        x, status = tableau_simplex(lp["c"], lp["A"], lp["b"])
-        assert status == "optimal"
-        assert lp["c"] @ x == pytest.approx(optimum, rel=1e-9)
 
 
 def max_excess(A, b, upper, x):
@@ -301,8 +269,9 @@ def max_excess(A, b, upper, x):
 class TestDualSimplex:
     def test_matches_vertex_enumeration_and_the_tableau(self):
         # The cutting-plane LPs of `random_cutting_plane_lp` whose cost is
-        # nonnegative, the box as bounds: the tableau's status and optimal
-        # objective, and on the smallest (up to 6 variables) the best vertex.
+        # nonnegative, the box as bounds: the dense tableau's status and
+        # optimal objective, and on the smallest (up to 6 variables) the best
+        # vertex.
         rng = np.random.default_rng(2024)
         statuses = []
         for m_planes in (3, 3, 10, 30, 60, 120, 200, 300, 380):
@@ -311,7 +280,7 @@ class TestDualSimplex:
                 if (c < 0).any():
                     continue
                 x, status, basis, _ = solve_inequality_lp(c, *split_box(A, b))
-                x_ref, status_ref = tableau_simplex(c, A, b)
+                x_ref, status_ref = dense_tableau_lp(c, A, b)
                 assert status == status_ref
                 statuses.append(status)
                 if status == "infeasible":
@@ -384,6 +353,33 @@ class TestDualSimplex:
         assert max_excess(A, b, np.full(3, np.inf), x) <= 1e-9 * (1.0 + np.abs(b).max())
         assert basis.tolist() == [8, 0, 6] and pivots == 6
 
+    def test_matches_vertex_enumeration_with_unbounded_columns(self):
+        # Columns with no upper bound, as the elastic LP's violations have:
+        # random rows over a box on some columns only, and the first elastic
+        # stage of random planes, [A, -I] over [y, s] with y boxed and the
+        # cost on s alone. Each against the best vertex.
+        rng = np.random.default_rng(303)
+        for _ in range(40):
+            n = int(rng.integers(3, 6))
+            m = int(rng.integers(2, 6))
+            upper = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.5, 2.0, n))
+            A = rng.standard_normal((m, n))
+            b = A @ (rng.uniform(0.0, 1.0, n) * np.minimum(upper, 1.0)) + rng.uniform(0.0, 1.0, m)
+            c = rng.uniform(0.05, 2.0, n)
+
+            n_y, m_pl = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            A_el = np.hstack([rng.standard_normal((m_pl, n_y)), -np.eye(m_pl)])
+            b_el = rng.uniform(-1.0, 0.5, m_pl)
+            upper_el = np.concatenate([rng.uniform(0.1, 0.5, n_y), np.full(m_pl, np.inf)])
+            c_el = np.concatenate([np.zeros(n_y), np.ones(m_pl)])
+
+            for c_k, A_k, b_k, u_k in ((c, A, b, upper), (c_el, A_el, b_el, upper_el)):
+                x, status, _, _ = solve_inequality_lp(c_k, A_k, b_k, u_k)
+                assert status == "optimal"
+                assert max_excess(A_k, b_k, u_k, x) <= 1e-9 * (1.0 + np.abs(b_k).max())
+                oracle = enumerate_vertices_objective(c_k, *stacked(A_k, b_k, u_k), c_k.size)
+                assert c_k @ x == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
     @pytest.mark.parametrize(
         "name,optimum",
         [
@@ -393,8 +389,15 @@ class TestDualSimplex:
         ids=["w2_200", "w2_1000_swapped"],
     )
     def test_cycling_lp_of_the_paper_scale_recipe(self, name, optimum):
-        # The stored LPs on which the tableau cycles (ROADMAP item 2), from
-        # the lower corner: HiGHS's optimum, every row kept.
+        # Two LPs that recipe W2 met, from the lower corner: HiGHS's
+        # optimum, every row kept. A two-phase tableau simplex with Bland's
+        # rule at tol 1e-10 lost feasibility on both and ran out of pivots.
+        # - w2_200: the phase-2 LP of sub-problem 3 at 200 steps (144 planes
+        #   over 16 dampers, 104 negative right-hand sides), when its sweeps
+        #   ran row by row.
+        # - w2_1000_swapped: LP 222 at 1,000 steps with each story's two
+        #   dampers swapped (damper_transforms permuted by i ^ 1): 168
+        #   planes, 126 negative right-hand sides.
         lp = np.load(DATA / f"{name}.npz")
         A, b, span = split_box(lp["A"], lp["b"])
         x, status, _, _ = solve_inequality_lp(lp["c"], A, b, span)
@@ -404,70 +407,22 @@ class TestDualSimplex:
 
 
 class TestPhaseOne:
-    def test_one_artificial_needs_few_pivots(self, monkeypatch):
-        # 300 planes over 6 columns, every one violated at the origin: one
-        # artificial per plane would pivot about 300 times, the shared one
-        # about once per structural column.
-        rng = np.random.default_rng(5)
-        n, m = 6, 300
-        y_star = rng.uniform(0.3, 0.8, n)
-        A_pl = -rng.uniform(0.1, 1.0, (m, n))
-        b_pl = A_pl @ y_star + rng.uniform(0.0, 0.2, m)
-        assert np.all(b_pl < 0)
-        A = np.vstack([A_pl, np.eye(n)])
-        b = np.concatenate([b_pl, np.ones(n)])
-        c = rng.uniform(0.5, 1.5, n)
-        events = []
-
-        def spy_pivot(*args):
-            events.append("pivot")
-            real_pivot(*args)
-
-        def spy_loop(*args):
-            events.append("loop")
-            return real_loop(*args)
-
-        real_pivot, real_loop = _simplex._pivot, _simplex._pivot_loop
-        monkeypatch.setattr(_simplex, "_pivot", spy_pivot)
-        monkeypatch.setattr(_simplex, "_pivot_loop", spy_loop)
-        x, status = tableau_simplex(c, A, b)
-        assert status == "optimal"
-        assert events.count("loop") == 2
-        phase2_start = len(events) - events[::-1].index("loop") - 1
-        assert 1 <= events[:phase2_start].count("pivot") <= 4 * n
-        x_ref, _ = dense_tableau_lp(c, A, b)
-        assert np.abs(x - x_ref).max() <= 1e-12
-
-    def test_dantzig_near_tie_takes_the_lower_index(self):
-        # Both columns enter with reduced costs 1e-12 apart, well inside
-        # tol = 1e-10: column 0 enters, and the LP stops on its vertex of
-        # the optimal edge y0 + y1 = 1. Strict Dantzig would take column 1.
-        c = np.array([-1.0, -1.0 - 1e-12])
-        A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        b = np.array([1.0, 1.0, 1.0])
-        x, status = tableau_simplex(c, A, b)
-        assert status == "optimal"
-        assert np.array_equal(x, [1.0, 0.0])
-        assert dense_tableau_lp(c, A, b) == (pytest.approx([1.0, 0.0]), "optimal")
-
     def test_lps_of_a_fullset_run_match_highs(self, monkeypatch):
-        # Every LP of a short fullset run, the plain ones (dual simplex) and
-        # the elastic stages (tableau), against HiGHS. Degenerate faces let
-        # x differ; the status and the optimal objective may not. At the
+        # Every LP of a short fullset run against HiGHS: the plain ones and,
+        # after each plain LP that is infeasible, the two elastic stages, all
+        # on the dual simplex (the stages with no start). Degenerate faces
+        # let x differ; the status and the optimal objective may not. At the
         # default move limit some of the run's LPs are infeasible inside
         # their boxes.
         lps = []
+        real_dual = optimizer.solve_inequality_lp
 
-        def spy(real):
-            def solve(c, A, b, upper=None, *start):
-                out = real(c, A, b, upper, *start)
-                lps.append((c, *stacked(A, b, upper), out[:2]))
-                return out
+        def spy(c, A, b, upper, *start):
+            out = real_dual(c, A, b, upper, *start)
+            lps.append((c, *stacked(A, b, upper), out[:2], bool(start)))
+            return out
 
-            return solve
-
-        for name in ("solve_inequality_lp", "tableau_simplex"):
-            monkeypatch.setattr(optimizer, name, spy(getattr(optimizer, name)))
+        monkeypatch.setattr(optimizer, "solve_inequality_lp", spy)
         model = frame_with_redundant_dampers(n_stories=3, per_story=2)
         gm = synthetic_record(100, seed=9, peak=2.5)
         bare = newmark_solve(model, np.zeros((3, 3)), gm)
@@ -481,136 +436,18 @@ class TestPhaseOne:
             mode="fullset",
         )
         assert final.verified
-        statuses = [status for *_, (_, status) in lps]
-        assert len(lps) >= 20 and "infeasible" in statuses
-        for c, A, b, (x, status) in lps:
+        started = [start for *_, start in lps]
+        statuses = [status for *_, (_, status), _ in lps]
+        infeasible = [k for k, start in enumerate(started) if start and statuses[k] == "infeasible"]
+        assert sum(started) >= 20 and infeasible
+        assert started.count(False) == 2 * len(infeasible)
+        assert not any(started[k + 1] or started[k + 2] for k in infeasible)
+        for c, A, b, (x, status), _ in lps:
             ref = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
             assert ref.status in (0, 2)
             assert status == ("optimal" if ref.status == 0 else "infeasible")
             if status == "optimal":
                 assert c @ x == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
-
-
-def with_far_planes(rng, A, b, n_far):
-    """Interleave ``n_far`` random planes among the plane rows of
-    ``A y <= b``, whose last n rows are the box y <= span. Each new plane
-    stays slack by at least 1% of its scale over the whole box. Returns the
-    new LP and the mask of the new rows."""
-    n = A.shape[1]
-    span = b[-n:]
-    A_far = rng.standard_normal((n_far, n))
-    reach = np.maximum(A_far, 0.0) @ span
-    b_far = reach + rng.uniform(0.01, 1.0, n_far) * (1.0 + np.abs(A_far) @ span)
-    m_pl = A.shape[0] - n
-    at = np.sort(rng.integers(0, m_pl + 1, n_far))
-    A_new = np.insert(A[:m_pl], at, A_far, axis=0)
-    b_new = np.insert(b[:m_pl], at, b_far)
-    far = np.insert(np.zeros(m_pl, dtype=bool), at, True)
-    return (
-        np.vstack([A_new, A[m_pl:]]),
-        np.concatenate([b_new, b[m_pl:]]),
-        np.concatenate([far, np.zeros(n, dtype=bool)]),
-    )
-
-
-def elastic_lp(A, b):
-    """First elastic stage of `solve_lp` for the LP ``A y <= b`` whose last
-    n rows are the box: the planes become A y - s <= b with s >= 0 and no
-    upper bound, and the cost is the total violation."""
-    n = A.shape[1]
-    m_pl = A.shape[0] - n
-    A_el = np.vstack(
-        [
-            np.hstack([A[:m_pl], -np.eye(m_pl)]),
-            np.hstack([A[m_pl:], np.zeros((n, m_pl))]),
-        ]
-    )
-    return np.concatenate([np.zeros(n), np.ones(m_pl)]), A_el, b
-
-
-class TestPresolve:
-    def test_far_planes_change_nothing(self):
-        rng = np.random.default_rng(7)
-        statuses = []
-        for m_planes in (3, 10, 30, 60, 120, 200):
-            for _ in range(4):
-                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
-                A_far, b_far, far = with_far_planes(rng, A, b, 2 * m_planes)
-                assert not _rows_that_can_bind(A_far, b_far)[far].any()
-                x, status = tableau_simplex(c, A, b)
-                x_far, status_far = tableau_simplex(c, A_far, b_far)
-                assert status_far == status
-                statuses.append(status)
-                if status == "optimal":
-                    assert np.array_equal(x_far, x)
-        assert "infeasible" in statuses and "optimal" in statuses
-
-    def test_matches_dense_tableau_reference(self):
-        rng = np.random.default_rng(11)
-        statuses = []
-        for m_planes in (3, 10, 30, 60, 120):
-            for _ in range(4):
-                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
-                A, b, _ = with_far_planes(rng, A, b, m_planes)
-                for c_k, A_k, b_k in ((c, A, b), elastic_lp(A, b)):
-                    x, status = tableau_simplex(c_k, A_k, b_k)
-                    x_ref, status_ref = dense_tableau_lp(c_k, A_k, b_k)
-                    assert status == status_ref
-                    statuses.append(status)
-                    if status == "optimal":
-                        assert np.abs(x - x_ref).max() <= 1e-12
-        assert statuses.count("infeasible") >= 2 and "optimal" in statuses
-
-    def test_row_just_inside_the_margin_is_kept(self):
-        # Over the box 0 <= y <= 1, y0 + y1 reaches 2; the row is dropped
-        # only when 2 < b - 1e-6 (2 + |b|), i.e. b > b_edge.
-        b_edge = (2.0 + 2e-6) / (1.0 - 1e-6)
-        A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        for b0, kept in ((b_edge * (1 - 1e-12), True), (b_edge * (1 + 1e-12), False)):
-            b = np.array([b0, 1.0, 1.0])
-            assert np.array_equal(_rows_that_can_bind(A, b), [kept, True, True])
-            x, status = tableau_simplex(-np.ones(2), A, b)
-            assert status == "optimal" and np.array_equal(x, np.ones(2))
-
-    def test_positive_coefficient_on_unbounded_column_is_kept(self):
-        # Columns [y0, y1, s]: y is boxed by its singleton rows, s has no
-        # upper bound. Far from the box, -s can only loosen a row, but +s
-        # (the elastic cost-stage row) can make any row tight.
-        A = np.array(
-            [
-                [1.0, 1.0, -1.0],
-                [1.0, 1.0, 1.0],
-                [-1.0, 0.0, 0.5],
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-            ]
-        )
-        b = np.array([10.0, 10.0, 10.0, 1.0, 1.0])
-        assert np.array_equal(
-            _rows_that_can_bind(A, b), [False, True, True, True, True]
-        )
-        c = np.array([1.0, 1.0, -1.0])
-        x, status = tableau_simplex(c, A, b)
-        x_ref, status_ref = dense_tableau_lp(c, A, b)
-        assert status == status_ref == "optimal"
-        assert np.array_equal(x, x_ref) and x[2] == pytest.approx(10.0)
-
-    def test_phase1_threshold_uses_the_full_rhs(self):
-        # y0 >= 0.5 against y0 + 1e-3 y1 <= 0.5 - 1e-6 misses by 1e-6:
-        # infeasible against a threshold of 1e-8 max(1, max|b|) over the
-        # kept rows, feasible within the full b's 1e-4 that the far row
-        # (dropped by the presolve) sets.
-        A = np.array(
-            [[-1.0, 0.0], [1.0, 1e-3], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        )
-        b = np.array([-0.5, 0.5 - 1e-6, 1e4, 1.0, 1.0])
-        assert np.array_equal(_rows_that_can_bind(A, b), [True, True, False, True, True])
-        x, status = tableau_simplex(np.ones(2), A, b)
-        x_ref, status_ref = dense_tableau_lp(np.ones(2), A, b)
-        assert status == status_ref == "optimal"
-        assert np.abs(x - x_ref).max() <= 1e-12
-        keep = _rows_that_can_bind(A, b)
-        assert tableau_simplex(np.ones(2), A[keep], b[keep]) == (None, "infeasible")
 
 
 def split_box(A, b):
@@ -627,76 +464,6 @@ def assert_same_solution(got, want):
     assert (x is None) == (x_ref is None)
     if x is not None:
         assert x.tobytes() == x_ref.tobytes()
-
-
-class TestBounds:
-    def test_bounds_match_the_stacked_rows_bitwise(self):
-        # The bounds pivot as the box rows stacked under the planes: the
-        # same x, bit for bit, and the same status, also for the elastic
-        # stage, whose violation columns have no bound.
-        rng = np.random.default_rng(19)
-        statuses = []
-        for m_planes in (3, 10, 30, 60, 120, 200, 300):
-            for _ in range(4):
-                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
-                A, b, _ = with_far_planes(rng, A, b, m_planes)
-                A_pl, b_pl, span = split_box(A, b)
-                mp, n = A_pl.shape
-                c_el, A_el, _ = elastic_lp(A, b)
-                upper_el = np.concatenate([span, np.full(mp, np.inf)])
-                for c_k, A_k, b_k, u_k in ((c, A_pl, b_pl, span), (c_el, A_el[:mp], b_pl, upper_el)):
-                    got = tableau_simplex(c_k, A_k, b_k, u_k)
-                    assert_same_solution(got, tableau_simplex(c_k, *stacked(A_k, b_k, u_k)))
-                    statuses.append(got[1])
-        assert "infeasible" in statuses and "optimal" in statuses
-
-    @pytest.mark.parametrize("name", ["w2_200_cycling_lp", "w2_1000_swapped_cycling_lp"])
-    def test_cycling_lp_with_its_box_as_bounds_still_cycles(self, name, monkeypatch):
-        # The stored cycling LPs of ROADMAP item 2, split into planes and
-        # box: as many pivots as stacked, the box rows counted in the
-        # budget, so the budget still runs out.
-        lp = np.load(DATA / f"{name}.npz")
-        pivots = [0]
-
-        def spy_pivot(*args):
-            pivots[-1] += 1
-            real_pivot(*args)
-
-        real_pivot = _simplex._pivot
-        monkeypatch.setattr(_simplex, "_pivot", spy_pivot)
-        for args in ((lp["A"], lp["b"]), split_box(lp["A"], lp["b"])):
-            with pytest.raises(SimplexError, match="pivot budget exhausted"):
-                tableau_simplex(lp["c"], *args)
-            pivots.append(0)
-        assert pivots[1] == pivots[0] > 1000
-
-    def test_presolve_mask_from_bounds_matches_the_stacked_rows(self):
-        # The same kept planes, with the box given as bounds as with it
-        # stacked as rows (which are singletons, always kept): also with
-        # singleton planes that tighten a bound, a bound below zero (no
-        # bound, as for a row with a negative rhs) and unbounded columns.
-        rng = np.random.default_rng(23)
-        for m_planes in (3, 30, 120):
-            for _ in range(6):
-                c, A, b = random_cutting_plane_lp(rng, int(rng.integers(4, 9)), m_planes)
-                A, b, _ = with_far_planes(rng, A, b, m_planes)
-                A_pl, b_pl, span = split_box(A, b)
-                n = span.size
-                j = rng.choice(n, 2, replace=False)
-                tight = np.zeros((2, n))
-                tight[[0, 1], j] = [2.0, 0.5]
-                A_pl = np.vstack([A_pl, tight])
-                b_pl = np.concatenate([b_pl, [0.5 * span[j[0]], 0.3 * span[j[1]]]])
-                if rng.random() < 0.5:
-                    span = span.copy()
-                    span[rng.integers(n)] = -0.1
-                mp = A_pl.shape[0]
-                _, A_el, _ = elastic_lp(*stacked(A_pl, b_pl, span))
-                upper_el = np.concatenate([span, np.full(mp, np.inf)])
-                for A_k, u_k in ((A_pl, span), (A_el[:mp], upper_el)):
-                    old = _rows_that_can_bind(*stacked(A_k, b_pl, u_k))
-                    assert old[mp:].all()
-                    assert np.array_equal(_rows_that_can_bind(A_k, b_pl, u_k), old[:mp])
 
 
 def fullset_problem():
@@ -784,6 +551,48 @@ class TestSolveLp:
         assert res.status == "elastic"
         violation = sum(max(0.0, ghat(pl, res.x)) for pl in planes)
         assert violation == pytest.approx(0.6, abs=1e-8)
+
+    def test_elastic_lps_match_a_two_stage_highs_reference(self):
+        # Random planes that conflict inside their box: the least total
+        # violation sum max(0, A x - b), then the least cost among the points
+        # within 1e-9 of it, as two HiGHS LPs over [x, s].
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(2, 25))
+            center = rng.uniform(0.2, 0.8, n)
+            ml = float(rng.uniform(0.05, 0.3))
+            grads = rng.standard_normal((m, n))
+            # Every third plane asks for more than any move in the box gives.
+            reach = np.abs(grads).sum(axis=1) * ml
+            g_vals = np.where(np.arange(m) % 3 == 0, reach + rng.uniform(0.1, 1.0, m),
+                              rng.uniform(-1.0, 0.5, m) * reach)
+            planes = plane_set(n, *((grad, g, center) for grad, g in zip(grads, g_vals)))
+            res = solve_lp(np.ones(n), planes, center, ml)
+            assert res.status == "elastic"
+
+            A = np.array([pl.gradient for pl in planes])
+            b = np.array([pl.rhs for pl in planes])
+            A_el = np.hstack([A, -np.eye(m)])
+            bounds = [*zip(np.maximum(0.0, center - ml), np.minimum(1.0, center + ml))]
+            bounds += [(0.0, None)] * m
+            c1 = np.concatenate([np.zeros(n), np.ones(m)])
+            stage1 = linprog(c1, A_ub=A_el, b_ub=b, bounds=bounds, method="highs")
+            stage2 = linprog(
+                np.concatenate([np.ones(n), np.zeros(m)]),
+                A_ub=np.vstack([A_el, c1]),
+                b_ub=np.append(b, stage1.fun + 1e-9),
+                bounds=bounds,
+                method="highs",
+            )
+            assert stage1.status == stage2.status == 0
+            x_ref = stage2.x[:n]
+
+            def violation(x):
+                return float(np.maximum(A @ x - b, 0.0).sum())
+
+            assert violation(res.x) == pytest.approx(violation(x_ref), rel=1e-9)
+            assert res.x.sum() == pytest.approx(x_ref.sum(), rel=1e-9)
 
     def test_respects_move_limits(self):
         res = solve_lp(
@@ -1068,42 +877,33 @@ class TestSlpSolve:
 
     def test_presolved_lp_matches_dense_tableau_in_the_loop(self, monkeypatch):
         # The LP grows by 22 planes per iteration, goes elastic, and retires
-        # planes. The run takes the dual simplex for each plain LP and the
-        # presolved tableau for the elastic stages; the reference solves
-        # every stage with the dense tableau.
+        # planes. The run takes the dual simplex for each plain LP and for
+        # both elastic stages; the reference solves every one with the dense
+        # tableau.
         model, scenarios, gm, design0 = fullset_problem()
         cfg = SlpConfig(i_min=20, i_max=20, ml=0.05)
 
-        def run(plain, elastic):
-            lps, dropped = [], []
+        def run(solver):
+            lps = []
 
             def spy_lp(*args, **kwargs):
                 lps.append(real_lp(*args, **kwargs))
                 return lps[-1]
 
-            def spy_simplex(c, A, b, upper=None):
-                dropped.append(int(np.sum(~_rows_that_can_bind(A, b, upper))))
-                return elastic(c, A, b, upper)
-
             monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
-            monkeypatch.setattr(optimizer, "solve_inequality_lp", plain)
-            monkeypatch.setattr(optimizer, "tableau_simplex", spy_simplex)
+            monkeypatch.setattr(optimizer, "solve_inequality_lp", solver)
             res = slp_solve(model, scenarios, [gm], design0, cfg)
             monkeypatch.undo()
-            return res, lps, sum(dropped)
+            return res, lps
 
-        def dense(c, A, b, upper=None):
-            return dense_tableau_lp(c, *stacked(A, b, upper))
-
-        def dense_plain(c, A, b, upper, start):
+        def dense(c, A, b, upper, start=None):
             # Any basis serves as the tight set: the reference takes no start.
-            x, status = dense(c, A, b, upper)
+            x, status = dense_tableau_lp(c, *stacked(A, b, upper))
             return x, status, None if x is None else np.arange(c.size), 0
 
         real_lp = optimizer.solve_lp
-        res, lps, dropped = run(solve_inequality_lp, tableau_simplex)
-        ref, ref_lps, _ = run(dense_plain, dense)
-        assert dropped > 0
+        res, lps = run(solve_inequality_lp)
+        ref, ref_lps = run(dense)
         assert "elastic" in [lp.status for lp in lps]
         assert any(lp.binding for lp in lps)
         assert res.n_iterations == ref.n_iterations == len(lps) == len(ref_lps)
@@ -1122,48 +922,44 @@ class TestSlpSolve:
     def test_lps_of_the_loop_solve_alike_with_their_box_stacked(self, monkeypatch):
         # Every LP of a run that goes elastic and retires planes, re-solved
         # with its bounds stacked as rows: bit for bit the same, for the
-        # plain LP's dual simplex (both from the lower corner) and for the
-        # elastic stages' tableau.
+        # plain LPs (both from the lower corner) and for the elastic stages,
+        # which take no start.
         model, scenarios, gm, design0 = fullset_problem()
         plain, elastic = [], []
-        real_dual, real_simplex = optimizer.solve_inequality_lp, optimizer.tableau_simplex
+        real_dual = optimizer.solve_inequality_lp
 
-        def spy_dual(c, A, b, upper, start):
-            plain.append((c, A, b, upper))
-            return real_dual(c, A, b, upper, start)
-
-        def spy_simplex(c, A, b, upper=None):
-            elastic.append((c, A, b, upper))
-            return real_simplex(c, A, b, upper)
+        def spy_dual(c, A, b, upper, *start):
+            (plain if start else elastic).append((c, A, b, upper))
+            return real_dual(c, A, b, upper, *start)
 
         monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_dual)
-        monkeypatch.setattr(optimizer, "tableau_simplex", spy_simplex)
         res = slp_solve(model, scenarios, [gm], design0, SlpConfig(i_min=20, i_max=20, ml=0.05))
-        assert "elastic" in [r.lp_status for r in res.history]
+        statuses = [r.lp_status for r in res.history]
         assert len(plain) == res.n_iterations
-        assert any(upper is not None and np.isinf(upper).any() for *_, upper in elastic)
-        for c, A, b, upper in plain:
+        assert len(elastic) == 2 * statuses.count("elastic") > 0
+        assert all(np.isinf(upper).any() for *_, upper in elastic)
+        for c, A, b, upper in plain + elastic:
             assert_same_solution(
                 solve_inequality_lp(c, A, b, upper)[:2],
                 solve_inequality_lp(c, *stacked(A, b, upper))[:2],
-            )
-        for c, A, b, upper in elastic:
-            assert_same_solution(
-                tableau_simplex(c, A, b, upper), tableau_simplex(c, *stacked(A, b, upper))
             )
 
     def test_each_lp_starts_from_the_constraints_tight_at_the_last_optimum(self, monkeypatch):
         # An optimal LP's tight set, keyed by plane row and bound, names the
         # same constraints in the next LP's numbering of its enabled planes;
         # a plane disabled since maps to no label (-1), and an elastic LP
-        # leaves the next one no start. The log counts each LP's pivots.
+        # leaves the next one no start. The log counts each LP's pivots: the
+        # plain attempt's, plus both elastic stages' where it is infeasible.
         model, scenarios, gm, design0 = fullset_problem()
         calls = []
         real_dual = optimizer.solve_inequality_lp
 
-        def spy_dual(c, A, b, upper, start):
-            x, status, basis, pivots = real_dual(c, A, b, upper, start)
-            calls.append((A, start, None if basis is None else basis.copy(), pivots))
+        def spy_dual(c, A, b, upper, *start):
+            x, status, basis, pivots = real_dual(c, A, b, upper, *start)
+            if start:
+                calls.append((A, start[0], None if basis is None else basis.copy(), pivots, []))
+            else:
+                calls[-1][-1].append(pivots)  # an elastic stage of the last LP
             return x, status, basis, pivots
 
         monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_dual)
@@ -1175,7 +971,7 @@ class TestSlpSolve:
 
         assert calls[0][1] is None
         starts = []
-        for (A_last, _, basis, _), (A, start, _, _) in zip(calls, calls[1:]):
+        for (A_last, _, basis, *_), (A, start, *_) in zip(calls, calls[1:]):
             if basis is None:
                 starts.append("none")
                 assert start is None
@@ -1185,7 +981,13 @@ class TestSlpSolve:
                 starts.append("warm")
                 assert np.array_equal(rows(A, start), rows(A_last, basis))
         assert {"none", "disabled", "warm"} <= set(starts)
-        assert [r.lp_pivots for r in res.history] == [pivots for *_, pivots in calls]
+        assert len(calls) == res.n_iterations
+        for record, (*_, pivots, stages) in zip(res.history, calls):
+            assert len(stages) == (2 if record.lp_status == "elastic" else 0)
+            assert record.lp_pivots == pivots + sum(stages)
+            if stages:
+                assert sum(stages) > 0
+        assert "elastic" in [r.lp_status for r in res.history]
 
     def test_lp_rows_from_the_plane_arrays_match_the_plane_records(self, monkeypatch):
         # Every LP's (A, b) as the dual simplex receives it, its box stacked
@@ -1208,9 +1010,10 @@ class TestSlpSolve:
             )))
             return lp
 
-        def spy_dual(c, A, b, upper, start):
-            got.append(stacked(A, b, upper))
-            return real_dual(c, A, b, upper, start)
+        def spy_dual(c, A, b, upper, *start):
+            if start:  # the plain LP, not an elastic stage
+                got.append(stacked(A, b, upper))
+            return real_dual(c, A, b, upper, *start)
 
         monkeypatch.setattr(optimizer, "solve_lp", spy_lp)
         monkeypatch.setattr(optimizer, "solve_inequality_lp", spy_dual)

@@ -24,7 +24,7 @@ from failsafe_dampers import (
     run_failsafe,
     slp_solve,
 )
-from failsafe_dampers import adjoint, cli, constraints, dynamics, failsafe, model
+from failsafe_dampers import _simplex, adjoint, cli, constraints, dynamics, failsafe, model, optimizer
 from failsafe_dampers.dynamics import (
     GroundMotion,
     ResponseHistory,
@@ -263,3 +263,20 @@ def test_check_gradients_has_one_spelling():
 
 def test_run_failsafe_has_no_start_point_parameter():
     assert "x0" not in inspect.signature(run_failsafe).parameters
+
+
+def test_simplex_module_defines_one_solver():
+    # The dual simplex is the one LP solver: the tableau, its presolve and
+    # polish are gone, and the optimizer takes only the solver and its error.
+    gone = {
+        "tableau_simplex", "_pivot", "_pivot_loop", "_polish",
+        "_rows_that_can_bind", "_STALL_LIMIT", "_BELOW_TOL",
+    }
+    assert not gone & set(vars(_simplex))
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(optimizer)))
+        if isinstance(node, ast.ImportFrom) and node.module == "_simplex"
+        for alias in node.names
+    }
+    assert imported == {"SimplexError", "solve_inequality_lp"}
